@@ -16,7 +16,7 @@ Modules:
 * ``cli``: the ``finmot`` command-line harness
 """
 
-from .errors import ModelFileError, SizeCapError
+from .errors import InvariantError, ModelFileError, SizeCapError
 from .symgroup import (
     CycleType,
     GroupAlgebraElement,

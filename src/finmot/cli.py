@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ModelFileError, SizeCapError
+from .errors import InvariantError, ModelFileError, SizeCapError
 from .symgroup import (
     GroupAlgebraElement,
     Partition,
@@ -239,13 +239,16 @@ def cmd_chars(cfg: RunConfig) -> Report:
 
 def _seeded_identity_object(p: int, q: int, k: int, seed: int) -> KaroubiObject:
     """The (p|q) object; any seeded eps-perturbation of the identity lifts
-    back to the identity, which is asserted."""
+    back to the identity, which is checked."""
     space = SuperSpace.standard(p, q, k)
     idem = SuperMorphism.identity(space)
     if seed and k > 1:
         start = idem + eps_perturbation(space, seeded_rng(seed))
         lifted = lift_idempotent(start)
-        assert lifted == idem
+        if lifted != idem:
+            raise InvariantError(
+                f"seed {seed}: the lift of a perturbed ({p}|{q}) identity at k={k} "
+                f"is not the identity")
         idem = lifted
     return KaroubiObject(space, idem, check=False)
 
@@ -614,6 +617,21 @@ def _suite_abelian(cfg: RunConfig) -> tuple[dict, list[Check]]:
     return {}, checks
 
 
+#: the grid keys each suite reads; any other key is a usage error
+GRID_KEYS = {
+    "symmetrizers": ("n",),
+    "supertrace": ("n", "p", "q"),
+    "kimura-dim": ("p", "q", "k", "seeds"),
+    "vanishing": ("p", "q", "k", "seeds"),
+    "lifting": ("k", "seeds"),
+    "uniqueness": ("k", "seeds"),
+    "nilpotency": ("k", "seeds"),
+    "rigidity": ("seeds",),
+    "summand-assembly": ("seeds",),
+    "surface": (),
+    "abelian": ("g",),
+}
+
 SUITES = {
     "symmetrizers": _suite_symmetrizers,
     "supertrace": _suite_supertrace,
@@ -775,6 +793,16 @@ def _parse_grid(text: str) -> dict:
     return grid
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text or text == "0":
@@ -800,13 +828,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chars = sub.add_parser("chars", help="character table of S_n")
-    p_chars.add_argument("n", type=int)
+    p_chars.add_argument("n", type=_nonnegative_int)
 
     p_schur = sub.add_parser("schur", help="Schur image of a (p|q) object")
     p_schur.add_argument("--lam", type=_parse_partition, required=True,
                          help="partition, e.g. 2,1")
-    p_schur.add_argument("--p", type=int, default=0)
-    p_schur.add_argument("--q", type=int, default=0)
+    p_schur.add_argument("--p", type=_nonnegative_int, default=0)
+    p_schur.add_argument("--q", type=_nonnegative_int, default=0)
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
@@ -833,6 +861,11 @@ def main(argv=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
+    if args.command == "verify":
+        unknown = sorted(set(cfg.grid) - set(GRID_KEYS[args.suite]))
+        if unknown:
+            parser.error(f"unknown grid key(s) {', '.join(unknown)} for suite "
+                         f"{args.suite}; it reads {', '.join(GRID_KEYS[args.suite]) or 'none'}")
     if args.command == "chars":
         cfg.params = {"n": args.n}
         runner = cmd_chars

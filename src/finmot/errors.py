@@ -13,3 +13,11 @@ class ModelFileError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class InvariantError(AssertionError):
+    """An identity the calculus guarantees failed to hold exactly.
+
+    Raised instead of ``assert`` so the check survives ``python -O``; the
+    message names the witness (the values or objects that disagree).
+    """

@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .errors import SizeCapError
+from .errors import InvariantError, SizeCapError
 from .symgroup import (
     Partition,
     character,
@@ -38,7 +38,6 @@ from .supercat import (
     ODD,
     SuperMorphism,
     SuperSpace,
-    TruncatedScalar,
     tensor,
     tensor_power,
 )
@@ -90,27 +89,27 @@ class KaroubiObject:
     def dimension(self) -> int:
         """Supertrace of the idempotent; always an exact integer."""
         tr = self.idem.supertrace()
-        assert tr.eps_part_is_zero()
         r = tr.realization()
-        assert r.denominator == 1
+        if not tr.eps_part_is_zero() or r.denominator != 1:
+            raise InvariantError(f"idempotent supertrace {tr} is not an integer")
         return int(r)
 
     def classical_rank(self) -> int:
         """Rank of the realization, ignoring parity signs."""
-        total = Fraction(0)
-        for i, row in self.idem.rows.items():
-            s = row.get(i)
-            if s is not None:
-                total += s.realization()
-        assert total.denominator == 1
-        return int(total)
+        idem = self.idem
+        total = sum(row[i][0] for i, row in idem.rows.items() if i in row)
+        rank, rem = divmod(total, idem.den)
+        if rem:
+            raise InvariantError(
+                f"idempotent realization trace {Fraction(total, idem.den)} is not an integer")
+        return rank
 
     def is_zero(self) -> bool:
         return self.idem.is_zero()
 
     def validate(self) -> None:
         if not self.idem.is_idempotent():
-            raise AssertionError("stored endomorphism is not idempotent")
+            raise InvariantError("stored endomorphism is not idempotent")
 
     def fingerprint(self):
         return (self.idem.fingerprint(), self.twist)
@@ -148,8 +147,8 @@ class FiniteDimReport:
 
 # --- Schur functors ---------------------------------------------------------
 
-# signed permutation sums are cached twice: once as rational row data
-# independent of k, once promoted to a given k
+# signed permutation sums are cached twice: once as integer row data over the
+# idempotent's denominator, independent of k, once promoted to a given k
 _RATIONAL_CACHE: OrderedDict = OrderedDict()
 _OPERATOR_CACHE: OrderedDict = OrderedDict()
 _SCHUR_CACHE: OrderedDict = OrderedDict()
@@ -165,21 +164,20 @@ def _cache_put(cache: OrderedDict, maxsize: int, key, value):
 
 
 def _young_rows(parities: tuple[int, ...], n: int, lam: Partition):
-    """Rows of the group-algebra idempotent acting on the tensor power,
-    with plain Fraction entries."""
+    """Rows of the group-algebra idempotent acting on the tensor power, as
+    integer numerators over the idempotent's denominator: ``(rows, den)``."""
     key = (parities, n, lam.parts)
     if key in _RATIONAL_CACHE:
         _RATIONAL_CACHE.move_to_end(key)
         return _RATIONAL_CACHE[key]
     d = len(parities)
     elem = young_idempotent(lam)
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     # enumerate source tuples once per permutation term
     tuples = [()]
     for _ in range(n):
         tuples = [t + (a,) for t in tuples for a in range(d)]
-    for perm, coeff in elem.terms.items():
-        img = perm.images
+    for img, coeff in elem.numerators.items():
         for t in tuples:
             col = 0
             for a in t:
@@ -205,9 +203,9 @@ def _young_rows(parities: tuple[int, ...], n: int, lam: Partition):
                 acc[col] = total
             elif cur is not None:
                 del acc[col]
-    rows = {i: r for i, r in rows.items() if r}
-    _cache_put(_RATIONAL_CACHE, _RATIONAL_CACHE_MAX, key, rows)
-    return rows
+    out = ({i: r for i, r in rows.items() if r}, elem.den)
+    _cache_put(_RATIONAL_CACHE, _RATIONAL_CACHE_MAX, key, out)
+    return out
 
 
 def _young_operator(ambient: SuperSpace, n: int, lam: Partition) -> SuperMorphism:
@@ -215,14 +213,11 @@ def _young_operator(ambient: SuperSpace, n: int, lam: Partition) -> SuperMorphis
     if key in _OPERATOR_CACHE:
         _OPERATOR_CACHE.move_to_end(key)
         return _OPERATOR_CACHE[key]
-    raw = _young_rows(ambient.parities, n, lam)
-    k = ambient.k
+    raw, den = _young_rows(ambient.parities, n, lam)
+    pad = (0,) * (ambient.k - 1)
     xn = tensor_power(ambient, n)
-    rows = {
-        i: {j: TruncatedScalar.of(c, k) for j, c in row.items()}
-        for i, row in raw.items()
-    }
-    op = SuperMorphism(xn, xn, rows, _trusted=True)
+    rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
+    op = SuperMorphism._from_numerators(xn, xn, rows, den)
     _cache_put(_OPERATOR_CACHE, _OPERATOR_CACHE_MAX, key, op)
     return op
 
@@ -308,17 +303,19 @@ def _twisted_supertrace(ct: Partition, x: KaroubiObject) -> Fraction:
     inv_img = sigma.inverse().images
     d = x.ambient.dim
     parities = x.ambient.parities
-    p = x.idem
-    total = Fraction(0)
+    # eps^0 numerators of the idempotent; the realization is them over den
+    real = {(i, j): t[0] for i, row in x.idem.rows.items()
+            for j, t in row.items() if t[0]}
+    total = 0
     import itertools as _it
 
     for t in _it.product(range(d), repeat=n):
         s = tuple(t[inv_img[a]] for a in range(n))
-        prod = Fraction(1)
+        prod = 1
         ok = True
         for a in range(n):
-            e = p.entry(s[a], t[a]).realization()
-            if not e:
+            e = real.get((s[a], t[a]))
+            if e is None:
                 ok = False
                 break
             prod *= e
@@ -334,16 +331,15 @@ def _twisted_supertrace(ct: Partition, x: KaroubiObject) -> Fraction:
         parity_t = sum(parities[a] for a in t) % 2
         sign = -1 if (inv + parity_t) % 2 else 1
         total += sign * prod
-    return total
+    return Fraction(total, x.idem.den ** n)
 
 
 # --- parity splitting and classification --------------------------------------
 
 
 def parity_projector(space: SuperSpace, parity: int) -> SuperMorphism:
-    one = TruncatedScalar.one(space.k)
-    rows = {i: {i: one} for i, p in enumerate(space.parities) if p == parity}
-    return SuperMorphism(space, space, rows, _trusted=True)
+    return SuperMorphism.projector(
+        space, [i for i, p in enumerate(space.parities) if p == parity])
 
 
 def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
@@ -359,13 +355,14 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
         proj = parity_projector(ambient, parity)
         cand = x.idem.compose(proj)
         if cand != proj.compose(x.idem):
-            raise AssertionError("idempotent does not preserve parity blocks")
+            raise InvariantError(
+                f"idempotent does not preserve the parity-{parity} block")
         if not cand.is_idempotent():
             cand = lifting.lift_idempotent(cand)
         out.append(KaroubiObject(ambient, cand, x.twist, check=False))
     plus, minus = out
     if plus.idem + minus.idem != x.idem:
-        raise AssertionError("parity split does not sum back to the idempotent")
+        raise InvariantError("parity split does not sum back to the idempotent")
     return plus, minus
 
 
@@ -375,7 +372,9 @@ def classify(x: KaroubiObject, cap: int = SCHUR_DIM_CAP) -> FiniteDimReport:
     kim_plus = _largest_nonvanishing(wedge, plus, cap)
     kim_minus = _largest_nonvanishing(sym, minus, cap)
     dimension = x.dimension()
-    assert dimension == kim_plus - kim_minus
+    if dimension != kim_plus - kim_minus:
+        raise InvariantError(
+            f"dimension {dimension} != kim_plus {kim_plus} - kim_minus {kim_minus}")
     if kim_minus == 0:
         kind = "even"
     elif kim_plus == 0:
@@ -396,7 +395,8 @@ def _largest_nonvanishing(power, part: KaroubiObject, cap: int) -> int:
             break
         last = n
         if n > bound:
-            raise AssertionError("power search exceeded the rank bound")
+            raise InvariantError(
+                f"power {n} is nonzero beyond the classical rank bound {bound}")
         n += 1
     return last
 
@@ -409,12 +409,11 @@ def direct_sum(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
         raise ValueError("truncation orders differ")
     ambient = SuperSpace(x.ambient.basis + y.ambient.basis, x.k)
     off = x.ambient.dim
-    rows: dict[int, dict[int, TruncatedScalar]] = {
-        i: dict(row) for i, row in x.idem.rows.items()
-    }
-    for i, row in y.idem.rows.items():
-        rows[i + off] = {j + off: s for j, s in row.items()}
-    idem = SuperMorphism(ambient, ambient, rows, _trusted=True)
+    den = lcm(x.idem.den, y.idem.den)
+    rows = dict(x.idem._rows_over(den))
+    for i, row in y.idem._rows_over(den).items():
+        rows[i + off] = {j + off: t for j, t in row.items()}
+    idem = SuperMorphism._from_numerators(ambient, ambient, rows, den)
     twist = x.twist if x.twist == y.twist else 0
     return KaroubiObject(ambient, idem, twist, check=False)
 
@@ -444,7 +443,7 @@ def dual_k(x: KaroubiObject) -> KaroubiObject:
 def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:
     """Shift every ambient weight by -2r and record the twist."""
     space = x.ambient.shift_weights(-2 * r)
-    idem = SuperMorphism(space, space, x.idem.rows, _trusted=True)
+    idem = SuperMorphism._from_numerators(space, space, x.idem.rows, x.idem.den)
     return KaroubiObject(space, idem, x.twist + r, check=False)
 
 
@@ -497,19 +496,22 @@ def assemble_summand(maps_in, maps_out):
     sum_space = maps_in[0].target
     for a in maps_in[1:]:
         sum_space = SuperSpace(sum_space.basis + a.target.basis, x.k)
-    f_rows: dict[int, dict[int, TruncatedScalar]] = {}
-    g_rows: dict[int, dict[int, TruncatedScalar]] = {}
+    f_den = lcm(*(a.den for a in maps_in))
+    g_den = lcm(*(b.den for b in maps_out))
+    f_rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    g_rows: dict[int, dict[int, tuple[int, ...]]] = {}
     off = 0
     for a, b in zip(maps_in, maps_out):
-        for i, row in a.rows.items():
-            f_rows[i + off] = dict(row)
-        for i, row in b.rows.items():
+        for i, row in a._rows_over(f_den).items():
+            f_rows[i + off] = row
+        for i, row in b._rows_over(g_den).items():
             acc = g_rows.setdefault(i, {})
-            for j, s in row.items():
-                acc[j + off] = s
+            for j, t in row.items():
+                acc[j + off] = t
         off += a.target.dim
-    f = SuperMorphism(x, sum_space, f_rows, _trusted=True)
-    g = SuperMorphism(sum_space, x, g_rows, _trusted=True)
+    f = SuperMorphism._from_numerators(x, sum_space, f_rows, f_den)
+    g = SuperMorphism._from_numerators(sum_space, x, g_rows, g_den)
     e = f.compose(g)
-    assert g.compose(f) == ident
+    if g.compose(f) != ident:
+        raise InvariantError("assembled g . f differs from the identity")
     return f, g, e

@@ -27,7 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .supercat import SuperMorphism, SuperSpace, TruncatedScalar
+from .errors import InvariantError
+from .supercat import SuperMorphism, SuperSpace
 
 
 # --- seeded perturbations -----------------------------------------------------
@@ -56,11 +57,13 @@ def eps_perturbation(space: SuperSpace, rng: random.Random,
                      order: int = 1) -> SuperMorphism:
     """eps^order times a random parity-preserving integer matrix."""
     k = space.k
-    entries = {
-        (i, j): TruncatedScalar.eps(k, order, v)
-        for (i, j), v in random_parity_matrix(space, rng).items()
-    }
-    return SuperMorphism.from_entries(space, space, entries)
+    if order < 1:
+        raise ValueError("eps power must be >= 1")
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    for (i, j), v in random_parity_matrix(space, rng).items():
+        if order < k:
+            rows.setdefault(i, {})[j] = (0,) * order + (v,) + (0,) * (k - order - 1)
+    return SuperMorphism._from_numerators(space, space, rows)
 
 
 def seeded_unit(space: SuperSpace, rng: random.Random) -> SuperMorphism:
@@ -72,15 +75,15 @@ def random_hom_trivial(space: SuperSpace, rng: random.Random) -> SuperMorphism:
     """A random endomorphism with entries in the ideal (eps)."""
     k = space.k
     parities = space.parities
-    entries = {}
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for i in range(space.dim):
         for j in range(space.dim):
             if parities[i] != parities[j]:
                 continue
-            coeffs = [0] + [rng.randint(-2, 2) for _ in range(k - 1)]
+            coeffs = (0,) + tuple(rng.randint(-2, 2) for _ in range(k - 1))
             if any(coeffs):
-                entries[(i, j)] = TruncatedScalar(coeffs)
-    return SuperMorphism.from_entries(space, space, entries)
+                rows.setdefault(i, {})[j] = coeffs
+    return SuperMorphism._from_numerators(space, space, rows)
 
 
 def random_endomorphism(space: SuperSpace, rng: random.Random,
@@ -93,16 +96,16 @@ def random_endomorphism(space: SuperSpace, rng: random.Random,
     k = space.k
     parities = space.parities
     weights = space.weights
-    entries = {}
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for i in range(space.dim):
         for j in range(space.dim):
             if parities[i] != parities[j]:
                 continue
             head = rng.randint(lo, hi) if weights[i] == weights[j] else 0
-            coeffs = [head] + [rng.randint(lo, hi) for _ in range(k - 1)]
+            coeffs = (head,) + tuple(rng.randint(lo, hi) for _ in range(k - 1))
             if any(coeffs):
-                entries[(i, j)] = TruncatedScalar(coeffs)
-    return SuperMorphism.from_entries(space, space, entries)
+                rows.setdefault(i, {})[j] = coeffs
+    return SuperMorphism._from_numerators(space, space, rows)
 
 
 # --- Newton lifting --------------------------------------------------------------
@@ -221,7 +224,8 @@ def conjugating_unit(fam: ProjectorFamily, fam2: ProjectorFamily) -> SuperMorphi
     u = SuperMorphism.zero(fam.ambient, fam.ambient)
     for a, b in zip(fam.members, fam2.members):
         u = u + b.compose(a)
-    assert u.realization().is_identity()
+    if not u.realization().is_identity():
+        raise InvariantError("conjugating unit is not the identity mod eps")
     return u
 
 
@@ -255,7 +259,8 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
         raise ValueError("the two idempotents have different realizations")
     e = pi.compose(pi2).compose(pi)
     defect = e - pi
-    assert defect.is_hom_trivial()
+    if not defect.is_hom_trivial():
+        raise InvariantError("corner defect e - pi has a nonzero realization")
     exact = defect.is_zero()
     if exact:
         corner_inverse = None
@@ -273,8 +278,10 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
         corner_inverse = v
     iso_to = pi2.compose(pi)
     iso_from = v.compose(pi).compose(pi2)
-    assert iso_from.compose(iso_to) == pi
-    assert iso_to.compose(iso_from) == pi2
+    if iso_from.compose(iso_to) != pi:
+        raise InvariantError("corner isomorphism: iso_from . iso_to != pi")
+    if iso_to.compose(iso_from) != pi2:
+        raise InvariantError("corner isomorphism: iso_to . iso_from != pi~")
     return CornerReport(e=e, defect=defect, exact_equality=exact,
                         corner_inverse=corner_inverse,
                         iso_to=iso_to, iso_from=iso_from)
@@ -295,7 +302,8 @@ def nilpotency_index(f: SuperMorphism) -> int:
         power = power.compose(f)
         m += 1
         if m > f.k:
-            raise AssertionError("hom-trivial endomorphism not nilpotent within k")
+            raise InvariantError(
+                f"hom-trivial endomorphism not nilpotent within k = {f.k}")
     return m
 
 
@@ -343,7 +351,8 @@ def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityRe
             decomposition[(s, t)] = b
             if s != t and not b.is_zero():
                 violations.append((s, t, "nonzero off-diagonal block"))
-            if s == t and any(not sc.eps_part_is_zero() for _, _, sc in b.items()):
+            if s == t and any(any(nums[1:]) for row in b.rows.values()
+                              for nums in row.values()):
                 violations.append((s, t, "diagonal corner has an eps part"))
     hom_trivial = q.is_hom_trivial()
     if violations:
@@ -363,8 +372,9 @@ def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityRe
         all_zero = all_zero and is_zero
         report_blocks.append(RigidityBlock(s=s, t=t, is_zero=is_zero, reason=reason))
     certified = hom_trivial and all_zero
-    if hom_trivial:
-        assert all_zero and q.is_zero()
+    if hom_trivial and not (all_zero and q.is_zero()):
+        nonzero = [(b.s, b.t) for b in report_blocks if not b.is_zero]
+        raise InvariantError(f"hom-trivial q within the hypotheses has nonzero blocks {nonzero}")
     return MurreRigidityReport(
         within_hypotheses=True, hom_trivial=hom_trivial,
         certified_zero=certified, violations=(),

@@ -32,19 +32,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SizeCapError
+from .errors import InvariantError, SizeCapError
 from .supercat import (
     SuperMorphism,
     SuperSpace,
-    TruncatedScalar,
     exp_nilpotent,
+    fraction_free_reduce,
     invert_unit,
 )
+from .symgroup import all_permutations
 from .karoubi import KaroubiObject
 from .lifting import (
     ProjectorFamily,
     eps_perturbation,
-    random_parity_matrix,
     seeded_rng,
 )
 
@@ -130,9 +130,8 @@ def build_realization(spec: MotiveSpec) -> SuperSpace:
 
 
 def weight_projector(space: SuperSpace, w: int) -> SuperMorphism:
-    one = TruncatedScalar.one(space.k)
-    rows = {i: {i: one} for i, wi in enumerate(space.weights) if wi == w}
-    return SuperMorphism(space, space, rows, _trusted=True)
+    return SuperMorphism.projector(
+        space, [i for i, wi in enumerate(space.weights) if wi == w])
 
 
 def _family_weights(spec: MotiveSpec) -> list[int]:
@@ -160,10 +159,11 @@ def _transpose_partner(space: SuperSpace, top: int) -> list[int]:
 
 def weight_transpose(f: SuperMorphism, partner: Sequence[int]) -> SuperMorphism:
     """Adjoint of ``f`` under the pairing of weight w with weight top-w."""
-    entries = {}
-    for i, j, s in f.items():
-        entries[(partner[j], partner[i])] = s
-    return SuperMorphism.from_entries(f.source, f.target, entries, _trusted=True)
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    for i, row in f.rows.items():
+        for j, t in row.items():
+            rows.setdefault(partner[j], {})[partner[i]] = t
+    return SuperMorphism._from_numerators(f.source, f.target, rows, f.den)
 
 
 def _family_unit(spec: MotiveSpec, space: SuperSpace,
@@ -181,10 +181,7 @@ def _family_unit(spec: MotiveSpec, space: SuperSpace,
         return SuperMorphism.identity(space) + eps_perturbation(space, rng)
     top = 2 * spec.motive_dimension
     partner = _transpose_partner(space, top)
-    raw = random_parity_matrix(space, rng)
-    n = SuperMorphism.from_entries(
-        space, space,
-        {(i, j): TruncatedScalar.eps(space.k, 1, v) for (i, j), v in raw.items()})
+    n = eps_perturbation(space, rng)
     s = n - weight_transpose(n, partner)
     return exp_nilpotent(s)
 
@@ -312,22 +309,13 @@ class ChowModel:
 
 
 def _rank(rows: list[tuple[Fraction, ...]]) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+    # clearing each row's denominators keeps the rank
+    mat = []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        mat.append([int(v * den) for v in row])
+    pivots, _ = fraction_free_reduce(mat)
+    return len(pivots)
 
 
 def murre_filtration(spec: MotiveSpec, t_param: int | None = None) -> ChowModel:
@@ -338,8 +326,11 @@ def murre_filtration(spec: MotiveSpec, t_param: int | None = None) -> ChowModel:
     if t < 0:
         raise ValueError("t must be nonnegative")
     model = ChowModel(q=spec.q, t=t, d_param=spec.d_param)
-    assert model.filtration_dims() == (1 + spec.q + t, spec.q + t, t, 0)
-    assert model.graded_dims() == (1, spec.q, t)
+    want = (1 + spec.q + t, spec.q + t, t, 0)
+    if model.filtration_dims() != want:
+        raise InvariantError(f"filtration dims {model.filtration_dims()} != {want}")
+    if model.graded_dims() != (1, spec.q, t):
+        raise InvariantError(f"graded dims {model.graded_dims()} != {(1, spec.q, t)}")
     return model
 
 
@@ -408,11 +399,10 @@ def split_middle(spec: MotiveSpec) -> MiddleSplit:
     u = _family_unit(spec, space, respect_pairing=False)
     uinv = invert_unit(u) if u is not None else None
     weight2 = [i for i, w in enumerate(space.weights) if w == 2]
-    one = TruncatedScalar.one(spec.k)
     lines = []
     for a in range(spec.rho):
         idx = weight2[a]
-        proj = SuperMorphism(space, space, {idx: {idx: one}}, _trusted=True)
+        proj = SuperMorphism.projector(space, [idx])
         if u is not None:
             proj = uinv.compose(proj).compose(u)
         lines.append(KaroubiObject(space, proj, check=False))
@@ -424,14 +414,16 @@ def split_middle(spec: MotiveSpec) -> MiddleSplit:
     rest = weight2[spec.rho:]
     small = SuperSpace(tuple(space.basis[i] for i in rest), spec.k)
     embed = SuperMorphism.from_entries(
-        small, space, {(idx, a): one for a, idx in enumerate(rest)}, _trusted=True)
+        small, space, {(idx, a): 1 for a, idx in enumerate(rest)})
     project = SuperMorphism.from_entries(
-        space, small, {(a, idx): one for a, idx in enumerate(rest)}, _trusted=True)
+        space, small, {(a, idx): 1 for a, idx in enumerate(rest)})
     if u is not None:
         embed = uinv.compose(embed)
         project = project.compose(u)
-    assert project.compose(embed) == SuperMorphism.identity(small)
-    assert embed.compose(project) == kernel_in_ambient.idem
+    if project.compose(embed) != SuperMorphism.identity(small):
+        raise InvariantError("kernel splitting: project . embed != id")
+    if embed.compose(project) != kernel_in_ambient.idem:
+        raise InvariantError("kernel splitting: embed . project != the kernel idempotent")
     kernel = KaroubiObject.full(small)
     return MiddleSplit(rho=spec.rho, middle=middle,
                        line_summands=tuple(lines), kernel=kernel,
@@ -460,11 +452,11 @@ def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None
         raise ValueError("cycles must all live in the same kernel part")
     n = len(vectors)
     nfact = math.factorial(n)
+    signed = [(perm.sign(), perm.images) for perm in all_permutations(n)]
     out: dict[tuple[int, ...], Fraction] = {}
     for idx in itertools.product(range(t), repeat=n):
         total = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            sign = _perm_sign(perm)
+        for sign, perm in signed:
             prod = Fraction(sign)
             for slot, which in enumerate(perm):
                 prod *= vectors[which][idx[slot]]
@@ -474,15 +466,6 @@ def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None
         if total:
             out[idx] = total / nfact
     return out
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 # --- conclusions for surfaces with all of weight 2 algebraic ----------------------------
@@ -562,9 +545,7 @@ def abelian_multiplication_action(g: int, n: int, k: int = 1) -> AbelianActionRe
         raise ValueError(f"|n| = {abs(n)} exceeds the guard 5")
     spec = MotiveSpec(kind="abelian", g=g, k=k)
     space = build_realization(spec)
-    nstar = SuperMorphism.diagonal(
-        space, [TruncatedScalar.of(n**w, k) for w in space.weights]
-    )
+    nstar = SuperMorphism.diagonal(space, [n**w for w in space.weights])
     failures = []
     eigen = tuple(n**i for i in range(2 * g + 1))
     for i in range(2 * g + 1):

@@ -15,6 +15,21 @@ Conventions fixed here and relied on everywhere else:
   significant;
 * matrices are stored sparsely (absent entry = exact zero), but carry
   dense semantics: every entry of a valid morphism is defined.
+
+Storage is exact integers.  A ``SuperMorphism`` keeps one positive
+denominator ``den`` for the whole matrix and, for each nonzero entry, the
+k-tuple of integer numerators of its eps-coefficients:
+``rows[i][j] = (c_0, ..., c_{k-1})`` stands for
+``(c_0 + c_1 eps + ... + c_{k-1} eps^(k-1)) / den``.  The form is
+canonical -- all-zero entries are absent and ``gcd(den, every numerator)
+== 1`` -- so equal morphisms have equal storage.  Products are truncated
+convolutions on these integers, evaluated by Kronecker substitution (a
+k-tuple packed into one integer with fields wide enough that none
+overflows), followed by one gcd normalisation per result.
+
+``TruncatedScalar``, with ``fractions.Fraction`` coefficients, is the value
+type at the API boundary only: the constructors accept it, and ``entry``,
+``items``, ``dense`` and ``supertrace`` return it.
 """
 
 from __future__ import annotations
@@ -23,6 +38,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SizeCapError
@@ -255,71 +272,154 @@ def dual(x: SuperSpace) -> SuperSpace:
     return SuperSpace(tuple((p, -w) for p, w in x.basis), x.k)
 
 
+def _unit_tuple(k: int, value: int = 1) -> tuple[int, ...]:
+    """Numerators of the constant ``value`` at truncation order ``k``."""
+    return (value,) + (0,) * (k - 1)
+
+
+def _scalar_ints(value, k: int) -> tuple[tuple[int, ...], int]:
+    """(numerators, positive denominator) of a TruncatedScalar, int or
+    Fraction at truncation order ``k``, in lowest terms."""
+    if isinstance(value, TruncatedScalar):
+        if value.k != k:
+            raise ValueError("scalar truncation order differs from spaces")
+        coeffs = value.coeffs
+    else:
+        coeffs = (Fraction(value),) + (Fraction(0),) * (k - 1)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _lowest_terms(rows: dict, den: int) -> tuple[dict, int]:
+    """Divide ``den`` and every numerator by their gcd."""
+    if den == 1:
+        return rows, den
+    g = den
+    for row in rows.values():
+        for t in row.values():
+            g = math.gcd(g, *t)
+            if g == 1:
+                return rows, den
+    return ({i: {j: tuple([c // g for c in t]) for j, t in row.items()}
+             for i, row in rows.items()}, den // g)
+
+
+def _pack(t: tuple[int, ...], width: int) -> int:
+    """The polynomial ``t`` evaluated at ``2**width`` (Kronecker substitution)."""
+    v = 0
+    for c in reversed(t):
+        v = (v << width) + c
+    return v
+
+
+@lru_cache(maxsize=256)
+def _unpacker(width: int, k: int):
+    """Inverse of ``_pack`` on the low ``k`` fields of a packed product.
+
+    Every field must hold a value in ``[-2**(width-1), 2**(width-1))``;
+    fields from k on (the eps^k and higher terms of a product) are
+    discarded.  The returned function gives the k-tuple, or None when all
+    k fields are zero.
+    """
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    low = (1 << (width * k)) - 1
+    offset = _pack((half,) * k, width)
+    shifts = range(0, width * k, width)
+
+    def unpack(v: int):
+        v = (v + offset) & low
+        if v == offset:
+            return None
+        return tuple([((v >> s) & mask) - half for s in shifts])
+
+    return unpack
+
+
+def _width(bits_a: int, bits_b: int, terms: int) -> int:
+    """Field width that holds any sum of ``terms`` products of a
+    ``bits_a``-bit and a ``bits_b``-bit integer, with its sign; rounded up
+    to a multiple of 8 so that few distinct unpackers get built."""
+    return (bits_a + bits_b + terms.bit_length() + 8) & ~7
+
+
 class SuperMorphism:
     """A parity-preserving matrix over Q[eps]/(eps^k) between graded spaces.
 
     Rows index the target basis, columns the source basis.  The eps^0
-    layer must additionally preserve weight.  Instances are treated as
-    immutable after construction.
+    layer must additionally preserve weight.  ``rows[i][j]`` is the tuple
+    of integer numerators of entry (i, j) and ``den`` the positive common
+    denominator, in the canonical form described in the module docstring.
+    Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("source", "target", "rows", "_fp")
+    __slots__ = ("source", "target", "rows", "den", "_fp", "_bits")
 
     def __init__(self, source: SuperSpace, target: SuperSpace,
-                 rows: Mapping[int, Mapping[int, TruncatedScalar]],
-                 _trusted: bool = False):
+                 rows: Mapping[int, Mapping[int, object]]):
+        """Validate and store entries given as TruncatedScalar, int or Fraction."""
         if source.k != target.k:
             raise ValueError("truncation orders differ")
-        self.source = source
-        self.target = target
-        self._fp = None
-        if _trusted:
-            self.rows = rows  # caller guarantees validity and zero-pruning
-            return
         k = source.k
         tp, tw = target.parities, target.weights
         sp, sw = source.parities, source.weights
-        clean: dict[int, dict[int, TruncatedScalar]] = {}
+        scalars = []
         for i, row in rows.items():
             if not 0 <= i < target.dim:
                 raise ValueError(f"row index {i} out of range")
-            crow: dict[int, TruncatedScalar] = {}
             for j, s in row.items():
                 if not 0 <= j < source.dim:
                     raise ValueError(f"column index {j} out of range")
-                if not isinstance(s, TruncatedScalar):
-                    s = TruncatedScalar.of(s, k)
-                if s.k != k:
-                    raise ValueError("scalar truncation order differs from spaces")
-                if s.is_zero():
+                nums, d = _scalar_ints(s, k)
+                if not any(nums):
                     continue
                 if tp[i] != sp[j]:
                     raise ValueError(
                         f"entry ({i},{j}) violates parity: {tp[i]} != {sp[j]}"
                     )
-                if s.realization() and tw[i] != sw[j]:
+                if nums[0] and tw[i] != sw[j]:
                     raise ValueError(
                         f"eps^0 entry ({i},{j}) violates weight: {tw[i]} != {sw[j]}"
                     )
-                crow[j] = s
-            if crow:
-                clean[i] = crow
+                scalars.append((i, j, nums, d))
+        # over the lcm of denominators in lowest terms the form is canonical
+        den = math.lcm(*(d for _, _, _, d in scalars))
+        clean: dict[int, dict[int, tuple[int, ...]]] = {}
+        for i, j, nums, d in scalars:
+            f = den // d
+            clean.setdefault(i, {})[j] = nums if f == 1 else tuple(c * f for c in nums)
+        self.source = source
+        self.target = target
         self.rows = clean
+        self.den = den
+        self._fp = None
+        self._bits = None
+
+    @classmethod
+    def _from_numerators(cls, source: SuperSpace, target: SuperSpace,
+                         rows: dict, den: int = 1) -> "SuperMorphism":
+        """Trusted constructor from numerator rows over ``den`` > 0.
+
+        The caller guarantees valid positions and no all-zero entries;
+        the result is reduced to lowest terms.
+        """
+        self = object.__new__(cls)
+        self.source = source
+        self.target = target
+        self.rows, self.den = _lowest_terms(rows, den)
+        self._fp = None
+        self._bits = None
+        return self
 
     # --- constructors -------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, source, target, entries: Mapping[tuple[int, int], object],
-                     _trusted: bool = False) -> "SuperMorphism":
-        rows: dict[int, dict[int, TruncatedScalar]] = {}
-        k = source.k
+    def from_entries(cls, source, target,
+                     entries: Mapping[tuple[int, int], object]) -> "SuperMorphism":
+        rows: dict[int, dict[int, object]] = {}
         for (i, j), s in entries.items():
-            if not isinstance(s, TruncatedScalar):
-                s = TruncatedScalar.of(s, k)
-            if s.is_zero():
-                continue
             rows.setdefault(i, {})[j] = s
-        return cls(source, target, rows, _trusted=_trusted)
+        return cls(source, target, rows)
 
     @classmethod
     def from_dense(cls, source, target, matrix) -> "SuperMorphism":
@@ -331,12 +431,17 @@ class SuperMorphism:
 
     @classmethod
     def zero(cls, source, target=None) -> "SuperMorphism":
-        return cls(source, target if target is not None else source, {}, _trusted=True)
+        return cls._from_numerators(source, target if target is not None else source, {})
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "SuperMorphism":
-        one = TruncatedScalar.one(space.k)
-        return cls(space, space, {i: {i: one} for i in range(space.dim)}, _trusted=True)
+        return cls.projector(space, range(space.dim))
+
+    @classmethod
+    def projector(cls, space: SuperSpace, indices: Iterable[int]) -> "SuperMorphism":
+        """The coordinate projector onto the basis vectors ``indices``."""
+        one = _unit_tuple(space.k)
+        return cls._from_numerators(space, space, {i: {i: one} for i in indices})
 
     @classmethod
     def diagonal(cls, space: SuperSpace, scalars: Iterable) -> "SuperMorphism":
@@ -349,16 +454,18 @@ class SuperMorphism:
     def k(self) -> int:
         return self.source.k
 
+    def _scalar(self, t: tuple[int, ...]) -> TruncatedScalar:
+        den = self.den
+        return TruncatedScalar([Fraction(c, den) for c in t])
+
     def entry(self, i: int, j: int) -> TruncatedScalar:
-        row = self.rows.get(i)
-        if row is None:
-            return TruncatedScalar.zero(self.k)
-        return row.get(j, TruncatedScalar.zero(self.k))
+        t = self.rows.get(i, {}).get(j)
+        return TruncatedScalar.zero(self.k) if t is None else self._scalar(t)
 
     def items(self) -> Iterator[tuple[int, int, TruncatedScalar]]:
         for i, row in self.rows.items():
-            for j, s in row.items():
-                yield i, j, s
+            for j, t in row.items():
+                yield i, j, self._scalar(t)
 
     def dense(self) -> list[list[TruncatedScalar]]:
         zero = TruncatedScalar.zero(self.k)
@@ -372,9 +479,26 @@ class SuperMorphism:
 
     def fingerprint(self):
         if self._fp is None:
-            body = tuple(sorted((i, j, s.coeffs) for i, j, s in self.items()))
-            self._fp = (self.source.basis, self.target.basis, self.k, body)
+            body = tuple(sorted((i, j, t) for i, row in self.rows.items()
+                                for j, t in row.items()))
+            self._fp = (self.source.basis, self.target.basis, self.k, self.den, body)
         return self._fp
+
+    def _max_bits(self) -> int:
+        """Bit length of the largest numerator magnitude, computed once."""
+        if self._bits is None:
+            values = chain.from_iterable(
+                chain.from_iterable(map(dict.values, self.rows.values())))
+            self._bits = max(map(abs, values), default=0).bit_length()
+        return self._bits
+
+    def _rows_over(self, den: int) -> dict:
+        """Numerator rows rewritten over ``den``, a multiple of ``self.den``."""
+        f = den // self.den
+        if f == 1:
+            return self.rows
+        return {i: {j: tuple([c * f for c in t]) for j, t in row.items()}
+                for i, row in self.rows.items()}
 
     # --- linear structure ------------------------------------------------------
 
@@ -382,67 +506,86 @@ class SuperMorphism:
         if self.source != other.source or self.target != other.target:
             raise ValueError("morphisms are not parallel")
 
-    def __add__(self, other: "SuperMorphism") -> "SuperMorphism":
+    def _combine(self, other: "SuperMorphism", sign: int) -> "SuperMorphism":
+        """``self + sign * other``."""
         self._check_parallel(other)
-        rows: dict[int, dict[int, TruncatedScalar]] = {
-            i: dict(row) for i, row in self.rows.items()
-        }
+        den = math.lcm(self.den, other.den)
+        f = sign * (den // other.den)
+        rows = {i: dict(row) for i, row in self._rows_over(den).items()}
         for i, row in other.rows.items():
             acc = rows.setdefault(i, {})
-            for j, s in row.items():
+            for j, t in row.items():
                 cur = acc.get(j)
-                val = s if cur is None else cur + s
-                if val.is_zero():
-                    acc.pop(j, None)
+                if cur is None:
+                    acc[j] = t if f == 1 else tuple([c * f for c in t])
+                    continue
+                v = tuple([x + c * f for x, c in zip(cur, t)])
+                if any(v):
+                    acc[j] = v
                 else:
-                    acc[j] = val
+                    del acc[j]
             if not acc:
                 del rows[i]
-        return SuperMorphism(self.source, self.target, rows, _trusted=True)
+        return SuperMorphism._from_numerators(self.source, self.target, rows, den)
+
+    def __add__(self, other: "SuperMorphism") -> "SuperMorphism":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SuperMorphism") -> "SuperMorphism":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SuperMorphism":
-        rows = {i: {j: -s for j, s in row.items()} for i, row in self.rows.items()}
-        return SuperMorphism(self.source, self.target, rows, _trusted=True)
+        rows = {i: {j: tuple([-c for c in t]) for j, t in row.items()}
+                for i, row in self.rows.items()}
+        return SuperMorphism._from_numerators(self.source, self.target, rows, self.den)
 
     def scale(self, c) -> "SuperMorphism":
-        if not isinstance(c, TruncatedScalar):
-            c = TruncatedScalar.of(c, self.k)
-        if c.is_zero():
-            return SuperMorphism.zero(self.source, self.target)
-        rows: dict[int, dict[int, TruncatedScalar]] = {}
-        for i, row in self.rows.items():
-            acc = {}
-            for j, s in row.items():
-                v = c * s
-                if not v.is_zero():
-                    acc[j] = v
-            if acc:
-                rows[i] = acc
-        return SuperMorphism(self.source, self.target, rows, _trusted=True)
+        k = self.k
+        nums, d = _scalar_ints(c, k)
+        rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        if any(nums):
+            width = _width(self._max_bits(), max(map(abs, nums)).bit_length(), k)
+            unpack = _unpacker(width, k)
+            pc = _pack(nums, width)
+            for i, row in self.rows.items():
+                acc = {}
+                for j, t in row.items():
+                    v = unpack(pc * _pack(t, width))
+                    if v is not None:
+                        acc[j] = v
+                if acc:
+                    rows[i] = acc
+        return SuperMorphism._from_numerators(self.source, self.target, rows,
+                                              self.den * d)
 
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
         """``self`` after ``other`` (matrix product self . other)."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        orows = other.rows
-        rows: dict[int, dict[int, TruncatedScalar]] = {}
-        for i, srow in self.rows.items():
-            acc: dict[int, TruncatedScalar] = {}
-            for m, a in srow.items():
-                orow = orows.get(m)
-                if not orow:
-                    continue
-                for j, b in orow.items():
-                    v = a * b
-                    cur = acc.get(j)
-                    acc[j] = v if cur is None else cur + v
-            acc = {j: v for j, v in acc.items() if not v.is_zero()}
-            if acc:
-                rows[i] = acc
-        return SuperMorphism(other.source, self.target, rows, _trusted=True)
+        rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        if self.rows and other.rows:
+            k = self.k
+            width = _width(self._max_bits(), other._max_bits(), self.source.dim * k)
+            unpack = _unpacker(width, k)
+            packed = {m: {j: _pack(b, width) for j, b in row.items()}
+                      for m, row in other.rows.items()}
+            for i, srow in self.rows.items():
+                acc: dict[int, int] = {}
+                for m, a in srow.items():
+                    prow = packed.get(m)
+                    if prow:
+                        pa = _pack(a, width)
+                        for j, pb in prow.items():
+                            acc[j] = acc.get(j, 0) + pa * pb
+                out = {}
+                for j, v in acc.items():
+                    t = unpack(v)
+                    if t is not None:
+                        out[j] = t
+                if out:
+                    rows[i] = out
+        return SuperMorphism._from_numerators(other.source, self.target, rows,
+                                              self.den * other.den)
 
     def __matmul__(self, other: "SuperMorphism") -> "SuperMorphism":
         return self.compose(other)
@@ -467,28 +610,38 @@ class SuperMorphism:
             raise ValueError("truncation orders differ")
         src = tensor(self.source, other.source)
         dst = tensor(self.target, other.target)
-        scols = other.source.dim
-        dcols = other.target.dim
-        rows: dict[int, dict[int, TruncatedScalar]] = {}
-        for i1, row1 in self.rows.items():
-            for i2, row2 in other.rows.items():
-                acc: dict[int, TruncatedScalar] = {}
-                for j1, a in row1.items():
-                    for j2, b in row2.items():
-                        v = a * b
-                        if not v.is_zero():
-                            acc[j1 * scols + j2] = v
-                if acc:
-                    rows[i1 * dcols + i2] = acc
-        return SuperMorphism(src, dst, rows, _trusted=True)
+        rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        if self.rows and other.rows:
+            k = self.k
+            width = _width(self._max_bits(), other._max_bits(), k)
+            unpack = _unpacker(width, k)
+            pa_rows = {i: {j: _pack(t, width) for j, t in row.items()}
+                       for i, row in self.rows.items()}
+            pb_rows = {i: {j: _pack(t, width) for j, t in row.items()}
+                       for i, row in other.rows.items()}
+            scols = other.source.dim
+            dcols = other.target.dim
+            for i1, row1 in pa_rows.items():
+                for i2, row2 in pb_rows.items():
+                    acc = {}
+                    for j1, a in row1.items():
+                        base = j1 * scols
+                        for j2, b in row2.items():
+                            t = unpack(a * b)
+                            if t is not None:
+                                acc[base + j2] = t
+                    if acc:
+                        rows[i1 * dcols + i2] = acc
+        return SuperMorphism._from_numerators(src, dst, rows, self.den * other.den)
 
     def dual(self) -> "SuperMorphism":
         """The transpose, as a map between the dual spaces."""
-        rows: dict[int, dict[int, TruncatedScalar]] = {}
+        rows: dict[int, dict[int, tuple[int, ...]]] = {}
         for i, row in self.rows.items():
-            for j, s in row.items():
-                rows.setdefault(j, {})[i] = s
-        return SuperMorphism(dual(self.target), dual(self.source), rows, _trusted=True)
+            for j, t in row.items():
+                rows.setdefault(j, {})[i] = t
+        return SuperMorphism._from_numerators(dual(self.target), dual(self.source),
+                                              rows, self.den)
 
     # --- predicates -------------------------------------------------------------
 
@@ -496,15 +649,11 @@ class SuperMorphism:
         return not self.rows
 
     def is_identity(self) -> bool:
-        if self.source != self.target:
+        if (self.source != self.target or self.den != 1
+                or len(self.rows) != self.source.dim):
             return False
-        if len(self.rows) != self.source.dim:
-            return self.source.dim == 0 and not self.rows
-        one = TruncatedScalar.one(self.k)
-        for i, row in self.rows.items():
-            if len(row) != 1 or row.get(i) != one:
-                return False
-        return True
+        one = _unit_tuple(self.k)
+        return all(len(row) == 1 and row.get(i) == one for i, row in self.rows.items())
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -515,44 +664,41 @@ class SuperMorphism:
     def supertrace(self) -> TruncatedScalar:
         if not self.is_endomorphism():
             raise ValueError("trace of a non-endomorphism")
-        total = TruncatedScalar.zero(self.k)
+        total = [0] * self.k
         parities = self.source.parities
         for i, row in self.rows.items():
-            s = row.get(i)
-            if s is not None:
-                total = total - s if parities[i] == ODD else total + s
-        return total
+            t = row.get(i)
+            if t is not None:
+                sign = -1 if parities[i] == ODD else 1
+                total = [x + sign * c for x, c in zip(total, t)]
+        return self._scalar(total)
 
     def realization(self) -> "SuperMorphism":
-        src = self.source.with_k(1)
-        dst = self.target.with_k(1)
-        rows: dict[int, dict[int, TruncatedScalar]] = {}
+        rows: dict[int, dict[int, tuple[int, ...]]] = {}
         for i, row in self.rows.items():
-            acc = {}
-            for j, s in row.items():
-                r = s.realization()
-                if r:
-                    acc[j] = TruncatedScalar((r,))
+            acc = {j: (t[0],) for j, t in row.items() if t[0]}
             if acc:
                 rows[i] = acc
-        return SuperMorphism(src, dst, rows, _trusted=True)
+        return SuperMorphism._from_numerators(self.source.with_k(1),
+                                              self.target.with_k(1), rows, self.den)
 
     def is_hom_trivial(self) -> bool:
-        return all(not s.realization() for _, _, s in self.items())
+        return all(not t[0] for row in self.rows.values() for t in row.values())
 
     def promoted(self, k: int) -> "SuperMorphism":
-        rows = {
-            i: {j: s.promoted(k) for j, s in row.items()}
-            for i, row in self.rows.items()
-        }
-        return SuperMorphism(self.source.with_k(k), self.target.with_k(k), rows,
-                             _trusted=True)
+        if k < self.k:
+            raise ValueError("cannot demote a morphism")
+        pad = (0,) * (k - self.k)
+        rows = {i: {j: t + pad for j, t in row.items()} for i, row in self.rows.items()}
+        return SuperMorphism._from_numerators(self.source.with_k(k),
+                                              self.target.with_k(k), rows, self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, SuperMorphism)
             and self.source == other.source
             and self.target == other.target
+            and self.den == other.den
             and self.rows == other.rows
         )
 
@@ -575,15 +721,15 @@ def braiding(x: SuperSpace, y: SuperSpace) -> SuperMorphism:
     src = tensor(x, y)
     dst = tensor(y, x)
     k = x.k
-    one = TruncatedScalar.one(k)
-    minus = TruncatedScalar.of(-1, k)
-    rows: dict[int, dict[int, TruncatedScalar]] = {}
+    one = _unit_tuple(k)
+    minus = _unit_tuple(k, -1)
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for i in range(x.dim):
         pi = x.parities[i]
         for j in range(y.dim):
             sign = minus if (pi and y.parities[j]) else one
             rows[j * x.dim + i] = {i * y.dim + j: sign}
-    return SuperMorphism(src, dst, rows, _trusted=True)
+    return SuperMorphism._from_numerators(src, dst, rows)
 
 
 def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
@@ -603,9 +749,9 @@ def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
     parities = x.parities
     img = sigma.images
     k = x.k
-    one = TruncatedScalar.one(k)
-    minus = TruncatedScalar.of(-1, k)
-    rows: dict[int, dict[int, TruncatedScalar]] = {}
+    one = _unit_tuple(k)
+    minus = _unit_tuple(k, -1)
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for t in itertools.product(range(d), repeat=n):
         col = 0
         for a in t:
@@ -624,25 +770,25 @@ def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
                 if sa > img[odd_slots[bi]]:
                     inv += 1
         rows.setdefault(row, {})[col] = minus if inv % 2 else one
-    return SuperMorphism(xn, xn, rows, _trusted=True)
+    return SuperMorphism._from_numerators(xn, xn, rows)
 
 
 def evaluation(x: SuperSpace) -> SuperMorphism:
     """X (x) X* -> 1, pairing each basis vector with its dual."""
     src = tensor(x, dual(x))
-    one = TruncatedScalar.one(x.k)
+    one = _unit_tuple(x.k)
     d = x.dim
     rows = {0: {i * d + i: one for i in range(d)}} if d else {}
-    return SuperMorphism(src, SuperSpace.unit(x.k), rows, _trusted=True)
+    return SuperMorphism._from_numerators(src, SuperSpace.unit(x.k), rows)
 
 
 def coevaluation(x: SuperSpace) -> SuperMorphism:
     """1 -> X* (x) X, the sum of e^i (x) e_i."""
     dst = tensor(dual(x), x)
-    one = TruncatedScalar.one(x.k)
+    one = _unit_tuple(x.k)
     d = x.dim
     rows = {i * d + i: {0: one} for i in range(d)}
-    return SuperMorphism(SuperSpace.unit(x.k), dst, rows, _trusted=True)
+    return SuperMorphism._from_numerators(SuperSpace.unit(x.k), dst, rows)
 
 
 def trace(f: SuperMorphism) -> TruncatedScalar:
@@ -664,44 +810,73 @@ def is_hom_trivial(f: SuperMorphism) -> bool:
     return f.is_hom_trivial()
 
 
-# --- exact inversion utilities --------------------------------------------------
+# --- exact elimination and inversion ---------------------------------------------
 
 
-def _rational_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == r)) for i in range(n)]
-           for r, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+def fraction_free_reduce(mat: list[list[int]], ncols: int | None = None
+                         ) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
+
+    Works in place and searches pivots in the first ``ncols`` columns (all
+    of them by default).  Each step replaces every non-pivot row by
+    ``(p * row - a * pivot_row) / p_prev``, where ``p`` is the new pivot,
+    ``a`` the row's entry in the pivot column and ``p_prev`` the previous
+    pivot; the division is exact because every entry stays a minor of the
+    input, so numbers never outgrow a determinant.  Afterwards the r-th
+    row carries the last pivot in the r-th pivot column and the other
+    pivot columns are zero.  Returns the pivot columns (their count is the
+    rank) and the last pivot (1 when there is none).  For a nonsingular
+    square ``A`` reduced as ``[A | I]`` over its first n columns, the
+    right block is ``p * A^-1``.
+    """
+    nrows = len(mat)
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if mat[i][col]), None)
         if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        prow = mat[r]
+        p = prow[col]
+        for i in range(nrows):
+            if i != r:
+                a = mat[i][col]
+                mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], prow)]
+        prev = p
+        pivots.append(col)
+    return pivots, prev
 
 
 def invert_unit(f: SuperMorphism) -> SuperMorphism:
     """Exact inverse of an endomorphism whose realization is invertible.
 
-    The realization is inverted over Q by Gauss-Jordan; the nilpotent
-    correction is a finite geometric series.
+    The realization is inverted by fraction-free elimination over the
+    integers; the nilpotent correction is a finite geometric series.
     """
     if not f.is_endomorphism():
         raise ValueError("only endomorphisms are inverted")
     n = f.source.dim
-    dense = [[f.entry(i, j).realization() for j in range(n)] for i in range(n)]
-    rinv = _rational_inverse(dense)
     k = f.k
-    g0 = SuperMorphism.from_entries(
-        f.source, f.source,
-        {(i, j): TruncatedScalar.of(v, k) for i, row in enumerate(rinv)
-         for j, v in enumerate(row) if v},
-        _trusted=True)
+    # the realization is R / den for the integer matrix R of eps^0 numerators
+    aug = [[0] * n + [int(i == r) for i in range(n)] for r in range(n)]
+    for i, row in f.rows.items():
+        for j, t in row.items():
+            aug[i][j] = t[0]
+    pivots, det = fraction_free_reduce(aug, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    # (R / den)^-1 = den * (det * R^-1) / det
+    scale = f.den if det > 0 else -f.den
+    rows = {}
+    for i in range(n):
+        acc = {j: _unit_tuple(k, scale * v) for j, v in enumerate(aug[i][n:]) if v}
+        if acc:
+            rows[i] = acc
+    g0 = SuperMorphism._from_numerators(f.source, f.source, rows, abs(det))
     ident = SuperMorphism.identity(f.source)
     resid = ident - f.compose(g0)
     acc = ident

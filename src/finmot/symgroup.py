@@ -2,7 +2,15 @@
 
 Partitions, permutations, irreducible characters (Murnaghan-Nakayama),
 and the central idempotents of the rational group algebra Q[S_n].
-All arithmetic is exact; coefficients are `fractions.Fraction`.
+
+All arithmetic is exact.  A group-algebra element stores integer
+numerators, keyed by permutation images, over one positive common
+denominator in lowest terms (for the central idempotents it divides n!).
+Products run over permutation ranks through a multiplication table that
+is built on first use and kept for n <= ``TABLE_BOUND``; degree 7
+composes the permutations on the fly.  ``fractions.Fraction`` is the
+value type at the API boundary: the constructor accepts it and
+``coefficient`` and ``terms`` return it.
 """
 
 from __future__ import annotations
@@ -13,12 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import SizeCapError
+from .errors import InvariantError, SizeCapError
 
 #: degree guard for partition / character enumeration
 PARTITION_BOUND = 12
 #: degree guard for group-algebra work (elements carry up to n! terms)
 CONVOLUTION_BOUND = 7
+#: largest degree whose rank multiplication table is kept (720 x 720 at n = 6)
+TABLE_BOUND = 6
 
 
 class Partition:
@@ -103,8 +113,9 @@ def hook_dimension(lam: Partition) -> int:
     d = math.factorial(lam.n)
     for row in lam.hook_lengths():
         for h in row:
-            assert d % h == 0
-            d //= h
+            d, rem = divmod(d, h)
+            if rem:
+                raise InvariantError(f"hook length {h} of {lam.parts} leaves remainder {rem}")
     return d
 
 
@@ -266,49 +277,109 @@ def _border_strip_removals(lam: tuple[int, ...], m: int):
 # --- group algebra ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _ranked(n: int) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of degree ``n`` in lexicographic order; the index is the rank."""
+    return tuple(itertools.permutations(range(n)))
+
+
+@lru_cache(maxsize=None)
+def _rank_of(n: int) -> dict[tuple[int, ...], int]:
+    return {images: r for r, images in enumerate(_ranked(n))}
+
+
+@lru_cache(maxsize=None)
+def _mult_table(n: int) -> tuple:
+    """Row ``rank(a)`` is an ``array('H')`` of ``rank(a * b)`` for every rank b.
+
+    Built on first use and only for n <= ``TABLE_BOUND``; ``array`` is an
+    extension module, so it is imported here rather than with the package.
+    """
+    from array import array
+
+    ranked, rank_of = _ranked(n), _rank_of(n)
+    return tuple(array("H", [rank_of[tuple(map(a.__getitem__, b))] for b in ranked])
+                 for a in ranked)
+
+
 class GroupAlgebraElement:
     """A finite Q-linear combination of degree-``n`` permutations.
 
-    Zero coefficients are never stored.  ``*`` is convolution, guarded by
-    ``CONVOLUTION_BOUND`` because elements carry up to n! terms.
+    ``numerators`` maps permutation images to nonzero integers over the
+    positive common denominator ``den``, with ``gcd(den, numerators) ==
+    1``.  ``*`` is convolution, guarded by ``CONVOLUTION_BOUND`` because
+    elements carry up to n! terms.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "numerators", "den")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        clean: dict[Permutation, Fraction] = {}
+        coeffs: dict[tuple[int, ...], Fraction] = {}
         for perm, c in (terms or {}).items():
             if perm.degree != n:
                 raise ValueError(f"term degree {perm.degree} != {n}")
             c = Fraction(c)
             if c:
-                clean[perm] = c
-        self.terms = clean
+                coeffs[perm.images] = c
+        # over the lcm of denominators in lowest terms the form is canonical
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.n = n
+        self.numerators = {p: c.numerator * (den // c.denominator)
+                           for p, c in coeffs.items()}
+        self.den = den
+
+    @classmethod
+    def _from_numerators(cls, n: int, numerators: dict, den: int = 1
+                         ) -> "GroupAlgebraElement":
+        """Trusted constructor: nonzero integer numerators over ``den`` > 0,
+        reduced to lowest terms."""
+        g = math.gcd(den, *numerators.values())
+        if g > 1:
+            numerators = {p: c // g for p, c in numerators.items()}
+            den //= g
+        self = object.__new__(cls)
+        self.n = n
+        self.numerators = numerators
+        self.den = den
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "GroupAlgebraElement":
-        return cls(n, {Permutation.identity(n): Fraction(1)})
+        return cls._from_numerators(n, {tuple(range(n)): 1})
+
+    @property
+    def terms(self) -> dict[Permutation, Fraction]:
+        """The nonzero coefficients as a fresh ``{Permutation: Fraction}`` dict."""
+        return {Permutation._make(p): Fraction(c, self.den)
+                for p, c in self.numerators.items()}
 
     def coefficient(self, perm: Permutation) -> Fraction:
-        return self.terms.get(perm, Fraction(0))
+        return Fraction(self.numerators.get(perm.images, 0), self.den)
 
     def __add__(self, other):
         self._check_degree(other)
-        terms = dict(self.terms)
-        for perm, c in other.terms.items():
-            terms[perm] = terms.get(perm, Fraction(0)) + c
-        return GroupAlgebraElement(self.n, terms)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        acc = {p: c * fa for p, c in self.numerators.items()}
+        for p, c in other.numerators.items():
+            acc[p] = acc.get(p, 0) + c * fb
+        return GroupAlgebraElement._from_numerators(
+            self.n, {p: c for p, c in acc.items() if c}, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GroupAlgebraElement(self.n, {p: -c for p, c in self.terms.items()})
+        return GroupAlgebraElement._from_numerators(
+            self.n, {p: -c for p, c in self.numerators.items()}, self.den)
 
     def scaled(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
-        return GroupAlgebraElement(self.n, {p: c * v for p, v in self.terms.items()})
+        if not c:
+            return GroupAlgebraElement(self.n)
+        return GroupAlgebraElement._from_numerators(
+            self.n, {p: c.numerator * v for p, v in self.numerators.items()},
+            self.den * c.denominator)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -326,31 +397,36 @@ class GroupAlgebraElement:
                 f"convolution degree {self.n} exceeds bound {CONVOLUTION_BOUND}"
             )
         n = self.n
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for pa, ca in self.terms.items():
-            a = pa.images
-            for pb, cb in other.terms.items():
-                b = pb.images
-                key = tuple(a[b[i]] for i in range(n))
-                prev = acc.get(key)
-                acc[key] = ca * cb if prev is None else prev + ca * cb
-        return GroupAlgebraElement(
-            n, {Permutation._make(k): c for k, c in acc.items() if c}
-        )
+        if n <= TABLE_BOUND:
+            ranked, rank_of, table = _ranked(n), _rank_of(n), _mult_table(n)
+            acc = [0] * len(ranked)
+            right = [(rank_of[p], c) for p, c in other.numerators.items()]
+            for pa, ca in self.numerators.items():
+                row = table[rank_of[pa]]
+                for b, cb in right:
+                    acc[row[b]] += ca * cb
+            out = {ranked[r]: c for r, c in enumerate(acc) if c}
+        else:
+            sums: dict[tuple[int, ...], int] = {}
+            for pa, ca in self.numerators.items():
+                for pb, cb in other.numerators.items():
+                    key = tuple(map(pa.__getitem__, pb))
+                    sums[key] = sums.get(key, 0) + ca * cb
+            out = {p: c for p, c in sums.items() if c}
+        return GroupAlgebraElement._from_numerators(n, out, self.den * other.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupAlgebraElement)
             and self.n == other.n
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.numerators == other.numerators
         )
 
     def __repr__(self):
-        if not self.terms:
+        if not self.numerators:
             return f"GroupAlgebraElement({self.n}, 0)"
-        bits = [
-            f"{c}*{p.images}" for p, c in sorted(self.terms.items(), key=lambda t: t[0].images)
-        ]
+        bits = [f"{Fraction(c, self.den)}*{p}" for p, c in sorted(self.numerators.items())]
         return f"GroupAlgebraElement({self.n}, {' + '.join(bits)})"
 
     def _check_degree(self, other):
@@ -368,9 +444,8 @@ def young_idempotent(lam: Partition, bound: int = CONVOLUTION_BOUND) -> GroupAlg
     if n > bound:
         raise SizeCapError(f"group algebra degree {n} exceeds bound {bound}")
     dim = hook_dimension(lam)
-    nfact = math.factorial(n)
     chi_by_type: dict[tuple[int, ...], int] = {}
-    terms: dict[Permutation, Fraction] = {}
+    numerators: dict[tuple[int, ...], int] = {}
     for perm in all_permutations(n):
         ct = perm.cycle_type()
         chi = chi_by_type.get(ct.parts)
@@ -378,5 +453,5 @@ def young_idempotent(lam: Partition, bound: int = CONVOLUTION_BOUND) -> GroupAlg
             chi = character(lam, ct)
             chi_by_type[ct.parts] = chi
         if chi:
-            terms[perm] = Fraction(dim * chi, nfact)
-    return GroupAlgebraElement(n, terms)
+            numerators[perm.images] = dim * chi
+    return GroupAlgebraElement._from_numerators(n, numerators, math.factorial(n))

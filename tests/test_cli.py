@@ -245,3 +245,36 @@ def test_parser_exists_for_all_documented_flags():
     ns = parser.parse_args(["--out", "csv", "--seed", "9", "--cap", "100",
                             "--k", "3", "--file", "x", "chars", "4"])
     assert ns.out == "csv" and ns.seed == 9 and ns.cap == 100 and ns.k == 3
+
+
+# --- input validation: bad values exit 2 without a traceback ----------------------
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    return err
+
+
+def test_chars_negative_degree_is_usage_error(capsys):
+    assert "nonnegative" in _usage_error(capsys, "chars", "-1")
+
+
+def test_schur_negative_p_is_usage_error(capsys):
+    assert "--p" in _usage_error(capsys, "schur", "--lam", "2", "--p", "-1", "--q", "1")
+    assert "--q" in _usage_error(capsys, "schur", "--lam", "2", "--q", "-2")
+
+
+def test_unknown_grid_key_is_usage_error(capsys):
+    err = _usage_error(capsys, "verify", "vanishing", "--grid", "bogus=3,p=1")
+    assert "bogus" in err
+    _usage_error(capsys, "verify", "surface", "--grid", "k=1")
+
+
+def test_every_suite_declares_its_grid_keys():
+    from finmot.cli import GRID_KEYS
+
+    assert sorted(GRID_KEYS) == sorted(SUITES)

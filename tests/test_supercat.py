@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmot.errors import SizeCapError
@@ -17,6 +18,7 @@ from finmot.supercat import (
     dual,
     evaluation,
     exp_nilpotent,
+    fraction_free_reduce,
     invert_unit,
     is_hom_trivial,
     permutation_action,
@@ -305,3 +307,195 @@ def test_exp_nilpotent_inverse_pair():
     u = exp_nilpotent(eps_n)
     v = exp_nilpotent(-eps_n)
     assert u.compose(v) == SuperMorphism.identity(x)
+
+
+# --- differential checks of the integer core against entry-wise scalars ------------
+
+orders = st.integers(min_value=1, max_value=6)
+
+
+@st.composite
+def spaces_k(draw, k, max_dim=6):
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    basis = tuple((draw(st.sampled_from((EVEN, ODD))), draw(st.integers(0, 1)))
+                  for _ in range(n))
+    return SuperSpace(basis, k)
+
+
+@st.composite
+def morphisms(draw, source, target, hom_trivial=False):
+    k = source.k
+    entries = {}
+    for i in range(target.dim):
+        for j in range(source.dim):
+            if target.parities[i] != source.parities[j] or not draw(st.booleans()):
+                continue
+            coeffs = draw(st.lists(rationals, min_size=k, max_size=k))
+            if hom_trivial or target.weights[i] != source.weights[j]:
+                coeffs[0] = Fraction(0)
+            entries[(i, j)] = TruncatedScalar(coeffs)
+    return SuperMorphism.from_entries(source, target, entries)
+
+
+def reference(f):
+    """Dense entry-wise TruncatedScalar matrix of ``f``."""
+    return [[f.entry(i, j) for j in range(f.source.dim)] for i in range(f.target.dim)]
+
+
+def ref_product(a, b, k, ncols):
+    """Entry-wise product of dense reference matrices; ``b`` has ``ncols`` columns."""
+    zero = TruncatedScalar.zero(k)
+    return [[sum((a[i][m] * b[m][j] for m in range(len(b))), zero)
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def assert_canonical(f, want):
+    """``f`` holds exactly the dense reference ``want``, in canonical form."""
+    assert reference(f) == want
+    nums = [c for row in f.rows.values() for t in row.values() for c in t]
+    assert f.den > 0 and math.gcd(f.den, *nums) == 1
+    assert all(any(t) and len(t) == f.k for row in f.rows.values() for t in row.values())
+
+
+def _fraction_rank(mat):
+    mat = [list(r) for r in mat]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_and_tensor_match_entrywise_reference(data):
+    k = data.draw(orders)
+    x, y, z = (data.draw(spaces_k(k)) for _ in range(3))
+    f = data.draw(morphisms(y, z))
+    g = data.draw(morphisms(x, y))
+    rf, rg = reference(f), reference(g)
+    assert_canonical(f.compose(g), ref_product(rf, rg, k, x.dim))
+    t = f.tensor(g)
+    want_t = [[rf[i1][j1] * rg[i2][j2] for j1 in range(y.dim) for j2 in range(x.dim)]
+              for i1 in range(z.dim) for i2 in range(y.dim)]
+    assert_canonical(t, want_t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_structure_matches_entrywise_reference(data):
+    k = data.draw(orders)
+    x, y = data.draw(spaces_k(k)), data.draw(spaces_k(k))
+    f, g = data.draw(morphisms(x, y)), data.draw(morphisms(x, y))
+    c = data.draw(rationals)
+    s = data.draw(scalars(k))
+    rf, rg = reference(f), reference(g)
+    assert_canonical(f + g, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(rf, rg)])
+    assert_canonical(f - g, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rf, rg)])
+    assert_canonical(-f, [[-a for a in ra] for ra in rf])
+    assert_canonical(f.scale(c), [[a * c for a in ra] for ra in rf])
+    assert_canonical(f.scale(s), [[s * a for a in ra] for ra in rf])
+    assert_canonical(f.dual(), [list(col) for col in zip(*rf)] if rf and rf[0]
+                     else [[] for _ in range(x.dim)])
+    assert_canonical(f.realization(), [[TruncatedScalar((a.realization(),)) for a in ra]
+                                       for ra in rf])
+    k2 = data.draw(st.integers(min_value=k, max_value=6))
+    assert_canonical(f.promoted(k2), [[a.promoted(k2) for a in ra] for ra in rf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_supertrace_matches_entrywise_reference(data):
+    k = data.draw(orders)
+    x = data.draw(spaces_k(k))
+    f = data.draw(morphisms(x, x))
+    want = TruncatedScalar.zero(k)
+    for i, parity in enumerate(x.parities):
+        want = want - f.entry(i, i) if parity == ODD else want + f.entry(i, i)
+    assert f.supertrace() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_invert_unit_matches_entrywise_reference(data):
+    k = data.draw(orders)
+    x = data.draw(spaces_k(k, max_dim=5))
+    f = data.draw(morphisms(x, x))
+    try:
+        g = invert_unit(f)
+    except ZeroDivisionError:
+        # only a singular realization may be refused
+        real = [[f.entry(i, j).realization() for j in range(x.dim)] for i in range(x.dim)]
+        assert _fraction_rank(real) < x.dim
+        return
+    one, zero = TruncatedScalar.one(k), TruncatedScalar.zero(k)
+    ident = [[one if i == j else zero for j in range(x.dim)] for i in range(x.dim)]
+    assert ref_product(reference(f), reference(g), k, x.dim) == ident
+    assert ref_product(reference(g), reference(f), k, x.dim) == ident
+    assert_canonical(g, reference(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exp_nilpotent_matches_entrywise_series(data):
+    k = data.draw(orders)
+    x = data.draw(spaces_k(k, max_dim=5))
+    n = data.draw(morphisms(x, x, hom_trivial=True))
+    rn = reference(n)
+    one, zero = TruncatedScalar.one(k), TruncatedScalar.zero(k)
+    term = [[one if i == j else zero for j in range(x.dim)] for i in range(x.dim)]
+    want = term
+    for m in range(1, k):
+        term = ref_product(term, rn, k, x.dim)
+        c = Fraction(1, math.factorial(m))
+        want = [[w + t * c for w, t in zip(rw, rt)] for rw, rt in zip(want, term)]
+    assert_canonical(exp_nilpotent(n), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_form_survives_scaling_round_trip(data):
+    k = data.draw(orders)
+    x, y = data.draw(spaces_k(k)), data.draw(spaces_k(k))
+    f = data.draw(morphisms(x, y))
+    back = f.scale(Fraction(1, 3)).scale(3)
+    assert back == f
+    assert back.fingerprint() == f.fingerprint()
+    assert back.den == f.den and back.rows == f.rows
+
+
+int_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda r: st.integers(min_value=0, max_value=6).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+                           min_size=r, max_size=r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices)
+def test_fraction_free_rank_matches_rational_elimination(mat):
+    pivots, _ = fraction_free_reduce([list(r) for r in mat])
+    assert len(pivots) == _fraction_rank([[Fraction(v) for v in r] for r in mat])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_fraction_free_inverse_is_exact(mat):
+    n = len(mat)
+    aug = [list(row) + [int(i == r) for i in range(n)] for r, row in enumerate(mat)]
+    pivots, last = fraction_free_reduce(aug, n)
+    if len(pivots) < n:
+        assert _fraction_rank([[Fraction(v) for v in r] for r in mat]) < n
+        return
+    inv = [[Fraction(v, last) for v in row[n:]] for row in aug]
+    for i in range(n):
+        for j in range(n):
+            assert sum(mat[i][m] * inv[m][j] for m in range(n)) == int(i == j)

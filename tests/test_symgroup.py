@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmot.errors import SizeCapError
@@ -269,3 +269,54 @@ def test_young_idempotents_orthogonal_complete_n6():
         assert di * di == di
         for dj in idems[i + 1:]:
             assert di * dj == GroupAlgebraElement(n)
+
+
+# --- differential checks of the integer group algebra ----------------------------
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def naive_product(a, b):
+    """Dict convolution over Permutation keys with Fraction coefficients."""
+    acc = {}
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            key = pa * pb
+            acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return {p: c for p, c in acc.items() if c}
+
+
+@st.composite
+def elements(draw, n, max_terms=None):
+    perms = list(all_permutations(n))
+    chosen = draw(st.lists(st.sampled_from(perms), max_size=max_terms or len(perms),
+                           unique=True))
+    return {p: draw(coefficients) for p in chosen}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(elements(n), elements(n), st.just(n))))
+def test_group_algebra_product_matches_naive_convolution(case):
+    a, b, n = case
+    got = GroupAlgebraElement(n, a) * GroupAlgebraElement(n, b)
+    want = naive_product(a, b)
+    assert got.terms == want
+    assert got == GroupAlgebraElement(n, want)
+    assert math.gcd(got.den, *got.numerators.values()) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(elements(7, max_terms=4), elements(7, max_terms=4))
+def test_group_algebra_product_degree7_composes_on_the_fly(a, b):
+    got = GroupAlgebraElement(7, a) * GroupAlgebraElement(7, b)
+    assert got.terms == naive_product(a, b)
+
+
+def test_group_algebra_canonical_form():
+    n = 3
+    e = GroupAlgebraElement.identity(n)
+    third = e.scaled(Fraction(1, 3))
+    assert third.den == 3 and third.coefficient(Permutation.identity(n)) == Fraction(1, 3)
+    assert third * 3 == e and (third * 3).den == 1
+    assert young_idempotent(Partition((2, 1))).den == 3
