@@ -13,6 +13,7 @@ Usage: python scripts/uniqueness_sweep.py [--kmax K] [--seeds N]
 import argparse
 from collections import Counter
 
+from finmot.errors import InvariantError
 from finmot.lifting import (
     ProjectorFamily,
     corner_unit_check,
@@ -48,8 +49,10 @@ def sweep(kmax: int, seeds: int) -> None:
                         for _, _, s in rep.defect.items()
                     )
                     orders[order] += 1
-                assert rep.iso_from.compose(rep.iso_to) == pi
-                assert rep.iso_to.compose(rep.iso_from) == pit
+                if rep.iso_from.compose(rep.iso_to) != pi:
+                    raise InvariantError(f"k={k} seed={seed}: iso_from . iso_to != pi")
+                if rep.iso_to.compose(rep.iso_from) != pit:
+                    raise InvariantError(f"k={k} seed={seed}: iso_to . iso_from != pi~")
         order_note = (
             ", ".join(f"eps^{o}: {n}" for o, n in sorted(orders.items()))
             if orders else "-"

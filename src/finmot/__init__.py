@@ -18,7 +18,6 @@ Modules:
 
 from .errors import InvariantError, ModelFileError, SizeCapError
 from .symgroup import (
-    CycleType,
     GroupAlgebraElement,
     Partition,
     Permutation,
@@ -42,13 +41,9 @@ from .supercat import (
     evaluation,
     exp_nilpotent,
     invert_unit,
-    is_hom_trivial,
     permutation_action,
-    realization,
     tensor,
-    tensor_mor,
     tensor_power,
-    trace,
 )
 from .karoubi import (
     FiniteDimReport,

@@ -4,13 +4,15 @@ Subcommands:
 
 * ``chars N``            -- the character table of S_N
 * ``schur``              -- dimension / rank / zero verdict of a Schur image
-* ``verify SUITE``       -- run a named invariant suite over a parameter grid
+* ``verify SUITE``       -- run a named invariant suite over a parameter grid;
+  ``verify all`` runs every suite at its default grid in one report
 * ``surface PATH``       -- full surface pipeline from a model description file
 
 Reports are deterministic for a fixed (config, seed): checks are keyed and
 sorted, no timestamps or floats enter the payload, and wall-clock timing is
 written to stderr only.  Exit codes: 0 all checks passed, 1 verification
-failure, 2 usage or parse error, 3 size-cap error.
+failure, 2 usage or parse error (including a grid that selects no
+checks), 3 size-cap error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .supercat import (
     SuperSpace,
     invert_unit,
     permutation_action,
-    trace,
 )
 from . import karoubi
 from .karoubi import (
@@ -82,6 +83,9 @@ from .motives import (
 )
 
 SCHEMA = "finmot-report/1"
+
+#: truncation orders accepted from ``--k`` and from model files
+K_RANGE = range(1, 7)
 
 
 @dataclass
@@ -333,7 +337,7 @@ def _suite_supertrace(cfg: RunConfig) -> tuple[dict, list[Check]]:
             for n in range(1, nmax + 1):
                 ok = True
                 for sigma in all_permutations(n):
-                    got = trace(permutation_action(sigma, space, n, cap=cfg.cap))
+                    got = permutation_action(sigma, space, n, cap=cfg.cap).supertrace()
                     want = Fraction(p - q) ** len(sigma.cycles())
                     if got.realization() != want or not got.eps_part_is_zero():
                         ok = False
@@ -648,11 +652,17 @@ SUITES = {
 
 
 def cmd_verify(cfg: RunConfig) -> Report:
+    """One suite, or with ``all`` every suite with its results keyed by name."""
     suite = cfg.params["suite"]
-    results, checks = SUITES[suite](cfg)
-    results = dict(results)
-    results["suite"] = suite
-    results["passed"] = all(c.passed for c in checks)
+    results = {}
+    checks = []
+    for name in sorted(SUITES) if suite == "all" else [suite]:
+        res, suite_checks = SUITES[name](cfg)
+        results[name] = {**res, "suite": name,
+                         "passed": all(c.passed for c in suite_checks)}
+        checks.extend(suite_checks)
+    if suite != "all":
+        results = results[suite]
     return Report("verify", _config_dict(cfg), results, checks)
 
 
@@ -691,6 +701,10 @@ def parse_model_text(text: str) -> MotiveSpec:
                 values[key] = int(value)
             except ValueError:
                 raise ModelFileError(f"{key} needs an integer, got {value!r}", lineno)
+            if key == "k" and values[key] not in K_RANGE:
+                raise ModelFileError(
+                    f"k must be in {K_RANGE.start}..{K_RANGE.stop - 1}, got {values[key]}",
+                    lineno)
     if "kind" not in values:
         raise ModelFileError("missing required key 'kind'")
     try:
@@ -790,6 +804,11 @@ def _parse_grid(text: str) -> dict:
             grid[key] = int(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"grid value for {key!r} must be an int")
+        # a seed count of 0 or a negative bound would run nothing and pass
+        least = 1 if key == "seeds" else 0
+        if grid[key] < least:
+            raise argparse.ArgumentTypeError(
+                f"grid value {key}={grid[key]} must be >= {least}")
     return grid
 
 
@@ -822,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed (u64)")
     parser.add_argument("--cap", type=int, default=karoubi.SCHUR_DIM_CAP,
                         help="ambient dimension cap for tensor powers")
-    parser.add_argument("--k", type=int, default=2, choices=range(1, 7),
+    parser.add_argument("--k", type=int, default=2, choices=K_RANGE,
                         metavar="1..6", help="truncation order of the scalar ring")
     parser.add_argument("--file", default=None, help="write the report here")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -837,9 +856,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_schur.add_argument("--q", type=_nonnegative_int, default=0)
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--grid", type=_parse_grid, default={},
-                          help="bounds, e.g. p=2,q=2,k=3,seeds=25")
+                          help="bounds, e.g. p=2,q=2,k=3,seeds=25 (seeds >= 1, "
+                               "others >= 0; not with 'all')")
 
     p_surface = sub.add_parser("surface", help="surface pipeline from a model file")
     p_surface.add_argument("path")
@@ -862,10 +882,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     if args.command == "verify":
-        unknown = sorted(set(cfg.grid) - set(GRID_KEYS[args.suite]))
+        # 'all' runs the default grids and reads no grid key
+        keys = GRID_KEYS.get(args.suite, ())
+        unknown = sorted(set(cfg.grid) - set(keys))
         if unknown:
             parser.error(f"unknown grid key(s) {', '.join(unknown)} for suite "
-                         f"{args.suite}; it reads {', '.join(GRID_KEYS[args.suite]) or 'none'}")
+                         f"{args.suite}; it reads {', '.join(keys) or 'none'}")
     if args.command == "chars":
         cfg.params = {"n": args.n}
         runner = cmd_chars
@@ -888,6 +910,11 @@ def main(argv=None) -> int:
         print(f"model file error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
+    if args.command == "verify" and not report.checks:
+        grid = ",".join(f"{key}={val}" for key, val in sorted(cfg.grid.items()))
+        print(f"usage error: grid {grid or '(default)'} selects no checks for "
+              f"suite {args.suite}", file=sys.stderr)
+        return 2
     rendered = report.render(cfg.out_format)
     if cfg.file:
         with open(cfg.file, "w", encoding="utf-8") as fh:

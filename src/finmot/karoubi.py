@@ -22,11 +22,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import factorial, lcm
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
     Partition,
+    Permutation,
     character,
     conjugacy_class_size,
     hook_dimension,
@@ -38,6 +41,7 @@ from .supercat import (
     ODD,
     SuperMorphism,
     SuperSpace,
+    signed_slot_map,
     tensor,
     tensor_power,
 )
@@ -147,79 +151,35 @@ class FiniteDimReport:
 
 # --- Schur functors ---------------------------------------------------------
 
-# signed permutation sums are cached twice: once as integer row data over the
-# idempotent's denominator, independent of k, once promoted to a given k
-_RATIONAL_CACHE: OrderedDict = OrderedDict()
-_OPERATOR_CACHE: OrderedDict = OrderedDict()
+# Two caches serve the Schur functors.  The integer rows of each central
+# idempotent acting on a tensor power depend only on the parities of the
+# ambient basis and on lam, not on k; they are kept for the whole process.
+# Schur images are kept in one bounded LRU keyed by the object's
+# fingerprint.  It holds the Young operators too: the operator on an
+# ambient is the image of the full object, and the image of any other
+# summand is cut out of it.
 _SCHUR_CACHE: OrderedDict = OrderedDict()
-_RATIONAL_CACHE_MAX = 24
-_OPERATOR_CACHE_MAX = 24
 _SCHUR_CACHE_MAX = 64
 
 
-def _cache_put(cache: OrderedDict, maxsize: int, key, value):
-    cache[key] = value
-    while len(cache) > maxsize:
-        cache.popitem(last=False)
-
-
-def _young_rows(parities: tuple[int, ...], n: int, lam: Partition):
+@cache
+def _young_rows(parities: tuple[int, ...], lam: Partition):
     """Rows of the group-algebra idempotent acting on the tensor power, as
-    integer numerators over the idempotent's denominator: ``(rows, den)``."""
-    key = (parities, n, lam.parts)
-    if key in _RATIONAL_CACHE:
-        _RATIONAL_CACHE.move_to_end(key)
-        return _RATIONAL_CACHE[key]
-    d = len(parities)
+    integer numerators over the idempotent's denominator: ``(rows, den)``.
+
+    The cached rows are shared by every caller and must not be mutated.
+    """
     elem = young_idempotent(lam)
     rows: dict[int, dict[int, int]] = {}
-    # enumerate source tuples once per permutation term
-    tuples = [()]
-    for _ in range(n):
-        tuples = [t + (a,) for t in tuples for a in range(d)]
     for img, coeff in elem.numerators.items():
-        for t in tuples:
-            col = 0
-            for a in t:
-                col = col * d + a
-            u = [0] * n
-            for a in range(n):
-                u[img[a]] = t[a]
-            row = 0
-            for a in u:
-                row = row * d + a
-            odd_slots = [a for a in range(n) if parities[t[a]] == ODD]
-            inv = 0
-            for ai in range(len(odd_slots)):
-                sa = img[odd_slots[ai]]
-                for bi in range(ai + 1, len(odd_slots)):
-                    if sa > img[odd_slots[bi]]:
-                        inv += 1
-            v = -coeff if inv % 2 else coeff
+        for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
             acc = rows.setdefault(row, {})
-            cur = acc.get(col)
-            total = v if cur is None else cur + v
+            total = acc.get(col, 0) + sign * coeff
             if total:
                 acc[col] = total
-            elif cur is not None:
+            else:
                 del acc[col]
-    out = ({i: r for i, r in rows.items() if r}, elem.den)
-    _cache_put(_RATIONAL_CACHE, _RATIONAL_CACHE_MAX, key, out)
-    return out
-
-
-def _young_operator(ambient: SuperSpace, n: int, lam: Partition) -> SuperMorphism:
-    key = (ambient.basis, ambient.k, n, lam.parts)
-    if key in _OPERATOR_CACHE:
-        _OPERATOR_CACHE.move_to_end(key)
-        return _OPERATOR_CACHE[key]
-    raw, den = _young_rows(ambient.parities, n, lam)
-    pad = (0,) * (ambient.k - 1)
-    xn = tensor_power(ambient, n)
-    rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
-    op = SuperMorphism._from_numerators(xn, xn, rows, den)
-    _cache_put(_OPERATOR_CACHE, _OPERATOR_CACHE_MAX, key, op)
-    return op
+    return {i: r for i, r in rows.items() if r}, elem.den
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
@@ -239,16 +199,22 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     if key in _SCHUR_CACHE:
         _SCHUR_CACHE.move_to_end(key)
         return _SCHUR_CACHE[key]
-    op = _young_operator(ambient, n, lam)
     if x.idem.is_identity():
-        idem = op
+        raw, den = _young_rows(ambient.parities, lam)
+        pad = (0,) * (ambient.k - 1)
+        xn = tensor_power(ambient, n)
+        rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
+        idem = SuperMorphism._from_numerators(xn, xn, rows, den)
     else:
+        op = schur_apply(lam, KaroubiObject.full(ambient), cap).idem
         pn = x.idem
         for _ in range(n - 1):
             pn = pn.tensor(x.idem)
         idem = pn.compose(op).compose(pn)
-    obj = KaroubiObject(op.source, idem, twist=n * x.twist, check=False)
-    _cache_put(_SCHUR_CACHE, _SCHUR_CACHE_MAX, key, obj)
+    obj = KaroubiObject(idem.source, idem, twist=n * x.twist, check=False)
+    _SCHUR_CACHE[key] = obj
+    if len(_SCHUR_CACHE) > _SCHUR_CACHE_MAX:
+        _SCHUR_CACHE.popitem(last=False)
     return obj
 
 
@@ -290,8 +256,6 @@ def _twisted_supertrace(ct: Partition, x: KaroubiObject) -> Fraction:
     The value only depends on the cycle type because the tensor power of a
     fixed idempotent commutes with every slot permutation.
     """
-    from .symgroup import Permutation
-
     n = ct.n
     cycles = []
     start = 0
@@ -299,38 +263,24 @@ def _twisted_supertrace(ct: Partition, x: KaroubiObject) -> Fraction:
         cycles.append(tuple(range(start, start + length)))
         start += length
     sigma = Permutation.from_cycles(n, cycles)
-    img = sigma.images
-    inv_img = sigma.inverse().images
-    d = x.ambient.dim
     parities = x.ambient.parities
     # eps^0 numerators of the idempotent; the realization is them over den
     real = {(i, j): t[0] for i, row in x.idem.rows.items()
             for j, t in row.items() if t[0]}
+    tuples = list(product(range(x.ambient.dim), repeat=n))
     total = 0
-    import itertools as _it
-
-    for t in _it.product(range(d), repeat=n):
-        s = tuple(t[inv_img[a]] for a in range(n))
-        prod = 1
-        ok = True
-        for a in range(n):
-            e = real.get((s[a], t[a]))
+    # diagonal entry (t, t) of the action times idem^(n) is sign * idem^(n)[s, t]
+    # for the one source s that the action sends to t
+    for s, (row, sign) in zip(tuples, signed_slot_map(sigma.images, parities)):
+        prod = sign
+        for i, j in zip(s, tuples[row]):
+            e = real.get((i, j))
             if e is None:
-                ok = False
                 break
             prod *= e
-        if not ok:
-            continue
-        odd_slots = [a for a in range(n) if parities[s[a]] == ODD]
-        inv = 0
-        for ai in range(len(odd_slots)):
-            sa = img[odd_slots[ai]]
-            for bi in range(ai + 1, len(odd_slots)):
-                if sa > img[odd_slots[bi]]:
-                    inv += 1
-        parity_t = sum(parities[a] for a in t) % 2
-        sign = -1 if (inv + parity_t) % 2 else 1
-        total += sign * prod
+        else:
+            # the target has the source's basis vectors, so the same parity
+            total += -prod if sum(parities[i] for i in s) % 2 else prod
     return Fraction(total, x.idem.den ** n)
 
 

@@ -34,7 +34,6 @@ type at the API boundary only: the constructors accept it, and ``entry``,
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -662,6 +661,7 @@ class SuperMorphism:
         return self.is_endomorphism() and self.compose(self) == self
 
     def supertrace(self) -> TruncatedScalar:
+        """The categorical trace: the diagonal sum with odd entries negated."""
         if not self.is_endomorphism():
             raise ValueError("trace of a non-endomorphism")
         total = [0] * self.k
@@ -674,6 +674,7 @@ class SuperMorphism:
         return self._scalar(total)
 
     def realization(self) -> "SuperMorphism":
+        """Set eps to 0.  A tensor functor onto the k = 1 layer."""
         rows: dict[int, dict[int, tuple[int, ...]]] = {}
         for i, row in self.rows.items():
             acc = {j: (t[0],) for j, t in row.items() if t[0]}
@@ -683,6 +684,7 @@ class SuperMorphism:
                                               self.target.with_k(1), rows, self.den)
 
     def is_hom_trivial(self) -> bool:
+        """Whether the realization vanishes."""
         return all(not t[0] for row in self.rows.values() for t in row.values())
 
     def promoted(self, k: int) -> "SuperMorphism":
@@ -710,10 +712,6 @@ class SuperMorphism:
 # --- categorical operations ---------------------------------------------------
 
 
-def tensor_mor(f: SuperMorphism, g: SuperMorphism) -> SuperMorphism:
-    return f.tensor(g)
-
-
 def braiding(x: SuperSpace, y: SuperSpace) -> SuperMorphism:
     """The Koszul-signed swap X (x) Y -> Y (x) X."""
     if x.k != y.k:
@@ -732,44 +730,45 @@ def braiding(x: SuperSpace, y: SuperSpace) -> SuperMorphism:
     return SuperMorphism._from_numerators(src, dst, rows)
 
 
+def signed_slot_map(images: tuple[int, ...], parities: tuple[int, ...]
+                    ) -> list[tuple[int, int]]:
+    """The signed basis map of a slot permutation on a tensor power.
+
+    The content of slot ``a`` moves to slot ``images[a]``; ``parities``
+    are those of the basis of the factor.  Entry ``col`` of the result is
+    ``(row, sign)``: basis tensor ``col`` of the n-fold power (row-major,
+    as ``tensor_power`` orders it) goes to ``sign`` times basis tensor
+    ``row``.  The sign is (-1) to the number of inversions of the
+    permutation among the odd slots of the source, which is the
+    composite-of-braidings sign.
+    """
+    n = len(images)
+    d = len(parities)
+    # (target index, mask of odd slots so far, sign), one slot at a time
+    level = [(0, 0, 1)]
+    for a, dest in enumerate(images):
+        weight = d ** (n - 1 - dest)
+        # earlier slots that land after slot a: an inversion when both are odd
+        later = sum(1 << b for b in range(a) if images[b] > dest)
+        steps = [(x * weight, (1 << a) * parities[x]) for x in range(d)]
+        level = [(row + off, mask | bit,
+                  -sign if bit and (mask & later).bit_count() & 1 else sign)
+                 for row, mask, sign in level for off, bit in steps]
+    return [(row, sign) for row, _, sign in level]
+
+
 def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
                        cap: int = TENSOR_DIM_CAP) -> SuperMorphism:
-    """The signed action of ``sigma`` on the n-fold tensor power of ``x``.
-
-    The content of slot ``a`` moves to slot ``sigma(a)``; the sign is
-    (-1) to the number of inversions of ``sigma`` among the odd slots,
-    which is the composite-of-braidings sign.
-    """
+    """The signed action of ``sigma`` on the n-fold tensor power of ``x``
+    (see ``signed_slot_map``)."""
     if sigma.degree != n:
         raise ValueError(f"permutation degree {sigma.degree} != {n}")
-    d = x.dim
-    if d**n > cap:
-        raise SizeCapError(f"tensor power dimension {d}**{n} exceeds cap {cap}")
+    if x.dim**n > cap:
+        raise SizeCapError(f"tensor power dimension {x.dim}**{n} exceeds cap {cap}")
     xn = tensor_power(x, n)
-    parities = x.parities
-    img = sigma.images
-    k = x.k
-    one = _unit_tuple(k)
-    minus = _unit_tuple(k, -1)
-    rows: dict[int, dict[int, tuple[int, ...]]] = {}
-    for t in itertools.product(range(d), repeat=n):
-        col = 0
-        for a in t:
-            col = col * d + a
-        u = [0] * n
-        for a in range(n):
-            u[img[a]] = t[a]
-        row = 0
-        for a in u:
-            row = row * d + a
-        odd_slots = [a for a in range(n) if parities[t[a]] == ODD]
-        inv = 0
-        for ai in range(len(odd_slots)):
-            sa = img[odd_slots[ai]]
-            for bi in range(ai + 1, len(odd_slots)):
-                if sa > img[odd_slots[bi]]:
-                    inv += 1
-        rows.setdefault(row, {})[col] = minus if inv % 2 else one
+    signed = {1: _unit_tuple(x.k), -1: _unit_tuple(x.k, -1)}
+    rows = {row: {col: signed[sign]}
+            for col, (row, sign) in enumerate(signed_slot_map(sigma.images, x.parities))}
     return SuperMorphism._from_numerators(xn, xn, rows)
 
 
@@ -791,23 +790,9 @@ def coevaluation(x: SuperSpace) -> SuperMorphism:
     return SuperMorphism._from_numerators(SuperSpace.unit(x.k), dst, rows)
 
 
-def trace(f: SuperMorphism) -> TruncatedScalar:
-    """The categorical trace, computed as the supertrace."""
-    return f.supertrace()
-
-
 def dim(x: SuperSpace) -> TruncatedScalar:
     """trace(id) = p - q."""
     return TruncatedScalar.of(x.p - x.q, x.k)
-
-
-def realization(f: SuperMorphism) -> SuperMorphism:
-    """Set eps to 0.  A tensor functor onto the k = 1 layer."""
-    return f.realization()
-
-
-def is_hom_trivial(f: SuperMorphism) -> bool:
-    return f.is_hom_trivial()
 
 
 # --- exact elimination and inversion ---------------------------------------------

@@ -84,10 +84,6 @@ class Partition:
         ]
 
 
-#: a cycle type is itself a partition of n
-CycleType = Partition
-
-
 @lru_cache(maxsize=None)
 def _partition_tuples(n: int, maxpart: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
@@ -236,8 +232,9 @@ def _multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
 # --- characters ------------------------------------------------------------
 
 
-def character(lam: Partition, ct: CycleType) -> int:
-    """Character of the irreducible attached to ``lam`` on class ``ct``."""
+def character(lam: Partition, ct: Partition) -> int:
+    """Character of the irreducible attached to ``lam`` on the class of
+    cycle type ``ct``."""
     if lam.n != ct.n:
         raise ValueError(f"degree mismatch: |{lam.parts}| = {lam.n}, |{ct.parts}| = {ct.n}")
     return _mn(lam.parts, ct.parts)

@@ -43,7 +43,6 @@ from finmot.supercat import (
     SuperSpace,
     invert_unit,
     permutation_action,
-    trace,
 )
 from finmot.symgroup import (
     GroupAlgebraElement,
@@ -132,7 +131,7 @@ def test_criterion_04_supertrace_oracle():
                 space = SuperSpace.standard(p, q, 1)
                 for n in range(1, 5):
                     for sigma in all_permutations(n):
-                        got = trace(permutation_action(sigma, space, n))
+                        got = permutation_action(sigma, space, n).supertrace()
                         assert got.eps_part_is_zero()
                         want = Fraction(p - q) ** len(sigma.cycles())
                         assert got.realization() == want

@@ -278,3 +278,81 @@ def test_every_suite_declares_its_grid_keys():
     from finmot.cli import GRID_KEYS
 
     assert sorted(GRID_KEYS) == sorted(SUITES)
+
+
+def _exit_code(capsys, *argv):
+    """Exit code of a run that may stop in the parser or return from main."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_negative_seed_count_is_usage_error(capsys):
+    code, err = _exit_code(capsys, "verify", "vanishing", "--grid", "seeds=-3")
+    assert code == 2 and "seeds=-3" in err
+
+
+def test_zero_seed_count_is_usage_error(capsys):
+    code, err = _exit_code(capsys, "verify", "vanishing", "--grid", "seeds=0")
+    assert code == 2 and "seeds=0" in err
+
+
+def test_negative_grid_bounds_are_usage_errors(capsys):
+    code, err = _exit_code(capsys, "verify", "vanishing", "--grid", "p=-1,q=-1")
+    assert code == 2 and "p=-1" in err
+
+
+def test_grid_without_checks_is_usage_error(capsys):
+    code, err = _exit_code(capsys, "--out", "json", "verify", "vanishing", "--grid", "k=0")
+    assert code == 2 and "k=0" in err and "no checks" in err
+
+
+def test_nilpotency_grid_without_checks_is_usage_error(capsys):
+    code, err = _exit_code(capsys, "verify", "nilpotency", "--grid", "k=1")
+    assert code == 2 and "k=1" in err and "no checks" in err
+
+
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_model_file_truncation_order_out_of_range(tmp_path, capsys, k):
+    path = tmp_path / "model.spec"
+    path.write_text(GOOD_SPEC.replace("k = 2", f"k = {k}"))
+    code, err = _exit_code(capsys, "surface", str(path))
+    assert code == 2 and f"got {k}" in err
+    with pytest.raises(ModelFileError):
+        parse_model_text(GOOD_SPEC.replace("k = 2", f"k = {k}"))
+
+
+def test_verify_all_rejects_a_grid(capsys):
+    code, err = _exit_code(capsys, "verify", "all", "--grid", "k=1")
+    assert code == 2 and "all" in err
+
+
+def test_verify_all_is_every_suite_in_one_report(capsys):
+    code, out, _ = run(capsys, "--out", "json", "--seed", "7", "verify", "all")
+    assert code == 0
+    payload = json.loads(out)
+    assert sorted(payload["results"]) == sorted(SUITES)
+    want_checks = []
+    for suite in sorted(SUITES):
+        code, single, _ = run(capsys, "--out", "json", "--seed", "7", "verify", suite)
+        assert code == 0
+        single = json.loads(single)
+        assert payload["results"][suite] == single["results"]
+        want_checks.extend(single["checks"])
+    assert payload["checks"] == sorted(want_checks, key=lambda c: c["id"])
+
+
+def test_verify_all_fails_when_a_suite_fails(capsys, monkeypatch):
+    from finmot import cli
+
+    monkeypatch.setitem(cli.SUITES, "abelian",
+                        lambda cfg: ({}, [cli.Check("abelian/broken", False)]))
+    code, out, _ = run(capsys, "--out", "json", "verify", "all")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["results"]["abelian"]["passed"] is False
+    assert payload["results"]["vanishing"]["passed"] is True

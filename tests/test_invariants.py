@@ -1,4 +1,7 @@
-"""Package invariants must not rely on ``assert``, which ``python -O`` strips."""
+"""Invariants must not rely on ``assert``, which ``python -O`` strips.
+
+The package and the runnable scripts are both walked.
+"""
 
 import ast
 import os
@@ -6,15 +9,26 @@ import os
 import finmot
 
 SRC = os.path.dirname(finmot.__file__)
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts")
 
 
-def test_no_assert_statements_in_package():
+def _asserts(directory):
     found = []
-    for name in sorted(os.listdir(SRC)):
+    for name in sorted(os.listdir(directory)):
         if not name.endswith(".py"):
             continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         found.extend(f"{name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
-    assert found == []
+    return found
+
+
+def test_no_assert_statements_in_package():
+    assert _asserts(SRC) == []
+
+
+def test_no_assert_statements_in_scripts():
+    assert os.path.isdir(SCRIPTS)
+    assert _asserts(SCRIPTS) == []

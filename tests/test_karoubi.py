@@ -22,7 +22,7 @@ from finmot.karoubi import (
     wedge,
 )
 from finmot.supercat import SuperMorphism, SuperSpace
-from finmot.symgroup import Partition, partitions
+from finmot.symgroup import Partition, partitions, young_idempotent
 from finmot.lifting import (
     eps_perturbation,
     lift_idempotent,
@@ -151,6 +151,38 @@ def test_two_way_dimension_on_proper_summand():
         for lam in partitions(n):
             obj = schur_apply(lam, x)
             assert Fraction(obj.dimension()) == schur_super_dimension(lam, x)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_schur_vanishing_matches_hook_criterion(k):
+    # Berele-Regev: S_lam of a (p|q) space vanishes iff lam does not fit in
+    # the (p, q)-hook, i.e. iff lam has a (p+1)-th part larger than q
+    for p in range(4):
+        for q in range(4 - p):
+            x = full(p, q, k)
+            for n in range(5):
+                for lam in partitions(n):
+                    outside_hook = len(lam) > p and lam[p] > q
+                    assert schur_apply(lam, x).is_zero() == outside_hook, (p, q, lam)
+
+
+def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
+    # the rows do not depend on k and are never evicted: the default
+    # vanishing grid needs 44 distinct (parities, lam) pairs over k = 1..3
+    from finmot import karoubi
+    from finmot.cli import main
+
+    karoubi._young_rows.cache_clear()
+    karoubi._SCHUR_CACHE.clear()
+    calls = []
+
+    def counting(lam, *args):
+        calls.append(lam)
+        return young_idempotent(lam, *args)
+
+    monkeypatch.setattr(karoubi, "young_idempotent", counting)
+    assert main(["--out", "json", "verify", "vanishing"]) == 0
+    assert len(calls) == 44
 
 
 def test_seeded_wedge_vanishing_on_padded_ambient():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,13 +21,10 @@ from finmot.supercat import (
     exp_nilpotent,
     fraction_free_reduce,
     invert_unit,
-    is_hom_trivial,
     permutation_action,
-    realization,
+    signed_slot_map,
     tensor,
-    tensor_mor,
     tensor_power,
-    trace,
 )
 from finmot.symgroup import Permutation, all_permutations
 from finmot.lifting import random_endomorphism, seeded_rng
@@ -98,7 +96,7 @@ def test_tensor_dim_multiplicative():
         x = SuperSpace.standard(p1, q1, 2)
         y = SuperSpace.standard(p2, q2, 2)
         # brute-force route: supertrace of the identity on the product
-        brute = trace(SuperMorphism.identity(tensor(x, y)))
+        brute = SuperMorphism.identity(tensor(x, y)).supertrace()
         assert brute == dim(tensor(x, y)) == dim(x) * dim(y)
         assert dim(dual(x)) == dim(x)
 
@@ -121,8 +119,8 @@ def test_morphism_rejects_weight_violation_at_eps0_only():
 def test_tensor_mor_of_identities():
     x = SuperSpace.standard(2, 1, 2)
     y = SuperSpace.standard(1, 1, 2)
-    assert tensor_mor(
-        SuperMorphism.identity(x), SuperMorphism.identity(y)
+    assert SuperMorphism.identity(x).tensor(
+        SuperMorphism.identity(y)
     ) == SuperMorphism.identity(tensor(x, y))
 
 
@@ -150,12 +148,32 @@ def test_braiding_naturality_for_even_morphisms():
     rng = seeded_rng(11)
     f = random_endomorphism(x, rng)
     g = random_endomorphism(y, rng)
-    left = tensor_mor(g, f).compose(braiding(x, y))
-    right = braiding(x, y).compose(tensor_mor(f, g))
+    left = g.tensor(f).compose(braiding(x, y))
+    right = braiding(x, y).compose(f.tensor(g))
     assert left == right
 
 
 # --- permutation action ------------------------------------------------------------------
+
+
+def test_signed_slot_map_matches_naive_koszul_sign():
+    # reference: move each slot's basis vector, count inversions among odd slots
+    for parities in [(0,), (1,), (0, 1), (1, 1), (0, 1, 1), (1, 0, 0)]:
+        d = len(parities)
+        for n in range(5):
+            for sigma in all_permutations(n):
+                img = sigma.images
+                want = []
+                for t in itertools.product(range(d), repeat=n):
+                    u = [0] * n
+                    for a in range(n):
+                        u[img[a]] = t[a]
+                    odd = [a for a in range(n) if parities[t[a]] == ODD]
+                    inv = sum(1 for i, a in enumerate(odd) for b in odd[i + 1:]
+                              if img[a] > img[b])
+                    want.append((sum(x * d ** (n - 1 - a) for a, x in enumerate(u)),
+                                 (-1) ** inv))
+                assert signed_slot_map(img, parities) == want, (parities, img)
 
 
 def test_permutation_action_identity():
@@ -191,7 +209,7 @@ def test_supertrace_of_permutation_action(p, q):
     x = SuperSpace.standard(p, q, 1)
     for n in range(1, 5):
         for sigma in all_permutations(n):
-            got = trace(permutation_action(sigma, x, n))
+            got = permutation_action(sigma, x, n).supertrace()
             assert got.eps_part_is_zero()
             assert got.realization() == Fraction(p - q) ** len(sigma.cycles())
 
@@ -205,8 +223,8 @@ def test_snake_identities(p, q):
     ev, cv = evaluation(x), coevaluation(x)
     idx = SuperMorphism.identity(x)
     idxd = SuperMorphism.identity(dual(x))
-    assert tensor_mor(ev, idx).compose(tensor_mor(idx, cv)) == idx
-    assert tensor_mor(idxd, ev).compose(tensor_mor(cv, idxd)) == idxd
+    assert ev.tensor(idx).compose(idx.tensor(cv)) == idx
+    assert idxd.tensor(ev).compose(cv.tensor(idxd)) == idxd
 
 
 def test_trace_agrees_with_categorical_route():
@@ -216,11 +234,11 @@ def test_trace_agrees_with_categorical_route():
         f = random_endomorphism(x, rng)
         chain = (
             evaluation(x)
-            .compose(tensor_mor(f, SuperMorphism.identity(dual(x))))
+            .compose(f.tensor(SuperMorphism.identity(dual(x))))
             .compose(braiding(dual(x), x))
             .compose(coevaluation(x))
         )
-        assert chain.entry(0, 0) == trace(f)
+        assert chain.entry(0, 0) == f.supertrace()
 
 
 def test_trace_is_symmetric():
@@ -229,14 +247,14 @@ def test_trace_is_symmetric():
     for _ in range(10):
         f = random_endomorphism(x, rng)
         g = random_endomorphism(x, rng)
-        assert trace(f.compose(g)) == trace(g.compose(f))
+        assert f.compose(g).supertrace() == g.compose(f).supertrace()
 
 
 def test_trace_rejects_non_endomorphism():
     x = SuperSpace.standard(1, 0, 1)
     y = SuperSpace.standard(2, 0, 1)
     with pytest.raises(ValueError):
-        trace(SuperMorphism.zero(x, y))
+        SuperMorphism.zero(x, y).supertrace()
 
 
 def test_dual_contravariant():
@@ -257,8 +275,8 @@ def test_realization_functorial():
     for _ in range(10):
         f = random_endomorphism(x, rng)
         g = random_endomorphism(x, rng)
-        assert realization(g.compose(f)) == realization(g).compose(realization(f))
-    assert realization(SuperMorphism.identity(x)) == SuperMorphism.identity(
+        assert g.compose(f).realization() == g.realization().compose(f.realization())
+    assert SuperMorphism.identity(x).realization() == SuperMorphism.identity(
         x.with_k(1)
     )
 
@@ -268,17 +286,17 @@ def test_realization_commutes_with_trace_and_tensor():
     rng = seeded_rng(29)
     f = random_endomorphism(x, rng)
     g = random_endomorphism(x, rng)
-    assert trace(realization(f)).coeffs[0] == trace(f).realization()
-    assert realization(tensor_mor(f, g)) == tensor_mor(realization(f), realization(g))
+    assert f.realization().supertrace().coeffs[0] == f.supertrace().realization()
+    assert f.tensor(g).realization() == f.realization().tensor(g.realization())
 
 
 def test_hom_trivial_detection():
     x = SuperSpace.standard(1, 1, 2)
     f = SuperMorphism.from_entries(x, x, {(0, 0): TruncatedScalar.eps(2)})
-    assert is_hom_trivial(f)
-    assert realization(f).is_zero()
-    assert not is_hom_trivial(SuperMorphism.identity(x))
-    assert is_hom_trivial(SuperMorphism.identity(x) - SuperMorphism.identity(x))
+    assert f.is_hom_trivial()
+    assert f.realization().is_zero()
+    assert not SuperMorphism.identity(x).is_hom_trivial()
+    assert (SuperMorphism.identity(x) - SuperMorphism.identity(x)).is_hom_trivial()
 
 
 # --- exact inversion -----------------------------------------------------------------------
@@ -303,7 +321,7 @@ def test_exp_nilpotent_inverse_pair():
     x = SuperSpace.standard(2, 2, 4)
     rng = seeded_rng(43)
     n = random_endomorphism(x, rng)
-    eps_n = n - realization(n).promoted(4)  # strip the eps^0 layer
+    eps_n = n - n.realization().promoted(4)  # strip the eps^0 layer
     u = exp_nilpotent(eps_n)
     v = exp_nilpotent(-eps_n)
     assert u.compose(v) == SuperMorphism.identity(x)
