@@ -8,11 +8,13 @@ nilpotent corner defect generically appears, yet the assembled summand
 isomorphisms stay exact, which this script also verifies.
 
 Usage: python scripts/uniqueness_sweep.py [--kmax K] [--seeds N]
+with K in 1..6 and N >= 1.
 """
 
 import argparse
 from collections import Counter
 
+from finmot.cli import K_RANGE
 from finmot.errors import InvariantError
 from finmot.lifting import (
     ProjectorFamily,
@@ -24,7 +26,7 @@ from finmot.supercat import SuperMorphism, SuperSpace, invert_unit
 
 
 def sweep(kmax: int, seeds: int) -> None:
-    print(f"{'k':>3}  {'exact':>12}  {'max defect order':>17}")
+    print(f"{'k':>3}  {'exact':>12}  {'lowest defect order':>19}")
     for k in range(1, kmax + 1):
         space = SuperSpace.standard(2, 2, k)
         family = ProjectorFamily(space, tuple(
@@ -57,15 +59,18 @@ def sweep(kmax: int, seeds: int) -> None:
             ", ".join(f"eps^{o}: {n}" for o, n in sorted(orders.items()))
             if orders else "-"
         )
-        print(f"{k:>3}  {exact:>7}/{total:<4}  {order_note:>17}")
+        print(f"{k:>3}  {exact:>7}/{total:<4}  {order_note:>19}")
     print("summand isomorphisms were exact in every instance")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kmax", type=int, default=6)
-    parser.add_argument("--seeds", type=int, default=50)
+    parser.add_argument("--kmax", type=int, default=6, choices=K_RANGE,
+                        metavar="1..6")
+    parser.add_argument("--seeds", type=int, default=50, help="at least 1")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     sweep(args.kmax, args.seeds)
 
 

@@ -8,7 +8,7 @@ Modules:
 * ``supercat``: graded spaces over Q[eps]/(eps^k) with Koszul-signed
   symmetry, duals, trace, and the eps -> 0 realization functor
 * ``karoubi``: idempotent completion, Schur functors, exterior/symmetric
-  powers, finite-dimensionality classification, twists
+  powers, finite-dimensionality classification, weight shifts
 * ``lifting``: Newton lifting of idempotents and families, the corner
   calculus for summand uniqueness, nilpotency, rigidity
 * ``motives``: concrete curve / surface / abelian models with projector

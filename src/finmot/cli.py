@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from .symgroup import (
     young_idempotent,
 )
 from .supercat import (
+    TENSOR_DIM_CAP,
     SuperMorphism,
     SuperSpace,
     invert_unit,
@@ -100,7 +102,7 @@ class RunConfig:
     command: str
     out_format: str = "pretty"
     seed: int = 0
-    cap: int = karoubi.SCHUR_DIM_CAP
+    cap: int = TENSOR_DIM_CAP
     k: int = 2
     grid: dict = field(default_factory=dict)
     file: str | None = None
@@ -241,26 +243,30 @@ def cmd_chars(cfg: RunConfig) -> Report:
 # --- schur ---------------------------------------------------------------------
 
 
-def _seeded_identity_object(p: int, q: int, k: int, seed: int) -> KaroubiObject:
-    """The (p|q) object; any seeded eps-perturbation of the identity lifts
-    back to the identity, which is checked."""
+def _seeded_identity_object(p: int, q: int, k: int,
+                            seeds: Iterable[int]) -> KaroubiObject:
+    """The full (p|q) object at order k.
+
+    For every nonzero seed (at k > 1) the Newton lift of the seeded
+    eps-perturbation id + eps*N is checked to be the identity again, so
+    every seed yields this one object and the caller checks it once.
+    """
     space = SuperSpace.standard(p, q, k)
     idem = SuperMorphism.identity(space)
-    if seed and k > 1:
-        start = idem + eps_perturbation(space, seeded_rng(seed))
-        lifted = lift_idempotent(start)
-        if lifted != idem:
-            raise InvariantError(
-                f"seed {seed}: the lift of a perturbed ({p}|{q}) identity at k={k} "
-                f"is not the identity")
-        idem = lifted
+    for seed in seeds:
+        if seed and k > 1:
+            start = idem + eps_perturbation(space, seeded_rng(seed))
+            if lift_idempotent(start) != idem:
+                raise InvariantError(
+                    f"seed {seed}: the lift of a perturbed ({p}|{q}) identity at "
+                    f"k={k} is not the identity")
     return KaroubiObject(space, idem, check=False)
 
 
 def cmd_schur(cfg: RunConfig) -> Report:
     lam = cfg.params["lam"]
     p, q = cfg.params["p"], cfg.params["q"]
-    obj = _seeded_identity_object(p, q, cfg.k, cfg.seed)
+    obj = _seeded_identity_object(p, q, cfg.k, [cfg.seed])
     image = schur_apply(lam, obj, cap=cfg.cap)
     super_dim = image.dimension()
     by_characters = schur_super_dimension(lam, obj)
@@ -352,34 +358,33 @@ def _suite_kimura_dim(cfg: RunConfig) -> tuple[dict, list[Check]]:
     qmax = cfg.grid.get("q", 3)
     kmax = cfg.grid.get("k", 3)
     seeds = cfg.grid.get("seeds", 25)
+    seed_range = range(cfg.seed + 1, cfg.seed + seeds + 1)
     for k in range(1, kmax + 1):
         for d in range(1, pmax + 1):
             ok = True
-            for s in range(seeds):
-                obj = _seeded_identity_object(d, 0, k, cfg.seed + s + 1)
-                for n in range(1, d + 2):
-                    if wedge(n, obj, cap=cfg.cap).dimension() != math.comb(d, n):
-                        ok = False
-                    if sym(n, obj, cap=cfg.cap).dimension() != math.comb(d + n - 1, n):
-                        ok = False
+            obj = _seeded_identity_object(d, 0, k, seed_range)
+            for n in range(1, d + 2):
+                if wedge(n, obj, cap=cfg.cap).dimension() != math.comb(d, n):
+                    ok = False
+                if sym(n, obj, cap=cfg.cap).dimension() != math.comb(d + n - 1, n):
+                    ok = False
             checks.append(Check(f"kimura-dim/even-d{d}-k{k}", ok,
                                 detail=f"{seeds} seeds"))
         for q in range(1, qmax + 1):
             ok = True
-            for s in range(seeds):
-                obj = _seeded_identity_object(0, q, k, cfg.seed + s + 1)
-                for n in range(1, q + 2):
-                    # dim X = -q, so dim(S^n X) = C(-q+n-1, n) = (-1)^n C(q, n)
-                    sm = sym(n, obj, cap=cfg.cap)
-                    if sm.dimension() != (-1) ** n * math.comb(q, n):
-                        ok = False
-                    if sm.classical_rank() != math.comb(q, n):
-                        ok = False
-                    w = wedge(n, obj, cap=cfg.cap)
-                    if w.dimension() != (-1) ** n * math.comb(q + n - 1, n):
-                        ok = False
-                    if w.classical_rank() != math.comb(q + n - 1, n):
-                        ok = False
+            obj = _seeded_identity_object(0, q, k, seed_range)
+            for n in range(1, q + 2):
+                # dim X = -q, so dim(S^n X) = C(-q+n-1, n) = (-1)^n C(q, n)
+                sm = sym(n, obj, cap=cfg.cap)
+                if sm.dimension() != (-1) ** n * math.comb(q, n):
+                    ok = False
+                if sm.classical_rank() != math.comb(q, n):
+                    ok = False
+                w = wedge(n, obj, cap=cfg.cap)
+                if w.dimension() != (-1) ** n * math.comb(q + n - 1, n):
+                    ok = False
+                if w.classical_rank() != math.comb(q + n - 1, n):
+                    ok = False
             checks.append(Check(f"kimura-dim/odd-q{q}-k{k}", ok,
                                 detail=f"{seeds} seeds"))
     return {}, checks
@@ -391,21 +396,21 @@ def _suite_vanishing(cfg: RunConfig) -> tuple[dict, list[Check]]:
     qmax = cfg.grid.get("q", 2)
     kmax = cfg.grid.get("k", 3)
     seeds = cfg.grid.get("seeds", 25)
+    seed_range = range(cfg.seed + 1, cfg.seed + seeds + 1)
     for k in range(1, kmax + 1):
         for p in range(pmax + 1):
             for q in range(qmax + 1):
+                obj = _seeded_identity_object(p, q, k, seed_range)
+                split = split_parity(obj)
                 ok = True
-                for s in range(seeds):
-                    obj = _seeded_identity_object(p, q, k, cfg.seed + s + 1)
-                    split = split_parity(obj)
-                    if not wedge(p + 1, split[0], cap=cfg.cap).is_zero():
-                        ok = False
-                    if not sym(q + 1, split[1], cap=cfg.cap).is_zero():
-                        ok = False
-                    if not s_wedge(p + q + 1, obj, split, cap=cfg.cap).is_zero():
-                        ok = False
-                    if s_wedge(p + q, obj, split, cap=cfg.cap).is_zero():
-                        ok = False
+                if not wedge(p + 1, split[0], cap=cfg.cap).is_zero():
+                    ok = False
+                if not sym(q + 1, split[1], cap=cfg.cap).is_zero():
+                    ok = False
+                if not s_wedge(p + q + 1, obj, split, cap=cfg.cap).is_zero():
+                    ok = False
+                if s_wedge(p + q, obj, split, cap=cfg.cap).is_zero():
+                    ok = False
                 checks.append(Check(f"vanishing/p{p}q{q}k{k}", ok,
                                     detail=f"{seeds} seeds"))
     return {}, checks
@@ -839,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", choices=("json", "csv", "pretty"),
                         default="pretty", help="report format")
     parser.add_argument("--seed", type=int, default=0, help="base seed (u64)")
-    parser.add_argument("--cap", type=int, default=karoubi.SCHUR_DIM_CAP,
+    parser.add_argument("--cap", type=int, default=TENSOR_DIM_CAP,
                         help="ambient dimension cap for tensor powers")
     parser.add_argument("--k", type=int, default=2, choices=K_RANGE,
                         metavar="1..6", help="truncation order of the scalar ring")

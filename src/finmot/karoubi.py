@@ -1,20 +1,25 @@
 """Idempotent completion of the graded model category.
 
-Objects are pairs (ambient space, idempotent endomorphism) plus an integer
-twist.  Schur functors act by composing the central group-algebra
-idempotents, realized as signed permutation operators on a tensor power,
-with the tensor power of the object's idempotent.  Classification searches
-for the largest nonvanishing exterior power of the even part and symmetric
-power of the odd part.
+Objects are pairs (ambient space, idempotent endomorphism).  Schur
+functors act by composing the central group-algebra idempotents, realized
+as signed permutation operators on a tensor power, with the tensor power
+of the object's idempotent.  Classification searches for the largest
+nonvanishing exterior power of the even part and symmetric power of the
+odd part.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
 whose entries lie in the nilpotent ideal (eps) is zero, because e = e^(2^m)
 has entries in (eps^(2^m)) for every m.
 
-``twist`` records the accumulated Tate twist exponent.  Twisting by r
-shifts every ambient weight by -2r, so the weight data always lives in the
-ambient space; the field itself is bookkeeping for reports.
+The super dimension of a Schur image has a closed form that materializes
+nothing: a permutation with c cycles has supertrace (dim X)^c on the n-th
+tensor power of X, so the character sum over cycle types needs only
+dim X.  ``schur_super_dimension`` uses it as the independent second route
+next to the trace of the materialized image.
+
+``tate_twist`` by r shifts every ambient weight by -2r; the weights are
+the only record of it.
 """
 
 from __future__ import annotations
@@ -23,13 +28,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import factorial, lcm
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
     Partition,
-    Permutation,
     character,
     conjugacy_class_size,
     hook_dimension,
@@ -41,28 +44,23 @@ from .supercat import (
     ODD,
     SuperMorphism,
     SuperSpace,
+    TENSOR_DIM_CAP,
     signed_slot_map,
     tensor,
     tensor_power,
 )
-from . import lifting
-
-#: dimension guard for ambient tensor powers
-SCHUR_DIM_CAP = 4096
 
 
 class KaroubiObject:
     """A direct summand of an ambient graded space, cut out by an idempotent."""
 
-    __slots__ = ("ambient", "idem", "twist")
+    __slots__ = ("ambient", "idem")
 
-    def __init__(self, ambient: SuperSpace, idem: SuperMorphism, twist: int = 0,
-                 check: bool = True):
+    def __init__(self, ambient: SuperSpace, idem: SuperMorphism, check: bool = True):
         if idem.source != ambient or idem.target != ambient:
             raise ValueError("idempotent must be an endomorphism of the ambient space")
         self.ambient = ambient
         self.idem = idem
-        self.twist = twist
         if check and not idem.is_idempotent():
             raise ValueError("defining endomorphism is not idempotent")
         tr = idem.supertrace()
@@ -70,8 +68,8 @@ class KaroubiObject:
             raise ValueError(f"idempotent trace {tr} is not an integer constant")
 
     @classmethod
-    def full(cls, space: SuperSpace, twist: int = 0) -> "KaroubiObject":
-        return cls(space, SuperMorphism.identity(space), twist, check=False)
+    def full(cls, space: SuperSpace) -> "KaroubiObject":
+        return cls(space, SuperMorphism.identity(space), check=False)
 
     @classmethod
     def unit(cls, k: int = 1) -> "KaroubiObject":
@@ -84,7 +82,7 @@ class KaroubiObject:
     @classmethod
     def lefschetz(cls, r: int, k: int = 1) -> "KaroubiObject":
         """The invertible weight-2r line (the r-th power of the weight-2 line)."""
-        return cls.full(SuperSpace.line(EVEN, 2 * r, k), twist=-r)
+        return cls.full(SuperSpace.line(EVEN, 2 * r, k))
 
     @property
     def k(self) -> int:
@@ -116,11 +114,11 @@ class KaroubiObject:
             raise InvariantError("stored endomorphism is not idempotent")
 
     def fingerprint(self):
-        return (self.idem.fingerprint(), self.twist)
+        return self.idem.fingerprint()
 
     def __repr__(self):
         return (f"KaroubiObject(ambient={self.ambient.dim}d, k={self.k}, "
-                f"dim={self.dimension()}, twist={self.twist})")
+                f"dim={self.dimension()})")
 
 
 @dataclass(frozen=True)
@@ -183,14 +181,14 @@ def _young_rows(parities: tuple[int, ...], lam: Partition):
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
-                cap: int = SCHUR_DIM_CAP) -> KaroubiObject:
+                cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """The image of the central idempotent attached to ``lam`` on x^(n)."""
     n = lam.n
     ambient = x.ambient
     if n == 0:
         return KaroubiObject.unit(x.k)
     if ambient.dim == 0:
-        return KaroubiObject.full(tensor_power(ambient, n), twist=n * x.twist)
+        return KaroubiObject.full(tensor_power(ambient, n))
     if ambient.dim**n > cap:
         raise SizeCapError(
             f"ambient tensor power {ambient.dim}**{n} exceeds cap {cap}"
@@ -210,78 +208,35 @@ def schur_apply(lam: Partition, x: KaroubiObject,
         pn = x.idem
         for _ in range(n - 1):
             pn = pn.tensor(x.idem)
-        idem = pn.compose(op).compose(pn)
-    obj = KaroubiObject(idem.source, idem, twist=n * x.twist, check=False)
+        # op is central and pn an even idempotent, so op . pn = pn . op . pn
+        idem = op.compose(pn)
+    obj = KaroubiObject(idem.source, idem, check=False)
     _SCHUR_CACHE[key] = obj
     if len(_SCHUR_CACHE) > _SCHUR_CACHE_MAX:
         _SCHUR_CACHE.popitem(last=False)
     return obj
 
 
-def wedge(n: int, x: KaroubiObject, cap: int = SCHUR_DIM_CAP) -> KaroubiObject:
+def wedge(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     return schur_apply(Partition((1,) * n), x, cap)
 
 
-def sym(n: int, x: KaroubiObject, cap: int = SCHUR_DIM_CAP) -> KaroubiObject:
+def sym(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     return schur_apply(Partition((n,) if n else ()), x, cap)
 
 
 def schur_super_dimension(lam: Partition, x: KaroubiObject) -> Fraction:
     """Supertrace of the Schur idempotent via the character sum.
 
-    Uses the linearity of the trace over the group-algebra terms instead of
-    materializing the operator; serves as the second route of the two-way
-    dimension check.
+    A permutation with c cycles has supertrace (dim x)^c on x^(n), so the
+    sum needs only ``x.dimension()`` and materializes nothing; it is the
+    second route of the two-way dimension check.
     """
     n = lam.n
-    if n == 0:
-        return Fraction(1)
-    d = x.ambient.dim
-    if d == 0:
-        return Fraction(0)
-    dimv = hook_dimension(lam)
-    nfact = factorial(n)
-    total = Fraction(0)
-    for ct in partitions(n):
-        chi = character(lam, ct)
-        if not chi:
-            continue
-        total += conjugacy_class_size(ct) * chi * _twisted_supertrace(ct, x)
-    return Fraction(dimv, nfact) * total
-
-
-def _twisted_supertrace(ct: Partition, x: KaroubiObject) -> Fraction:
-    """Supertrace of (permutation action of a type-ct element) . idem^(n).
-
-    The value only depends on the cycle type because the tensor power of a
-    fixed idempotent commutes with every slot permutation.
-    """
-    n = ct.n
-    cycles = []
-    start = 0
-    for length in ct.parts:
-        cycles.append(tuple(range(start, start + length)))
-        start += length
-    sigma = Permutation.from_cycles(n, cycles)
-    parities = x.ambient.parities
-    # eps^0 numerators of the idempotent; the realization is them over den
-    real = {(i, j): t[0] for i, row in x.idem.rows.items()
-            for j, t in row.items() if t[0]}
-    tuples = list(product(range(x.ambient.dim), repeat=n))
-    total = 0
-    # diagonal entry (t, t) of the action times idem^(n) is sign * idem^(n)[s, t]
-    # for the one source s that the action sends to t
-    for s, (row, sign) in zip(tuples, signed_slot_map(sigma.images, parities)):
-        prod = sign
-        for i, j in zip(s, tuples[row]):
-            e = real.get((i, j))
-            if e is None:
-                break
-            prod *= e
-        else:
-            # the target has the source's basis vectors, so the same parity
-            total += -prod if sum(parities[i] for i in s) % 2 else prod
-    return Fraction(total, x.idem.den ** n)
+    dim = x.dimension()
+    total = sum(conjugacy_class_size(ct) * character(lam, ct) * dim ** len(ct)
+                for ct in partitions(n))
+    return Fraction(hook_dimension(lam) * total, factorial(n))
 
 
 # --- parity splitting and classification --------------------------------------
@@ -296,8 +251,10 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
     """The even/odd summand pair cut out by the parity projectors.
 
     Every morphism of the model preserves parity, so the idempotent
-    commutes with the parity projectors exactly; the lifting correction
-    is kept as a safety net and is a no-op on commuting input.
+    commutes with the parity projectors exactly.  Each part e . p is then
+    idempotent, and the two parts sum back to e . id = e.  A part that does
+    not commute, or is not idempotent because e is not, raises
+    ``InvariantError``.
     """
     ambient = x.ambient
     out = []
@@ -308,15 +265,12 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
             raise InvariantError(
                 f"idempotent does not preserve the parity-{parity} block")
         if not cand.is_idempotent():
-            cand = lifting.lift_idempotent(cand)
-        out.append(KaroubiObject(ambient, cand, x.twist, check=False))
-    plus, minus = out
-    if plus.idem + minus.idem != x.idem:
-        raise InvariantError("parity split does not sum back to the idempotent")
-    return plus, minus
+            raise InvariantError(f"parity-{parity} part is not idempotent")
+        out.append(KaroubiObject(ambient, cand, check=False))
+    return tuple(out)
 
 
-def classify(x: KaroubiObject, cap: int = SCHUR_DIM_CAP) -> FiniteDimReport:
+def classify(x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> FiniteDimReport:
     """Largest nonvanishing exterior/symmetric powers of the parity parts."""
     plus, minus = split_parity(x)
     kim_plus = _largest_nonvanishing(wedge, plus, cap)
@@ -364,8 +318,7 @@ def direct_sum(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
     for i, row in y.idem._rows_over(den).items():
         rows[i + off] = {j + off: t for j, t in row.items()}
     idem = SuperMorphism._from_numerators(ambient, ambient, rows, den)
-    twist = x.twist if x.twist == y.twist else 0
-    return KaroubiObject(ambient, idem, twist, check=False)
+    return KaroubiObject(ambient, idem, check=False)
 
 
 def direct_sum_many(objects) -> KaroubiObject:
@@ -382,24 +335,24 @@ def tensor_k(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
     if x.k != y.k:
         raise ValueError("truncation orders differ")
     return KaroubiObject(tensor(x.ambient, y.ambient), x.idem.tensor(y.idem),
-                         x.twist + y.twist, check=False)
+                         check=False)
 
 
 def dual_k(x: KaroubiObject) -> KaroubiObject:
     idem = x.idem.dual()
-    return KaroubiObject(idem.source, idem, -x.twist, check=False)
+    return KaroubiObject(idem.source, idem, check=False)
 
 
 def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:
-    """Shift every ambient weight by -2r and record the twist."""
+    """Shift every ambient weight by -2r."""
     space = x.ambient.shift_weights(-2 * r)
     idem = SuperMorphism._from_numerators(space, space, x.idem.rows, x.idem.den)
-    return KaroubiObject(space, idem, x.twist + r, check=False)
+    return KaroubiObject(space, idem, check=False)
 
 
 def s_wedge(n: int, x: KaroubiObject,
             parity_split: tuple[KaroubiObject, KaroubiObject] | None = None,
-            cap: int = SCHUR_DIM_CAP) -> KaroubiObject:
+            cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n."""
     plus, minus = parity_split if parity_split is not None else split_parity(x)
     summands = [

@@ -356,3 +356,32 @@ def test_verify_all_fails_when_a_suite_fails(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["results"]["abelian"]["passed"] is False
     assert payload["results"]["vanishing"]["passed"] is True
+
+
+def test_schur_suites_check_each_seeded_object_once(capsys, monkeypatch):
+    # every seed's lift still runs (the "25 seeds" detail), but the Schur
+    # checks run once per (p, q, k): 27 parity splits in vanishing, where
+    # one per seed made 675
+    from finmot import cli, karoubi
+
+    karoubi._young_rows.cache_clear()
+    karoubi._SCHUR_CACHE.clear()
+    calls = {"split_parity": 0, "lift_idempotent": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    code, _, _ = run(capsys, "--out", "json", "verify", "vanishing")
+    assert code == 0
+    assert calls == {"split_parity": 27, "lift_idempotent": 450}
+    calls.update(split_parity=0, lift_idempotent=0)
+    code, _, _ = run(capsys, "--out", "json", "verify", "kimura-dim")
+    assert code == 0
+    assert calls == {"split_parity": 0, "lift_idempotent": 300}

@@ -21,8 +21,8 @@ from finmot.karoubi import (
     tensor_k,
     wedge,
 )
-from finmot.supercat import SuperMorphism, SuperSpace
-from finmot.symgroup import Partition, partitions, young_idempotent
+from finmot.supercat import SuperMorphism, SuperSpace, permutation_action
+from finmot.symgroup import Partition, all_permutations, partitions, young_idempotent
 from finmot.lifting import (
     eps_perturbation,
     lift_idempotent,
@@ -151,6 +151,53 @@ def test_two_way_dimension_on_proper_summand():
         for lam in partitions(n):
             obj = schur_apply(lam, x)
             assert Fraction(obj.dimension()) == schur_super_dimension(lam, x)
+
+
+def test_permutation_supertrace_is_dimension_to_the_cycle_count():
+    # the identity behind the closed-form super dimension, materialized:
+    # str(sigma . e^(n)) = (str e)^(number of cycles of sigma) for seeded
+    # conjugates of diagonal summands of a (3|2) space
+    space = SuperSpace.standard(3, 2, 2)
+    diagonals = {2: [1, 1, 0, 0, 0], 0: [1, 0, 0, 1, 0],
+                 -1: [0, 1, 0, 1, 1], 1: [1, 1, 0, 1, 0]}
+    cases = 0
+    for seed in (1, 2):
+        u = seeded_unit(space, seeded_rng(seed))
+        uinv = invert_unit(u)
+        for dim, diag in diagonals.items():
+            e = uinv.compose(SuperMorphism.diagonal(space, diag)).compose(u)
+            assert KaroubiObject(space, e).dimension() == dim
+            en = e
+            for n in range(1, 4):
+                for sigma in all_permutations(n):
+                    tr = permutation_action(sigma, space, n).compose(en).supertrace()
+                    assert tr.eps_part_is_zero()
+                    assert tr.realization() == dim ** len(sigma.cycles()), (seed, diag, sigma)
+                    cases += 1
+                en = en.tensor(e)
+    assert cases == 72
+
+
+def _binomial(x, n):
+    """The generalised binomial coefficient x (x-1) ... (x-n+1) / n!."""
+    return Fraction(math.prod(x - i for i in range(n)), math.factorial(n))
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+def test_super_dimension_binomials_beyond_the_cap(p, q):
+    # dim(wedge^n X) = C(d, n) and dim(S^n X) = C(d+n-1, n) with d = p - q;
+    # the character route needs no tensor power, so it answers where
+    # schur_apply refuses (5**6 > 4096)
+    x = full(p, q)
+    d = p - q
+    for n in range(9):
+        lam_wedge, lam_sym = Partition((1,) * n), Partition((n,) if n else ())
+        assert schur_super_dimension(lam_wedge, x) == _binomial(d, n)
+        assert schur_super_dimension(lam_sym, x) == _binomial(d + n - 1, n)
+        if n >= 6:
+            for lam in (lam_wedge, lam_sym):
+                with pytest.raises(SizeCapError):
+                    schur_apply(lam, x)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -326,18 +373,16 @@ def test_classify_surfaces_size_guard():
 def test_tate_twist_shifts_weights():
     line = KaroubiObject.lefschetz(1, 2)
     assert line.ambient.weights == (2,)
-    assert line.twist == -1
     twisted = tate_twist(line, 1)
     assert twisted.ambient.weights == (0,)
-    assert twisted.twist == 0
     assert twisted.dimension() == 1
 
 
 def test_tensor_adds_twists_and_dual_negates():
     l1 = KaroubiObject.lefschetz(1, 1)
     l2 = tensor_k(l1, l1)
-    assert l2.twist == -2 and l2.ambient.weights == (4,)
-    assert dual_k(l1).twist == 1 and dual_k(l1).ambient.weights == (-2,)
+    assert l2.ambient.weights == (4,)
+    assert dual_k(l1).ambient.weights == (-2,)
 
 
 # --- s_wedge ------------------------------------------------------------------------------
