@@ -439,9 +439,8 @@ def _suite_lifting(cfg: RunConfig) -> tuple[dict, list[Check]]:
              SuperMorphism.diagonal(space.with_k(1), [0, 0, 1])))
         ok_family = True
         for s in range(min(seeds, 10)):
-            fam = lift_family(residues, k, seed=cfg.seed + s + 1)
             try:
-                fam.validate()
+                lift_family(residues, k, seed=cfg.seed + s + 1)
             except ValueError:
                 ok_family = False
         checks.append(Check(f"lifting/family-k{k}", ok_family))
@@ -600,7 +599,7 @@ def _suite_surface(cfg: RunConfig) -> tuple[dict, list[Check]]:
                       for _ in range(d + 1)]
             checks.append(Check(
                 f"surface/{name}/wedge-vanishing",
-                albanese_wedge(cycles, t_dim=spec.t) == {}))
+                albanese_wedge(cycles, t_dim=spec.t, cap=cfg.cap) == {}))
     verdict = pg_zero_conclusion(rational)
     checks.append(Check("surface/all-algebraic/kernel-forced-zero",
                         verdict.consistent is True))
@@ -748,7 +747,7 @@ def cmd_surface(cfg: RunConfig) -> Report:
         cycles = [[rng.randint(-3, 3) for _ in range(spec.t)]
                   for _ in range(d + 1)]
         checks.append(Check("surface/wedge-vanishing",
-                            albanese_wedge(cycles, t_dim=spec.t) == {},
+                            albanese_wedge(cycles, t_dim=spec.t, cap=cfg.cap) == {},
                             detail=f"{d + 1} cycles in a {spec.t}-dim kernel part"))
     else:
         checks.append(Check(

@@ -109,10 +109,6 @@ class KaroubiObject:
     def is_zero(self) -> bool:
         return self.idem.is_zero()
 
-    def validate(self) -> None:
-        if not self.idem.is_idempotent():
-            raise InvariantError("stored endomorphism is not idempotent")
-
     def fingerprint(self):
         return self.idem.fingerprint()
 

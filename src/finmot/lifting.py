@@ -14,9 +14,10 @@ ring, whose nilpotency index is exactly k.  Everything here is exact:
   the two summands;
 * homologically trivial endomorphisms are nilpotent of index <= k.
 
-Seeded perturbations used throughout the package are produced here:
-integer matrices with entries in {-2..2}, parity-preserving, multiplied
-by a positive power of eps.  All randomness flows through
+Seeded perturbations used throughout the package are produced here, by
+one builder that draws integer entries in {-2..2} on the
+parity-preserving positions: eps times such a matrix, or one with
+entries at every eps order.  All randomness flows through
 ``random.Random(seed)`` (the stdlib Mersenne Twister), so runs are
 reproducible from the seed alone.
 """
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .supercat import SuperMorphism, SuperSpace
+from .supercat import SuperMorphism, SuperSpace, geometric_series
 
 
 # --- seeded perturbations -----------------------------------------------------
@@ -38,60 +39,14 @@ def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_parity_matrix(space: SuperSpace, rng: random.Random,
-                         lo: int = -2, hi: int = 2) -> dict[tuple[int, int], int]:
-    """Integer entries in [lo, hi] on the parity-allowed positions."""
-    parities = space.parities
-    out = {}
-    for i in range(space.dim):
-        for j in range(space.dim):
-            if parities[i] != parities[j]:
-                continue
-            v = rng.randint(lo, hi)
-            if v:
-                out[(i, j)] = v
-    return out
+def _random_rows(space: SuperSpace, rng: random.Random,
+                 orders: range) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Numerator rows with seeded entries in {-2..2}.
 
-
-def eps_perturbation(space: SuperSpace, rng: random.Random,
-                     order: int = 1) -> SuperMorphism:
-    """eps^order times a random parity-preserving integer matrix."""
-    k = space.k
-    if order < 1:
-        raise ValueError("eps power must be >= 1")
-    rows: dict[int, dict[int, tuple[int, ...]]] = {}
-    for (i, j), v in random_parity_matrix(space, rng).items():
-        if order < k:
-            rows.setdefault(i, {})[j] = (0,) * order + (v,) + (0,) * (k - order - 1)
-    return SuperMorphism._from_numerators(space, space, rows)
-
-
-def seeded_unit(space: SuperSpace, rng: random.Random) -> SuperMorphism:
-    """id + eps * N for a seeded parity-preserving N; always invertible."""
-    return SuperMorphism.identity(space) + eps_perturbation(space, rng)
-
-
-def random_hom_trivial(space: SuperSpace, rng: random.Random) -> SuperMorphism:
-    """A random endomorphism with entries in the ideal (eps)."""
-    k = space.k
-    parities = space.parities
-    rows: dict[int, dict[int, tuple[int, ...]]] = {}
-    for i in range(space.dim):
-        for j in range(space.dim):
-            if parities[i] != parities[j]:
-                continue
-            coeffs = (0,) + tuple(rng.randint(-2, 2) for _ in range(k - 1))
-            if any(coeffs):
-                rows.setdefault(i, {})[j] = coeffs
-    return SuperMorphism._from_numerators(space, space, rows)
-
-
-def random_endomorphism(space: SuperSpace, rng: random.Random,
-                        lo: int = -2, hi: int = 2) -> SuperMorphism:
-    """A random endomorphism valid at every eps order.
-
-    The realization part is drawn on the parity- and weight-allowed
-    positions, the higher orders on the parity-allowed ones.
+    Position by position over the parity-allowed positions, one value is
+    drawn per eps order in ``orders``.  The eps^0 value is drawn only
+    where the weights agree; a value drawn at an order >= k (eps at k = 1)
+    is dropped.
     """
     k = space.k
     parities = space.parities
@@ -101,11 +56,41 @@ def random_endomorphism(space: SuperSpace, rng: random.Random,
         for j in range(space.dim):
             if parities[i] != parities[j]:
                 continue
-            head = rng.randint(lo, hi) if weights[i] == weights[j] else 0
-            coeffs = (head,) + tuple(rng.randint(lo, hi) for _ in range(k - 1))
+            coeffs = [0] * k
+            for order in orders:
+                if order or weights[i] == weights[j]:
+                    v = rng.randint(-2, 2)
+                    if order < k:
+                        coeffs[order] = v
             if any(coeffs):
-                rows.setdefault(i, {})[j] = coeffs
-    return SuperMorphism._from_numerators(space, space, rows)
+                rows.setdefault(i, {})[j] = tuple(coeffs)
+    return rows
+
+
+def eps_perturbation(space: SuperSpace, rng: random.Random) -> SuperMorphism:
+    """eps times a random parity-preserving integer matrix."""
+    return SuperMorphism._from_numerators(space, space, _random_rows(space, rng, range(1, 2)))
+
+
+def seeded_unit(space: SuperSpace, rng: random.Random) -> SuperMorphism:
+    """id + eps * N for a seeded parity-preserving N; always invertible."""
+    return SuperMorphism.identity(space) + eps_perturbation(space, rng)
+
+
+def random_hom_trivial(space: SuperSpace, rng: random.Random) -> SuperMorphism:
+    """A random endomorphism with entries in the ideal (eps)."""
+    return SuperMorphism._from_numerators(
+        space, space, _random_rows(space, rng, range(1, space.k)))
+
+
+def random_endomorphism(space: SuperSpace, rng: random.Random) -> SuperMorphism:
+    """A random endomorphism valid at every eps order.
+
+    The realization part is drawn on the parity- and weight-allowed
+    positions, the higher orders on the parity-allowed ones.
+    """
+    return SuperMorphism._from_numerators(
+        space, space, _random_rows(space, rng, range(space.k)))
 
 
 # --- Newton lifting --------------------------------------------------------------
@@ -170,9 +155,6 @@ class ProjectorFamily:
             for j, b in enumerate(self.members):
                 if i != j and not a.compose(b).is_zero():
                     raise ValueError(f"members {i} and {j} are not orthogonal")
-
-    def realizations(self) -> tuple[SuperMorphism, ...]:
-        return tuple(m.realization() for m in self.members)
 
 
 def lift_family(residues: ProjectorFamily, k: int, seed: int = 0) -> ProjectorFamily:
@@ -251,7 +233,11 @@ class CornerReport:
 
 
 def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
-    """Evaluate e = pi . pi~ . pi and assemble the summand isomorphism."""
+    """Evaluate e = pi . pi~ . pi and assemble the summand isomorphism.
+
+    The corner inverse of e = pi + (e - pi) is
+    ``geometric_series(pi, pi - e)``.
+    """
     for name, m in (("pi", pi), ("pi~", pi2)):
         if not m.is_idempotent():
             raise ValueError(f"{name} is not idempotent")
@@ -262,20 +248,9 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
     if not defect.is_hom_trivial():
         raise InvariantError("corner defect e - pi has a nonzero realization")
     exact = defect.is_zero()
-    if exact:
-        corner_inverse = None
-        v = pi
-    else:
-        # e = pi + d with d nilpotent in the corner algebra; invert by the
-        # finite alternating geometric series
-        v = pi
-        term = defect
-        sign = -1
-        while not term.is_zero():
-            v = v + term.scale(sign)
-            term = term.compose(defect)
-            sign = -sign
-        corner_inverse = v
+    # e = pi + d with d nilpotent in the corner algebra pi A pi, whose unit
+    # is pi: e^-1 = pi - d + d^2 - ...
+    v = pi if exact else geometric_series(pi, -defect)
     iso_to = pi2.compose(pi)
     iso_from = v.compose(pi).compose(pi2)
     if iso_from.compose(iso_to) != pi:
@@ -283,7 +258,7 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
     if iso_to.compose(iso_from) != pi2:
         raise InvariantError("corner isomorphism: iso_to . iso_from != pi~")
     return CornerReport(e=e, defect=defect, exact_equality=exact,
-                        corner_inverse=corner_inverse,
+                        corner_inverse=None if exact else v,
                         iso_to=iso_to, iso_from=iso_from)
 
 

@@ -15,9 +15,11 @@ On top of the realization the module builds:
   (Q, albanese part, kernel part);
 * the splitting of the middle motive into rho weight-2 lines plus an
   evenly finite dimensional remainder;
-* the antisymmetrized wedge of zero-cycle classes in the kernel part,
-  and the resulting "kernel must vanish" conclusion for surfaces whose
-  second cohomology is entirely algebraic;
+* the wedge of zero-cycle classes in the kernel part, computed as the
+  exterior-power idempotent of ``karoubi.wedge`` applied to their outer
+  product under the same size guards as every Schur functor, and the
+  resulting "kernel must vanish" conclusion for surfaces whose second
+  cohomology is entirely algebraic;
 * the multiplication-by-n eigenrelations on the abelian model.
 
 The kernel dimension ``t`` is a free model parameter, not derived from
@@ -34,14 +36,14 @@ from typing import Sequence
 
 from .errors import InvariantError, SizeCapError
 from .supercat import (
+    TENSOR_DIM_CAP,
     SuperMorphism,
     SuperSpace,
     exp_nilpotent,
     fraction_free_reduce,
     invert_unit,
 )
-from .symgroup import all_permutations
-from .karoubi import KaroubiObject
+from .karoubi import KaroubiObject, wedge
 from .lifting import (
     ProjectorFamily,
     eps_perturbation,
@@ -283,39 +285,30 @@ class ChowModel:
     def total_dim(self) -> int:
         return 1 + self.q + self.t
 
-    def action_of_member(self, i: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Block projector matrix by which family member ``i`` acts."""
+    def action_of_member(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Block projector matrix (of 0s and 1s) by which family member
+        ``i`` acts."""
         blocks = {4: (0, 1), 3: (1, 1 + self.q), 2: (1 + self.q, self.total_dim)}
         lo, hi = blocks.get(i, (0, 0))
         n = self.total_dim
         return tuple(
-            tuple(Fraction(1) if (r == c and lo <= r < hi) else Fraction(0)
-                  for c in range(n))
+            tuple(int(r == c and lo <= r < hi) for c in range(n))
             for r in range(n)
         )
 
     def filtration_dims(self) -> tuple[int, int, int, int]:
         """Dims of the kernel chain: full, ker(top), ker(top) ^ ker(alb), then 0."""
         dims = [self.total_dim]
-        stacked: list[tuple[Fraction, ...]] = []
+        stacked: list[tuple[int, ...]] = []
         for member in (4, 3, 2):
             stacked.extend(self.action_of_member(member))
-            dims.append(self.total_dim - _rank(stacked))
+            pivots, _ = fraction_free_reduce(list(stacked))
+            dims.append(self.total_dim - len(pivots))
         return tuple(dims)
 
     def graded_dims(self) -> tuple[int, int, int]:
         f0, f1, f2, f3 = self.filtration_dims()
         return (f0 - f1, f1 - f2, f2 - f3)
-
-
-def _rank(rows: list[tuple[Fraction, ...]]) -> int:
-    # clearing each row's denominators keeps the rank
-    mat = []
-    for row in rows:
-        den = math.lcm(*(Fraction(v).denominator for v in row))
-        mat.append([int(v * den) for v in row])
-    pivots, _ = fraction_free_reduce(mat)
-    return len(pivots)
 
 
 def murre_filtration(spec: MotiveSpec, t_param: int | None = None) -> ChowModel:
@@ -434,15 +427,19 @@ def split_middle(spec: MotiveSpec) -> MiddleSplit:
 # --- the wedge of zero-cycles -----------------------------------------------------------
 
 
-def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None
-                   ) -> dict[tuple[int, ...], Fraction]:
-    """Antisymmetrized tensor of vectors in the kernel part.
+def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None,
+                   cap: int = TENSOR_DIM_CAP) -> dict[tuple[int, ...], Fraction]:
+    """The wedge of n vectors in the kernel part Q^t.
 
-    Returns the element of the n-fold tensor power of Q^t as a sparse map
-    from index tuples to coefficients (empty = zero).  The value is
-    (1/n!) sum over permutations of sign times the reordered outer
-    product, which vanishes whenever the cycles are linearly dependent,
-    in particular whenever n exceeds the kernel dimension.
+    The outer product of the cycles, a morphism from the unit to the n-th
+    tensor power of X = Q^t, is cut by the idempotent of
+    ``wedge(n, X, cap)``, i.e. (1/n!) sum over permutations of sign times
+    the reordered outer product.  The result is returned as a sparse map
+    from index tuples to coefficients (empty = zero).  It vanishes
+    whenever the cycles are linearly dependent, in particular whenever n
+    exceeds t.  The guards are those of every Schur functor:
+    ``SizeCapError`` when t^n exceeds ``cap`` or n exceeds the
+    group-algebra degree bound.
     """
     vectors = [tuple(Fraction(c) for c in cyc) for cyc in cycles]
     if not vectors:
@@ -451,21 +448,15 @@ def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None
     if any(len(v) != t for v in vectors):
         raise ValueError("cycles must all live in the same kernel part")
     n = len(vectors)
-    nfact = math.factorial(n)
-    signed = [(perm.sign(), perm.images) for perm in all_permutations(n)]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx in itertools.product(range(t), repeat=n):
-        total = Fraction(0)
-        for sign, perm in signed:
-            prod = Fraction(sign)
-            for slot, which in enumerate(perm):
-                prod *= vectors[which][idx[slot]]
-                if not prod:
-                    break
-            total += prod
-        if total:
-            out[idx] = total / nfact
-    return out
+    x = SuperSpace.standard(t, 0)
+    op = wedge(n, KaroubiObject.full(x), cap).idem
+    # the tensor power's basis is row-major, in the order of itertools.product
+    basis = list(itertools.product(range(t), repeat=n))
+    outer = SuperMorphism.from_entries(SuperSpace.unit(), op.source, {
+        (r, 0): math.prod(v[i] for v, i in zip(vectors, idx))
+        for r, idx in enumerate(basis)})
+    image = op.compose(outer)
+    return {basis[r]: image.entry(r, 0).realization() for r in sorted(image.rows)}
 
 
 # --- conclusions for surfaces with all of weight 2 algebraic ----------------------------

@@ -421,14 +421,6 @@ class SuperMorphism:
         return cls(source, target, rows)
 
     @classmethod
-    def from_dense(cls, source, target, matrix) -> "SuperMorphism":
-        entries = {}
-        for i, row in enumerate(matrix):
-            for j, s in enumerate(row):
-                entries[(i, j)] = s
-        return cls.from_entries(source, target, entries)
-
-    @classmethod
     def zero(cls, source, target=None) -> "SuperMorphism":
         return cls._from_numerators(source, target if target is not None else source, {})
 
@@ -585,9 +577,6 @@ class SuperMorphism:
                     rows[i] = out
         return SuperMorphism._from_numerators(other.source, self.target, rows,
                                               self.den * other.den)
-
-    def __matmul__(self, other: "SuperMorphism") -> "SuperMorphism":
-        return self.compose(other)
 
     def power(self, m: int) -> "SuperMorphism":
         if self.source != self.target:
@@ -836,11 +825,29 @@ def fraction_free_reduce(mat: list[list[int]], ncols: int | None = None
     return pivots, prev
 
 
+def geometric_series(one: SuperMorphism, r: SuperMorphism) -> SuperMorphism:
+    """``one + r + r^2 + ...`` for a homologically trivial ``r`` with
+    ``one . r = r``.
+
+    r^k = 0 at truncation order k, so at most k - 1 powers are formed.
+    When ``one`` is a unit of an algebra containing ``r``, the sum is the
+    inverse of ``one - r`` there.
+    """
+    acc = term = one
+    for _ in range(one.k - 1):
+        term = term.compose(r)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
 def invert_unit(f: SuperMorphism) -> SuperMorphism:
     """Exact inverse of an endomorphism whose realization is invertible.
 
     The realization is inverted by fraction-free elimination over the
-    integers; the nilpotent correction is a finite geometric series.
+    integers, giving g0; the nilpotent correction is
+    ``geometric_series(id, id - f . g0)``.
     """
     if not f.is_endomorphism():
         raise ValueError("only endomorphisms are inverted")
@@ -863,15 +870,7 @@ def invert_unit(f: SuperMorphism) -> SuperMorphism:
             rows[i] = acc
     g0 = SuperMorphism._from_numerators(f.source, f.source, rows, abs(det))
     ident = SuperMorphism.identity(f.source)
-    resid = ident - f.compose(g0)
-    acc = ident
-    term = ident
-    for _ in range(k - 1):
-        term = term.compose(resid)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return g0.compose(acc)
+    return g0.compose(geometric_series(ident, ident - f.compose(g0)))
 
 
 def exp_nilpotent(f: SuperMorphism) -> SuperMorphism:

@@ -385,3 +385,20 @@ def test_schur_suites_check_each_seeded_object_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "--out", "json", "verify", "kimura-dim")
     assert code == 0
     assert calls == {"split_parity": 0, "lift_idempotent": 300}
+
+
+def test_lifting_family_error_is_a_failed_check(capsys, monkeypatch):
+    from finmot import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("members do not sum to the identity")
+
+    monkeypatch.setattr(cli, "lift_family", broken)
+    code, out, err = run(capsys, "--out", "json", "verify", "lifting",
+                         "--grid", "k=2,seeds=1")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["lifting/family-k2"] is False
+    assert checks["lifting/family-k1"] is False
+    assert checks["lifting/newton-k2"] is True

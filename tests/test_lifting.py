@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from finmot.lifting import (
     lift_idempotent,
     murre_rigidity,
     nilpotency_index,
+    random_endomorphism,
     random_hom_trivial,
     seeded_rng,
     seeded_unit,
@@ -29,6 +32,41 @@ def diag_family(space, supports):
         for sup in supports
     )
     return ProjectorFamily(space, members)
+
+
+# --- seeded draws ------------------------------------------------------------------
+
+# Rows of each seeded builder and the next rng.getrandbits(32) after it,
+# keyed "space/k/seed/builder"; recorded before the three builders shared
+# one drawing loop.  The trailing draw pins how many values each consumed.
+with open(os.path.join(os.path.dirname(__file__), "seeded_draws.json"),
+          encoding="utf-8") as _fh:
+    SEEDED_DRAWS = json.load(_fh)
+
+PIN_SPACES = {
+    "2|1": ((0, 0), (0, 0), (1, 1)),
+    "2|2": ((0, 0), (0, 0), (1, 1), (1, 1)),
+    "mixed": ((0, 0), (1, 1), (0, 2), (1, 3), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("builder", [eps_perturbation, random_hom_trivial,
+                                     random_endomorphism],
+                         ids=lambda fn: fn.__name__)
+def test_seeded_draws_match_the_recorded_pin(builder):
+    cases = 0
+    for name, basis in PIN_SPACES.items():
+        for k in (1, 3, 6):
+            space = SuperSpace(basis, k)
+            for seed in (1, 7, 25):
+                rng = seeded_rng(seed)
+                m = builder(space, rng)
+                got = {"den": m.den, "next": rng.getrandbits(32),
+                       "rows": sorted([i, j, list(t)] for i, row in m.rows.items()
+                                      for j, t in row.items())}
+                assert got == SEEDED_DRAWS[f"{name}/k{k}/s{seed}/{builder.__name__}"]
+                cases += 1
+    assert cases == 27
 
 
 # --- newton lifting -------------------------------------------------------------

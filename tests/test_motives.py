@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -262,6 +265,57 @@ def test_wedge_dimension_bound_various():
         rng = seeded_rng(d)
         cycles = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)]
         assert albanese_wedge(cycles, t_dim=d) == {}
+
+
+def _fraction_det(mat):
+    """Determinant by Fraction Gaussian elimination."""
+    m = [[Fraction(v) for v in row] for row in mat]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_wedge_matches_the_determinant_closed_form():
+    # coefficient at idx = (1/n!) sum_sigma sign(sigma) prod_a v_sigma(a)[idx_a]
+    # = det([[v[i] for i in idx] for v in cycles]) / n!
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(40):
+        t = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        cycles = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(t)]
+                  for _ in range(n)]
+        out = albanese_wedge(cycles)
+        assert all(out.values())
+        for idx in itertools.product(range(t), repeat=n):
+            want = _fraction_det([[v[i] for i in idx] for v in cycles])
+            assert out.get(idx, 0) == want / math.factorial(n)
+        nonzero += bool(out)
+    assert nonzero >= 10
+
+
+def test_wedge_shares_the_schur_size_guards():
+    cycles = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [2, 0, 1]]
+    with pytest.raises(SizeCapError):
+        albanese_wedge(cycles, cap=242)
+    assert albanese_wedge(cycles, cap=243) == {}
+    # 3**9 > 4096: refused before any work
+    with pytest.raises(SizeCapError):
+        albanese_wedge([[1, 2, 3]] * 9)
+    # 1**8 is within the cap, but degree 8 exceeds the group-algebra bound
+    with pytest.raises(SizeCapError):
+        albanese_wedge([[1]] * 8)
 
 
 # --- kernel-vanishing conclusion --------------------------------------------------------------
