@@ -71,6 +71,7 @@ from .lifting import (
     seeded_rng,
     seeded_unit,
 )
+from . import motives
 from .motives import (
     MotiveSpec,
     abelian_multiplication_action,
@@ -86,8 +87,9 @@ from .motives import (
 
 SCHEMA = "finmot-report/1"
 
-#: truncation orders accepted from ``--k`` and from model files
+#: truncation orders and seeds accepted from ``--k``/``--seed`` and from model files
 K_RANGE = range(1, 7)
+SEED_RANGE = range(2**64)
 
 
 @dataclass
@@ -111,7 +113,7 @@ class RunConfig:
     def __post_init__(self):
         if self.cap <= 0:
             raise ValueError("--cap must be positive")
-        if not 0 <= self.seed < 2**64:
+        if self.seed not in SEED_RANGE:
             raise ValueError("--seed must be an unsigned 64-bit integer")
 
 
@@ -193,17 +195,13 @@ def _pretty_results(obj, indent: int) -> list[str]:
         for val in obj:
             if isinstance(val, dict):
                 lines.extend(_pretty_results(val, indent))
-            elif isinstance(val, list):
-                lines.append(f"{pad}- {val}")
             else:
                 lines.append(f"{pad}- {val}")
     return lines
 
 
-def _is_flat(val) -> bool:
-    if isinstance(val, list):
-        return all(not isinstance(v, (dict, list)) for v in val)
-    return False
+def _is_flat(val: list) -> bool:
+    return all(not isinstance(v, (dict, list)) for v in val)
 
 
 def _plabel(lam: Partition) -> str:
@@ -564,6 +562,41 @@ def _random_summand_instance(rng, k: int, pieces: int = 3):
     return karoubi.assemble_summand(maps_in, maps_out)
 
 
+@dataclass
+class _SurfaceRun:
+    """What the surface pipeline found on one spec."""
+
+    family: ProjectorFamily
+    family_error: str  # validate's message, "" when the family is valid
+    relations: motives.SurfaceRelationsReport
+    model: motives.ChowModel
+    splitting: motives.MiddleSplit
+    kernel: karoubi.FiniteDimReport
+    wedge: dict | None  # the wedge of d + 1 seeded cycles; None when t > d
+
+
+def _run_surface(spec: MotiveSpec, cap: int) -> _SurfaceRun:
+    """The surface pipeline on one spec; its one Chow-Kunneth family is read
+    by the validation, the projector relations and the middle splitting."""
+    family = chow_kunneth(spec)
+    try:
+        family.validate()
+        family_error = ""
+    except ValueError as exc:
+        family_error = str(exc)
+    relations = surface_projector_relations(spec, family)
+    model = murre_filtration(spec)
+    splitting = split_middle(spec, family)
+    kernel = classify(splitting.kernel, cap=cap)
+    wedge = None
+    if spec.t <= spec.d_param:
+        rng = seeded_rng(spec.seed + 1)
+        cycles = [[rng.randint(-3, 3) for _ in range(spec.t)]
+                  for _ in range(spec.d_param + 1)]
+        wedge = albanese_wedge(cycles, t_dim=spec.t, cap=cap)
+    return _SurfaceRun(family, family_error, relations, model, splitting, kernel, wedge)
+
+
 def _suite_surface(cfg: RunConfig) -> tuple[dict, list[Check]]:
     checks = []
     rational = MotiveSpec(kind="surface", q=0, pg=0, b2=9, rho=9, k=cfg.k,
@@ -571,35 +604,24 @@ def _suite_surface(cfg: RunConfig) -> tuple[dict, list[Check]]:
     irregular = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=cfg.k,
                            seed=cfg.seed, t=2)
     for name, spec in (("all-algebraic", rational), ("irregular", irregular)):
-        fam = chow_kunneth(spec)
-        try:
-            fam.validate()
-            checks.append(Check(f"surface/{name}/family-valid", True))
-        except ValueError as exc:
-            checks.append(Check(f"surface/{name}/family-valid", False, str(exc)))
-        rel = surface_projector_relations(spec)
-        checks.append(Check(f"surface/{name}/projector-relations", rel.all_passed))
-        model = murre_filtration(spec)
+        run = _run_surface(spec, cfg.cap)
+        checks.append(Check(f"surface/{name}/family-valid", not run.family_error,
+                            run.family_error))
+        failed = [c.name for c in run.relations.checks if not c.passed]
+        checks.append(Check(f"surface/{name}/projector-relations", not failed,
+                            f"failed: {', '.join(failed)}" if failed else ""))
         checks.append(Check(
             f"surface/{name}/graded-dims",
-            model.graded_dims() == (1, spec.q, spec.t)))
+            run.model.graded_dims() == (1, spec.q, spec.t)))
         checks.append(Check(
             f"surface/{name}/filtration-ends-at-zero",
-            model.filtration_dims()[3] == 0))
-        splitting = split_middle(spec)
-        rep = classify(splitting.kernel, cap=cfg.cap)
+            run.model.filtration_dims()[3] == 0))
         checks.append(Check(
             f"surface/{name}/kernel-classification",
-            rep.kind == "even" and rep.kim_plus == spec.d_param
-            and rep.dim == spec.d_param))
-        d = spec.d_param
-        rng = seeded_rng(cfg.seed + 1)
-        if spec.t <= d:
-            cycles = [[rng.randint(-3, 3) for _ in range(spec.t)]
-                      for _ in range(d + 1)]
-            checks.append(Check(
-                f"surface/{name}/wedge-vanishing",
-                albanese_wedge(cycles, t_dim=spec.t, cap=cfg.cap) == {}))
+            run.kernel.kind == "even" and run.kernel.kim_plus == spec.d_param
+            and run.kernel.dim == spec.d_param))
+        if run.wedge is not None:
+            checks.append(Check(f"surface/{name}/wedge-vanishing", run.wedge == {}))
     verdict = pg_zero_conclusion(rational)
     checks.append(Check("surface/all-algebraic/kernel-forced-zero",
                         verdict.consistent is True))
@@ -678,11 +700,14 @@ _MODEL_KEYS = ("kind", "g", "q", "pg", "b2", "rho", "r", "k", "seed", "t")
 
 def parse_model_file(path: str) -> MotiveSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse_model_text(data.decode("utf-8"))
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
-    return parse_model_text(text)
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                             data.count(b"\n", 0, exc.start) + 1) from exc
 
 
 def parse_model_text(text: str) -> MotiveSpec:
@@ -698,6 +723,8 @@ def parse_model_text(text: str) -> MotiveSpec:
         if key not in _MODEL_KEYS:
             raise ModelFileError(
                 f"unknown key {key!r}; expected one of {_MODEL_KEYS}", lineno)
+        if key in values:
+            raise ModelFileError(f"repeated key {key!r}", lineno)
         if key == "kind":
             values[key] = value
         else:
@@ -705,10 +732,10 @@ def parse_model_text(text: str) -> MotiveSpec:
                 values[key] = int(value)
             except ValueError:
                 raise ModelFileError(f"{key} needs an integer, got {value!r}", lineno)
-            if key == "k" and values[key] not in K_RANGE:
-                raise ModelFileError(
-                    f"k must be in {K_RANGE.start}..{K_RANGE.stop - 1}, got {values[key]}",
-                    lineno)
+            bounds = {"k": K_RANGE, "seed": SEED_RANGE}.get(key)
+            if bounds is not None and values[key] not in bounds:
+                raise ModelFileError(f"{key} must be in {bounds.start}..{bounds.stop - 1}, "
+                                     f"got {values[key]}", lineno)
     if "kind" not in values:
         raise ModelFileError("missing required key 'kind'")
     try:
@@ -721,33 +748,20 @@ def cmd_surface(cfg: RunConfig) -> Report:
     spec = parse_model_file(cfg.params["path"])
     if spec.kind != "surface":
         raise ModelFileError(f"surface command needs kind = surface, got {spec.kind}")
-    checks = []
-    fam = chow_kunneth(spec)
-    try:
-        fam.validate()
-        checks.append(Check("surface/family-valid", True))
-    except ValueError as exc:
-        checks.append(Check("surface/family-valid", False, str(exc)))
-    rel = surface_projector_relations(spec)
-    for c in rel.checks:
+    run = _run_surface(spec, cfg.cap)
+    checks = [Check("surface/family-valid", not run.family_error, run.family_error)]
+    for c in run.relations.checks:
         detail = "" if c.passed else _defect_string(c.defect)
         checks.append(Check(f"surface/relation/{c.name}", c.passed, detail))
-    model = murre_filtration(spec)
     checks.append(Check("surface/graded-dims",
-                        model.graded_dims() == (1, spec.q, spec.t),
-                        detail=str(model.graded_dims())))
-    splitting = split_middle(spec)
-    kernel_report = classify(splitting.kernel, cap=cfg.cap)
+                        run.model.graded_dims() == (1, spec.q, spec.t),
+                        detail=str(run.model.graded_dims())))
     checks.append(Check(
         "surface/kernel-evenly-finite-dimensional",
-        kernel_report.kind == "even" and kernel_report.dim == spec.d_param))
+        run.kernel.kind == "even" and run.kernel.dim == spec.d_param))
     d = spec.d_param
-    rng = seeded_rng(spec.seed + 1)
-    if spec.t <= d:
-        cycles = [[rng.randint(-3, 3) for _ in range(spec.t)]
-                  for _ in range(d + 1)]
-        checks.append(Check("surface/wedge-vanishing",
-                            albanese_wedge(cycles, t_dim=spec.t, cap=cfg.cap) == {},
+    if run.wedge is not None:
+        checks.append(Check("surface/wedge-vanishing", run.wedge == {},
                             detail=f"{d + 1} cycles in a {spec.t}-dim kernel part"))
     else:
         checks.append(Check(
@@ -756,11 +770,11 @@ def cmd_surface(cfg: RunConfig) -> Report:
                    f"finite-dimensional motive"))
     results = {
         "spec": {key: getattr(spec, key) for key in _MODEL_KEYS},
-        "family_members": len(fam),
-        "filtration_dims": list(model.filtration_dims()),
-        "graded_dims": list(model.graded_dims()),
-        "kernel_dimension": kernel_report.dim,
-        "line_summands": len(splitting.line_summands),
+        "family_members": len(run.family),
+        "filtration_dims": list(run.model.filtration_dims()),
+        "graded_dims": list(run.model.graded_dims()),
+        "kernel_dimension": run.kernel.dim,
+        "line_summands": len(run.splitting.line_summands),
     }
     if spec.pg == 0:
         verdict = pg_zero_conclusion(spec)

@@ -8,7 +8,8 @@ dimension g.  Its realization is a graded space with parity = weight mod 2.
 On top of the realization the module builds:
 
 * Chow-Kunneth projector families (weight projectors, optionally
-  conjugated by a seeded unit 1 + eps N to model non-canonical lifts);
+  conjugated by a seeded unit exp(eps (N - N^t)) that respects the weight
+  pairing, to model non-canonical lifts);
 * the surface projector relations (the transpose formula for the
   Albanese projector and the subtraction formula for the middle one);
 * the three-step filtration on the zero-cycle model with graded pieces
@@ -46,6 +47,7 @@ from .supercat import (
 from .karoubi import KaroubiObject, wedge
 from .lifting import (
     ProjectorFamily,
+    conjugating_unit,
     eps_perturbation,
     seeded_rng,
 )
@@ -136,12 +138,13 @@ def weight_projector(space: SuperSpace, w: int) -> SuperMorphism:
         space, [i for i, wi in enumerate(space.weights) if wi == w])
 
 
-def _family_weights(spec: MotiveSpec) -> list[int]:
-    if spec.kind == "point":
-        return [0]
-    if spec.kind == "lefschetz":
-        return [2 * spec.r]
-    return list(range(2 * spec.motive_dimension + 1))
+def weight_family(spec: MotiveSpec) -> ProjectorFamily:
+    """The weight projectors, one per weight 0..2d ({id} for point, Lefschetz)."""
+    space = build_realization(spec)
+    if spec.kind in ("point", "lefschetz"):
+        return ProjectorFamily(space, (SuperMorphism.identity(space),))
+    return ProjectorFamily(space, tuple(
+        weight_projector(space, w) for w in range(2 * spec.motive_dimension + 1)))
 
 
 def _transpose_partner(space: SuperSpace, top: int) -> list[int]:
@@ -168,40 +171,26 @@ def weight_transpose(f: SuperMorphism, partner: Sequence[int]) -> SuperMorphism:
     return SuperMorphism._from_numerators(f.source, f.target, rows, f.den)
 
 
-def _family_unit(spec: MotiveSpec, space: SuperSpace,
-                 respect_pairing: bool) -> SuperMorphism | None:
-    """The seeded unit conjugating the weight projectors; None when seed = 0.
-
-    With ``respect_pairing`` the unit is exp(eps S) with S antisymmetric
-    for the weight pairing, so conjugation commutes with the transpose and
-    the surface projector relations transport to the perturbed family.
-    """
-    if spec.seed == 0 or spec.k == 1:
-        return None
-    rng = seeded_rng(spec.seed)
-    if not respect_pairing:
-        return SuperMorphism.identity(space) + eps_perturbation(space, rng)
-    top = 2 * spec.motive_dimension
-    partner = _transpose_partner(space, top)
-    n = eps_perturbation(space, rng)
-    s = n - weight_transpose(n, partner)
-    return exp_nilpotent(s)
-
-
-def chow_kunneth(spec: MotiveSpec, respect_pairing: bool = False) -> ProjectorFamily:
+def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
     """A complete orthogonal family lifting the weight projectors.
 
-    Seed 0 gives the weight projectors themselves; any other seed
-    conjugates them by a unit congruent to the identity mod eps, so all
-    realizations are unchanged.
+    Seed 0 (or k = 1) gives the weight projectors themselves.  Any other
+    seed conjugates them by u = exp(eps S), S = N - N^t for a seeded
+    parity-preserving N and the transpose of the weight pairing.  u is
+    the identity mod eps, so realizations are unchanged; S is
+    antisymmetric for the pairing, so the surface projector relations
+    hold for the conjugated family too.  A one-member family (point,
+    Lefschetz) is {id} under every unit and takes none.
     """
-    space = build_realization(spec)
-    members = [weight_projector(space, w) for w in _family_weights(spec)]
-    u = _family_unit(spec, space, respect_pairing)
-    if u is not None:
+    family = weight_family(spec)
+    if spec.seed and spec.k > 1 and len(family) > 1:
+        space = family.ambient
+        n = eps_perturbation(space, seeded_rng(spec.seed))
+        partner = _transpose_partner(space, 2 * spec.motive_dimension)
+        u = exp_nilpotent(n - weight_transpose(n, partner))
         uinv = invert_unit(u)
-        members = [uinv.compose(m).compose(u) for m in members]
-    return ProjectorFamily(space, tuple(members))
+        family = ProjectorFamily(space, tuple(uinv.compose(m).compose(u) for m in family))
+    return family
 
 
 # --- surface projector relations ---------------------------------------------------
@@ -237,7 +226,7 @@ def surface_projector_relations(spec: MotiveSpec,
     if spec.kind != "surface":
         raise ValueError("projector relations are a surface operation")
     if family is None:
-        family = chow_kunneth(spec, respect_pairing=True)
+        family = chow_kunneth(spec)
     space = family.ambient
     p0, p1, p2, p3, p4 = family.members
     partner = _transpose_partner(space, 4)
@@ -378,48 +367,44 @@ class MiddleSplit:
     project: SuperMorphism
 
 
-def split_middle(spec: MotiveSpec) -> MiddleSplit:
+def split_middle(spec: MotiveSpec,
+                 family: ProjectorFamily | None = None) -> MiddleSplit:
     """Split the middle motive as rho weight-2 lines plus a remainder.
 
     The remainder is evenly finite dimensional of dimension b2 - rho; the
-    algebraic classes are modeled by the first rho weight-2 basis vectors
-    (conjugated along with the family when the spec is seeded).
+    algebraic classes are the first rho weight-2 basis vectors, carried to
+    ``family`` (default ``chow_kunneth(spec)``) by its conjugating unit u
+    from the weight projectors, family[i] = u . pi_i . u^-1.
     """
     if spec.kind != "surface":
         raise ValueError("the middle splitting is a surface operation")
-    family = chow_kunneth(spec)
+    if family is None:
+        family = chow_kunneth(spec)
+    u = conjugating_unit(weight_family(spec), family)
     space = family.ambient
-    u = _family_unit(spec, space, respect_pairing=False)
-    uinv = invert_unit(u) if u is not None else None
+    uinv = invert_unit(u)
     weight2 = [i for i, w in enumerate(space.weights) if w == 2]
-    lines = []
-    for a in range(spec.rho):
-        idx = weight2[a]
-        proj = SuperMorphism.projector(space, [idx])
-        if u is not None:
-            proj = uinv.compose(proj).compose(u)
-        lines.append(KaroubiObject(space, proj, check=False))
+
+    def conjugated(idxs):
+        return u.compose(SuperMorphism.projector(space, idxs)).compose(uinv)
+
+    lines = [KaroubiObject(space, conjugated([idx]), check=False)
+             for idx in weight2[:spec.rho]]
     middle = KaroubiObject(space, family[2], check=False)
-    total_lines = SuperMorphism.zero(space, space)
-    for line in lines:
-        total_lines = total_lines + line.idem
-    kernel_in_ambient = KaroubiObject(space, family[2] - total_lines, check=False)
+    kernel_in_ambient = KaroubiObject(
+        space, family[2] - conjugated(weight2[:spec.rho]), check=False)
     rest = weight2[spec.rho:]
     small = SuperSpace(tuple(space.basis[i] for i in rest), spec.k)
-    embed = SuperMorphism.from_entries(
-        small, space, {(idx, a): 1 for a, idx in enumerate(rest)})
+    embed = u.compose(SuperMorphism.from_entries(
+        small, space, {(idx, a): 1 for a, idx in enumerate(rest)}))
     project = SuperMorphism.from_entries(
-        space, small, {(a, idx): 1 for a, idx in enumerate(rest)})
-    if u is not None:
-        embed = uinv.compose(embed)
-        project = project.compose(u)
+        space, small, {(a, idx): 1 for a, idx in enumerate(rest)}).compose(uinv)
     if project.compose(embed) != SuperMorphism.identity(small):
         raise InvariantError("kernel splitting: project . embed != id")
     if embed.compose(project) != kernel_in_ambient.idem:
         raise InvariantError("kernel splitting: embed . project != the kernel idempotent")
-    kernel = KaroubiObject.full(small)
     return MiddleSplit(rho=spec.rho, middle=middle,
-                       line_summands=tuple(lines), kernel=kernel,
+                       line_summands=tuple(lines), kernel=KaroubiObject.full(small),
                        kernel_in_ambient=kernel_in_ambient,
                        embed=embed, project=project)
 

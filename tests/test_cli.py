@@ -143,12 +143,29 @@ def test_config_invariants_are_usage_errors(capsys):
     assert exc2.value.code == 2
 
 
+def _pairing_blind_family(spec):
+    """The weight projectors of ``spec`` conjugated by a plain 1 + eps N.
+
+    The unit ignores the weight pairing, so the family is complete and
+    orthogonal but generally breaks the surface transpose formula.
+    """
+    from finmot.lifting import ProjectorFamily, seeded_rng, seeded_unit
+    from finmot.motives import build_realization, weight_projector
+    from finmot.supercat import invert_unit
+
+    space = build_realization(spec)
+    u = seeded_unit(space, seeded_rng(21))
+    uinv = invert_unit(u)
+    return ProjectorFamily(space, tuple(
+        uinv.compose(weight_projector(space, w)).compose(u) for w in range(5)))
+
+
 def test_defect_rendering_is_deterministic():
     from finmot.cli import _defect_string
-    from finmot.motives import MotiveSpec, chow_kunneth, surface_projector_relations
+    from finmot.motives import MotiveSpec, surface_projector_relations
 
     spec = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=3, seed=21)
-    fam = chow_kunneth(spec)  # not pairing-orthogonal: relations fail
+    fam = _pairing_blind_family(spec)  # not pairing-orthogonal: relations fail
     rep = surface_projector_relations(spec, family=fam)
     failed = [c for c in rep.checks if not c.passed]
     assert failed
@@ -326,6 +343,33 @@ def test_model_file_truncation_order_out_of_range(tmp_path, capsys, k):
         parse_model_text(GOOD_SPEC.replace("k = 2", f"k = {k}"))
 
 
+def test_model_file_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "model.spec"
+    path.write_bytes(GOOD_SPEC.encode().replace(b"t = 0", b"t = \xff0"))
+    code, err = _exit_code(capsys, "surface", str(path))
+    assert code == 2 and "line 7" in err and "UTF-8" in err
+
+
+def test_model_file_repeated_key_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "model.spec"
+    path.write_text(GOOD_SPEC + "rho = 8\n")
+    code, err = _exit_code(capsys, "surface", str(path))
+    assert code == 2 and "line 10" in err and "rho" in err
+    with pytest.raises(ModelFileError):
+        parse_model_text("kind = surface\nkind = curve\n")
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**70])
+def test_model_file_seed_beyond_u64_is_a_parse_error(tmp_path, capsys, seed):
+    path = tmp_path / "model.spec"
+    path.write_text(GOOD_SPEC.replace("seed = 11", f"seed = {seed}"))
+    code, err = _exit_code(capsys, "surface", str(path))
+    assert code == 2 and "line 9" in err and f"got {seed}" in err
+    path.write_text(GOOD_SPEC.replace("seed = 11", f"seed = {2**64 - 1}"))
+    code, _ = _exit_code(capsys, "surface", str(path))
+    assert code == 0
+
+
 def test_verify_all_rejects_a_grid(capsys):
     code, err = _exit_code(capsys, "verify", "all", "--grid", "k=1")
     assert code == 2 and "all" in err
@@ -402,3 +446,22 @@ def test_lifting_family_error_is_a_failed_check(capsys, monkeypatch):
     assert checks["lifting/family-k2"] is False
     assert checks["lifting/family-k1"] is False
     assert checks["lifting/newton-k2"] is True
+
+
+def test_surface_suite_reads_the_family_under_test(capsys, monkeypatch):
+    # a valid family that breaks the transpose formula must turn the
+    # relations check red, and its detail names the failing relations
+    from finmot import cli
+
+    monkeypatch.setattr(cli, "chow_kunneth", _pairing_blind_family)
+    code, out, err = run(capsys, "--out", "json", "--seed", "21", "--k", "3",
+                         "verify", "surface")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    relations = checks["surface/irregular/projector-relations"]
+    assert relations["passed"] is False
+    assert relations["detail"].startswith("failed: ")
+    assert "albanese_matches_family" in relations["detail"]
+    assert checks["surface/irregular/family-valid"]["passed"] is True
+    assert checks["surface/irregular/kernel-classification"]["passed"] is True

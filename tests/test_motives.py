@@ -7,7 +7,13 @@ import pytest
 
 from finmot.errors import SizeCapError
 from finmot.karoubi import KaroubiObject, classify, direct_sum_many, tensor_k
-from finmot.lifting import corner_unit_check, random_hom_trivial, seeded_rng
+from finmot.lifting import (
+    ProjectorFamily,
+    corner_unit_check,
+    random_hom_trivial,
+    seeded_rng,
+    seeded_unit,
+)
 from finmot.motives import (
     MotiveSpec,
     abelian_multiplication_action,
@@ -23,7 +29,7 @@ from finmot.motives import (
     trivial_shape_dims,
     weight_projector,
 )
-from finmot.supercat import SuperMorphism
+from finmot.supercat import SuperMorphism, invert_unit
 
 
 SURFACE = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=2, t=2)
@@ -155,7 +161,11 @@ def test_surface_relations_report_failures_with_defects():
     # a family conjugated by a unit that ignores the pairing generally
     # breaks the transpose formula; the report carries the defects
     spec = MotiveSpec(**{**SURFACE.__dict__, "seed": 21, "k": 3})
-    fam = chow_kunneth(spec)  # plain seeded unit, not pairing-orthogonal
+    space = build_realization(spec)
+    u = seeded_unit(space, seeded_rng(21))  # plain 1 + eps N, not pairing-orthogonal
+    uinv = invert_unit(u)
+    fam = ProjectorFamily(space, tuple(
+        uinv.compose(weight_projector(space, w)).compose(u) for w in range(5)))
     rep = surface_projector_relations(spec, family=fam)
     failed = [c for c in rep.checks if not c.passed]
     assert failed
