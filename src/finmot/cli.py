@@ -291,9 +291,14 @@ def cmd_schur(cfg: RunConfig) -> Report:
 # --- verify suites ----------------------------------------------------------------
 
 
-def _suite_symmetrizers(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _seeds(cfg: RunConfig, grid: dict) -> range:
+    """The suite seeds ``cfg.seed + 1 .. cfg.seed + grid["seeds"]``; never 0."""
+    return range(cfg.seed + 1, cfg.seed + grid["seeds"] + 1)
+
+
+def _suite_symmetrizers(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    nmax = cfg.grid.get("n", 5)
+    nmax = grid["n"]
     for n in range(nmax + 1):
         parts = partitions(n)
         idems = {lam: young_idempotent(lam) for lam in parts}
@@ -329,18 +334,18 @@ def _suite_symmetrizers(cfg: RunConfig) -> tuple[dict, list[Check]]:
     return {}, checks
 
 
-def _suite_supertrace(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_supertrace(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    nmax = cfg.grid.get("n", 4)
-    pmax, qmax = cfg.grid.get("p", 2), cfg.grid.get("q", 2)
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
+    # enumerated once, before any check, so an n past the bound fails at once
+    perms = {n: list(all_permutations(n)) for n in range(1, grid["n"] + 1)}
+    for p in range(grid["p"] + 1):
+        for q in range(grid["q"] + 1):
             if p == q == 0:
                 continue
             space = SuperSpace.standard(p, q, 1)
-            for n in range(1, nmax + 1):
+            for n, group in perms.items():
                 ok = True
-                for sigma in all_permutations(n):
+                for sigma in group:
                     got = permutation_action(sigma, space, n, cap=cfg.cap).supertrace()
                     want = Fraction(p - q) ** len(sigma.cycles())
                     if got.realization() != want or not got.eps_part_is_zero():
@@ -350,27 +355,24 @@ def _suite_supertrace(cfg: RunConfig) -> tuple[dict, list[Check]]:
     return {}, checks
 
 
-def _suite_kimura_dim(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_kimura_dim(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    pmax = cfg.grid.get("p", 3)
-    qmax = cfg.grid.get("q", 3)
-    kmax = cfg.grid.get("k", 3)
-    seeds = cfg.grid.get("seeds", 25)
-    seed_range = range(cfg.seed + 1, cfg.seed + seeds + 1)
+    pmax, qmax, kmax = grid["p"], grid["q"], grid["k"]
+    seeds = _seeds(cfg, grid)
     for k in range(1, kmax + 1):
         for d in range(1, pmax + 1):
             ok = True
-            obj = _seeded_identity_object(d, 0, k, seed_range)
+            obj = _seeded_identity_object(d, 0, k, seeds)
             for n in range(1, d + 2):
                 if wedge(n, obj, cap=cfg.cap).dimension() != math.comb(d, n):
                     ok = False
                 if sym(n, obj, cap=cfg.cap).dimension() != math.comb(d + n - 1, n):
                     ok = False
             checks.append(Check(f"kimura-dim/even-d{d}-k{k}", ok,
-                                detail=f"{seeds} seeds"))
+                                detail=f"{len(seeds)} seeds"))
         for q in range(1, qmax + 1):
             ok = True
-            obj = _seeded_identity_object(0, q, k, seed_range)
+            obj = _seeded_identity_object(0, q, k, seeds)
             for n in range(1, q + 2):
                 # dim X = -q, so dim(S^n X) = C(-q+n-1, n) = (-1)^n C(q, n)
                 sm = sym(n, obj, cap=cfg.cap)
@@ -384,21 +386,18 @@ def _suite_kimura_dim(cfg: RunConfig) -> tuple[dict, list[Check]]:
                 if w.classical_rank() != math.comb(q + n - 1, n):
                     ok = False
             checks.append(Check(f"kimura-dim/odd-q{q}-k{k}", ok,
-                                detail=f"{seeds} seeds"))
+                                detail=f"{len(seeds)} seeds"))
     return {}, checks
 
 
-def _suite_vanishing(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_vanishing(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    pmax = cfg.grid.get("p", 2)
-    qmax = cfg.grid.get("q", 2)
-    kmax = cfg.grid.get("k", 3)
-    seeds = cfg.grid.get("seeds", 25)
-    seed_range = range(cfg.seed + 1, cfg.seed + seeds + 1)
+    pmax, qmax, kmax = grid["p"], grid["q"], grid["k"]
+    seeds = _seeds(cfg, grid)
     for k in range(1, kmax + 1):
         for p in range(pmax + 1):
             for q in range(qmax + 1):
-                obj = _seeded_identity_object(p, q, k, seed_range)
+                obj = _seeded_identity_object(p, q, k, seeds)
                 split = split_parity(obj)
                 ok = True
                 if not wedge(p + 1, split[0], cap=cfg.cap).is_zero():
@@ -410,55 +409,54 @@ def _suite_vanishing(cfg: RunConfig) -> tuple[dict, list[Check]]:
                 if s_wedge(p + q, obj, split, cap=cfg.cap).is_zero():
                     ok = False
                 checks.append(Check(f"vanishing/p{p}q{q}k{k}", ok,
-                                    detail=f"{seeds} seeds"))
+                                    detail=f"{len(seeds)} seeds"))
     return {}, checks
 
 
-def _suite_lifting(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_lifting(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    kmax = cfg.grid.get("k", 4)
-    seeds = cfg.grid.get("seeds", 25)
-    for k in range(1, kmax + 1):
+    seeds = _seeds(cfg, grid)
+    for k in range(1, grid["k"] + 1):
         space = SuperSpace.standard(2, 1, k)
         ok_lift = True
-        for s in range(seeds):
-            rng = seeded_rng(cfg.seed + s + 1)
+        for seed in seeds:
+            rng = seeded_rng(seed)
             base = SuperMorphism.diagonal(
                 space, [1, 0, rng.randint(0, 1)])
             start = base + eps_perturbation(space, rng)
             e = lift_idempotent(start)
             if not e.is_idempotent() or e.realization() != base.realization():
                 ok_lift = False
-        checks.append(Check(f"lifting/newton-k{k}", ok_lift, detail=f"{seeds} seeds"))
+        checks.append(Check(f"lifting/newton-k{k}", ok_lift,
+                            detail=f"{len(seeds)} seeds"))
         residues = ProjectorFamily(
             space.with_k(1),
             (SuperMorphism.diagonal(space.with_k(1), [1, 0, 0]),
              SuperMorphism.diagonal(space.with_k(1), [0, 1, 0]),
              SuperMorphism.diagonal(space.with_k(1), [0, 0, 1])))
         ok_family = True
-        for s in range(min(seeds, 10)):
+        for seed in seeds[:10]:
             try:
-                lift_family(residues, k, seed=cfg.seed + s + 1)
+                lift_family(residues, k, seed=seed)
             except ValueError:
                 ok_family = False
         checks.append(Check(f"lifting/family-k{k}", ok_family))
     return {}, checks
 
 
-def _suite_uniqueness(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_uniqueness(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    kmax = cfg.grid.get("k", 4)
-    seeds = cfg.grid.get("seeds", 25)
+    seeds = _seeds(cfg, grid)
     stats = {}
-    for k in range(2, kmax + 1):
+    for k in range(2, grid["k"] + 1):
         space = SuperSpace.standard(2, 2, k)
         base = ProjectorFamily(space, tuple(
             SuperMorphism.diagonal(space, [int(i == j) for j in range(4)])
             for i in range(4)))
         exact = 0
         ok = True
-        for s in range(seeds):
-            u = seeded_unit(space, seeded_rng(cfg.seed + s + 1))
+        for seed in seeds:
+            u = seeded_unit(space, seeded_rng(seed))
             uinv = invert_unit(u)
             other = ProjectorFamily(space, tuple(
                 uinv.compose(m).compose(u) for m in base.members))
@@ -475,37 +473,35 @@ def _suite_uniqueness(cfg: RunConfig) -> tuple[dict, list[Check]]:
                     ok = False
                 if k == 2 and not rep.exact_equality:
                     ok = False
-        stats[str(k)] = f"{exact}/{seeds * len(base.members)}"
-        checks.append(Check(f"uniqueness/k{k}", ok, detail=f"{seeds} seeds"))
+        stats[str(k)] = f"{exact}/{len(seeds) * len(base.members)}"
+        checks.append(Check(f"uniqueness/k{k}", ok, detail=f"{len(seeds)} seeds"))
     return {"exact_equality_by_k": stats}, checks
 
 
-def _suite_nilpotency(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_nilpotency(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    kmax = cfg.grid.get("k", 5)
-    seeds = cfg.grid.get("seeds", 25)
-    for k in range(2, kmax + 1):
+    seeds = _seeds(cfg, grid)
+    for k in range(2, grid["k"] + 1):
         space = SuperSpace.standard(2, 1, k)
         ok = True
-        for s in range(seeds):
-            f = random_hom_trivial(space, seeded_rng(cfg.seed + s + 1))
+        for seed in seeds:
+            f = random_hom_trivial(space, seeded_rng(seed))
             if not f.power(k).is_zero() or nilpotency_index(f) > k:
                 ok = False
-        checks.append(Check(f"nilpotency/k{k}", ok, detail=f"{seeds} seeds"))
+        checks.append(Check(f"nilpotency/k{k}", ok, detail=f"{len(seeds)} seeds"))
     return {}, checks
 
 
-def _suite_rigidity(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_rigidity(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    seeds = cfg.grid.get("seeds", 25)
+    seeds = _seeds(cfg, grid)
     spec = MotiveSpec(kind="surface", q=1, pg=1, b2=3, rho=2, k=3)
     family = chow_kunneth(spec)
     space = family.ambient
     ok_enforced = True
     ok_violation = True
-    for s in range(seeds):
-        rng = seeded_rng(cfg.seed + s + 1)
-        raw = random_hom_trivial(space, rng)
+    for seed in seeds:
+        raw = random_hom_trivial(space, seeded_rng(seed))
         report = murre_rigidity(family, raw)
         if not raw.is_zero() and report.within_hypotheses:
             # a nonzero hom-trivial q can never satisfy the hypotheses
@@ -520,7 +516,7 @@ def _suite_rigidity(cfg: RunConfig) -> tuple[dict, list[Check]]:
         if not (report2.within_hypotheses and report2.certified_zero):
             ok_enforced = False
     checks.append(Check("rigidity/enforced-hom-trivial-is-zero", ok_enforced,
-                        detail=f"{seeds} seeds"))
+                        detail=f"{len(seeds)} seeds"))
     checks.append(Check("rigidity/violations-reported", ok_violation))
     zero = SuperMorphism.zero(space, space)
     rep0 = murre_rigidity(family, zero)
@@ -529,18 +525,16 @@ def _suite_rigidity(cfg: RunConfig) -> tuple[dict, list[Check]]:
     return {}, checks
 
 
-def _suite_summand_assembly(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_summand_assembly(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    seeds = cfg.grid.get("seeds", 25)
-    k = cfg.k
+    seeds = _seeds(cfg, grid)
     ok = True
-    for s in range(seeds):
-        rng = seeded_rng(cfg.seed + s + 1)
-        f, g, e = _random_summand_instance(rng, k)
+    for seed in seeds:
+        f, g, e = _random_summand_instance(seeded_rng(seed), cfg.k)
         if not e.is_idempotent():
             ok = False
     checks.append(Check("summand-assembly/identity-round-trip", ok,
-                        detail=f"{seeds} seeds"))
+                        detail=f"{len(seeds)} seeds"))
     return {}, checks
 
 
@@ -597,7 +591,7 @@ def _run_surface(spec: MotiveSpec, cap: int) -> _SurfaceRun:
     return _SurfaceRun(family, family_error, relations, model, splitting, kernel, wedge)
 
 
-def _suite_surface(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_surface(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
     rational = MotiveSpec(kind="surface", q=0, pg=0, b2=9, rho=9, k=cfg.k,
                           seed=cfg.seed, t=0)
@@ -634,10 +628,9 @@ def _suite_surface(cfg: RunConfig) -> tuple[dict, list[Check]]:
     return {"shape": verdict.motive_shape or ""}, checks
 
 
-def _suite_abelian(cfg: RunConfig) -> tuple[dict, list[Check]]:
+def _suite_abelian(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
-    gmax = cfg.grid.get("g", 3)
-    for g in range(1, gmax + 1):
+    for g in range(1, grid["g"] + 1):
         ok = True
         for n in range(-2, 4):
             report = abelian_multiplication_action(g, n, k=cfg.k)
@@ -647,33 +640,20 @@ def _suite_abelian(cfg: RunConfig) -> tuple[dict, list[Check]]:
     return {}, checks
 
 
-#: the grid keys each suite reads; any other key is a usage error
-GRID_KEYS = {
-    "symmetrizers": ("n",),
-    "supertrace": ("n", "p", "q"),
-    "kimura-dim": ("p", "q", "k", "seeds"),
-    "vanishing": ("p", "q", "k", "seeds"),
-    "lifting": ("k", "seeds"),
-    "uniqueness": ("k", "seeds"),
-    "nilpotency": ("k", "seeds"),
-    "rigidity": ("seeds",),
-    "summand-assembly": ("seeds",),
-    "surface": (),
-    "abelian": ("g",),
-}
-
+#: each suite's runner and its default grid; the grid keys a suite accepts
+#: are exactly those of its defaults
 SUITES = {
-    "symmetrizers": _suite_symmetrizers,
-    "supertrace": _suite_supertrace,
-    "kimura-dim": _suite_kimura_dim,
-    "vanishing": _suite_vanishing,
-    "lifting": _suite_lifting,
-    "uniqueness": _suite_uniqueness,
-    "nilpotency": _suite_nilpotency,
-    "rigidity": _suite_rigidity,
-    "summand-assembly": _suite_summand_assembly,
-    "surface": _suite_surface,
-    "abelian": _suite_abelian,
+    "symmetrizers": (_suite_symmetrizers, {"n": 5}),
+    "supertrace": (_suite_supertrace, {"n": 4, "p": 2, "q": 2}),
+    "kimura-dim": (_suite_kimura_dim, {"p": 3, "q": 3, "k": 3, "seeds": 25}),
+    "vanishing": (_suite_vanishing, {"p": 2, "q": 2, "k": 3, "seeds": 25}),
+    "lifting": (_suite_lifting, {"k": 4, "seeds": 25}),
+    "uniqueness": (_suite_uniqueness, {"k": 4, "seeds": 25}),
+    "nilpotency": (_suite_nilpotency, {"k": 5, "seeds": 25}),
+    "rigidity": (_suite_rigidity, {"seeds": 25}),
+    "summand-assembly": (_suite_summand_assembly, {"seeds": 25}),
+    "surface": (_suite_surface, {}),
+    "abelian": (_suite_abelian, {"g": 3}),
 }
 
 
@@ -683,7 +663,8 @@ def cmd_verify(cfg: RunConfig) -> Report:
     results = {}
     checks = []
     for name in sorted(SUITES) if suite == "all" else [suite]:
-        res, suite_checks = SUITES[name](cfg)
+        runner, defaults = SUITES[name]
+        res, suite_checks = runner(cfg, {**defaults, **cfg.grid})
         results[name] = {**res, "suite": name,
                          "passed": all(c.passed for c in suite_checks)}
         checks.extend(suite_checks)
@@ -712,7 +693,9 @@ def parse_model_file(path: str) -> MotiveSpec:
 
 def parse_model_text(text: str) -> MotiveSpec:
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # lines end at "\n" alone, as the non-UTF-8 error counts them: a form feed
+    # or a bare "\r" ends no line, and strip() drops the "\r" of a CRLF
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -901,7 +884,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with code 2
     if args.command == "verify":
         # 'all' runs the default grids and reads no grid key
-        keys = GRID_KEYS.get(args.suite, ())
+        keys = SUITES[args.suite][1] if args.suite in SUITES else {}
         unknown = sorted(set(cfg.grid) - set(keys))
         if unknown:
             parser.error(f"unknown grid key(s) {', '.join(unknown)} for suite "

@@ -76,10 +76,6 @@ class KaroubiObject:
         return cls.full(SuperSpace.unit(k))
 
     @classmethod
-    def zero(cls, k: int = 1) -> "KaroubiObject":
-        return cls.full(SuperSpace.zero_space(k))
-
-    @classmethod
     def lefschetz(cls, r: int, k: int = 1) -> "KaroubiObject":
         """The invertible weight-2r line (the r-th power of the weight-2 line)."""
         return cls.full(SuperSpace.line(EVEN, 2 * r, k))

@@ -300,13 +300,11 @@ class ChowModel:
         return (f0 - f1, f1 - f2, f2 - f3)
 
 
-def murre_filtration(spec: MotiveSpec, t_param: int | None = None) -> ChowModel:
+def murre_filtration(spec: MotiveSpec) -> ChowModel:
     """The zero-cycle model with its three-step filtration."""
     if spec.kind != "surface":
         raise ValueError("the filtration model is a surface operation")
-    t = spec.t if t_param is None else t_param
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = spec.t
     model = ChowModel(q=spec.q, t=t, d_param=spec.d_param)
     want = (1 + spec.q + t, spec.q + t, t, 0)
     if model.filtration_dims() != want:
@@ -456,7 +454,7 @@ class KernelVanishingVerdict:
     notes: tuple[str, ...]
 
 
-def pg_zero_conclusion(spec: MotiveSpec, t_param: int | None = None,
+def pg_zero_conclusion(spec: MotiveSpec,
                        finite_dimensional: bool = True) -> KernelVanishingVerdict:
     """For a surface with b2 = rho: finite dimensionality forces t = 0.
 
@@ -469,7 +467,7 @@ def pg_zero_conclusion(spec: MotiveSpec, t_param: int | None = None,
         raise ValueError("this conclusion is a surface operation")
     if spec.pg != 0:
         raise ValueError("outside hypotheses: the model requires pg = 0 (b2 = rho)")
-    t = spec.t if t_param is None else t_param
+    t = spec.t
     notes = []
     if not finite_dimensional:
         notes.append("no finite-dimensionality flag: the kernel is unconstrained")

@@ -29,7 +29,7 @@ overflows), followed by one gcd normalisation per result.
 
 ``TruncatedScalar``, with ``fractions.Fraction`` coefficients, is the value
 type at the API boundary only: the constructors accept it, and ``entry``,
-``items``, ``dense`` and ``supertrace`` return it.
+``items`` and ``supertrace`` return it.
 """
 
 from __future__ import annotations
@@ -457,13 +457,6 @@ class SuperMorphism:
         for i, row in self.rows.items():
             for j, t in row.items():
                 yield i, j, self._scalar(t)
-
-    def dense(self) -> list[list[TruncatedScalar]]:
-        zero = TruncatedScalar.zero(self.k)
-        out = [[zero] * self.source.dim for _ in range(self.target.dim)]
-        for i, j, s in self.items():
-            out[i][j] = s
-        return out
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())

@@ -210,8 +210,10 @@ class Permutation:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(n)):
-        yield Permutation._make(images)
+    """The n! permutations of S_n, refused above ``CONVOLUTION_BOUND``."""
+    if n > CONVOLUTION_BOUND:
+        raise SizeCapError(f"enumeration of S_{n} exceeds bound {CONVOLUTION_BOUND}")
+    return map(Permutation._make, itertools.permutations(range(n)))
 
 
 def conjugacy_class_size(ct: Partition) -> int:

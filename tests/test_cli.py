@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from finmot.cli import (
     SUITES,
+    RunConfig,
     build_parser,
     main,
     parse_model_text,
@@ -291,10 +293,28 @@ def test_unknown_grid_key_is_usage_error(capsys):
     _usage_error(capsys, "verify", "surface", "--grid", "k=1")
 
 
-def test_every_suite_declares_its_grid_keys():
-    from finmot.cli import GRID_KEYS
+class _RecordingGrid(dict):
+    """A grid that records every key a suite reads from it."""
 
-    assert sorted(GRID_KEYS) == sorted(SUITES)
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+TINY_GRID = {"n": 2, "p": 1, "q": 1, "k": 2, "seeds": 1, "g": 1}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_suite_reads_exactly_its_declared_grid(suite):
+    runner, defaults = SUITES[suite]
+    grid = _RecordingGrid({key: TINY_GRID[key] for key in defaults})
+    _, checks = runner(RunConfig(command="verify"), grid)
+    assert checks
+    assert grid.read == set(defaults)
 
 
 def _exit_code(capsys, *argv):
@@ -370,6 +390,31 @@ def test_model_file_seed_beyond_u64_is_a_parse_error(tmp_path, capsys, seed):
     assert code == 0
 
 
+def test_model_file_splits_lines_on_newline_only(tmp_path, capsys):
+    # a form feed inside a comment ends no line, and a CRLF file parses
+    spec = parse_model_text(GOOD_SPEC)
+    form_feed = GOOD_SPEC.replace("# all weight-2", "# all\fweight-2")
+    assert form_feed != GOOD_SPEC and parse_model_text(form_feed) == spec
+    assert parse_model_text(GOOD_SPEC.replace("\n", "\r\n")) == spec
+    # the line a parse error names is the line a non-UTF-8 error names
+    path = tmp_path / "model.spec"
+    bad = "kind = surface  # note\f more\nq = 0\nbogus = 1\n"
+    path.write_text(bad)
+    code, err = _exit_code(capsys, "surface", str(path))
+    assert code == 2 and "line 3" in err and "bogus" in err
+    path.write_bytes(bad.replace("bogus = 1", "pg = \xff").encode("latin-1"))
+    code, err = _exit_code(capsys, "surface", str(path))
+    assert code == 2 and "line 3" in err and "UTF-8" in err
+
+
+def test_permutation_enumeration_beyond_bound_is_a_size_error(capsys):
+    # on a (1|0) space the d^n cap never fires, so S_8 must be refused
+    started = time.monotonic()
+    code, err = _exit_code(capsys, "verify", "supertrace", "--grid", "n=8,p=1,q=0")
+    assert code == 3 and "S_8" in err
+    assert time.monotonic() - started < 1.0
+
+
 def test_verify_all_rejects_a_grid(capsys):
     code, err = _exit_code(capsys, "verify", "all", "--grid", "k=1")
     assert code == 2 and "all" in err
@@ -393,8 +438,9 @@ def test_verify_all_is_every_suite_in_one_report(capsys):
 def test_verify_all_fails_when_a_suite_fails(capsys, monkeypatch):
     from finmot import cli
 
-    monkeypatch.setitem(cli.SUITES, "abelian",
-                        lambda cfg: ({}, [cli.Check("abelian/broken", False)]))
+    _, defaults = cli.SUITES["abelian"]
+    monkeypatch.setitem(cli.SUITES, "abelian", (
+        lambda cfg, grid: ({}, [cli.Check("abelian/broken", False)]), defaults))
     code, out, _ = run(capsys, "--out", "json", "verify", "all")
     assert code == 1
     payload = json.loads(out)

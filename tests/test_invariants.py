@@ -1,7 +1,4 @@
-"""Invariants must not rely on ``assert``, which ``python -O`` strips.
-
-The package and the runnable scripts are both walked.
-"""
+"""Invariants must not rely on ``assert``, which ``python -O`` strips."""
 
 import ast
 import os
@@ -9,8 +6,6 @@ import os
 import finmot
 
 SRC = os.path.dirname(finmot.__file__)
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "scripts")
 
 
 def _asserts(directory):
@@ -27,8 +22,3 @@ def _asserts(directory):
 
 def test_no_assert_statements_in_package():
     assert _asserts(SRC) == []
-
-
-def test_no_assert_statements_in_scripts():
-    assert os.path.isdir(SCRIPTS)
-    assert _asserts(SCRIPTS) == []

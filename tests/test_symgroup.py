@@ -228,6 +228,10 @@ def test_group_algebra_never_stores_zeros():
 def test_convolution_bound():
     with pytest.raises(SizeCapError):
         GroupAlgebraElement.identity(8) * GroupAlgebraElement.identity(8)
+    # enumeration shares the bound, refused at the call, before any item
+    assert len(list(all_permutations(7))) == 5040
+    with pytest.raises(SizeCapError):
+        all_permutations(8)
 
 
 def test_young_idempotent_n2_exact_coefficients():
