@@ -12,7 +12,9 @@ Reports are deterministic for a fixed (config, seed): checks are keyed and
 sorted, no timestamps or floats enter the payload, and wall-clock timing is
 written to stderr only.  Exit codes: 0 all checks passed, 1 verification
 failure, 2 usage or parse error (including a grid that selects no
-checks), 3 size-cap error.
+checks), 3 size-cap error.  An ``InvariantError`` inside a ``verify``
+suite is that suite's failed check ``<suite>/invariant``; elsewhere it
+prints one ``invariant violated`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -664,7 +666,10 @@ def cmd_verify(cfg: RunConfig) -> Report:
     checks = []
     for name in sorted(SUITES) if suite == "all" else [suite]:
         runner, defaults = SUITES[name]
-        res, suite_checks = runner(cfg, {**defaults, **cfg.grid})
+        try:
+            res, suite_checks = runner(cfg, {**defaults, **cfg.grid})
+        except InvariantError as exc:
+            res, suite_checks = {}, [Check(f"{name}/invariant", False, str(exc))]
         results[name] = {**res, "suite": name,
                          "passed": all(c.passed for c in suite_checks)}
         checks.extend(suite_checks)
@@ -810,6 +815,11 @@ def _parse_grid(text: str) -> dict:
         if grid[key] < least:
             raise argparse.ArgumentTypeError(
                 f"grid value {key}={grid[key]} must be >= {least}")
+        # k = 0 stays a grid that selects no checks
+        if key == "k" and grid[key] >= K_RANGE.stop:
+            raise argparse.ArgumentTypeError(
+                f"grid value k={grid[key]} is outside the truncation orders "
+                f"{K_RANGE.start}..{K_RANGE.stop - 1}")
     return grid
 
 
@@ -910,6 +920,9 @@ def main(argv=None) -> int:
     except ModelFileError as exc:
         print(f"model file error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.monotonic() - started
     if args.command == "verify" and not report.checks:
         grid = ",".join(f"{key}={val}" for key, val in sorted(cfg.grid.items()))

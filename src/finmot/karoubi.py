@@ -7,6 +7,19 @@ of the object's idempotent.  Classification searches for the largest
 nonvanishing exterior power of the even part and symmetric power of the
 odd part.
 
+Exterior and symmetric powers, the only Schur functors the
+finite-dimensionality tests ask for, are built on the orbit basis instead
+of summing n! signed permutation operators (Macdonald, Symmetric
+Functions and Hall Polynomials, I.1).  Every permutation that sends a
+basis tensor e_I to e_J carries the same Koszul-signed coefficient
+c(J) c(I), unless the stabiliser of I cancels the whole column: an even
+index repeated under Lambda, an odd index repeated under S.  Each
+surviving orbit is then a rank-1 block with entry (J, I) equal to
+c(J) c(I) |Stab I| / n!, so the rows cost sum |orbit|^2 rather than
+n! * d^n.  Other partitions keep the n!-term sum.  The image of every full
+(p|q) object is checked against the Berele-Regev hook rule: S_lam vanishes
+iff lam_{p+1} > q.
+
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
 whose entries lie in the nilpotent ideal (eps) is zero, because e = e^(2^m)
@@ -28,10 +41,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from itertools import product
+from math import factorial, gcd, lcm, prod
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
+    CONVOLUTION_BOUND,
     Partition,
     character,
     conjugacy_class_size,
@@ -155,26 +170,73 @@ _SCHUR_CACHE_MAX = 64
 @cache
 def _young_rows(parities: tuple[int, ...], lam: Partition):
     """Rows of the group-algebra idempotent acting on the tensor power, as
-    integer numerators over the idempotent's denominator: ``(rows, den)``.
+    integer numerators over one denominator, in lowest terms:
+    ``(rows, den)``.
 
+    Exterior and symmetric powers are built orbit by orbit
+    (``_orbit_rows``); any other ``lam`` sums the signed slot maps of its
+    n! permutations.  Every ``lam`` is refused above ``CONVOLUTION_BOUND``.
     The cached rows are shared by every caller and must not be mutated.
     """
-    elem = young_idempotent(lam)
+    n = lam.n
+    if n > CONVOLUTION_BOUND:
+        raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
+    if len(lam) in (1, n):
+        rows, den = _orbit_rows(parities, n, symmetric=len(lam) == 1)
+    else:
+        elem = young_idempotent(lam)
+        rows = {}
+        for img, coeff in elem.numerators.items():
+            for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
+                acc = rows.setdefault(row, {})
+                total = acc.get(col, 0) + sign * coeff
+                if total:
+                    acc[col] = total
+                else:
+                    del acc[col]
+        rows, den = {i: r for i, r in rows.items() if r}, elem.den
+    g = den
+    for row in rows.values():
+        g = gcd(g, *row.values())
+        if g == 1:
+            return rows, den
+    return {i: {j: c // g for j, c in row.items()} for i, row in rows.items()}, den // g
+
+
+def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
+    """Rows of the symmetriser (``symmetric``) or the antisymmetriser on
+    the n-th tensor power, one rank-1 block per orbit of basis tensors:
+    ``(rows, n!)``.
+
+    c(I) is (-1) to the number of inversions of I that count: both
+    entries odd under S, not both odd under Lambda.  A column whose sorted
+    index repeats an odd (S) or even (Lambda) entry cancels.
+    """
+    cancelling = int(symmetric)
+    orbits: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for col, idx in enumerate(product(range(len(parities)), repeat=n)):
+        key = tuple(sorted(idx))
+        if any(a == b and parities[a] == cancelling for a, b in zip(key, key[1:])):
+            continue
+        odd = [parities[i] for i in idx]
+        flips = sum(1 for a in range(n) for b in range(a + 1, n)
+                    if idx[a] > idx[b] and (odd[a] & odd[b]) == symmetric)
+        orbits.setdefault(key, []).append((col, -1 if flips & 1 else 1))
     rows: dict[int, dict[int, int]] = {}
-    for img, coeff in elem.numerators.items():
-        for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
-            acc = rows.setdefault(row, {})
-            total = acc.get(col, 0) + sign * coeff
-            if total:
-                acc[col] = total
-            else:
-                del acc[col]
-    return {i: r for i, r in rows.items() if r}, elem.den
+    for key, members in orbits.items():
+        stab = prod(factorial(key.count(i)) for i in set(key))
+        for row, row_sign in members:
+            rows[row] = {col: row_sign * col_sign * stab for col, col_sign in members}
+    return rows, factorial(n)
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
                 cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
-    """The image of the central idempotent attached to ``lam`` on x^(n)."""
+    """The image of the central idempotent attached to ``lam`` on x^(n).
+
+    The image of a full object is checked against the hook rule; a
+    disagreement raises ``InvariantError`` naming (p, q, lam).
+    """
     n = lam.n
     ambient = x.ambient
     if n == 0:
@@ -191,10 +253,15 @@ def schur_apply(lam: Partition, x: KaroubiObject,
         return _SCHUR_CACHE[key]
     if x.idem.is_identity():
         raw, den = _young_rows(ambient.parities, lam)
+        p, q = ambient.p, ambient.q
+        if (not raw) != (len(lam) > p and lam[p] > q):
+            raise InvariantError(
+                f"S_{lam.parts} of the full ({p}|{q}) object is "
+                f"{'zero' if not raw else 'nonzero'}, against the hook rule")
         pad = (0,) * (ambient.k - 1)
         xn = tensor_power(ambient, n)
         rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
-        idem = SuperMorphism._from_numerators(xn, xn, rows, den)
+        idem = SuperMorphism._from_numerators(xn, xn, rows, den, reduced=True)
     else:
         op = schur_apply(lam, KaroubiObject.full(ambient), cap).idem
         pn = x.idem

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -413,6 +414,51 @@ def test_permutation_enumeration_beyond_bound_is_a_size_error(capsys):
     code, err = _exit_code(capsys, "verify", "supertrace", "--grid", "n=8,p=1,q=0")
     assert code == 3 and "S_8" in err
     assert time.monotonic() - started < 1.0
+
+
+def test_grid_k_beyond_the_truncation_orders_is_usage_error(capsys):
+    code, err = _exit_code(capsys, "verify", "uniqueness", "--grid", "k=7,seeds=1")
+    assert code == 2 and "k=7" in err and "1..6" in err
+
+
+def test_invariant_error_in_a_suite_is_a_failed_check(capsys, monkeypatch):
+    from finmot import cli
+    from finmot.errors import InvariantError
+
+    def broken(cfg, grid):
+        raise InvariantError("corner defect at (0,1): 2*eps")
+
+    _, defaults = cli.SUITES["abelian"]
+    monkeypatch.setitem(cli.SUITES, "abelian", (broken, defaults))
+    code, out, err = run(capsys, "--out", "json", "verify", "all")
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    checks = {c["id"]: c for c in payload["checks"]}
+    assert checks["abelian/invariant"] == {
+        "id": "abelian/invariant", "passed": False,
+        "detail": "corner defect at (0,1): 2*eps"}
+    assert payload["results"]["abelian"]["passed"] is False
+    assert payload["results"]["vanishing"]["passed"] is True
+    assert checks["vanishing/p2q2k3"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("schur", "--lam", "2", "--p", "1"), "schur_apply"),
+    (("surface", str(Path(__file__).parents[1] / "scripts" / "sample_surface.spec")),
+     "classify"),
+])
+def test_invariant_error_outside_verify_is_one_line(capsys, monkeypatch, argv, target):
+    from finmot import cli
+    from finmot.errors import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("hook rule disagrees")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, err = _exit_code(capsys, *argv)
+    assert code == 1
+    assert err.splitlines() == ["invariant violated: hook rule disagrees"]
 
 
 def test_verify_all_rejects_a_grid(capsys):

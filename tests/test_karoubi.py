@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from finmot.errors import SizeCapError
+from finmot.errors import InvariantError, SizeCapError
 from finmot.karoubi import (
     FiniteDimReport,
     KaroubiObject,
@@ -21,7 +21,7 @@ from finmot.karoubi import (
     tensor_k,
     wedge,
 )
-from finmot.supercat import SuperMorphism, SuperSpace, permutation_action
+from finmot.supercat import SuperMorphism, SuperSpace, permutation_action, signed_slot_map
 from finmot.symgroup import Partition, all_permutations, partitions, young_idempotent
 from finmot.lifting import (
     eps_perturbation,
@@ -213,9 +213,76 @@ def test_schur_vanishing_matches_hook_criterion(k):
                     assert schur_apply(lam, x).is_zero() == outside_hook, (p, q, lam)
 
 
+def _hook_zero(lam, p, q):
+    return len(lam) > p and lam[p] > q
+
+
+def _permutation_sum_rows(parities, lam):
+    """The rows of e_lam on the tensor power as the sum of its n! signed
+    slot maps, in the form ``_young_rows`` returns."""
+    elem = young_idempotent(lam)
+    acc = {}
+    for img, coeff in elem.numerators.items():
+        for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
+            acc[row, col] = acc.get((row, col), 0) + sign * coeff
+    g = math.gcd(elem.den, *acc.values())
+    rows = {}
+    for (row, col), c in acc.items():
+        if c:
+            rows.setdefault(row, {})[col] = c // g
+    return rows, elem.den // g
+
+
+def test_orbit_rows_equal_the_permutation_sum():
+    from finmot import karoubi
+
+    cases = 0
+    for d in range(1, 7):
+        for p in range(d + 1):
+            parities = (0,) * p + (1,) * (d - p)
+            for n in range(1, 8):
+                if math.factorial(n) * d**n > 20_000:
+                    continue
+                for lam in {Partition((n,)), Partition((1,) * n)}:
+                    assert karoubi._young_rows(parities, lam) == \
+                        _permutation_sum_rows(parities, lam), (p, d - p, lam)
+                    cases += 1
+    assert cases == 193
+
+
+def test_edge_sizes_vanish_by_the_hook_rule():
+    # once n! * d^n row sweeps of seconds each, now one pass over d^n columns
+    assert _hook_zero(Partition((6,)), 0, 4)
+    assert sym(6, full(0, 4)).is_zero()
+    assert _hook_zero(Partition((1,) * 6), 3, 0)
+    assert wedge(6, full(3, 0)).is_zero()
+
+
+@pytest.fixture
+def swapped_orbit_rows(monkeypatch):
+    """Exterior and symmetric rows built with the cancelling parity swapped."""
+    from finmot import karoubi
+
+    original = karoubi._orbit_rows
+    monkeypatch.setattr(karoubi, "_orbit_rows",
+                        lambda parities, n, symmetric: original(parities, n, not symmetric))
+    karoubi._young_rows.cache_clear()
+    karoubi._SCHUR_CACHE.clear()
+    yield
+    karoubi._young_rows.cache_clear()
+    karoubi._SCHUR_CACHE.clear()
+
+
+def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
+    with pytest.raises(InvariantError, match=r"\(1, 1\) of the full \(1\|0\) object"):
+        wedge(2, full(1, 0))
+
+
 def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
     # the rows do not depend on k and are never evicted: the default
-    # vanishing grid needs 44 distinct (parities, lam) pairs over k = 1..3
+    # vanishing grid needs 44 distinct (parities, lam) row builds over
+    # k = 1..3, all of them exterior or symmetric powers, so none of them
+    # sums the n! terms of a group-algebra idempotent
     from finmot import karoubi
     from finmot.cli import main
 
@@ -229,7 +296,8 @@ def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
 
     monkeypatch.setattr(karoubi, "young_idempotent", counting)
     assert main(["--out", "json", "verify", "vanishing"]) == 0
-    assert len(calls) == 44
+    assert karoubi._young_rows.cache_info().misses == 44
+    assert calls == []
 
 
 def test_seeded_wedge_vanishing_on_padded_ambient():
