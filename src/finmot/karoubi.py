@@ -170,43 +170,37 @@ _SCHUR_CACHE_MAX = 64
 @cache
 def _young_rows(parities: tuple[int, ...], lam: Partition):
     """Rows of the group-algebra idempotent acting on the tensor power, as
-    integer numerators over one denominator, in lowest terms:
-    ``(rows, den)``.
+    integer numerators over one denominator: ``(rows, den)``.
 
     Exterior and symmetric powers are built orbit by orbit
-    (``_orbit_rows``); any other ``lam`` sums the signed slot maps of its
-    n! permutations.  Every ``lam`` is refused above ``CONVOLUTION_BOUND``.
-    The cached rows are shared by every caller and must not be mutated.
+    (``_orbit_rows``), in lowest terms; any other ``lam`` sums the signed
+    slot maps of its n! permutations.  Every ``lam`` is refused above
+    ``CONVOLUTION_BOUND``.  The cached rows are shared by every caller and
+    must not be mutated.
     """
     n = lam.n
     if n > CONVOLUTION_BOUND:
         raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
     if len(lam) in (1, n):
-        rows, den = _orbit_rows(parities, n, symmetric=len(lam) == 1)
-    else:
-        elem = young_idempotent(lam)
-        rows = {}
-        for img, coeff in elem.numerators.items():
-            for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
-                acc = rows.setdefault(row, {})
-                total = acc.get(col, 0) + sign * coeff
-                if total:
-                    acc[col] = total
-                else:
-                    del acc[col]
-        rows, den = {i: r for i, r in rows.items() if r}, elem.den
-    g = den
-    for row in rows.values():
-        g = gcd(g, *row.values())
-        if g == 1:
-            return rows, den
-    return {i: {j: c // g for j, c in row.items()} for i, row in rows.items()}, den // g
+        return _orbit_rows(parities, n, symmetric=len(lam) == 1)
+    elem = young_idempotent(lam)
+    rows: dict[int, dict[int, int]] = {}
+    for img, coeff in elem.numerators.items():
+        for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
+            acc = rows.setdefault(row, {})
+            total = acc.get(col, 0) + sign * coeff
+            if total:
+                acc[col] = total
+            else:
+                del acc[col]
+    return {i: r for i, r in rows.items() if r}, elem.den
 
 
 def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
     """Rows of the symmetriser (``symmetric``) or the antisymmetriser on
     the n-th tensor power, one rank-1 block per orbit of basis tensors:
-    ``(rows, n!)``.
+    ``(rows, den)`` in lowest terms, den = n! / g for g the gcd of n! and
+    the surviving stabiliser orders.
 
     c(I) is (-1) to the number of inversions of I that count: both
     entries odd under S, not both odd under Lambda.  A column whose sorted
@@ -222,12 +216,14 @@ def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
         flips = sum(1 for a in range(n) for b in range(a + 1, n)
                     if idx[a] > idx[b] and (odd[a] & odd[b]) == symmetric)
         orbits.setdefault(key, []).append((col, -1 if flips & 1 else 1))
+    stabs = {key: prod(factorial(key.count(i)) for i in set(key)) for key in orbits}
+    g = gcd(factorial(n), *stabs.values())
     rows: dict[int, dict[int, int]] = {}
     for key, members in orbits.items():
-        stab = prod(factorial(key.count(i)) for i in set(key))
+        c = stabs[key] // g
         for row, row_sign in members:
-            rows[row] = {col: row_sign * col_sign * stab for col, col_sign in members}
-    return rows, factorial(n)
+            rows[row] = {col: row_sign * col_sign * c for col, col_sign in members}
+    return rows, factorial(n) // g
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
@@ -261,7 +257,7 @@ def schur_apply(lam: Partition, x: KaroubiObject,
         pad = (0,) * (ambient.k - 1)
         xn = tensor_power(ambient, n)
         rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
-        idem = SuperMorphism._from_numerators(xn, xn, rows, den, reduced=True)
+        idem = SuperMorphism._from_numerators(xn, xn, rows, den)
     else:
         op = schur_apply(lam, KaroubiObject.full(ambient), cap).idem
         pn = x.idem

@@ -435,10 +435,9 @@ def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None,
     op = wedge(n, KaroubiObject.full(x), cap).idem
     # the tensor power's basis is row-major, in the order of itertools.product
     basis = list(itertools.product(range(t), repeat=n))
-    # the outer product only matters on the columns the idempotent reads
-    read = sorted({j for row in op.rows.values() for j in row})
     outer = SuperMorphism.from_entries(SuperSpace.unit(), op.source, {
-        (r, 0): math.prod(v[i] for v, i in zip(vectors, basis[r])) for r in read})
+        (r, 0): math.prod(v[i] for v, i in zip(vectors, idx))
+        for r, idx in enumerate(basis)})
     image = op.compose(outer)
     return {basis[r]: image.entry(r, 0).realization() for r in sorted(image.rows)}
 

@@ -396,18 +396,16 @@ class SuperMorphism:
 
     @classmethod
     def _from_numerators(cls, source: SuperSpace, target: SuperSpace,
-                         rows: dict, den: int = 1,
-                         reduced: bool = False) -> "SuperMorphism":
+                         rows: dict, den: int = 1) -> "SuperMorphism":
         """Trusted constructor from numerator rows over ``den`` > 0.
 
         The caller guarantees valid positions and no all-zero entries;
-        the result is reduced to lowest terms, unless the caller passes
-        ``reduced`` for rows already in lowest terms.
+        the result is reduced to lowest terms.
         """
         self = object.__new__(cls)
         self.source = source
         self.target = target
-        self.rows, self.den = (rows, den) if reduced else _lowest_terms(rows, den)
+        self.rows, self.den = _lowest_terms(rows, den)
         self._fp = None
         self._bits = None
         return self

@@ -204,17 +204,13 @@ def test_super_dimension_binomials_beyond_the_cap(p, q):
 def test_schur_vanishing_matches_hook_criterion(k):
     # Berele-Regev: S_lam of a (p|q) space vanishes iff lam does not fit in
     # the (p, q)-hook, i.e. iff lam has a (p+1)-th part larger than q
-    for p in range(4):
-        for q in range(4 - p):
-            x = full(p, q, k)
-            for n in range(5):
-                for lam in partitions(n):
-                    outside_hook = len(lam) > p and lam[p] > q
-                    assert schur_apply(lam, x).is_zero() == outside_hook, (p, q, lam)
-
-
-def _hook_zero(lam, p, q):
-    return len(lam) > p and lam[p] > q
+    cases = [(p, q, lam) for p in range(4) for q in range(4 - p)
+             for n in range(5) for lam in partitions(n)]
+    # edge sizes that took seconds each by the n! * d^n row sweep
+    cases += [(0, 4, Partition((6,))), (3, 0, Partition((1,) * 6))]
+    for p, q, lam in cases:
+        outside_hook = len(lam) > p and lam[p] > q
+        assert schur_apply(lam, full(p, q, k)).is_zero() == outside_hook, (p, q, lam)
 
 
 def _permutation_sum_rows(parities, lam):
@@ -248,14 +244,6 @@ def test_orbit_rows_equal_the_permutation_sum():
                         _permutation_sum_rows(parities, lam), (p, d - p, lam)
                     cases += 1
     assert cases == 193
-
-
-def test_edge_sizes_vanish_by_the_hook_rule():
-    # once n! * d^n row sweeps of seconds each, now one pass over d^n columns
-    assert _hook_zero(Partition((6,)), 0, 4)
-    assert sym(6, full(0, 4)).is_zero()
-    assert _hook_zero(Partition((1,) * 6), 3, 0)
-    assert wedge(6, full(3, 0)).is_zero()
 
 
 @pytest.fixture
