@@ -589,7 +589,7 @@ def _run_surface(spec: MotiveSpec, cap: int) -> _SurfaceRun:
         rng = seeded_rng(spec.seed + 1)
         cycles = [[rng.randint(-3, 3) for _ in range(spec.t)]
                   for _ in range(spec.d_param + 1)]
-        wedge = albanese_wedge(cycles, t_dim=spec.t, cap=cap)
+        wedge = albanese_wedge(cycles, cap=cap)
     return _SurfaceRun(family, family_error, relations, model, splitting, kernel, wedge)
 
 

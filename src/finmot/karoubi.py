@@ -16,9 +16,9 @@ c(J) c(I), unless the stabiliser of I cancels the whole column: an even
 index repeated under Lambda, an odd index repeated under S.  Each
 surviving orbit is then a rank-1 block with entry (J, I) equal to
 c(J) c(I) |Stab I| / n!, so the rows cost sum |orbit|^2 rather than
-n! * d^n.  Other partitions keep the n!-term sum.  The image of every full
-(p|q) object is checked against the Berele-Regev hook rule: S_lam vanishes
-iff lam_{p+1} > q.
+n! * d^n; they are checked against e . P_tau = +-e for adjacent slot swaps
+tau.  Other partitions keep the n!-term sum.  Every full (p|q) image is
+checked against the Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -31,8 +31,8 @@ tensor power of X, so the character sum over cycle types needs only
 dim X.  ``schur_super_dimension`` uses it as the independent second route
 next to the trace of the materialized image.
 
-``tate_twist`` by r shifts every ambient weight by -2r; the weights are
-the only record of it.
+``tate_twist`` by r tensors with the weight -2r line, shifting every
+ambient weight by -2r; the weights are the only record of it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .supercat import (
 class KaroubiObject:
     """A direct summand of an ambient graded space, cut out by an idempotent."""
 
-    __slots__ = ("ambient", "idem")
+    __slots__ = ("ambient", "idem", "_dimension")
 
     def __init__(self, ambient: SuperSpace, idem: SuperMorphism, check: bool = True):
         if idem.source != ambient or idem.target != ambient:
@@ -81,6 +81,7 @@ class KaroubiObject:
         tr = idem.supertrace()
         if not tr.eps_part_is_zero() or tr.realization().denominator != 1:
             raise ValueError(f"idempotent trace {tr} is not an integer constant")
+        self._dimension = int(tr.realization())
 
     @classmethod
     def full(cls, space: SuperSpace) -> "KaroubiObject":
@@ -100,12 +101,8 @@ class KaroubiObject:
         return self.ambient.k
 
     def dimension(self) -> int:
-        """Supertrace of the idempotent; always an exact integer."""
-        tr = self.idem.supertrace()
-        r = tr.realization()
-        if not tr.eps_part_is_zero() or r.denominator != 1:
-            raise InvariantError(f"idempotent supertrace {tr} is not an integer")
-        return int(r)
+        """Supertrace of the idempotent, the integer the constructor checked."""
+        return self._dimension
 
     def classical_rank(self) -> int:
         """Rank of the realization, ignoring parity signs."""
@@ -175,25 +172,35 @@ def _young_rows(parities: tuple[int, ...], lam: Partition):
     Exterior and symmetric powers are built orbit by orbit
     (``_orbit_rows``), in lowest terms; any other ``lam`` sums the signed
     slot maps of its n! permutations.  Every ``lam`` is refused above
-    ``CONVOLUTION_BOUND``.  The cached rows are shared by every caller and
-    must not be mutated.
+    ``CONVOLUTION_BOUND``.  The rows (the full object's image) are checked
+    against the hook rule and, for Lambda/S, the slot signs; they are
+    shared by every caller and must not be mutated.
     """
     n = lam.n
     if n > CONVOLUTION_BOUND:
         raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
     if len(lam) in (1, n):
-        return _orbit_rows(parities, n, symmetric=len(lam) == 1)
-    elem = young_idempotent(lam)
-    rows: dict[int, dict[int, int]] = {}
-    for img, coeff in elem.numerators.items():
-        for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
-            acc = rows.setdefault(row, {})
-            total = acc.get(col, 0) + sign * coeff
-            if total:
-                acc[col] = total
-            else:
-                del acc[col]
-    return {i: r for i, r in rows.items() if r}, elem.den
+        rows, den = _orbit_rows(parities, n, symmetric=len(lam) == 1)
+    else:
+        elem = young_idempotent(lam)
+        rows = {}
+        for img, coeff in elem.numerators.items():
+            for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
+                acc = rows.setdefault(row, {})
+                total = acc.get(col, 0) + sign * coeff
+                if total:
+                    acc[col] = total
+                else:
+                    del acc[col]
+        rows, den = {i: r for i, r in rows.items() if r}, elem.den
+    p, q = parities.count(EVEN), parities.count(ODD)
+    if (not rows) != (len(lam) > p and lam[p] > q):
+        raise InvariantError(
+            f"S_{lam.parts} of the full ({p}|{q}) object is "
+            f"{'zero' if not rows else 'nonzero'}, against the hook rule")
+    if len(lam) in (1, n):
+        _check_slot_signs(rows, parities, lam, chi=1 if len(lam) == 1 else -1)
+    return rows, den
 
 
 def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
@@ -226,6 +233,26 @@ def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
     return rows, factorial(n) // g
 
 
+def _check_slot_signs(rows: dict, parities: tuple[int, ...], lam: Partition,
+                      chi: int) -> None:
+    """Check e . P_tau = chi e (chi = +1 for S, -1 for Lambda) for each
+    adjacent slot swap tau, P_tau its signed slot map, on one row per orbit
+    (a rank-1 block); raise ``InvariantError`` naming (parities, lam, tau)."""
+    seen, reps = set(), []
+    for i, row in rows.items():
+        if i not in seen:
+            seen.update(row)
+            reps.append(row)
+    for a in range(lam.n - 1):
+        moves = signed_slot_map((*range(a), a + 1, a, *range(a + 2, lam.n)), parities)
+        for row in reps:
+            if any(row.get(moves[col][0], 0) * moves[col][1] != chi * c
+                   for col, c in row.items()):
+                raise InvariantError(
+                    f"S_{lam.parts} rows on parities {parities} break "
+                    f"e . P_tau = {chi:+d} e at tau = ({a}, {a + 1})")
+
+
 def schur_apply(lam: Partition, x: KaroubiObject,
                 cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """The image of the central idempotent attached to ``lam`` on x^(n).
@@ -249,11 +276,6 @@ def schur_apply(lam: Partition, x: KaroubiObject,
         return _SCHUR_CACHE[key]
     if x.idem.is_identity():
         raw, den = _young_rows(ambient.parities, lam)
-        p, q = ambient.p, ambient.q
-        if (not raw) != (len(lam) > p and lam[p] > q):
-            raise InvariantError(
-                f"S_{lam.parts} of the full ({p}|{q}) object is "
-                f"{'zero' if not raw else 'nonzero'}, against the hook rule")
         pad = (0,) * (ambient.k - 1)
         xn = tensor_power(ambient, n)
         rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
@@ -366,7 +388,8 @@ def _largest_nonvanishing(power, part: KaroubiObject, cap: int) -> int:
 def direct_sum(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
     if x.k != y.k:
         raise ValueError("truncation orders differ")
-    ambient = SuperSpace(x.ambient.basis + y.ambient.basis, x.k)
+    ambient = SuperSpace(x.ambient.parities + y.ambient.parities,
+                         x.ambient.weights + y.ambient.weights, x.k)
     off = x.ambient.dim
     den = lcm(x.idem.den, y.idem.den)
     rows = dict(x.idem._rows_over(den))
@@ -399,10 +422,8 @@ def dual_k(x: KaroubiObject) -> KaroubiObject:
 
 
 def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:
-    """Shift every ambient weight by -2r."""
-    space = x.ambient.shift_weights(-2 * r)
-    idem = SuperMorphism._from_numerators(space, space, x.idem.rows, x.idem.den)
-    return KaroubiObject(space, idem, check=False)
+    """Tensor with the weight -2r line: every ambient weight shifts by -2r."""
+    return tensor_k(KaroubiObject.lefschetz(-r, x.k), x)
 
 
 def s_wedge(n: int, x: KaroubiObject,
@@ -451,9 +472,8 @@ def assemble_summand(maps_in, maps_out):
         total = total + b.compose(a)
     if total != ident:
         raise SummandDefectError(total - ident)
-    sum_space = maps_in[0].target
-    for a in maps_in[1:]:
-        sum_space = SuperSpace(sum_space.basis + a.target.basis, x.k)
+    sum_space = SuperSpace(sum((a.target.parities for a in maps_in), ()),
+                           sum((a.target.weights for a in maps_in), ()), x.k)
     f_den = lcm(*(a.den for a in maps_in))
     g_den = lcm(*(b.den for b in maps_out))
     f_rows: dict[int, dict[int, tuple[int, ...]]] = {}

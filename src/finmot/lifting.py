@@ -304,9 +304,6 @@ class MurreRigidityReport:
     violations: tuple[tuple[int, int, str], ...]
     blocks: tuple[RigidityBlock, ...]
 
-    def __bool__(self):
-        return self.within_hypotheses and self.certified_zero
-
 
 def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityReport:
     """Blockwise rigidity check against a weight-homogeneous family.

@@ -127,10 +127,8 @@ def build_realization(spec: MotiveSpec) -> SuperSpace:
         dims = {0: 1, 1: 2 * spec.q, 2: spec.b2, 3: 2 * spec.q, 4: 1}
     else:
         dims = {i: math.comb(2 * spec.g, i) for i in range(2 * spec.g + 1)}
-    basis = []
-    for w in sorted(dims):
-        basis.extend(((w % 2, w),) * dims[w])
-    return SuperSpace(tuple(basis), spec.k)
+    weights = tuple(w for w in sorted(dims) for _ in range(dims[w]))
+    return SuperSpace(tuple(w % 2 for w in weights), weights, spec.k)
 
 
 def weight_projector(space: SuperSpace, w: int) -> SuperMorphism:
@@ -392,7 +390,8 @@ def split_middle(spec: MotiveSpec,
     kernel_in_ambient = KaroubiObject(
         space, family[2] - conjugated(weight2[:spec.rho]), check=False)
     rest = weight2[spec.rho:]
-    small = SuperSpace(tuple(space.basis[i] for i in rest), spec.k)
+    small = SuperSpace(tuple(space.parities[i] for i in rest),
+                       tuple(space.weights[i] for i in rest), spec.k)
     embed = u.compose(SuperMorphism.from_entries(
         small, space, {(idx, a): 1 for a, idx in enumerate(rest)}))
     project = SuperMorphism.from_entries(
@@ -410,9 +409,9 @@ def split_middle(spec: MotiveSpec,
 # --- the wedge of zero-cycles -----------------------------------------------------------
 
 
-def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None,
+def albanese_wedge(cycles: Sequence[Sequence],
                    cap: int = TENSOR_DIM_CAP) -> dict[tuple[int, ...], Fraction]:
-    """The wedge of n vectors in the kernel part Q^t.
+    """The wedge of n vectors in the kernel part Q^t, t their common length.
 
     The outer product of the cycles, a morphism from the unit to the n-th
     tensor power of X = Q^t, is cut by the idempotent of
@@ -427,7 +426,7 @@ def albanese_wedge(cycles: Sequence[Sequence], t_dim: int | None = None,
     vectors = [tuple(Fraction(c) for c in cyc) for cyc in cycles]
     if not vectors:
         raise ValueError("need at least one cycle")
-    t = len(vectors[0]) if t_dim is None else t_dim
+    t = len(vectors[0])
     if any(len(v) != t for v in vectors):
         raise ValueError("cycles must all live in the same kernel part")
     n = len(vectors)

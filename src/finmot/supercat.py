@@ -1,12 +1,13 @@
 """Parity- and weight-graded spaces over the truncated ring Q[eps]/(eps^k).
 
 This is the concrete model tensor category.  Objects are finite graded
-spaces whose basis vectors carry a parity (0 = even, 1 = odd) and an
-integer weight.  Morphisms are matrices over Q[eps]/(eps^k) that preserve
-parity in every eps order and preserve weight in the eps^0 layer; the
-higher eps layers are weight-free.  The symmetry is Koszul-signed, so odd
-lines anticommute.  Setting eps to 0 ("realization") is a tensor functor,
-and a morphism is homologically trivial when its realization vanishes.
+spaces, stored as the parity (0 = even, 1 = odd) and the integer weight
+of each basis vector, two tuples in basis order.  Morphisms are matrices
+over Q[eps]/(eps^k) that preserve parity in every eps order and weight in
+the eps^0 layer; the higher eps layers are weight-free.  The symmetry is
+Koszul-signed, so odd lines anticommute.  Setting eps to 0 ("realization")
+is a tensor functor, and a morphism is homologically trivial when its
+realization vanishes.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -193,70 +194,59 @@ class TruncatedScalar:
 
 @dataclass(frozen=True)
 class SuperSpace:
-    """A graded space given by its ordered basis of (parity, weight) pairs."""
+    """A graded space: the parities and weights of its basis, in order."""
 
-    basis: tuple[tuple[int, int], ...]
+    parities: tuple[int, ...]
+    weights: tuple[int, ...]
     k: int = 1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("truncation order k must be >= 1")
-        for parity, _weight in self.basis:
-            if parity not in (EVEN, ODD):
-                raise ValueError(f"parity must be 0 or 1, got {parity}")
+        if len(self.parities) != len(self.weights):
+            raise ValueError("parities and weights differ in length")
+        if not set(self.parities) <= {EVEN, ODD}:
+            raise ValueError(f"parity must be 0 or 1, got {set(self.parities) - {EVEN, ODD}}")
 
     @staticmethod
     def unit(k: int = 1) -> "SuperSpace":
-        return SuperSpace(((EVEN, 0),), k)
+        return SuperSpace((EVEN,), (0,), k)
 
     @staticmethod
     def zero_space(k: int = 1) -> "SuperSpace":
-        return SuperSpace((), k)
+        return SuperSpace((), (), k)
 
     @staticmethod
     def standard(p: int, q: int, k: int = 1) -> "SuperSpace":
         """``p`` even vectors of weight 0 followed by ``q`` odd of weight 1."""
-        return SuperSpace(((EVEN, 0),) * p + ((ODD, 1),) * q, k)
+        return SuperSpace((EVEN,) * p + (ODD,) * q, (0,) * p + (1,) * q, k)
 
     @staticmethod
     def line(parity: int, weight: int, k: int = 1) -> "SuperSpace":
-        return SuperSpace(((parity, weight),), k)
+        return SuperSpace((parity,), (weight,), k)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.parities)
 
     @property
     def p(self) -> int:
-        return sum(1 for parity, _ in self.basis if parity == EVEN)
+        return self.parities.count(EVEN)
 
     @property
     def q(self) -> int:
-        return sum(1 for parity, _ in self.basis if parity == ODD)
-
-    @property
-    def parities(self) -> tuple[int, ...]:
-        return tuple(parity for parity, _ in self.basis)
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(weight for _, weight in self.basis)
+        return self.parities.count(ODD)
 
     def with_k(self, k: int) -> "SuperSpace":
-        return SuperSpace(self.basis, k)
-
-    def shift_weights(self, delta: int) -> "SuperSpace":
-        return SuperSpace(tuple((p, w + delta) for p, w in self.basis), self.k)
+        return SuperSpace(self.parities, self.weights, k)
 
 
 def tensor(x: SuperSpace, y: SuperSpace) -> SuperSpace:
     """Ordered product basis; parity adds mod 2, weight adds."""
     if x.k != y.k:
         raise ValueError("truncation orders differ")
-    basis = tuple(
-        ((px + py) % 2, wx + wy) for (px, wx) in x.basis for (py, wy) in y.basis
-    )
-    return SuperSpace(basis, x.k)
+    return SuperSpace(tuple([px ^ py for px in x.parities for py in y.parities]),
+                      tuple([wx + wy for wx in x.weights for wy in y.weights]), x.k)
 
 
 def tensor_power(x: SuperSpace, n: int) -> SuperSpace:
@@ -268,7 +258,7 @@ def tensor_power(x: SuperSpace, n: int) -> SuperSpace:
 
 def dual(x: SuperSpace) -> SuperSpace:
     """Same parities, negated weights, same basis order."""
-    return SuperSpace(tuple((p, -w) for p, w in x.basis), x.k)
+    return SuperSpace(x.parities, tuple([-w for w in x.weights]), x.k)
 
 
 def _unit_tuple(k: int, value: int = 1) -> tuple[int, ...]:
@@ -465,7 +455,7 @@ class SuperMorphism:
         if self._fp is None:
             body = tuple(sorted((i, j, t) for i, row in self.rows.items()
                                 for j, t in row.items()))
-            self._fp = (self.source.basis, self.target.basis, self.k, self.den, body)
+            self._fp = (self.source, self.target, self.den, body)
         return self._fp
 
     def _max_bits(self) -> int:

@@ -140,12 +140,6 @@ class Permutation:
         return cls._make(tuple(range(n)))
 
     @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(n))
-        images[i], images[j] = images[j], images[i]
-        return cls(images)
-
-    @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
         images = list(range(n))
         for cycle in cycles:
@@ -433,15 +427,14 @@ class GroupAlgebraElement:
             raise ValueError(f"degree mismatch: {self.n} != {other.n}")
 
 
-def young_idempotent(lam: Partition, bound: int = CONVOLUTION_BOUND) -> GroupAlgebraElement:
+def young_idempotent(lam: Partition) -> GroupAlgebraElement:
     """The central idempotent of Q[S_n] attached to ``lam``.
 
     Coefficient of a permutation with cycle type ``ct`` is
     ``dim * character(lam, ct) / n!`` where ``dim = hook_dimension(lam)``.
+    ``all_permutations`` refuses n above ``CONVOLUTION_BOUND``.
     """
     n = lam.n
-    if n > bound:
-        raise SizeCapError(f"group algebra degree {n} exceeds bound {bound}")
     dim = hook_dimension(lam)
     chi_by_type: dict[tuple[int, ...], int] = {}
     numerators: dict[tuple[int, ...], int] = {}

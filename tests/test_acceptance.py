@@ -209,7 +209,7 @@ def test_criterion_08_surface_calculus():
         for d in range(4):
             rng = seeded_rng(d + 1)
             cycles = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)]
-            assert albanese_wedge(cycles, t_dim=d) == {}
+            assert albanese_wedge(cycles) == {}
         # all-algebraic weight 2 plus finite dimensionality forces t = 0
         flat = MotiveSpec(kind="surface", q=0, pg=0, b2=9, rho=9, t=0)
         assert pg_zero_conclusion(flat).consistent is True

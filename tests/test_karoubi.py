@@ -21,7 +21,13 @@ from finmot.karoubi import (
     tensor_k,
     wedge,
 )
-from finmot.supercat import SuperMorphism, SuperSpace, permutation_action, signed_slot_map
+from finmot.supercat import (
+    SuperMorphism,
+    SuperSpace,
+    permutation_action,
+    signed_slot_map,
+    tensor_power,
+)
 from finmot.symgroup import Partition, all_permutations, partitions, young_idempotent
 from finmot.lifting import (
     eps_perturbation,
@@ -264,6 +270,50 @@ def swapped_orbit_rows(monkeypatch):
 def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
     with pytest.raises(InvariantError, match=r"\(1, 1\) of the full \(1\|0\) object"):
         wedge(2, full(1, 0))
+
+
+@pytest.fixture
+def resigned_orbit_rows(monkeypatch):
+    """Exterior and symmetric rows conjugated by the diagonal that negates
+    basis tensor (1, 0, ..., 0), an index that is not sorted."""
+    from finmot import karoubi
+
+    original = karoubi._orbit_rows
+
+    def resigned(parities, n, symmetric):
+        rows, den = original(parities, n, symmetric)
+        flip = len(parities) ** (n - 1)
+
+        def sign(i):
+            return -1 if i == flip else 1
+
+        return {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
+                for i, row in rows.items()}, den
+
+    monkeypatch.setattr(karoubi, "_orbit_rows", resigned)
+    karoubi._young_rows.cache_clear()
+    karoubi._SCHUR_CACHE.clear()
+    yield resigned
+    karoubi._young_rows.cache_clear()
+    karoubi._SCHUR_CACHE.clear()
+
+
+@pytest.mark.parametrize("power, symmetric", [(wedge, False), (sym, True)])
+def test_slot_sign_check_catches_resigned_orbit_rows(resigned_orbit_rows, power,
+                                                      symmetric):
+    # the conjugated rows stay an idempotent of the same trace and zero
+    # pattern, so only the slot-sign check can see the sign error
+    lam = Partition((2,) if symmetric else (1, 1))
+    xn = tensor_power(SuperSpace.standard(2, 0), 2)
+    rows, den = resigned_orbit_rows((0, 0), 2, symmetric)
+    e = SuperMorphism._from_numerators(
+        xn, xn, {i: {j: (c,) for j, c in row.items()} for i, row in rows.items()}, den)
+    assert e.is_idempotent()
+    assert e.supertrace().realization() == schur_super_dimension(lam, full(2, 0))
+    sign = r"\+1" if symmetric else "-1"
+    with pytest.raises(InvariantError, match=rf"rows on parities \(0, 0\) break "
+                                             rf"e \. P_tau = {sign} e at tau = \(0, 1\)"):
+        power(2, full(2, 0))
 
 
 def test_young_rows_built_once_per_parities_and_partition(monkeypatch):

@@ -57,7 +57,7 @@ def test_seeded_draws_match_the_recorded_pin(builder):
     cases = 0
     for name, basis in PIN_SPACES.items():
         for k in (1, 3, 6):
-            space = SuperSpace(basis, k)
+            space = SuperSpace(*zip(*basis), k)
             for seed in (1, 7, 25):
                 rng = seeded_rng(seed)
                 m = builder(space, rng)
@@ -249,7 +249,7 @@ def test_corner_check_square_zero_ideal_is_exact():
 def test_corner_check_frozen_k3_example():
     # 2-dim even ambient over k = 3, pi = E11, conjugator 1 + eps * antidiagonal:
     # defect eps^2 E11, corner inverse (1 - eps^2) E11
-    space = SuperSpace(((0, 0), (0, 0)), 3)
+    space = SuperSpace((0, 0), (0, 0), 3)
     pi = SuperMorphism.from_entries(space, space, {(0, 0): 1})
     n = SuperMorphism.from_entries(
         space, space,
@@ -324,7 +324,7 @@ def test_nilpotency_requires_hom_trivial():
 
 
 def weight_family(k):
-    space = SuperSpace(((0, 0), (0, 0), (0, 2), (1, 1)), k)
+    space = SuperSpace((0, 0, 0, 1), (0, 0, 2, 1), k)
     return ProjectorFamily(space, (
         SuperMorphism.diagonal(space, [1, 1, 0, 0]),
         SuperMorphism.diagonal(space, [0, 0, 0, 1]),
@@ -336,7 +336,6 @@ def test_rigidity_zero_is_certified():
     fam = weight_family(3)
     rep = murre_rigidity(fam, SuperMorphism.zero(fam.ambient, fam.ambient))
     assert rep.within_hypotheses and rep.certified_zero
-    assert bool(rep)
 
 
 def test_rigidity_reports_eps_diagonal_violation():
@@ -394,7 +393,7 @@ def test_rigidity_diagonal_rational_q_within_hypotheses():
 
 
 def test_rigidity_requires_weight_homogeneous_members():
-    space = SuperSpace(((0, 0), (0, 2)), 2)
+    space = SuperSpace((0, 0), (0, 2), 2)
     fam = ProjectorFamily(space, (SuperMorphism.identity(space),))
     with pytest.raises(ValueError):
         murre_rigidity(fam, SuperMorphism.zero(space, space))

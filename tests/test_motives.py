@@ -55,12 +55,12 @@ def test_spec_rejects_inconsistent_pg():
 
 def test_point_realization():
     space = build_realization(MotiveSpec(kind="point"))
-    assert space.basis == ((0, 0),)
+    assert (space.parities, space.weights) == ((0,), (0,))
 
 
 def test_lefschetz_realization():
     space = build_realization(MotiveSpec(kind="lefschetz", r=2))
-    assert space.basis == ((0, 4),)
+    assert (space.parities, space.weights) == ((0,), (4,))
 
 
 def test_curve_realization():
@@ -89,7 +89,7 @@ def test_abelian_realization_is_exterior_algebra():
         for i in range(2 * g + 1):
             count = sum(1 for w in space.weights if w == i)
             assert count == math.comb(2 * g, i)
-        assert all(p == w % 2 for p, w in space.basis)
+        assert all(p == w % 2 for p, w in zip(space.parities, space.weights))
 
 
 # --- projector families --------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_wedge_dimension_bound_various():
     for d in (1, 2, 3):
         rng = seeded_rng(d)
         cycles = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)]
-        assert albanese_wedge(cycles, t_dim=d) == {}
+        assert albanese_wedge(cycles) == {}
 
 
 def _fraction_det(mat):

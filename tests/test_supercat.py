@@ -81,8 +81,25 @@ def test_tensor_parity_and_weight():
     x = SuperSpace.line(EVEN, 2, 1)
     y = SuperSpace.line(ODD, 3, 1)
     t = tensor(x, y)
-    assert t.basis == ((ODD, 5),)
+    assert (t.parities, t.weights) == ((ODD,), (5,))
     assert dim(t).realization() == -1
+    # a power of a mixed-weight (p|q) space, against the row-major product
+    for p in range(5):
+        for q in range(5 - p):
+            x = SuperSpace((EVEN,) * p + (ODD,) * q,
+                           tuple(3 * i - 2 for i in range(p + q)), 2)
+            for n in range(5):
+                basis = list(itertools.product(zip(x.parities, x.weights), repeat=n))
+                xn = tensor_power(x, n)
+                assert xn.parities == tuple(sum(pa for pa, _ in b) % 2 for b in basis)
+                assert xn.weights == tuple(sum(w for _, w in b) for b in basis)
+                assert xn.k == 2
+    with pytest.raises(ValueError, match=r"parity must be 0 or 1, got \{2\}"):
+        SuperSpace((EVEN, 2), (0, 0))
+    with pytest.raises(ValueError, match="differ in length"):
+        SuperSpace((EVEN, ODD), (0,))
+    with pytest.raises(ValueError, match="truncation order"):
+        SuperSpace((EVEN,), (0,), 0)
 
 
 def test_dim_values():
@@ -108,7 +125,7 @@ def test_morphism_rejects_parity_violation():
 
 
 def test_morphism_rejects_weight_violation_at_eps0_only():
-    x = SuperSpace(((EVEN, 0), (EVEN, 2)), 2)
+    x = SuperSpace((EVEN, EVEN), (0, 2), 2)
     with pytest.raises(ValueError):
         SuperMorphism.from_entries(x, x, {(0, 1): 1})
     # an eps entry between different weights is allowed
@@ -337,7 +354,7 @@ def spaces_k(draw, k, max_dim=6):
     n = draw(st.integers(min_value=0, max_value=max_dim))
     basis = tuple((draw(st.sampled_from((EVEN, ODD))), draw(st.integers(0, 1)))
                   for _ in range(n))
-    return SuperSpace(basis, k)
+    return SuperSpace(tuple(p for p, _ in basis), tuple(w for _, w in basis), k)
 
 
 @st.composite
