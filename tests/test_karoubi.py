@@ -46,6 +46,18 @@ def full(p, q, k=1):
 # --- construction guards ---------------------------------------------------------
 
 
+def test_space_built_from_lists_is_the_tuple_space():
+    # a space given lists composes with, and keys the Schur cache like,
+    # the same space given tuples
+    listed = SuperSpace([0, 1], [0, 1])
+    tupled = SuperSpace((0, 1), (0, 1))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    ident = SuperMorphism.identity(tupled)
+    assert ident.compose(SuperMorphism.identity(listed)) == ident
+    image = wedge(2, KaroubiObject.full(listed))
+    assert (image.dimension(), image.classical_rank()) == (0, 2)
+
+
 def test_rejects_non_idempotent():
     space = SuperSpace.standard(2, 0, 1)
     f = SuperMorphism.from_entries(space, space, {(0, 0): 2})
