@@ -266,7 +266,6 @@ class ChowModel:
 
     q: int
     t: int
-    d_param: int
 
     @property
     def total_dim(self) -> int:
@@ -303,7 +302,7 @@ def murre_filtration(spec: MotiveSpec) -> ChowModel:
     if spec.kind != "surface":
         raise ValueError("the filtration model is a surface operation")
     t = spec.t
-    model = ChowModel(q=spec.q, t=t, d_param=spec.d_param)
+    model = ChowModel(q=spec.q, t=t)
     want = (1 + spec.q + t, spec.q + t, t, 0)
     if model.filtration_dims() != want:
         raise InvariantError(f"filtration dims {model.filtration_dims()} != {want}")
@@ -486,11 +485,6 @@ def pg_zero_conclusion(spec: MotiveSpec,
     return KernelVanishingVerdict(consistent=consistent, t=t,
                                   finite_dimensional=True,
                                   motive_shape=shape, notes=tuple(notes))
-
-
-def trivial_shape_dims(spec: MotiveSpec) -> dict[int, int]:
-    """Weight multiplicities of 1 + b2 L + L^2; must match the realization."""
-    return {0: 1, 2: spec.b2, 4: 1}
 
 
 # --- abelian eigenrelations --------------------------------------------------------------

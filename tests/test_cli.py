@@ -124,8 +124,8 @@ def test_verify_csv_one_row_per_check(capsys):
 
 
 def test_reports_are_byte_identical_across_runs(capsys):
-    args = ["--out", "json", "--seed", "42", "verify", "vanishing",
-            "--grid", "p=1,q=1,k=2,seeds=3"]
+    args = ["--out", "json", "--seed", "42", "verify", "uniqueness",
+            "--grid", "k=3,seeds=3"]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -261,6 +261,18 @@ def test_report_to_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["results"]["table"] == [[1, 1], [1, -1]]
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_unwritable_report_file_is_usage_error(where, tmp_path, capsys):
+    # a path under a missing directory, and a directory itself
+    target = tmp_path / where
+    code, out, err = run(capsys, "--file", str(target), "chars", "3")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"cannot write the report to {target}: ")
+
+
 def test_parser_exists_for_all_documented_flags():
     parser = build_parser()
     ns = parser.parse_args(["--out", "csv", "--seed", "9", "--cap", "100",
@@ -293,6 +305,10 @@ def test_unknown_grid_key_is_usage_error(capsys):
     err = _usage_error(capsys, "verify", "vanishing", "--grid", "bogus=3,p=1")
     assert "bogus" in err
     _usage_error(capsys, "verify", "surface", "--grid", "k=1")
+    # the Schur suites check the one full (p|q) object per (p, q, k): no seed enters
+    for suite in ("vanishing", "kimura-dim"):
+        err = _usage_error(capsys, "verify", suite, "--grid", "seeds=5")
+        assert "unknown grid key(s) seeds" in err
 
 
 class _RecordingGrid(dict):
@@ -331,12 +347,12 @@ def _exit_code(capsys, *argv):
 
 
 def test_negative_seed_count_is_usage_error(capsys):
-    code, err = _exit_code(capsys, "verify", "vanishing", "--grid", "seeds=-3")
+    code, err = _exit_code(capsys, "verify", "lifting", "--grid", "seeds=-3")
     assert code == 2 and "seeds=-3" in err
 
 
 def test_zero_seed_count_is_usage_error(capsys):
-    code, err = _exit_code(capsys, "verify", "vanishing", "--grid", "seeds=0")
+    code, err = _exit_code(capsys, "verify", "lifting", "--grid", "seeds=0")
     assert code == 2 and "seeds=0" in err
 
 
@@ -495,10 +511,9 @@ def test_verify_all_fails_when_a_suite_fails(capsys, monkeypatch):
     assert payload["results"]["vanishing"]["passed"] is True
 
 
-def test_schur_suites_check_each_seeded_object_once(capsys, monkeypatch):
-    # every seed's lift still runs (the "25 seeds" detail), but the Schur
-    # checks run once per (p, q, k): 27 parity splits in vanishing, where
-    # one per seed made 675
+def test_schur_suites_check_the_full_object_once(capsys, monkeypatch):
+    # the Schur checks run once per (p, q, k) on the full (p|q) object: 27
+    # parity splits in vanishing, and no idempotent is lifted in either suite
     from finmot import cli, karoubi
 
     karoubi._young_rows.cache_clear()
@@ -517,11 +532,11 @@ def test_schur_suites_check_each_seeded_object_once(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, counting(name))
     code, _, _ = run(capsys, "--out", "json", "verify", "vanishing")
     assert code == 0
-    assert calls == {"split_parity": 27, "lift_idempotent": 450}
+    assert calls == {"split_parity": 27, "lift_idempotent": 0}
     calls.update(split_parity=0, lift_idempotent=0)
     code, _, _ = run(capsys, "--out", "json", "verify", "kimura-dim")
     assert code == 0
-    assert calls == {"split_parity": 0, "lift_idempotent": 300}
+    assert calls == {"split_parity": 0, "lift_idempotent": 0}
 
 
 def test_lifting_family_error_is_a_failed_check(capsys, monkeypatch):
@@ -613,9 +628,9 @@ def _rigidity_claims_the_hypotheses(monkeypatch):
 #: per folded suite: a grid, a monkeypatch that breaks one case, the check
 #: that must fail and the detail naming that case
 FOLDED_FAILURES = {
-    "vanishing": ("p=1,q=1,k=2,seeds=1", _patch("s_wedge", _shift_degree),
+    "vanishing": ("p=1,q=1,k=2", _patch("s_wedge", _shift_degree),
                   "vanishing/p1q1k2", "n=2: SLambda^2 X is zero"),
-    "kimura-dim": ("p=2,q=0,k=1,seeds=1", _patch("sym", _shift_degree),
+    "kimura-dim": ("p=2,q=0,k=1", _patch("sym", _shift_degree),
                    "kimura-dim/even-d2-k1", "n=1: dim S^1 = 3, expected 2"),
     "supertrace": ("n=2,p=1,q=0",
                    _patch("permutation_action", lambda original: (

@@ -26,7 +26,6 @@ from finmot.motives import (
     pg_zero_conclusion,
     split_middle,
     surface_projector_relations,
-    trivial_shape_dims,
     weight_projector,
 )
 from finmot.supercat import SuperMorphism, invert_unit
@@ -348,7 +347,7 @@ def test_trivial_shape_matches_realization():
     by_weight = {}
     for w in space.weights:
         by_weight[w] = by_weight.get(w, 0) + 1
-    assert by_weight == trivial_shape_dims(RATIONAL_LIKE)
+    assert by_weight == {0: 1, 2: RATIONAL_LIKE.b2, 4: 1}
     pieces = [KaroubiObject.unit(RATIONAL_LIKE.k)]
     pieces += [KaroubiObject.lefschetz(1, RATIONAL_LIKE.k)] * RATIONAL_LIKE.b2
     pieces += [KaroubiObject.lefschetz(2, RATIONAL_LIKE.k)]
