@@ -256,7 +256,6 @@ def cmd_schur(cfg: RunConfig) -> Report:
         "p": p,
         "q": q,
         "k": cfg.k,
-        "seed": cfg.seed,
         "super_dimension": super_dim,
         "classical_rank": image.classical_rank(),
         "is_zero": image.is_zero(),

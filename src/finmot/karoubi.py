@@ -1,11 +1,11 @@
 """Idempotent completion of the graded model category.
 
 Objects are pairs (ambient space, idempotent endomorphism).  Schur
-functors act by composing the central group-algebra idempotents, realized
-as signed permutation operators on a tensor power, with the tensor power
-of the object's idempotent.  Classification searches for the largest
-nonvanishing exterior power of the even part and symmetric power of the
-odd part.
+functors act by the central group-algebra idempotents, realized as signed
+permutation operators op on a tensor power: the image of a summand e is
+op . e^(n), evaluated row by row from the rows of op and of e, without
+forming e^(n).  Classification searches for the largest nonvanishing
+exterior power of the even part and symmetric power of the odd part.
 
 Exterior and symmetric powers, the only Schur functors the
 finite-dimensionality tests ask for, are built on the orbit basis instead
@@ -60,6 +60,9 @@ from .supercat import (
     SuperMorphism,
     SuperSpace,
     TENSOR_DIM_CAP,
+    _pack,
+    _unpacker,
+    _width,
     signed_slot_map,
     tensor,
     tensor_power,
@@ -157,9 +160,9 @@ class FiniteDimReport:
 # idempotent acting on a tensor power depend only on the parities of the
 # ambient basis and on lam, not on k; they are kept for the whole process.
 # Schur images are kept in one bounded LRU keyed by the object's
-# fingerprint.  It holds the Young operators too: the operator on an
-# ambient is the image of the full object, and the image of any other
-# summand is cut out of it.
+# fingerprint.  Every image is computed from the cached rows: the full
+# object's image is the rows themselves, and any other summand's image is
+# op . e^(n), read off the rows of op and e (``_apply_to_power``).
 _SCHUR_CACHE: OrderedDict = OrderedDict()
 _SCHUR_CACHE_MAX = 64
 
@@ -274,32 +277,77 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     if key in _SCHUR_CACHE:
         _SCHUR_CACHE.move_to_end(key)
         return _SCHUR_CACHE[key]
+    raw, den = _young_rows(ambient.parities, lam)
+    xn = tensor_power(ambient, n)
     if x.idem.is_identity():
-        raw, den = _young_rows(ambient.parities, lam)
         pad = (0,) * (ambient.k - 1)
-        xn = tensor_power(ambient, n)
-        rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in raw.items()}
-        idem = SuperMorphism._from_numerators(xn, xn, rows, den)
+        shared = {}  # one tuple per distinct coefficient, not one per entry
+        rows = {i: {j: shared.get(c) or shared.setdefault(c, (c,) + pad)
+                    for j, c in row.items()} for i, row in raw.items()}
     else:
-        op = schur_apply(lam, KaroubiObject.full(ambient), cap).idem
-        pn = x.idem
-        for _ in range(n - 1):
-            pn = pn.tensor(x.idem)
-        # op is central and pn an even idempotent, so op . pn = pn . op . pn
-        idem = op.compose(pn)
-    obj = KaroubiObject(idem.source, idem, check=False)
+        # op is central and e^(n) an even idempotent, so op . e^(n) = e^(n) . op . e^(n)
+        rows, den = _apply_to_power(raw, den, x.idem, n), den * x.idem.den**n
+    obj = KaroubiObject(xn, SuperMorphism._from_numerators(xn, xn, rows, den), check=False)
     _SCHUR_CACHE[key] = obj
     if len(_SCHUR_CACHE) > _SCHUR_CACHE_MAX:
         _SCHUR_CACHE.popitem(last=False)
     return obj
 
 
+def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> dict:
+    """Numerator rows of op . e^(n) over ``den * e.den**n``, for op the
+    integer rows over ``den`` of a Young idempotent, without forming e^(n).
+
+    op is symmetric (chi(sigma) = chi(sigma^-1), and the signed slot map of
+    sigma^-1 is the transpose of that of sigma), so its column m is its row
+    m.  A symmetric idempotent is an orthogonal projection, whose entries
+    lie in [-1, 1], so no numerator of op exceeds ``den``.  Only rows m of
+    e^(n) whose n slots all lie in the row support of e are nonzero; each
+    is the Kronecker product of n packed rows of e, cut to its low k fields
+    after every factor.  Arithmetic modulo 2**(width k) keeps those fields
+    exact, and ``unpack`` reads nothing else.
+    """
+    d, k = e.source.dim, e.k
+    width = _width(n * e._max_bits(), den.bit_length(), (d * k) ** n)
+    unpack = _unpacker(width, k)
+    low = (1 << width * k) - 1
+    packed = {m: [(j, _pack(t, width)) for j, t in row.items()]
+              for m, row in e.rows.items()}
+    acc: dict[int, dict[int, int]] = {}
+    for slots in product(packed, repeat=n):
+        m = 0
+        for s in slots:
+            m = m * d + s
+        col = op.get(m)
+        if col is None:
+            continue
+        kron = [(0, 1)]
+        for s in slots:
+            kron = [(j * d + j2, v * b & low) for j, v in kron for j2, b in packed[s]]
+        for i, c in col.items():
+            out = acc.setdefault(i, {})
+            for j, v in kron:
+                out[j] = out.get(j, 0) + c * v
+    rows = {}
+    for i, out in acc.items():
+        row = {j: t for j, v in out.items() if (t := unpack(v)) is not None}
+        if row:
+            rows[i] = row
+    return rows
+
+
+def _degree(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"Schur degree n = {n} is negative")
+    return n
+
+
 def wedge(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
-    return schur_apply(Partition((1,) * n), x, cap)
+    return schur_apply(Partition((1,) * _degree(n)), x, cap)
 
 
 def sym(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
-    return schur_apply(Partition((n,) if n else ()), x, cap)
+    return schur_apply(Partition((n,) if _degree(n) else ()), x, cap)
 
 
 def schur_super_dimension(lam: Partition, x: KaroubiObject) -> Fraction:
@@ -430,6 +478,7 @@ def s_wedge(n: int, x: KaroubiObject,
             parity_split: tuple[KaroubiObject, KaroubiObject] | None = None,
             cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n."""
+    _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
     summands = [
         tensor_k(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)

@@ -24,6 +24,7 @@ from finmot.karoubi import (
 from finmot.supercat import (
     SuperMorphism,
     SuperSpace,
+    TruncatedScalar,
     permutation_action,
     signed_slot_map,
     tensor_power,
@@ -262,6 +263,117 @@ def test_orbit_rows_equal_the_permutation_sum():
                         _permutation_sum_rows(parities, lam), (p, d - p, lam)
                     cases += 1
     assert cases == 193
+
+
+def test_young_rows_are_symmetric():
+    # schur_apply reads column m of the operator as its row m: chi(sigma) =
+    # chi(sigma^-1), and the signed slot map of sigma^-1 is the transpose
+    # of that of sigma
+    from finmot import karoubi
+
+    cases = 0
+    for d in range(1, 5):
+        for p in range(d + 1):
+            parities = (0,) * p + (1,) * (d - p)
+            for n in range(1, 6):
+                for lam in partitions(n):
+                    rows, _ = karoubi._young_rows(parities, lam)
+                    assert all(rows.get(j, {}).get(i) == c
+                               for i, row in rows.items() for j, c in row.items()), \
+                        (parities, lam)
+                    cases += 1
+    assert cases == 14 * 18
+    karoubi._young_rows.cache_clear()  # the n = 5 row sets are large
+
+
+def _tensor_power_oracle(lam, e):
+    """op . e^(n): op the permutation-sum rows, e^(n) built by
+    ``SuperMorphism.tensor``."""
+    rows, den = _permutation_sum_rows(e.source.parities, lam)
+    xn = tensor_power(e.source, lam.n)
+    pad = (0,) * (e.k - 1)
+    rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in rows.items()}
+    op = SuperMorphism._from_numerators(xn, xn, rows, den)
+    en = e
+    for _ in range(lam.n - 1):
+        en = en.tensor(e)
+    return op.compose(en)
+
+
+def _large_unit(space):
+    """A unit with eps^0 entries of about 40 bits over 20-bit denominators
+    and eps parts in every order: its conjugates have wide numerators."""
+    k, par = space.k, space.parities
+    entries = {}
+    for i, pi in enumerate(par):
+        for j, pj in enumerate(par):
+            if pi == pj:  # parity is kept in every eps order
+                coeffs = [Fraction((-1) ** (i + r) * (5 ** 17 + 4 * i + j), 3 ** 11 + r)
+                          for r in range(k)]
+                if j < i:
+                    coeffs[0] = 0
+                else:
+                    coeffs[0] = Fraction((-1) ** j * (3 ** 25 + 7 * i + j), 2 ** 19 + 2 * j + 1)
+                entries[i, j] = TruncatedScalar(coeffs)
+    return SuperMorphism.from_entries(space, space, entries)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_schur_apply_equals_the_tensor_power_oracle(k):
+    # seeded proper summands of (p|q) ambients with d <= 4, their parity
+    # parts and one conjugate by a unit with wide fractional entries, against
+    # op . e^(n) for every partition of n <= 4
+    from finmot import karoubi
+
+    objects = []
+    for (p, q), diag in {(1, 1): [1, 0], (2, 1): [1, 0, 1], (1, 2): [0, 1, 0],
+                         (2, 2): [1, 0, 0, 1], (3, 1): [1, 1, 0, 1]}.items():
+        space = SuperSpace.standard(p, q, k)
+        u = seeded_unit(space, seeded_rng(p + 4 * q))
+        x = KaroubiObject(space, invert_unit(u).compose(
+            SuperMorphism.diagonal(space, diag)).compose(u))
+        objects += [x, *split_parity(x)]
+    space = SuperSpace.standard(2, 1, k)
+    u = _large_unit(space)
+    wide = KaroubiObject(space, invert_unit(u).compose(
+        SuperMorphism.diagonal(space, [1, 0, 1])).compose(u))
+    assert wide.idem._max_bits() > 50 * k
+    objects.append(wide)
+    karoubi._SCHUR_CACHE.clear()
+    checked = 0
+    for x in objects:
+        assert not x.idem.is_identity()
+        for n in range(1, 5):
+            for lam in partitions(n):
+                assert schur_apply(lam, x).idem == _tensor_power_oracle(lam, x.idem), \
+                    (x.ambient.parities, x.idem.nnz(), lam)
+                checked += 1
+    assert checked == 16 * 11
+
+
+def test_proper_summand_schur_builds_no_tensor_power(monkeypatch):
+    from finmot import karoubi
+
+    def refused(self, other):
+        raise AssertionError("SuperMorphism.tensor called")
+
+    space = SuperSpace.standard(2, 2, 3)
+    u = seeded_unit(space, seeded_rng(11))
+    x = KaroubiObject(space, invert_unit(u).compose(
+        SuperMorphism.diagonal(space, [1, 0, 1, 0])).compose(u))
+    karoubi._SCHUR_CACHE.clear()
+    monkeypatch.setattr(SuperMorphism, "tensor", refused)
+    plus, minus = split_parity(x)
+    assert wedge(2, plus).is_zero() and not wedge(1, plus).is_zero()
+    assert sym(2, minus).is_zero() and not sym(1, minus).is_zero()
+    assert not wedge(3, x).is_zero()
+    assert classify(x) == FiniteDimReport("mixed", 1, 1, 0)
+
+
+@pytest.mark.parametrize("power", [wedge, sym, s_wedge])
+def test_negative_degree_is_rejected(power):
+    with pytest.raises(ValueError, match=r"Schur degree n = -1 is negative"):
+        power(-1, full(1, 1))
 
 
 @pytest.fixture
