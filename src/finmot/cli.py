@@ -292,6 +292,7 @@ def _fold(check_id: str, detail: str, cases: Iterable[tuple], witness: str) -> C
 def _suite_symmetrizers(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks = []
     nmax = grid["n"]
+    all_permutations(nmax)  # refuses an n past the bound before any check
     for n in range(nmax + 1):
         parts = partitions(n)
         idems = {lam: young_idempotent(lam) for lam in parts}
@@ -781,6 +782,8 @@ def _parse_grid(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise argparse.ArgumentTypeError(f"bad grid item {item!r}")
+        if key in grid:
+            raise argparse.ArgumentTypeError(f"grid key {key!r} is repeated")
         try:
             grid[key] = int(value)
         except ValueError:

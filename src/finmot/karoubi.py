@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import factorial, gcd, lcm, prod
 
 from .errors import InvariantError, SizeCapError
@@ -64,7 +64,6 @@ from .supercat import (
     _unpacker,
     _width,
     signed_slot_map,
-    tensor,
     tensor_power,
 )
 
@@ -433,35 +432,32 @@ def _largest_nonvanishing(power, part: KaroubiObject, cap: int) -> int:
 # --- categorical operations -----------------------------------------------------
 
 
-def direct_sum(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
-    if x.k != y.k:
+def direct_sum(*objects: KaroubiObject) -> KaroubiObject:
+    """Block-diagonal sum of one or more objects that share k, in order.
+
+    Each idempotent is rewritten over the lcm of all denominators and offset
+    by the dimensions of the ambients before it."""
+    if not objects:
+        raise ValueError("empty direct sum")
+    k = objects[0].k
+    if any(x.k != k for x in objects):
         raise ValueError("truncation orders differ")
-    ambient = SuperSpace(x.ambient.parities + y.ambient.parities,
-                         x.ambient.weights + y.ambient.weights, x.k)
-    off = x.ambient.dim
-    den = lcm(x.idem.den, y.idem.den)
-    rows = dict(x.idem._rows_over(den))
-    for i, row in y.idem._rows_over(den).items():
-        rows[i + off] = {j + off: t for j, t in row.items()}
+    den = lcm(*(x.idem.den for x in objects))
+    rows = {}
+    off = 0
+    for x in objects:
+        for i, row in x.idem._rows_over(den).items():
+            rows[i + off] = {j + off: t for j, t in row.items()}
+        off += x.ambient.dim
+    ambient = SuperSpace(tuple(chain.from_iterable(x.ambient.parities for x in objects)),
+                         tuple(chain.from_iterable(x.ambient.weights for x in objects)), k)
     idem = SuperMorphism._from_numerators(ambient, ambient, rows, den)
     return KaroubiObject(ambient, idem, check=False)
 
 
-def direct_sum_many(objects) -> KaroubiObject:
-    objects = list(objects)
-    if not objects:
-        raise ValueError("empty direct sum")
-    out = objects[0]
-    for obj in objects[1:]:
-        out = direct_sum(out, obj)
-    return out
-
-
 def tensor_k(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
-    if x.k != y.k:
-        raise ValueError("truncation orders differ")
-    return KaroubiObject(tensor(x.ambient, y.ambient), x.idem.tensor(y.idem),
-                         check=False)
+    idem = x.idem.tensor(y.idem)
+    return KaroubiObject(idem.source, idem, check=False)
 
 
 def dual_k(x: KaroubiObject) -> KaroubiObject:
@@ -480,10 +476,8 @@ def s_wedge(n: int, x: KaroubiObject,
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n."""
     _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
-    summands = [
-        tensor_k(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)
-    ]
-    return direct_sum_many(summands)
+    return direct_sum(*(tensor_k(wedge(i, plus, cap), sym(n - i, minus, cap))
+                        for i in range(n + 1)))
 
 
 # --- splitting through a family of factorizations --------------------------------

@@ -583,7 +583,8 @@ class SuperMorphism:
         if self.k != other.k:
             raise ValueError("truncation orders differ")
         src = tensor(self.source, other.source)
-        dst = tensor(self.target, other.target)
+        dst = (src if self.is_endomorphism() and other.is_endomorphism()
+               else tensor(self.target, other.target))
         rows: dict[int, dict[int, tuple[int, ...]]] = {}
         if self.rows and other.rows:
             k = self.k

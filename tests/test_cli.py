@@ -433,6 +433,26 @@ def test_permutation_enumeration_beyond_bound_is_a_size_error(capsys):
     assert time.monotonic() - started < 1.0
 
 
+def test_symmetrizers_degree_beyond_bound_is_refused_before_any_check(capsys, monkeypatch):
+    # every product of Young idempotents raises, so a refusal after the
+    # degrees up to 7 would surface as a traceback instead of exit 3
+    from finmot.symgroup import GroupAlgebraElement
+
+    def refused(self, other):
+        raise AssertionError("group-algebra product computed")
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", refused)
+    code, err = _exit_code(capsys, "verify", "symmetrizers", "--grid", "n=8")
+    assert code == 3 and "size cap exceeded" in err and "S_8" in err
+
+
+def test_repeated_grid_key_is_usage_error(capsys):
+    err = _usage_error(capsys, "verify", "lifting", "--grid", "k=2,k=3")
+    assert "grid key 'k' is repeated" in err
+    err = _usage_error(capsys, "verify", "lifting", "--grid", "seeds=2,k=2,seeds=2")
+    assert "'seeds'" in err
+
+
 def test_grid_k_beyond_the_truncation_orders_is_usage_error(capsys):
     code, err = _exit_code(capsys, "verify", "uniqueness", "--grid", "k=7,seeds=1")
     assert code == 2 and "k=7" in err and "1..6" in err

@@ -586,6 +586,80 @@ def test_classify_respects_sum_and_tensor():
     assert rt.kim_plus - rt.kim_minus == rt.dim
 
 
+def _sheared_summand(p, q, diag, c, k=3):
+    """u^-1 diag u for a seeded unit u times a shear by 1/c: the idempotent
+    has denominator c^2."""
+    space = SuperSpace.standard(p, q, k)
+    shear = SuperMorphism.identity(space) + SuperMorphism.from_entries(
+        space, space, {(0, 1): Fraction(1, c)})
+    u = seeded_unit(space, seeded_rng(p + 4 * q)).compose(shear)
+    return KaroubiObject(space, invert_unit(u).compose(
+        SuperMorphism.diagonal(space, diag)).compose(u))
+
+
+def test_direct_sum_is_the_block_diagonal_of_its_parts():
+    parts = [_sheared_summand(2, 1, [1, 0, 1], 2),
+             _sheared_summand(2, 2, [0, 1, 0, 1], 3),
+             _sheared_summand(3, 1, [1, 0, 1, 0], 5)]
+    assert [x.idem.den for x in parts] == [4, 9, 25]
+    assert not any(x.idem.is_identity() for x in parts)
+    ambient = SuperSpace(sum((x.ambient.parities for x in parts), ()),
+                         sum((x.ambient.weights for x in parts), ()), 3)
+    entries = {}
+    off = 0
+    for x in parts:
+        for i, j, s in x.idem.items():
+            entries[i + off, j + off] = s
+        off += x.ambient.dim
+    total = direct_sum(*parts)
+    assert total.ambient == ambient
+    assert total.idem == SuperMorphism.from_entries(ambient, ambient, entries)
+    nested = direct_sum(direct_sum(parts[0], parts[1]), parts[2])
+    assert nested.ambient == ambient and nested.idem == total.idem
+    assert total.dimension() == sum(x.dimension() for x in parts)
+    assert direct_sum(parts[1]).idem == parts[1].idem
+
+
+def test_direct_sum_needs_parts_of_one_truncation_order():
+    with pytest.raises(ValueError, match="empty direct sum"):
+        direct_sum()
+    with pytest.raises(ValueError, match="truncation orders differ"):
+        direct_sum(full(1, 0, 2), full(1, 1, 2), full(0, 1, 3))
+
+
+def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
+    from finmot import karoubi, supercat
+
+    calls = {"tensor": 0, "direct_sum": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(supercat, "tensor", counted("tensor", supercat.tensor))
+    monkeypatch.setattr(karoubi, "direct_sum", counted("direct_sum", karoubi.direct_sum))
+    a, b = _sheared_summand(2, 1, [1, 0, 1], 2), _sheared_summand(2, 2, [0, 1, 0, 1], 3)
+    calls["tensor"] = 0
+    product = tensor_k(a, b)
+    assert calls["tensor"] == 1
+    assert product.ambient == SuperSpace(
+        tuple(pa ^ pb for pa in a.ambient.parities for pb in b.ambient.parities),
+        tuple(wa + wb for wa in a.ambient.weights for wb in b.ambient.weights), 3)
+    # a morphism between different spaces still gets its own target product
+    f = SuperMorphism.zero(SuperSpace.standard(1, 0), SuperSpace.standard(0, 1))
+    calls["tensor"] = 0
+    assert f.tensor(f).target == SuperSpace((0,), (2,))
+    assert calls["tensor"] == 2
+    x = full(2, 1, 1)
+    split = split_parity(x)
+    for n in range(5):
+        calls["direct_sum"] = 0
+        s_wedge(n, x, split)
+        assert calls["direct_sum"] == 1, n
+
+
 def test_classify_dual_same_report():
     for (p, q) in [(2, 0), (0, 2), (2, 1)]:
         x = full(p, q, 2)

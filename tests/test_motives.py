@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from finmot.errors import SizeCapError
-from finmot.karoubi import KaroubiObject, classify, direct_sum_many, tensor_k
+from finmot.karoubi import KaroubiObject, classify, direct_sum, tensor_k
 from finmot.lifting import (
     ProjectorFamily,
     corner_unit_check,
@@ -351,7 +351,7 @@ def test_trivial_shape_matches_realization():
     pieces = [KaroubiObject.unit(RATIONAL_LIKE.k)]
     pieces += [KaroubiObject.lefschetz(1, RATIONAL_LIKE.k)] * RATIONAL_LIKE.b2
     pieces += [KaroubiObject.lefschetz(2, RATIONAL_LIKE.k)]
-    shape = direct_sum_many(pieces)
+    shape = direct_sum(*pieces)
     assert sorted(shape.ambient.weights) == sorted(space.weights)
     assert sorted(shape.ambient.parities) == sorted(space.parities)
 
