@@ -595,8 +595,7 @@ def _suite_surface(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
         if run.wedge is not None:
             checks.append(Check(f"surface/{name}/wedge-vanishing", run.wedge == {}))
     verdict = pg_zero_conclusion(rational)
-    checks.append(Check("surface/all-algebraic/kernel-forced-zero",
-                        verdict.consistent is True))
+    checks.append(Check("surface/all-algebraic/kernel-forced-zero", verdict.consistent))
     checks.append(Check("surface/all-algebraic/split-shape",
                         verdict.motive_shape == "1 + 9L + L^2"))
     space = build_realization(irregular)
@@ -742,8 +741,7 @@ def cmd_surface(cfg: RunConfig) -> Report:
     }
     if spec.pg == 0:
         verdict = pg_zero_conclusion(spec)
-        checks.append(Check("surface/kernel-forced-zero",
-                            verdict.consistent is True,
+        checks.append(Check("surface/kernel-forced-zero", verdict.consistent,
                             detail="; ".join(verdict.notes)))
         results["pg_zero_verdict"] = "consistent" if verdict.consistent else "inconsistent"
         if verdict.motive_shape:

@@ -37,7 +37,6 @@ ambient weight by -2r; the weights are the only record of it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -69,25 +68,39 @@ from .supercat import (
 
 
 class KaroubiObject:
-    """A direct summand of an ambient graded space, cut out by an idempotent."""
+    """A direct summand of an ambient graded space, cut out by an idempotent.
 
-    __slots__ = ("ambient", "idem", "_dimension")
+    ``KaroubiObject(ambient, idem)`` checks that idem is an idempotent
+    endomorphism of ambient.  The Schur images computed from an object are
+    kept on it, keyed by partition, and are freed with it.
+    """
 
-    def __init__(self, ambient: SuperSpace, idem: SuperMorphism, check: bool = True):
+    __slots__ = ("idem", "_dimension", "_images")
+
+    def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
             raise ValueError("idempotent must be an endomorphism of the ambient space")
-        self.ambient = ambient
-        self.idem = idem
-        if check and not idem.is_idempotent():
+        if not idem.is_idempotent():
             raise ValueError("defining endomorphism is not idempotent")
+        return cls._of(idem)
+
+    @classmethod
+    def _of(cls, idem: SuperMorphism) -> "KaroubiObject":
+        """The summand cut out by ``idem``, which the caller knows to be an
+        idempotent endomorphism of ``idem.source``; its trace must still be an
+        integer constant."""
         tr = idem.supertrace()
         if not tr.eps_part_is_zero() or tr.realization().denominator != 1:
             raise ValueError(f"idempotent trace {tr} is not an integer constant")
-        self._dimension = int(tr.realization())
+        obj = object.__new__(cls)
+        obj.idem = idem
+        obj._dimension = int(tr.realization())
+        obj._images = {}
+        return obj
 
     @classmethod
     def full(cls, space: SuperSpace) -> "KaroubiObject":
-        return cls(space, SuperMorphism.identity(space), check=False)
+        return cls._of(SuperMorphism.identity(space))
 
     @classmethod
     def unit(cls, k: int = 1) -> "KaroubiObject":
@@ -97,6 +110,10 @@ class KaroubiObject:
     def lefschetz(cls, r: int, k: int = 1) -> "KaroubiObject":
         """The invertible weight-2r line (the r-th power of the weight-2 line)."""
         return cls.full(SuperSpace.line(EVEN, 2 * r, k))
+
+    @property
+    def ambient(self) -> SuperSpace:
+        return self.idem.source
 
     @property
     def k(self) -> int:
@@ -155,15 +172,12 @@ class FiniteDimReport:
 
 # --- Schur functors ---------------------------------------------------------
 
-# Two caches serve the Schur functors.  The integer rows of each central
-# idempotent acting on a tensor power depend only on the parities of the
-# ambient basis and on lam, not on k; they are kept for the whole process.
-# Schur images are kept in one bounded LRU keyed by the object's
-# fingerprint.  Every image is computed from the cached rows: the full
-# object's image is the rows themselves, and any other summand's image is
-# op . e^(n), read off the rows of op and e (``_apply_to_power``).
-_SCHUR_CACHE: OrderedDict = OrderedDict()
-_SCHUR_CACHE_MAX = 64
+# The integer rows of each central idempotent acting on a tensor power depend
+# only on the parities of the ambient basis and on lam, not on k; they are
+# kept for the whole process.  Each Schur image is kept on the object it was
+# computed from.  Every image is read off the cached rows: the full object's
+# image is the rows themselves, and any other summand's image is op . e^(n),
+# read off the rows of op and e (``_apply_to_power``).
 
 
 @cache
@@ -259,8 +273,10 @@ def schur_apply(lam: Partition, x: KaroubiObject,
                 cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """The image of the central idempotent attached to ``lam`` on x^(n).
 
-    The image of a full object is checked against the hook rule; a
-    disagreement raises ``InvariantError`` naming (p, q, lam).
+    The image is kept on x, so a second call with the same ``lam`` returns
+    the same object.  The rows it is read from are checked against the hook
+    rule in ``_young_rows``; a disagreement raises ``InvariantError`` naming
+    (p, q, lam).
     """
     n = lam.n
     ambient = x.ambient
@@ -272,10 +288,9 @@ def schur_apply(lam: Partition, x: KaroubiObject,
         raise SizeCapError(
             f"ambient tensor power {ambient.dim}**{n} exceeds cap {cap}"
         )
-    key = (x.fingerprint(), lam.parts)
-    if key in _SCHUR_CACHE:
-        _SCHUR_CACHE.move_to_end(key)
-        return _SCHUR_CACHE[key]
+    image = x._images.get(lam.parts)
+    if image is not None:
+        return image
     raw, den = _young_rows(ambient.parities, lam)
     xn = tensor_power(ambient, n)
     if x.idem.is_identity():
@@ -286,11 +301,9 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     else:
         # op is central and e^(n) an even idempotent, so op . e^(n) = e^(n) . op . e^(n)
         rows, den = _apply_to_power(raw, den, x.idem, n), den * x.idem.den**n
-    obj = KaroubiObject(xn, SuperMorphism._from_numerators(xn, xn, rows, den), check=False)
-    _SCHUR_CACHE[key] = obj
-    if len(_SCHUR_CACHE) > _SCHUR_CACHE_MAX:
-        _SCHUR_CACHE.popitem(last=False)
-    return obj
+    image = x._images[lam.parts] = KaroubiObject._of(
+        SuperMorphism._from_numerators(xn, xn, rows, den))
+    return image
 
 
 def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> dict:
@@ -390,7 +403,7 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
                 f"idempotent does not preserve the parity-{parity} block")
         if not cand.is_idempotent():
             raise InvariantError(f"parity-{parity} part is not idempotent")
-        out.append(KaroubiObject(ambient, cand, check=False))
+        out.append(KaroubiObject._of(cand))
     return tuple(out)
 
 
@@ -451,18 +464,15 @@ def direct_sum(*objects: KaroubiObject) -> KaroubiObject:
         off += x.ambient.dim
     ambient = SuperSpace(tuple(chain.from_iterable(x.ambient.parities for x in objects)),
                          tuple(chain.from_iterable(x.ambient.weights for x in objects)), k)
-    idem = SuperMorphism._from_numerators(ambient, ambient, rows, den)
-    return KaroubiObject(ambient, idem, check=False)
+    return KaroubiObject._of(SuperMorphism._from_numerators(ambient, ambient, rows, den))
 
 
 def tensor_k(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
-    idem = x.idem.tensor(y.idem)
-    return KaroubiObject(idem.source, idem, check=False)
+    return KaroubiObject._of(x.idem.tensor(y.idem))
 
 
 def dual_k(x: KaroubiObject) -> KaroubiObject:
-    idem = x.idem.dual()
-    return KaroubiObject(idem.source, idem, check=False)
+    return KaroubiObject._of(x.idem.dual())
 
 
 def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:

@@ -383,11 +383,9 @@ def split_middle(spec: MotiveSpec,
     def conjugated(idxs):
         return u.compose(SuperMorphism.projector(space, idxs)).compose(uinv)
 
-    lines = [KaroubiObject(space, conjugated([idx]), check=False)
-             for idx in weight2[:spec.rho]]
-    middle = KaroubiObject(space, family[2], check=False)
-    kernel_in_ambient = KaroubiObject(
-        space, family[2] - conjugated(weight2[:spec.rho]), check=False)
+    lines = [KaroubiObject._of(conjugated([idx])) for idx in weight2[:spec.rho]]
+    middle = KaroubiObject._of(family[2])
+    kernel_in_ambient = KaroubiObject._of(family[2] - conjugated(weight2[:spec.rho]))
     rest = weight2[spec.rho:]
     small = SuperSpace(tuple(space.parities[i] for i in rest),
                        tuple(space.weights[i] for i in rest), spec.k)
@@ -445,15 +443,13 @@ def albanese_wedge(cycles: Sequence[Sequence],
 
 @dataclass(frozen=True)
 class KernelVanishingVerdict:
-    consistent: bool | None
+    consistent: bool
     t: int
-    finite_dimensional: bool
     motive_shape: str | None
     notes: tuple[str, ...]
 
 
-def pg_zero_conclusion(spec: MotiveSpec,
-                       finite_dimensional: bool = True) -> KernelVanishingVerdict:
+def pg_zero_conclusion(spec: MotiveSpec) -> KernelVanishingVerdict:
     """For a surface with b2 = rho: finite dimensionality forces t = 0.
 
     When b2 = rho the transcendental dimension d is 0, so the wedge of any
@@ -467,10 +463,6 @@ def pg_zero_conclusion(spec: MotiveSpec,
         raise ValueError("outside hypotheses: the model requires pg = 0 (b2 = rho)")
     t = spec.t
     notes = []
-    if not finite_dimensional:
-        notes.append("no finite-dimensionality flag: the kernel is unconstrained")
-        return KernelVanishingVerdict(consistent=None, t=t, finite_dimensional=False,
-                                      motive_shape=None, notes=tuple(notes))
     consistent = t == 0
     if consistent:
         notes.append("d = b2 - rho = 0, and the kernel part is zero as required")
@@ -482,9 +474,8 @@ def pg_zero_conclusion(spec: MotiveSpec,
     if spec.q == 0 and consistent:
         shape = f"1 + {spec.b2}L + L^2"
         notes.append("q = 0: the motive splits as " + shape)
-    return KernelVanishingVerdict(consistent=consistent, t=t,
-                                  finite_dimensional=True,
-                                  motive_shape=shape, notes=tuple(notes))
+    return KernelVanishingVerdict(consistent=consistent, t=t, motive_shape=shape,
+                                  notes=tuple(notes))
 
 
 # --- abelian eigenrelations --------------------------------------------------------------

@@ -95,12 +95,12 @@ def _partition_tuples(n: int, maxpart: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partitions(n: int, bound: int = PARTITION_BOUND) -> list[Partition]:
+def partitions(n: int) -> list[Partition]:
     """All partitions of ``n`` in reverse lexicographic order, (n) first."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > bound:
-        raise SizeCapError(f"partition degree {n} exceeds bound {bound}")
+    if n > PARTITION_BOUND:
+        raise SizeCapError(f"partition degree {n} exceeds bound {PARTITION_BOUND}")
     return [Partition(p) for p in _partition_tuples(n, n)]
 
 

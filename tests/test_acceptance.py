@@ -79,7 +79,7 @@ def seeded_identity_object(p, q, k, seed):
     if k > 1:
         lifted = lift_idempotent(ident + eps_perturbation(space, seeded_rng(seed)))
         assert lifted == ident
-    return KaroubiObject(space, ident, check=False)
+    return KaroubiObject.full(space)
 
 
 def test_criterion_01_symmetrizer_algebra():

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finmot.cli import (
+    _MODEL_KEYS,
     SUITES,
     RunConfig,
     build_parser,
@@ -13,6 +18,7 @@ from finmot.cli import (
     parse_model_text,
 )
 from finmot.errors import ModelFileError
+from finmot.motives import KINDS
 
 
 def run(capsys, *argv):
@@ -537,7 +543,6 @@ def test_schur_suites_check_the_full_object_once(capsys, monkeypatch):
     from finmot import cli, karoubi
 
     karoubi._young_rows.cache_clear()
-    karoubi._SCHUR_CACHE.clear()
     calls = {"split_parity": 0, "lift_idempotent": 0}
 
     def counting(name):
@@ -711,3 +716,104 @@ def test_surface_suite_reads_the_family_under_test(capsys, monkeypatch):
     assert "albanese_matches_family" in relations["detail"]
     assert checks["surface/irregular/family-valid"]["passed"] is True
     assert checks["surface/irregular/kernel-classification"]["passed"] is True
+
+
+# --- fuzzing ----------------------------------------------------------------------
+
+
+_SMALL = st.integers(min_value=-1, max_value=3)
+
+
+def _rarely(strategy):
+    """A draw of ``strategy`` about one time in four, else an empty list."""
+    return st.integers(0, 3).flatmap(lambda i: strategy if i == 0 else st.just([]))
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+@st.composite
+def _grids(draw, suite):
+    # the suite's own keys with values -1..3, and rarely a key it does not
+    # read, a repeat or a malformed item
+    own = [*SUITES.get(suite, ({}, {}))[1]]
+    items = draw(st.lists(st.builds("{}={}".format, st.sampled_from(own), _SMALL),
+                          max_size=len(own), unique_by=lambda item: item.split("=")[0])
+                 if own else st.just([]))
+    items += draw(_rarely(st.lists(st.sampled_from(
+        ["seeds=2", "x=1", *(f"{key}=1" for key in own), "", "k", "=1", "p=x"]),
+        min_size=1, max_size=2)))
+    return ["--grid", ",".join(draw(st.permutations(items)))] if items else []
+
+
+@st.composite
+def _model_texts(draw):
+    # a surface model, with any kind and with keys set to -1..3 or dropped,
+    # and rarely unknown, repeated or non-integer lines
+    kind = draw(st.one_of(st.just("surface"), st.sampled_from([*KINDS, "torus"])))
+    rho, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    model = {"kind": kind, "q": draw(st.integers(0, 2)), "b2": rho + d, "rho": rho,
+             "pg": draw(st.integers(1, 2)) if d else 0, "t": draw(st.integers(0, 3)),
+             "k": draw(st.integers(1, 3))}
+    model.update(draw(st.dictionaries(st.sampled_from(_MODEL_KEYS[1:]),
+                                      st.one_of(_SMALL, st.none()), max_size=2)))
+    lines = [f"{key} = {val}" for key, val in model.items() if val is not None]
+    lines += draw(_rarely(st.lists(st.one_of(
+        st.builds("{} = {}".format, st.sampled_from([*_MODEL_KEYS, "genus"]),
+                  st.one_of(_SMALL, st.sampled_from(["x", "1.5", "", "2**3"]))),
+        st.sampled_from(["# comment", "q", "= 1"])), min_size=1, max_size=2)))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@st.composite
+def _argvs(draw, workdir):
+    argv = []
+    argv += draw(_flag("--out", st.sampled_from(["json", "csv", "pretty"])))
+    argv += draw(_flag("--seed", st.integers(0, 3)))
+    argv += draw(_flag("--k", st.integers(1, 3)))
+    argv += draw(_rarely(st.sampled_from([
+        ["--cap", "3"], ["--cap", "0"], ["--cap", "-1"], ["--out", "xml"],
+        ["--seed", "-1"], ["--seed", str(2**64)], ["--k", "0"], ["--k", "7"],
+        ["--file", str(workdir / "report.txt")],
+        ["--file", str(workdir / "missing" / "report.txt")], ["--bogus"]])))
+    command = draw(st.sampled_from(["chars", "schur", "verify", "surface", "bogus"]))
+    if command == "chars":
+        argv += ["chars", str(draw(st.one_of(_SMALL, st.just(13))))]
+    elif command == "schur":
+        # Schur degrees n <= 4: a general partition of n = 7 takes seconds
+        lam = draw(st.sampled_from(["0", "", "1", "2", "1,1", "3", "2,1", "1,1,1", "4",
+                                    "3,1", "2,2", "2,1,1", "1,1,1,1", "1,2", "x", "-1"]))
+        argv += ["schur", "--lam", lam, *draw(_flag("--p", _SMALL)),
+                 *draw(_flag("--q", _SMALL))]
+    elif command == "verify":
+        suite = draw(st.sampled_from([*sorted(SUITES), "all", "bogus"]))
+        argv += ["verify", suite, *draw(_grids(suite))]
+    elif command == "surface":
+        path = workdir / "model.txt"
+        path.write_text(draw(_model_texts()), encoding="utf-8")
+        absent = draw(st.integers(0, 7)) == 0
+        argv += ["surface", str(workdir / "absent.txt" if absent else path)]
+    else:
+        argv.append(command)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
+    # whatever the argv and the model file, main returns or exits with one of
+    # the documented codes, and no other exception escapes
+    argv = data.draw(_argvs(fuzz_dir))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

@@ -323,8 +323,6 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
     # seeded proper summands of (p|q) ambients with d <= 4, their parity
     # parts and one conjugate by a unit with wide fractional entries, against
     # op . e^(n) for every partition of n <= 4
-    from finmot import karoubi
-
     objects = []
     for (p, q), diag in {(1, 1): [1, 0], (2, 1): [1, 0, 1], (1, 2): [0, 1, 0],
                          (2, 2): [1, 0, 0, 1], (3, 1): [1, 1, 0, 1]}.items():
@@ -339,7 +337,6 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
         SuperMorphism.diagonal(space, [1, 0, 1])).compose(u))
     assert wide.idem._max_bits() > 50 * k
     objects.append(wide)
-    karoubi._SCHUR_CACHE.clear()
     checked = 0
     for x in objects:
         assert not x.idem.is_identity()
@@ -352,8 +349,6 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
 
 
 def test_proper_summand_schur_builds_no_tensor_power(monkeypatch):
-    from finmot import karoubi
-
     def refused(self, other):
         raise AssertionError("SuperMorphism.tensor called")
 
@@ -361,13 +356,36 @@ def test_proper_summand_schur_builds_no_tensor_power(monkeypatch):
     u = seeded_unit(space, seeded_rng(11))
     x = KaroubiObject(space, invert_unit(u).compose(
         SuperMorphism.diagonal(space, [1, 0, 1, 0])).compose(u))
-    karoubi._SCHUR_CACHE.clear()
     monkeypatch.setattr(SuperMorphism, "tensor", refused)
     plus, minus = split_parity(x)
     assert wedge(2, plus).is_zero() and not wedge(1, plus).is_zero()
     assert sym(2, minus).is_zero() and not sym(1, minus).is_zero()
     assert not wedge(3, x).is_zero()
     assert classify(x) == FiniteDimReport("mixed", 1, 1, 0)
+
+
+def test_schur_images_are_kept_on_their_object(monkeypatch):
+    # a second wedge on the same object returns the image it kept; a new
+    # object with an equal idempotent computes an equal image of its own
+    from finmot import karoubi
+
+    builds = []
+    original = karoubi._apply_to_power
+
+    def counting(op, den, e, n):
+        builds.append(n)
+        return original(op, den, e, n)
+
+    monkeypatch.setattr(karoubi, "_apply_to_power", counting)
+    space = SuperSpace.standard(2, 1, 3)
+    u = seeded_unit(space, seeded_rng(5))
+    e = invert_unit(u).compose(SuperMorphism.diagonal(space, [1, 1, 0])).compose(u)
+    x = KaroubiObject(space, e)
+    image = wedge(2, x)
+    assert wedge(2, x) is image and builds == [2]
+    again = wedge(2, KaroubiObject(space, e))
+    assert again is not image and again.idem == image.idem and builds == [2, 2]
+    assert not image.is_zero() and image.dimension() == 1
 
 
 @pytest.mark.parametrize("power", [wedge, sym, s_wedge])
@@ -385,10 +403,8 @@ def swapped_orbit_rows(monkeypatch):
     monkeypatch.setattr(karoubi, "_orbit_rows",
                         lambda parities, n, symmetric: original(parities, n, not symmetric))
     karoubi._young_rows.cache_clear()
-    karoubi._SCHUR_CACHE.clear()
     yield
     karoubi._young_rows.cache_clear()
-    karoubi._SCHUR_CACHE.clear()
 
 
 def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
@@ -416,10 +432,8 @@ def resigned_orbit_rows(monkeypatch):
 
     monkeypatch.setattr(karoubi, "_orbit_rows", resigned)
     karoubi._young_rows.cache_clear()
-    karoubi._SCHUR_CACHE.clear()
     yield resigned
     karoubi._young_rows.cache_clear()
-    karoubi._SCHUR_CACHE.clear()
 
 
 @pytest.mark.parametrize("power, symmetric", [(wedge, False), (sym, True)])
@@ -449,7 +463,6 @@ def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
     from finmot.cli import main
 
     karoubi._young_rows.cache_clear()
-    karoubi._SCHUR_CACHE.clear()
     calls = []
 
     def counting(lam, *args):
@@ -557,7 +570,7 @@ def test_seeded_vanishing_thresholds_up_to_rank_three():
                 uinv = invert_unit(u)
                 base = SuperMorphism.identity(space)
                 conj = uinv.compose(base).compose(u)
-                obj = KaroubiObject(space, conj, check=False)
+                obj = KaroubiObject(space, conj)
                 plus, minus = split_parity(obj)
                 assert wedge(rank + 1, plus, cap=5000).is_zero()
                 assert not wedge(rank, plus, cap=5000).is_zero()

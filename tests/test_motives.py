@@ -367,14 +367,6 @@ def test_pg_zero_refuses_positive_genus():
         pg_zero_conclusion(SURFACE)
 
 
-def test_pg_zero_without_flag_gives_no_conclusion():
-    verdict = pg_zero_conclusion(
-        MotiveSpec(kind="surface", q=1, pg=0, b2=4, rho=4, t=2),
-        finite_dimensional=False,
-    )
-    assert verdict.consistent is None
-
-
 # --- classification of whole models -----------------------------------------------------------
 
 

@@ -59,7 +59,7 @@ def test_partitions_against_brute_force(n):
 def test_partitions_bound():
     with pytest.raises(SizeCapError):
         partitions(13)
-    assert len(partitions(13, bound=13)) == 101
+    assert len(partitions(12)) == 77
 
 
 def test_partition_validation():
