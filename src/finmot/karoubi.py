@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
@@ -59,9 +59,10 @@ from .supercat import (
     SuperMorphism,
     SuperSpace,
     TENSOR_DIM_CAP,
-    _pack,
-    _unpacker,
-    _width,
+    _aligned,
+    _fields,
+    _room,
+    _rung,
     signed_slot_map,
     tensor_power,
 )
@@ -126,7 +127,8 @@ class KaroubiObject:
     def classical_rank(self) -> int:
         """Rank of the realization, ignoring parity signs."""
         idem = self.idem
-        total = sum(row[i][0] for i, row in idem.rows.items() if i in row)
+        diagonal = sum(row[i] for i, row in idem.rows.items() if i in row)
+        total = _fields(diagonal, idem.width, 1)[0]  # far inside the range of one field
         rank, rem = divmod(total, idem.den)
         if rem:
             raise InvariantError(
@@ -294,20 +296,17 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     raw, den = _young_rows(ambient.parities, lam)
     xn = tensor_power(ambient, n)
     if x.idem.is_identity():
-        pad = (0,) * (ambient.k - 1)
-        shared = {}  # one tuple per distinct coefficient, not one per entry
-        rows = {i: {j: shared.get(c) or shared.setdefault(c, (c,) + pad)
-                    for j, c in row.items()} for i, row in raw.items()}
+        # constants pack to themselves, and no numerator exceeds den (see below)
+        idem = SuperMorphism._from_packed(xn, xn, raw, den, _rung((den,)), fits=True)
     else:
         # op is central and e^(n) an even idempotent, so op . e^(n) = e^(n) . op . e^(n)
-        rows, den = _apply_to_power(raw, den, x.idem, n), den * x.idem.den**n
-    image = x._images[lam.parts] = KaroubiObject._of(
-        SuperMorphism._from_numerators(xn, xn, rows, den))
+        idem = SuperMorphism._from_products(xn, xn, *_apply_to_power(raw, den, x.idem, n))
+    image = x._images[lam.parts] = KaroubiObject._of(idem)
     return image
 
 
-def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> dict:
-    """Numerator rows of op . e^(n) over ``den * e.den**n``, for op the
+def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> tuple:
+    """(packed sums, ``den * e.den**n``, width) of op . e^(n), for op the
     integer rows over ``den`` of a Young idempotent, without forming e^(n).
 
     op is symmetric (chi(sigma) = chi(sigma^-1), and the signed slot map of
@@ -315,16 +314,15 @@ def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> dict:
     m.  A symmetric idempotent is an orthogonal projection, whose entries
     lie in [-1, 1], so no numerator of op exceeds ``den``.  Only rows m of
     e^(n) whose n slots all lie in the row support of e are nonzero; each
-    is the Kronecker product of n packed rows of e, cut to its low k fields
-    after every factor.  Arithmetic modulo 2**(width k) keeps those fields
-    exact, and ``unpack`` reads nothing else.
+    is the Kronecker product of n rows of e, repacked at a width of its own
+    and cut to its low k fields after every factor.  Arithmetic modulo
+    2**(width k) keeps those fields exact for the final cut.
     """
     d, k = e.source.dim, e.k
-    width = _width(n * e._max_bits(), den.bit_length(), (d * k) ** n)
-    unpack = _unpacker(width, k)
+    bits = max((abs(c) for _, _, t in e.numerators() for c in t), default=0).bit_length()
+    width = _room(n * bits + den.bit_length() + ((d * k) ** n).bit_length())
     low = (1 << width * k) - 1
-    packed = {m: [(j, _pack(t, width)) for j, t in row.items()]
-              for m, row in e.rows.items()}
+    packed = {m: list(row.items()) for m, row in e._rows_at(width).items()}
     acc: dict[int, dict[int, int]] = {}
     for slots in product(packed, repeat=n):
         m = 0
@@ -340,12 +338,7 @@ def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> dict:
             out = acc.setdefault(i, {})
             for j, v in kron:
                 out[j] = out.get(j, 0) + c * v
-    rows = {}
-    for i, out in acc.items():
-        row = {j: t for j, v in out.items() if (t := unpack(v)) is not None}
-        if row:
-            rows[i] = row
-    return rows
+    return acc, den * e.den**n, width
 
 
 def _degree(n: int) -> int:
@@ -446,25 +439,28 @@ def _largest_nonvanishing(power, part: KaroubiObject, cap: int) -> int:
 
 
 def direct_sum(*objects: KaroubiObject) -> KaroubiObject:
-    """Block-diagonal sum of one or more objects that share k, in order.
+    """Block-diagonal sum of one or more objects that share k, in order."""
+    return KaroubiObject._of(_block_diagonal([x.idem for x in objects]))
 
-    Each idempotent is rewritten over the lcm of all denominators and offset
-    by the dimensions of the ambients before it."""
-    if not objects:
+
+def _block_diagonal(idems: list[SuperMorphism]) -> SuperMorphism:
+    """The block-diagonal sum of endomorphisms that share k, in order, over
+    the lcm of their denominators."""
+    if not idems:
         raise ValueError("empty direct sum")
-    k = objects[0].k
-    if any(x.k != k for x in objects):
+    k = idems[0].k
+    if any(e.k != k for e in idems):
         raise ValueError("truncation orders differ")
-    den = lcm(*(x.idem.den for x in objects))
+    blocks, den, width = _aligned(idems)
     rows = {}
     off = 0
-    for x in objects:
-        for i, row in x.idem._rows_over(den).items():
-            rows[i + off] = {j + off: t for j, t in row.items()}
-        off += x.ambient.dim
-    ambient = SuperSpace(tuple(chain.from_iterable(x.ambient.parities for x in objects)),
-                         tuple(chain.from_iterable(x.ambient.weights for x in objects)), k)
-    return KaroubiObject._of(SuperMorphism._from_numerators(ambient, ambient, rows, den))
+    for e, block in zip(idems, blocks):
+        for i, row in block.items():
+            rows[i + off] = {j + off: v for j, v in row.items()}
+        off += e.source.dim
+    ambient = SuperSpace(tuple(chain.from_iterable(e.source.parities for e in idems)),
+                         tuple(chain.from_iterable(e.source.weights for e in idems)), k)
+    return SuperMorphism._from_packed(ambient, ambient, rows, den, width)
 
 
 def tensor_k(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
@@ -483,11 +479,13 @@ def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:
 def s_wedge(n: int, x: KaroubiObject,
             parity_split: tuple[KaroubiObject, KaroubiObject] | None = None,
             cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
-    """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n."""
+    """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n;
+    the blocks are summed as idempotents, and only the sum is checked."""
     _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
-    return direct_sum(*(tensor_k(wedge(i, plus, cap), sym(n - i, minus, cap))
-                        for i in range(n + 1)))
+    return KaroubiObject._of(_block_diagonal(
+        [wedge(i, plus, cap).idem.tensor(sym(n - i, minus, cap).idem)
+         for i in range(n + 1)]))
 
 
 # --- splitting through a family of factorizations --------------------------------
@@ -527,21 +525,21 @@ def assemble_summand(maps_in, maps_out):
         raise SummandDefectError(total - ident)
     sum_space = SuperSpace(sum((a.target.parities for a in maps_in), ()),
                            sum((a.target.weights for a in maps_in), ()), x.k)
-    f_den = lcm(*(a.den for a in maps_in))
-    g_den = lcm(*(b.den for b in maps_out))
-    f_rows: dict[int, dict[int, tuple[int, ...]]] = {}
-    g_rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    a_rows, f_den, f_width = _aligned(maps_in)
+    b_rows, g_den, g_width = _aligned(maps_out)
+    f_rows: dict[int, dict[int, int]] = {}
+    g_rows: dict[int, dict[int, int]] = {}
     off = 0
-    for a, b in zip(maps_in, maps_out):
-        for i, row in a._rows_over(f_den).items():
+    for a, a_block, b_block in zip(maps_in, a_rows, b_rows):
+        for i, row in a_block.items():
             f_rows[i + off] = row
-        for i, row in b._rows_over(g_den).items():
+        for i, row in b_block.items():
             acc = g_rows.setdefault(i, {})
-            for j, t in row.items():
-                acc[j + off] = t
+            for j, v in row.items():
+                acc[j + off] = v
         off += a.target.dim
-    f = SuperMorphism._from_numerators(x, sum_space, f_rows, f_den)
-    g = SuperMorphism._from_numerators(sum_space, x, g_rows, g_den)
+    f = SuperMorphism._from_packed(x, sum_space, f_rows, f_den, f_width)
+    g = SuperMorphism._from_packed(sum_space, x, g_rows, g_den, g_width)
     e = f.compose(g)
     if g.compose(f) != ident:
         raise InvariantError("assembled g . f differs from the identity")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvariantError
 from .supercat import SuperMorphism, SuperSpace, geometric_series
@@ -131,6 +131,7 @@ class ProjectorFamily:
 
     ambient: SuperSpace
     members: tuple[SuperMorphism, ...]
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -142,6 +143,9 @@ class ProjectorFamily:
         return self.members[i]
 
     def validate(self) -> None:
+        """Raise unless complete and orthogonal; a family that passed is not checked again."""
+        if self._valid:
+            return
         total = SuperMorphism.zero(self.ambient, self.ambient)
         for i, m in enumerate(self.members):
             if m.source != self.ambient or m.target != self.ambient:
@@ -155,6 +159,7 @@ class ProjectorFamily:
             for j, b in enumerate(self.members):
                 if i != j and not a.compose(b).is_zero():
                     raise ValueError(f"members {i} and {j} are not orthogonal")
+        object.__setattr__(self, "_valid", True)
 
 
 def lift_family(residues: ProjectorFamily, k: int, seed: int = 0) -> ProjectorFamily:
@@ -324,8 +329,7 @@ def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityRe
             decomposition[(s, t)] = b
             if s != t and not b.is_zero():
                 violations.append((s, t, "nonzero off-diagonal block"))
-            if s == t and any(any(nums[1:]) for row in b.rows.values()
-                              for nums in row.values()):
+            if s == t and any(any(nums[1:]) for _, _, nums in b.numerators()):
                 violations.append((s, t, "diagonal corner has an eps part"))
     hom_trivial = q.is_hom_trivial()
     if violations:

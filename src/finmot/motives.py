@@ -162,11 +162,11 @@ def _transpose_partner(space: SuperSpace, top: int) -> list[int]:
 
 def weight_transpose(f: SuperMorphism, partner: Sequence[int]) -> SuperMorphism:
     """Adjoint of ``f`` under the pairing of weight w with weight top-w."""
-    rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for i, row in f.rows.items():
-        for j, t in row.items():
-            rows.setdefault(partner[j], {})[partner[i]] = t
-    return SuperMorphism._from_numerators(f.source, f.target, rows, f.den)
+        for j, v in row.items():
+            rows.setdefault(partner[j], {})[partner[i]] = v
+    return SuperMorphism._from_packed(f.source, f.target, rows, f.den, f.width, fits=True)
 
 
 def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
@@ -175,9 +175,9 @@ def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
     Seed 0 (or k = 1) gives the weight projectors themselves.  Any other
     seed conjugates them by u = exp(eps S), S = N - N^t for a seeded
     parity-preserving N and the transpose of the weight pairing.  u is
-    the identity mod eps, so realizations are unchanged; S is
-    antisymmetric for the pairing, so the surface projector relations
-    hold for the conjugated family too.  A one-member family (point,
+    the identity mod eps, so realizations are unchanged, and its inverse
+    is exp(-eps S); S is antisymmetric for the pairing, so the surface
+    projector relations hold for the conjugated family too.  A one-member family (point,
     Lefschetz) is {id} under every unit and takes none.
     """
     family = weight_family(spec)
@@ -185,8 +185,8 @@ def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
         space = family.ambient
         n = eps_perturbation(space, seeded_rng(spec.seed))
         partner = _transpose_partner(space, 2 * spec.motive_dimension)
-        u = exp_nilpotent(n - weight_transpose(n, partner))
-        uinv = invert_unit(u)
+        s = n - weight_transpose(n, partner)
+        u, uinv = exp_nilpotent(s), exp_nilpotent(-s)
         family = ProjectorFamily(space, tuple(uinv.compose(m).compose(u) for m in family))
     return family
 

@@ -18,19 +18,24 @@ Conventions fixed here and relied on everywhere else:
   dense semantics: every entry of a valid morphism is defined.
 
 Storage is exact integers.  A ``SuperMorphism`` keeps one positive
-denominator ``den`` for the whole matrix and, for each nonzero entry, the
-k-tuple of integer numerators of its eps-coefficients:
-``rows[i][j] = (c_0, ..., c_{k-1})`` stands for
-``(c_0 + c_1 eps + ... + c_{k-1} eps^(k-1)) / den``.  The form is
-canonical -- all-zero entries are absent and ``gcd(den, every numerator)
-== 1`` -- so equal morphisms have equal storage.  Products are truncated
-convolutions on these integers, evaluated by Kronecker substitution (a
-k-tuple packed into one integer with fields wide enough that none
-overflows), followed by one gcd normalisation per result.
+denominator ``den``, a field width ``width`` = W and, for each nonzero
+entry, one integer: the Kronecker packing ``c_0 + c_1 2^W + ... +
+c_{k-1} 2^((k-1)W)`` of the signed numerators of
+``(c_0 + c_1 eps + ... + c_{k-1} eps^(k-1)) / den``.  W is a rung of the
+ladder 64, 128, 256, ...; rung W holds numerators in [-2^B, 2^B) for
+B = W/2 - 8, and a morphism sits on the lowest rung that holds all of
+its numerators.  With all-zero entries absent and ``gcd(den, every
+numerator) == 1`` the form is canonical: equal morphisms have equal
+``(width, den, rows)``.  Sums, products and tensor products work on the
+packed integers.  A product of entries is their truncated convolution
+plus fields for eps^k and beyond, which one add, mask and subtract cut
+away; the 2B + bitlen(dim k) + 1 <= W headroom keeps every field exact,
+and operands move up a rung when it does not.  The same add and mask test
+each result against the bound of its rung (the fit test).
 
 ``TruncatedScalar``, with ``fractions.Fraction`` coefficients, is the value
 type at the API boundary only: the constructors accept it, and ``entry``,
-``items`` and ``supertrace`` return it.
+``items`` and ``supertrace`` return it; ``numerators`` gives the tuples.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -264,11 +269,6 @@ def dual(x: SuperSpace) -> SuperSpace:
     return SuperSpace(x.parities, tuple([-w for w in x.weights]), x.k)
 
 
-def _unit_tuple(k: int, value: int = 1) -> tuple[int, ...]:
-    """Numerators of the constant ``value`` at truncation order ``k``."""
-    return (value,) + (0,) * (k - 1)
-
-
 def _scalar_ints(value, k: int) -> tuple[tuple[int, ...], int]:
     """(numerators, positive denominator) of a TruncatedScalar, int or
     Fraction at truncation order ``k``, in lowest terms."""
@@ -282,70 +282,108 @@ def _scalar_ints(value, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
-def _lowest_terms(rows: dict, den: int) -> tuple[dict, int]:
-    """Divide ``den`` and every numerator by their gcd."""
-    if den == 1:
-        return rows, den
-    g = den
-    for row in rows.values():
-        for t in row.values():
-            g = math.gcd(g, *t)
-            if g == 1:
-                return rows, den
-    return ({i: {j: tuple([c // g for c in t]) for j, t in row.items()}
-             for i, row in rows.items()}, den // g)
+#: the lowest rung of the width ladder 64, 128, 256, ...
+_BASE_WIDTH = 64
 
 
-def _pack(t: tuple[int, ...], width: int) -> int:
+def _bound(width: int) -> int:
+    """Rung ``width`` stores numerators in [-2**bound, 2**bound)."""
+    return width // 2 - 8
+
+
+def _room(bits: int, width: int = _BASE_WIDTH) -> int:
+    """The lowest rung from ``width`` up that holds signed ``bits``-bit values."""
+    while bits >= width:
+        width *= 2
+    return width
+
+
+def _rung(values: Iterable[int]) -> int:
+    """The lowest rung whose bound holds every value."""
+    values = list(values)
+    return _room(2 * max(max(values, default=0), ~min(values, default=0)).bit_length() + 15)
+
+
+def _values(rows: dict) -> Iterator[int]:
+    """The stored entries of ``rows``, row by row."""
+    return chain.from_iterable(map(dict.values, rows.values()))
+
+
+@cache
+def _window(width: int, bits: int, k: int) -> tuple[int, int]:
+    """(offset, mask): 2**bits and the low bits + 1 bits, in each of k fields.
+    ``v + offset`` lies inside ``mask`` exactly when every field of v lies in
+    [-2**bits, 2**bits); at bits = width - 1, ``((v + offset) & mask) -
+    offset`` cuts an exact v to its k low fields."""
+    offset = mask = 0
+    for _ in range(k):
+        offset = (offset << width) | (1 << bits)
+        mask = (mask << width) | ((2 << bits) - 1)
+    return offset, mask
+
+
+def _pack(t: Iterable[int], width: int) -> int:
     """The polynomial ``t`` evaluated at ``2**width`` (Kronecker substitution)."""
     v = 0
-    for c in reversed(t):
+    for c in reversed(tuple(t)):
         v = (v << width) + c
     return v
 
 
-@lru_cache(maxsize=256)
-def _unpacker(width: int, k: int):
-    """Inverse of ``_pack`` on the low ``k`` fields of a packed product.
-
-    Every field must hold a value in ``[-2**(width-1), 2**(width-1))``;
-    fields from k on (the eps^k and higher terms of a product) are
-    discarded.  The returned function gives the k-tuple, or None when all
-    k fields are zero.
-    """
+def _fields(v: int, width: int, k: int) -> tuple[int, ...]:
+    """The k signed fields of a packed entry (the inverse of ``_pack``)."""
     half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    low = (1 << (width * k)) - 1
-    offset = _pack((half,) * k, width)
-    shifts = range(0, width * k, width)
-
-    def unpack(v: int):
-        v = (v + offset) & low
-        if v == offset:
-            return None
-        return tuple([((v >> s) & mask) - half for s in shifts])
-
-    return unpack
+    v += _window(width, width - 1, k)[0]
+    return tuple([((v >> s) & (2 * half - 1)) - half for s in range(0, width * k, width)])
 
 
-def _width(bits_a: int, bits_b: int, terms: int) -> int:
-    """Field width that holds any sum of ``terms`` products of a
-    ``bits_a``-bit and a ``bits_b``-bit integer, with its sign; rounded up
-    to a multiple of 8 so that few distinct unpackers get built."""
-    return (bits_a + bits_b + terms.bit_length() + 8) & ~7
+def _settle(rows: dict, den: int, width: int, k: int,
+            fits: bool = False) -> tuple[dict, int, int]:
+    """The canonical ``(rows, den, width)`` of packed rows over ``den`` whose
+    fields are exact at the rung ``width``: in lowest terms, on the lowest
+    rung whose bound holds every numerator.  ``fits`` says that the bound of
+    ``width`` holds; else one add-and-mask test per entry checks the base rung.
+    """
+    if den > 1:
+        g = den
+        for v in _values(rows):
+            if (g := math.gcd(g, *_fields(v, width, k))) == 1:
+                break
+        else:
+            rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
+            den //= g
+    if width == _BASE_WIDTH:
+        offset, mask = _window(width, _bound(width), k)
+        if fits or not any((v + offset) | mask != mask for v in _values(rows)):
+            return rows, den, width
+    rung = _rung(chain.from_iterable(_fields(v, width, k) for v in _values(rows)))
+    if rung != width:
+        rows = {i: {j: _pack(_fields(v, width, k), rung) for j, v in row.items()}
+                for i, row in rows.items()}
+    return rows, den, rung
+
+
+def _aligned(morphisms) -> tuple[list[dict], int, int]:
+    """The packed rows of each morphism over the lcm of their denominators,
+    at one rung with room for a sign and a sum of two: ``(rows, den, width)``."""
+    den = math.lcm(*[m.den for m in morphisms])
+    top = max([m.width for m in morphisms])
+    factors = [den // m.den for m in morphisms]
+    width = _room(_bound(top) + max(factors).bit_length() + 1, top)
+    return [m._rows_at(width, f) for m, f in zip(morphisms, factors)], den, width
 
 
 class SuperMorphism:
     """A parity-preserving matrix over Q[eps]/(eps^k) between graded spaces.
 
     Rows index the target basis, columns the source basis.  The eps^0
-    layer must additionally preserve weight.  ``rows[i][j]`` is the tuple
-    of integer numerators of entry (i, j) and ``den`` the positive common
-    denominator, in the canonical form described in the module docstring.
-    Instances are treated as immutable after construction.
+    layer must additionally preserve weight.  ``rows[i][j]`` is the packed
+    integer of entry (i, j) at the rung ``width`` and ``den`` the positive
+    common denominator, in the canonical form described in the module
+    docstring.  Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("source", "target", "rows", "den", "_fp", "_bits")
+    __slots__ = ("source", "target", "rows", "den", "width", "_fp")
 
     def __init__(self, source: SuperSpace, target: SuperSpace,
                  rows: Mapping[int, Mapping[int, object]]):
@@ -374,34 +412,63 @@ class SuperMorphism:
                         f"eps^0 entry ({i},{j}) violates weight: {tw[i]} != {sw[j]}"
                     )
                 scalars.append((i, j, nums, d))
-        # over the lcm of denominators in lowest terms the form is canonical
         den = math.lcm(*(d for _, _, _, d in scalars))
         clean: dict[int, dict[int, tuple[int, ...]]] = {}
         for i, j, nums, d in scalars:
             f = den // d
             clean.setdefault(i, {})[j] = nums if f == 1 else tuple(c * f for c in nums)
+        m = self._from_numerators(source, target, clean, den)
+        self.source, self.target, self.rows, self.den, self.width, self._fp = (
+            source, target, m.rows, m.den, m.width, None)
+
+    @classmethod
+    def _from_packed(cls, source: SuperSpace, target: SuperSpace, rows: dict,
+                     den: int = 1, width: int = _BASE_WIDTH,
+                     fits: bool = False) -> "SuperMorphism":
+        """Trusted constructor from packed rows over ``den`` > 0, exact at the
+        rung ``width``, with valid positions and no zero entries (see
+        ``_settle``); ``rows`` may be kept, so it must not change afterwards."""
+        self = object.__new__(cls)
         self.source = source
         self.target = target
-        self.rows = clean
-        self.den = den
+        self.rows, self.den, self.width = _settle(rows, den, width, source.k, fits)
         self._fp = None
-        self._bits = None
+        return self
+
+    @classmethod
+    def _from_products(cls, source: SuperSpace, target: SuperSpace, rows: dict,
+                       den: int, width: int) -> "SuperMorphism":
+        """Trusted constructor from sums of packed products whose low k fields
+        are exact at ``width``: one add, mask and subtract cut each entry to
+        those fields and test it against the bound of the rung."""
+        offset, mask = _window(width, _bound(width), source.k)
+        half, low = _window(width, width - 1, source.k)
+        cut, seen = {}, 0
+        for i, row in rows.items():
+            out = {}
+            for j, v in row.items():
+                y = (v + offset) & low
+                if y != offset:
+                    out[j] = y - offset
+                    seen |= y
+            if out:
+                cut[i] = out
+        fits = seen | mask == mask
+        if not fits:
+            # y - offset agrees with the cut modulo 2**(width k); recentre it
+            cut = {i: {j: ((v + half) & low) - half for j, v in row.items()}
+                   for i, row in cut.items()}
+        return cls._from_packed(source, target, cut, den, width, fits)
 
     @classmethod
     def _from_numerators(cls, source: SuperSpace, target: SuperSpace,
                          rows: dict, den: int = 1) -> "SuperMorphism":
-        """Trusted constructor from numerator rows over ``den`` > 0.
-
-        The caller guarantees valid positions and no all-zero entries;
-        the result is reduced to lowest terms.
-        """
-        self = object.__new__(cls)
-        self.source = source
-        self.target = target
-        self.rows, self.den = _lowest_terms(rows, den)
-        self._fp = None
-        self._bits = None
-        return self
+        """Trusted constructor from rows of numerator k-tuples over ``den``,
+        packed on the lowest rung that holds them; the caller guarantees
+        valid positions and no all-zero entries."""
+        width = _rung(chain.from_iterable(_values(rows)))
+        packed = {i: {j: _pack(t, width) for j, t in row.items()} for i, row in rows.items()}
+        return cls._from_packed(source, target, packed, den, width, fits=True)
 
     # --- constructors -------------------------------------------------------
 
@@ -415,7 +482,8 @@ class SuperMorphism:
 
     @classmethod
     def zero(cls, source, target=None) -> "SuperMorphism":
-        return cls._from_numerators(source, target if target is not None else source, {})
+        return cls._from_packed(source, target if target is not None else source, {},
+                                fits=True)
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "SuperMorphism":
@@ -424,8 +492,7 @@ class SuperMorphism:
     @classmethod
     def projector(cls, space: SuperSpace, indices: Iterable[int]) -> "SuperMorphism":
         """The coordinate projector onto the basis vectors ``indices``."""
-        one = _unit_tuple(space.k)
-        return cls._from_numerators(space, space, {i: {i: one} for i in indices})
+        return cls._from_packed(space, space, {i: {i: 1} for i in indices}, fits=True)
 
     @classmethod
     def diagonal(cls, space: SuperSpace, scalars: Iterable) -> "SuperMorphism":
@@ -438,72 +505,64 @@ class SuperMorphism:
     def k(self) -> int:
         return self.source.k
 
-    def _scalar(self, t: tuple[int, ...]) -> TruncatedScalar:
+    def _scalar(self, v: int) -> TruncatedScalar:
         den = self.den
-        return TruncatedScalar([Fraction(c, den) for c in t])
+        return TruncatedScalar([Fraction(c, den) for c in _fields(v, self.width, self.k)])
 
     def entry(self, i: int, j: int) -> TruncatedScalar:
-        t = self.rows.get(i, {}).get(j)
-        return TruncatedScalar.zero(self.k) if t is None else self._scalar(t)
+        v = self.rows.get(i, {}).get(j)
+        return TruncatedScalar.zero(self.k) if v is None else self._scalar(v)
 
     def items(self) -> Iterator[tuple[int, int, TruncatedScalar]]:
         for i, row in self.rows.items():
-            for j, t in row.items():
-                yield i, j, self._scalar(t)
+            for j, v in row.items():
+                yield i, j, self._scalar(v)
+
+    def numerators(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """``(i, j, (c_0, ..., c_{k-1}))`` for each stored entry, over ``den``."""
+        width, k = self.width, self.k
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                yield i, j, _fields(v, width, k)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())
 
     def fingerprint(self):
         if self._fp is None:
-            body = tuple(sorted((i, j, t) for i, row in self.rows.items()
-                                for j, t in row.items()))
-            self._fp = (self.source, self.target, self.den, body)
+            body = tuple(sorted((i, j, v) for i, row in self.rows.items()
+                                for j, v in row.items()))
+            self._fp = (self.source, self.target, self.den, self.width, body)
         return self._fp
 
-    def _max_bits(self) -> int:
-        """Bit length of the largest numerator magnitude, computed once."""
-        if self._bits is None:
-            values = chain.from_iterable(
-                chain.from_iterable(map(dict.values, self.rows.values())))
-            self._bits = max(map(abs, values), default=0).bit_length()
-        return self._bits
-
-    def _rows_over(self, den: int) -> dict:
-        """Numerator rows rewritten over ``den``, a multiple of ``self.den``."""
-        f = den // self.den
-        if f == 1:
+    def _rows_at(self, width: int, f: int = 1) -> dict:
+        """The packed rows moved to ``width`` and multiplied by ``f``; the
+        caller guarantees that every resulting field fits."""
+        w, k = self.width, self.k
+        if width == w and f == 1:
             return self.rows
-        return {i: {j: tuple([c * f for c in t]) for j, t in row.items()}
-                for i, row in self.rows.items()}
+        return {i: {j: (v if width == w else _pack(_fields(v, w, k), width)) * f
+                    for j, v in row.items()} for i, row in self.rows.items()}
 
     # --- linear structure ------------------------------------------------------
 
-    def _check_parallel(self, other: "SuperMorphism"):
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("morphisms are not parallel")
-
     def _combine(self, other: "SuperMorphism", sign: int) -> "SuperMorphism":
         """``self + sign * other``."""
-        self._check_parallel(other)
-        den = math.lcm(self.den, other.den)
-        f = sign * (den // other.den)
-        rows = {i: dict(row) for i, row in self._rows_over(den).items()}
-        for i, row in other.rows.items():
+        if self.source != other.source or self.target != other.target:
+            raise ValueError("morphisms are not parallel")
+        (a, b), den, width = _aligned((self, other))
+        rows = {i: dict(row) for i, row in a.items()}
+        for i, row in b.items():
             acc = rows.setdefault(i, {})
-            for j, t in row.items():
-                cur = acc.get(j)
-                if cur is None:
-                    acc[j] = t if f == 1 else tuple([c * f for c in t])
-                    continue
-                v = tuple([x + c * f for x, c in zip(cur, t)])
-                if any(v):
+            for j, v in row.items():
+                v = acc.get(j, 0) + sign * v
+                if v:
                     acc[j] = v
                 else:
                     del acc[j]
             if not acc:
                 del rows[i]
-        return SuperMorphism._from_numerators(self.source, self.target, rows, den)
+        return SuperMorphism._from_packed(self.source, self.target, rows, den, width)
 
     def __add__(self, other: "SuperMorphism") -> "SuperMorphism":
         return self._combine(other, 1)
@@ -512,57 +571,37 @@ class SuperMorphism:
         return self._combine(other, -1)
 
     def __neg__(self) -> "SuperMorphism":
-        rows = {i: {j: tuple([-c for c in t]) for j, t in row.items()}
-                for i, row in self.rows.items()}
-        return SuperMorphism._from_numerators(self.source, self.target, rows, self.den)
+        return self.scale(-1)
 
     def scale(self, c) -> "SuperMorphism":
         k = self.k
         nums, d = _scalar_ints(c, k)
-        rows: dict[int, dict[int, tuple[int, ...]]] = {}
-        if any(nums):
-            width = _width(self._max_bits(), max(map(abs, nums)).bit_length(), k)
-            unpack = _unpacker(width, k)
-            pc = _pack(nums, width)
-            for i, row in self.rows.items():
-                acc = {}
-                for j, t in row.items():
-                    v = unpack(pc * _pack(t, width))
-                    if v is not None:
-                        acc[j] = v
-                if acc:
-                    rows[i] = acc
-        return SuperMorphism._from_numerators(self.source, self.target, rows,
-                                              self.den * d)
+        bits = _bound(self.width) + max(map(abs, nums)).bit_length() + k.bit_length()
+        width = _room(bits, self.width)
+        pc = _pack(nums, width)
+        rows = {i: {j: pc * v for j, v in row.items()} for i, row in self._rows_at(width).items()}
+        return SuperMorphism._from_products(self.source, self.target, rows,
+                                            self.den * d, width)
 
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
         """``self`` after ``other`` (matrix product self . other)."""
-        if other.target != self.source:
+        source = self.source
+        if other.target is not source and other.target != source:
             raise ValueError("composition mismatch")
-        rows: dict[int, dict[int, tuple[int, ...]]] = {}
-        if self.rows and other.rows:
-            k = self.k
-            width = _width(self._max_bits(), other._max_bits(), self.source.dim * k)
-            unpack = _unpacker(width, k)
-            packed = {m: {j: _pack(b, width) for j, b in row.items()}
-                      for m, row in other.rows.items()}
-            for i, srow in self.rows.items():
-                acc: dict[int, int] = {}
-                for m, a in srow.items():
-                    prow = packed.get(m)
-                    if prow:
-                        pa = _pack(a, width)
-                        for j, pb in prow.items():
-                            acc[j] = acc.get(j, 0) + pa * pb
-                out = {}
-                for j, v in acc.items():
-                    t = unpack(v)
-                    if t is not None:
-                        out[j] = t
-                if out:
-                    rows[i] = out
-        return SuperMorphism._from_numerators(other.source, self.target, rows,
-                                              self.den * other.den)
+        rows: dict[int, dict[int, int]] = {}
+        width = max(self.width, other.width)
+        width = _room(2 * _bound(width) + (source.dim * source.k).bit_length(), width)
+        right = other._rows_at(width)
+        for i, srow in self._rows_at(width).items():
+            acc: dict[int, int] = {}
+            for m, a in srow.items():
+                prow = right.get(m)
+                if prow:
+                    for j, b in prow.items():
+                        acc[j] = acc.get(j, 0) + a * b
+            rows[i] = acc
+        return SuperMorphism._from_products(other.source, self.target, rows,
+                                            self.den * other.den, width)
 
     def power(self, m: int) -> "SuperMorphism":
         if self.source != self.target:
@@ -585,38 +624,24 @@ class SuperMorphism:
         src = tensor(self.source, other.source)
         dst = (src if self.is_endomorphism() and other.is_endomorphism()
                else tensor(self.target, other.target))
-        rows: dict[int, dict[int, tuple[int, ...]]] = {}
-        if self.rows and other.rows:
-            k = self.k
-            width = _width(self._max_bits(), other._max_bits(), k)
-            unpack = _unpacker(width, k)
-            pa_rows = {i: {j: _pack(t, width) for j, t in row.items()}
-                       for i, row in self.rows.items()}
-            pb_rows = {i: {j: _pack(t, width) for j, t in row.items()}
-                       for i, row in other.rows.items()}
-            scols = other.source.dim
-            dcols = other.target.dim
-            for i1, row1 in pa_rows.items():
-                for i2, row2 in pb_rows.items():
-                    acc = {}
-                    for j1, a in row1.items():
-                        base = j1 * scols
-                        for j2, b in row2.items():
-                            t = unpack(a * b)
-                            if t is not None:
-                                acc[base + j2] = t
-                    if acc:
-                        rows[i1 * dcols + i2] = acc
-        return SuperMorphism._from_numerators(src, dst, rows, self.den * other.den)
+        width = max(self.width, other.width)
+        width = _room(2 * _bound(width) + self.k.bit_length(), width)
+        right = other._rows_at(width)
+        scols = other.source.dim
+        dcols = other.target.dim
+        rows = {i1 * dcols + i2: {j1 * scols + j2: a * b for j1, a in row1.items()
+                                  for j2, b in row2.items()}
+                for i1, row1 in self._rows_at(width).items() for i2, row2 in right.items()}
+        return SuperMorphism._from_products(src, dst, rows, self.den * other.den, width)
 
     def dual(self) -> "SuperMorphism":
         """The transpose, as a map between the dual spaces."""
-        rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for i, row in self.rows.items():
-            for j, t in row.items():
-                rows.setdefault(j, {})[i] = t
-        return SuperMorphism._from_numerators(dual(self.target), dual(self.source),
-                                              rows, self.den)
+            for j, v in row.items():
+                rows.setdefault(j, {})[i] = v
+        return SuperMorphism._from_packed(dual(self.target), dual(self.source),
+                                          rows, self.den, self.width, fits=True)
 
     # --- predicates -------------------------------------------------------------
 
@@ -627,8 +652,7 @@ class SuperMorphism:
         if (self.source != self.target or self.den != 1
                 or len(self.rows) != self.source.dim):
             return False
-        one = _unit_tuple(self.k)
-        return all(len(row) == 1 and row.get(i) == one for i, row in self.rows.items())
+        return all(len(row) == 1 and row.get(i) == 1 for i, row in self.rows.items())
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -640,36 +664,37 @@ class SuperMorphism:
         """The categorical trace: the diagonal sum with odd entries negated."""
         if not self.is_endomorphism():
             raise ValueError("trace of a non-endomorphism")
-        total = [0] * self.k
+        width = _room(_bound(self.width) + self.source.dim.bit_length(), self.width)
         parities = self.source.parities
-        for i, row in self.rows.items():
-            t = row.get(i)
-            if t is not None:
-                sign = -1 if parities[i] == ODD else 1
-                total = [x + sign * c for x, c in zip(total, t)]
-        return self._scalar(total)
+        total = sum(-row[i] if parities[i] == ODD else row[i]
+                    for i, row in self._rows_at(width).items() if i in row)
+        return TruncatedScalar([Fraction(c, self.den) for c in _fields(total, width, self.k)])
 
     def realization(self) -> "SuperMorphism":
         """Set eps to 0.  A tensor functor onto the k = 1 layer."""
-        rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        width = self.width
+        half = 1 << (width - 1)
+        mask = 2 * half - 1
+        rows: dict[int, dict[int, int]] = {}
         for i, row in self.rows.items():
-            acc = {j: (t[0],) for j, t in row.items() if t[0]}
+            acc = {j: c for j, v in row.items() if (c := ((v + half) & mask) - half)}
             if acc:
                 rows[i] = acc
-        return SuperMorphism._from_numerators(self.source.with_k(1),
-                                              self.target.with_k(1), rows, self.den)
+        return SuperMorphism._from_packed(self.source.with_k(1), self.target.with_k(1),
+                                          rows, self.den, width, fits=True)
 
     def is_hom_trivial(self) -> bool:
         """Whether the realization vanishes."""
-        return all(not t[0] for row in self.rows.values() for t in row.values())
+        mask = (1 << self.width) - 1
+        return all(not v & mask for row in self.rows.values() for v in row.values())
 
     def promoted(self, k: int) -> "SuperMorphism":
+        """The same numerators at truncation order ``k``: the packed
+        integers are unchanged, only the spaces change."""
         if k < self.k:
             raise ValueError("cannot demote a morphism")
-        pad = (0,) * (k - self.k)
-        rows = {i: {j: t + pad for j, t in row.items()} for i, row in self.rows.items()}
-        return SuperMorphism._from_numerators(self.source.with_k(k),
-                                              self.target.with_k(k), rows, self.den)
+        return SuperMorphism._from_packed(self.source.with_k(k), self.target.with_k(k),
+                                          self.rows, self.den, self.width, fits=True)
 
     def __eq__(self, other):
         return (
@@ -677,6 +702,7 @@ class SuperMorphism:
             and self.source == other.source
             and self.target == other.target
             and self.den == other.den
+            and self.width == other.width
             and self.rows == other.rows
         )
 
@@ -694,16 +720,12 @@ def braiding(x: SuperSpace, y: SuperSpace) -> SuperMorphism:
         raise ValueError("truncation orders differ")
     src = tensor(x, y)
     dst = tensor(y, x)
-    k = x.k
-    one = _unit_tuple(k)
-    minus = _unit_tuple(k, -1)
-    rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for i in range(x.dim):
         pi = x.parities[i]
         for j in range(y.dim):
-            sign = minus if (pi and y.parities[j]) else one
-            rows[j * x.dim + i] = {i * y.dim + j: sign}
-    return SuperMorphism._from_numerators(src, dst, rows)
+            rows[j * x.dim + i] = {i * y.dim + j: -1 if (pi and y.parities[j]) else 1}
+    return SuperMorphism._from_packed(src, dst, rows, fits=True)
 
 
 def signed_slot_map(images: tuple[int, ...], parities: tuple[int, ...]
@@ -742,28 +764,25 @@ def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
     if x.dim**n > cap:
         raise SizeCapError(f"tensor power dimension {x.dim}**{n} exceeds cap {cap}")
     xn = tensor_power(x, n)
-    signed = {1: _unit_tuple(x.k), -1: _unit_tuple(x.k, -1)}
-    rows = {row: {col: signed[sign]}
+    rows = {row: {col: sign}
             for col, (row, sign) in enumerate(signed_slot_map(sigma.images, x.parities))}
-    return SuperMorphism._from_numerators(xn, xn, rows)
+    return SuperMorphism._from_packed(xn, xn, rows, fits=True)
 
 
 def evaluation(x: SuperSpace) -> SuperMorphism:
     """X (x) X* -> 1, pairing each basis vector with its dual."""
     src = tensor(x, dual(x))
-    one = _unit_tuple(x.k)
     d = x.dim
-    rows = {0: {i * d + i: one for i in range(d)}} if d else {}
-    return SuperMorphism._from_numerators(src, SuperSpace.unit(x.k), rows)
+    rows = {0: {i * d + i: 1 for i in range(d)}} if d else {}
+    return SuperMorphism._from_packed(src, SuperSpace.unit(x.k), rows, fits=True)
 
 
 def coevaluation(x: SuperSpace) -> SuperMorphism:
     """1 -> X* (x) X, the sum of e^i (x) e_i."""
     dst = tensor(dual(x), x)
-    one = _unit_tuple(x.k)
     d = x.dim
-    rows = {i * d + i: {0: one} for i in range(d)}
-    return SuperMorphism._from_numerators(SuperSpace.unit(x.k), dst, rows)
+    rows = {i * d + i: {0: 1} for i in range(d)}
+    return SuperMorphism._from_packed(SuperSpace.unit(x.k), dst, rows, fits=True)
 
 
 def dim(x: SuperSpace) -> TruncatedScalar:
@@ -839,23 +858,21 @@ def invert_unit(f: SuperMorphism) -> SuperMorphism:
     if not f.is_endomorphism():
         raise ValueError("only endomorphisms are inverted")
     n = f.source.dim
-    k = f.k
     # the realization is R / den for the integer matrix R of eps^0 numerators
     aug = [[0] * n + [int(i == r) for i in range(n)] for r in range(n)]
     for i, row in f.rows.items():
-        for j, t in row.items():
-            aug[i][j] = t[0]
+        for j, v in row.items():
+            aug[i][j] = _fields(v, f.width, 1)[0]
     pivots, det = fraction_free_reduce(aug, n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
     # (R / den)^-1 = den * (det * R^-1) / det
     scale = f.den if det > 0 else -f.den
-    rows = {}
-    for i in range(n):
-        acc = {j: _unit_tuple(k, scale * v) for j, v in enumerate(aug[i][n:]) if v}
-        if acc:
-            rows[i] = acc
-    g0 = SuperMorphism._from_numerators(f.source, f.source, rows, abs(det))
+    # a constant packs to itself at every width
+    rows = {i: {j: scale * v for j, v in enumerate(aug[i][n:]) if v} for i in range(n)}
+    g0 = SuperMorphism._from_packed(
+        f.source, f.source, rows, abs(det),
+        _rung(_values(rows)), fits=True)
     ident = SuperMorphism.identity(f.source)
     return g0.compose(geometric_series(ident, ident - f.compose(g0)))
 

@@ -335,7 +335,7 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
     u = _large_unit(space)
     wide = KaroubiObject(space, invert_unit(u).compose(
         SuperMorphism.diagonal(space, [1, 0, 1])).compose(u))
-    assert wide.idem._max_bits() > 50 * k
+    assert max(abs(c) for _, _, t in wide.idem.numerators() for c in t).bit_length() > 50 * k
     objects.append(wide)
     checked = 0
     for x in objects:
@@ -643,7 +643,7 @@ def test_direct_sum_needs_parts_of_one_truncation_order():
 def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
     from finmot import karoubi, supercat
 
-    calls = {"tensor": 0, "direct_sum": 0}
+    calls = {"tensor": 0, "block_diagonal": 0, "objects": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -652,7 +652,8 @@ def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(supercat, "tensor", counted("tensor", supercat.tensor))
-    monkeypatch.setattr(karoubi, "direct_sum", counted("direct_sum", karoubi.direct_sum))
+    monkeypatch.setattr(karoubi, "_block_diagonal",
+                        counted("block_diagonal", karoubi._block_diagonal))
     a, b = _sheared_summand(2, 1, [1, 0, 1], 2), _sheared_summand(2, 2, [0, 1, 0, 1], 3)
     calls["tensor"] = 0
     product = tensor_k(a, b)
@@ -668,9 +669,18 @@ def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
     x = full(2, 1, 1)
     split = split_parity(x)
     for n in range(5):
-        calls["direct_sum"] = 0
+        calls["block_diagonal"] = 0
         s_wedge(n, x, split)
-        assert calls["direct_sum"] == 1, n
+        assert calls["block_diagonal"] == 1, n
+    # the blocks are summed as idempotents: with the Schur images kept on
+    # the parity parts, s_wedge constructs the sum and the two unit objects
+    # that wedge(0, -) and sym(0, -) return, and no object per block
+    monkeypatch.setattr(KaroubiObject, "_of", classmethod(
+        counted("objects", KaroubiObject._of.__func__)))
+    for n in range(5):
+        calls["objects"] = 0
+        s_wedge(n, x, split)
+        assert calls["objects"] == 3, n
 
 
 def test_classify_dual_same_report():

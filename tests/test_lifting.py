@@ -62,8 +62,7 @@ def test_seeded_draws_match_the_recorded_pin(builder):
                 rng = seeded_rng(seed)
                 m = builder(space, rng)
                 got = {"den": m.den, "next": rng.getrandbits(32),
-                       "rows": sorted([i, j, list(t)] for i, row in m.rows.items()
-                                      for j, t in row.items())}
+                       "rows": sorted([i, j, list(t)] for i, j, t in m.numerators())}
                 assert got == SEEDED_DRAWS[f"{name}/k{k}/s{seed}/{builder.__name__}"]
                 cases += 1
     assert cases == 27
@@ -186,6 +185,28 @@ def test_family_validation_catches_defects():
     )
     with pytest.raises(ValueError):
         overlapping.validate()
+
+
+def test_family_validation_is_kept_and_failures_repeat(monkeypatch):
+    space = SuperSpace.standard(2, 1, 3)
+    lifted = lift_family(diag_family(space.with_k(1), [{0}, {1, 2}]), 3, seed=1)
+    fresh = ProjectorFamily(space, lifted.members)
+    assert fresh == lifted
+    calls = []
+    compose = SuperMorphism.compose
+    monkeypatch.setattr(SuperMorphism, "compose",
+                        lambda a, b: calls.append(1) or compose(a, b))
+    lifted.validate()  # lift_family validated it
+    assert calls == []
+    fresh.validate()
+    assert calls
+    calls.clear()
+    fresh.validate()
+    assert calls == []
+    broken = ProjectorFamily(space, (SuperMorphism.diagonal(space, [1, 0, 0]),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            broken.validate()
 
 
 # --- conjugating unit ---------------------------------------------------------------

@@ -10,12 +10,14 @@ from finmot.karoubi import KaroubiObject, classify, direct_sum, tensor_k
 from finmot.lifting import (
     ProjectorFamily,
     corner_unit_check,
+    eps_perturbation,
     random_hom_trivial,
     seeded_rng,
     seeded_unit,
 )
 from finmot.motives import (
     MotiveSpec,
+    _transpose_partner,
     abelian_multiplication_action,
     acts_as_zero_on_gradeds,
     albanese_wedge,
@@ -27,8 +29,9 @@ from finmot.motives import (
     split_middle,
     surface_projector_relations,
     weight_projector,
+    weight_transpose,
 )
-from finmot.supercat import SuperMorphism, invert_unit
+from finmot.supercat import SuperMorphism, exp_nilpotent, invert_unit
 
 
 SURFACE = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=2, t=2)
@@ -109,6 +112,21 @@ def test_chow_kunneth_always_valid(spec, seed):
     for i, member in enumerate(fam.members):
         expected = weight_projector(space, i).realization()
         assert member.realization() == expected
+
+
+@pytest.mark.parametrize("k", [2, 5, 6])
+@pytest.mark.parametrize("seed", [1, 7, 25])
+def test_exp_of_minus_s_inverts_the_family_unit(k, seed):
+    # chow_kunneth conjugates by u = exp(S) and inverts it as exp(-S)
+    spec = MotiveSpec(**{**SURFACE.__dict__, "k": k, "seed": seed})
+    space = build_realization(spec)
+    n = eps_perturbation(space, seeded_rng(seed))
+    s = n - weight_transpose(n, _transpose_partner(space, 4))
+    assert s.is_hom_trivial() and not s.is_zero()
+    u, v = exp_nilpotent(s), exp_nilpotent(-s)
+    ident = SuperMorphism.identity(space)
+    assert v.compose(u) == ident and u.compose(v) == ident
+    assert v == invert_unit(u)
 
 
 def test_point_family_is_single_identity():

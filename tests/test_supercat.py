@@ -357,15 +357,23 @@ def spaces_k(draw, k, max_dim=6):
     return SuperSpace(tuple(p for p, _ in basis), tuple(w for _, w in basis), k)
 
 
+# numerators on both sides of the bounds 2**24, 2**56 and 2**120 of the
+# rungs 64, 128 and 256, either sign, over small denominators
+wide_numerators = st.builds(lambda b, d, sign: sign * (2**b + d),
+                            st.sampled_from((24, 56, 120)), st.integers(-2, 2),
+                            st.sampled_from((1, -1)))
+wide = st.one_of(rationals, st.builds(Fraction, wide_numerators, st.integers(1, 12)))
+
+
 @st.composite
-def morphisms(draw, source, target, hom_trivial=False):
+def morphisms(draw, source, target, hom_trivial=False, values=rationals):
     k = source.k
     entries = {}
     for i in range(target.dim):
         for j in range(source.dim):
             if target.parities[i] != source.parities[j] or not draw(st.booleans()):
                 continue
-            coeffs = draw(st.lists(rationals, min_size=k, max_size=k))
+            coeffs = draw(st.lists(values, min_size=k, max_size=k))
             if hom_trivial or target.weights[i] != source.weights[j]:
                 coeffs[0] = Fraction(0)
             entries[(i, j)] = TruncatedScalar(coeffs)
@@ -384,12 +392,21 @@ def ref_product(a, b, k, ncols):
              for j in range(ncols)] for i in range(len(a))]
 
 
+def holds(width, nums):
+    """Whether the rung ``width`` stores every numerator in ``nums``."""
+    bound = 2 ** (width // 2 - 8)
+    return all(-bound <= c < bound for c in nums)
+
+
 def assert_canonical(f, want):
-    """``f`` holds exactly the dense reference ``want``, in canonical form."""
+    """``f`` holds exactly the dense reference ``want``, in canonical form:
+    lowest terms, no zero entry, on the lowest rung that holds it."""
     assert reference(f) == want
-    nums = [c for row in f.rows.values() for t in row.values() for c in t]
+    entries = [t for _, _, t in f.numerators()]
+    nums = [c for t in entries for c in t]
     assert f.den > 0 and math.gcd(f.den, *nums) == 1
-    assert all(any(t) and len(t) == f.k for row in f.rows.values() for t in row.values())
+    assert all(any(t) and len(t) == f.k for t in entries)
+    assert holds(f.width, nums) and (f.width == 64 or not holds(f.width // 2, nums))
 
 
 def _fraction_rank(mat):
@@ -503,7 +520,68 @@ def test_canonical_form_survives_scaling_round_trip(data):
     back = f.scale(Fraction(1, 3)).scale(3)
     assert back == f
     assert back.fingerprint() == f.fingerprint()
-    assert back.den == f.den and back.rows == f.rows
+    assert back.den == f.den and sorted(back.numerators()) == sorted(f.numerators())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wide_numerators_match_entrywise_reference(data):
+    # entries that cross each rung, negative fields, den > 1 and k = 1
+    # through every operation on the packed integers
+    k = data.draw(orders)
+    x, y, z = (data.draw(spaces_k(k, max_dim=4)) for _ in range(3))
+    f = data.draw(morphisms(y, z, values=wide))
+    g, h = data.draw(morphisms(x, y, values=wide)), data.draw(morphisms(x, y, values=wide))
+    e = data.draw(morphisms(x, x, values=wide))
+    c = data.draw(wide)
+    rf, rg, rh = reference(f), reference(g), reference(h)
+    zero = TruncatedScalar.zero(k)
+    assert_canonical(f.compose(g), ref_product(rf, rg, k, x.dim))
+    # the two products cancel entry by entry
+    assert_canonical(f.compose(g) + f.compose(-g), [[zero] * x.dim for _ in range(z.dim)])
+    assert_canonical(g + h, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(rg, rh)])
+    assert_canonical(g - h, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rg, rh)])
+    assert_canonical(g.scale(c), [[a * c for a in ra] for ra in rg])
+    assert_canonical(f.tensor(g), [[rf[i1][j1] * rg[i2][j2] for j1 in range(y.dim)
+                                    for j2 in range(x.dim)]
+                                   for i1 in range(z.dim) for i2 in range(y.dim)])
+    assert_canonical(g.dual(), [list(col) for col in zip(*rg)] if rg and rg[0]
+                     else [[] for _ in range(x.dim)])
+    assert_canonical(g.realization(), [[TruncatedScalar((a.realization(),)) for a in ra]
+                                       for ra in rg])
+    k2 = data.draw(st.integers(min_value=k, max_value=6))
+    assert_canonical(g.promoted(k2), [[a.promoted(k2) for a in ra] for ra in rg])
+    want = zero
+    for i, parity in enumerate(x.parities):
+        want = want - e.entry(i, i) if parity == ODD else want + e.entry(i, i)
+    assert e.supertrace() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equal_morphisms_built_by_different_routes_have_equal_storage(data):
+    k = data.draw(orders)
+    x, y = data.draw(spaces_k(k)), data.draw(spaces_k(k))
+    f, w = data.draw(morphisms(x, y, values=wide)), data.draw(morphisms(x, y, values=wide))
+    c = data.draw(wide.filter(bool))
+    doubled = {}  # f's numerators and denominator times 2, for the gcd to remove
+    for i, j, t in f.numerators():
+        doubled.setdefault(i, {})[j] = tuple(2 * v for v in t)
+    routes = [
+        (f + w) - w,  # through a sum that may sit on a higher rung
+        f.scale(2) - f,
+        -(-f),
+        f.scale(c).scale(1 / c),
+        SuperMorphism.identity(y).compose(f),
+        f.compose(SuperMorphism.identity(x)),
+        f.dual().dual(),
+        SuperMorphism.from_entries(x, y, {(i, j): s for i, j, s in f.items()}),
+        SuperMorphism._from_numerators(x, y, doubled, 2 * f.den),
+    ]
+    for g in routes:
+        assert (g.source, g.target, g.width, g.den, g.rows) == \
+            (f.source, f.target, f.width, f.den, f.rows)
+        assert g.fingerprint() == f.fingerprint()
 
 
 int_matrices = st.integers(min_value=0, max_value=5).flatmap(
