@@ -3,9 +3,10 @@
 Objects are pairs (ambient space, idempotent endomorphism).  Schur
 functors act by the central group-algebra idempotents, realized as signed
 permutation operators op on a tensor power: the image of a summand e is
-op . e^(n), evaluated row by row from the rows of op and of e, without
-forming e^(n).  Classification searches for the largest nonvanishing
-exterior power of the even part and symmetric power of the odd part.
+op . e^(n), which ``supercat.operator_on_power`` evaluates row by row from
+the rows of op and of e, without forming e^(n).  Classification searches
+for the largest nonvanishing exterior power of the even part and symmetric
+power of the odd part.
 
 Exterior and symmetric powers, the only Schur functors the
 finite-dimensionality tests ask for, are built on the orbit basis instead
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import accumulate, product
 from math import factorial, gcd, prod
 
 from .errors import InvariantError, SizeCapError
@@ -59,10 +60,7 @@ from .supercat import (
     SuperMorphism,
     SuperSpace,
     TENSOR_DIM_CAP,
-    _aligned,
-    _fields,
-    _room,
-    _rung,
+    operator_on_power,
     signed_slot_map,
     tensor_power,
 )
@@ -126,14 +124,11 @@ class KaroubiObject:
 
     def classical_rank(self) -> int:
         """Rank of the realization, ignoring parity signs."""
-        idem = self.idem
-        diagonal = sum(row[i] for i, row in idem.rows.items() if i in row)
-        total = _fields(diagonal, idem.width, 1)[0]  # far inside the range of one field
-        rank, rem = divmod(total, idem.den)
-        if rem:
+        total = self.idem.trace().realization()
+        if total.denominator != 1:
             raise InvariantError(
-                f"idempotent realization trace {Fraction(total, idem.den)} is not an integer")
-        return rank
+                f"idempotent realization trace {total} is not an integer")
+        return int(total)
 
     def is_zero(self) -> bool:
         return self.idem.is_zero()
@@ -179,7 +174,7 @@ class FiniteDimReport:
 # kept for the whole process.  Each Schur image is kept on the object it was
 # computed from.  Every image is read off the cached rows: the full object's
 # image is the rows themselves, and any other summand's image is op . e^(n),
-# read off the rows of op and e (``_apply_to_power``).
+# read off the rows of op and e (``supercat.operator_on_power``).
 
 
 @cache
@@ -293,52 +288,10 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     image = x._images.get(lam.parts)
     if image is not None:
         return image
-    raw, den = _young_rows(ambient.parities, lam)
-    xn = tensor_power(ambient, n)
-    if x.idem.is_identity():
-        # constants pack to themselves, and no numerator exceeds den (see below)
-        idem = SuperMorphism._from_packed(xn, xn, raw, den, _rung((den,)), fits=True)
-    else:
-        # op is central and e^(n) an even idempotent, so op . e^(n) = e^(n) . op . e^(n)
-        idem = SuperMorphism._from_products(xn, xn, *_apply_to_power(raw, den, x.idem, n))
-    image = x._images[lam.parts] = KaroubiObject._of(idem)
+    # op is central and e^(n) an even idempotent, so op . e^(n) = e^(n) . op . e^(n)
+    image = x._images[lam.parts] = KaroubiObject._of(
+        operator_on_power(*_young_rows(ambient.parities, lam), x.idem, n))
     return image
-
-
-def _apply_to_power(op: dict, den: int, e: SuperMorphism, n: int) -> tuple:
-    """(packed sums, ``den * e.den**n``, width) of op . e^(n), for op the
-    integer rows over ``den`` of a Young idempotent, without forming e^(n).
-
-    op is symmetric (chi(sigma) = chi(sigma^-1), and the signed slot map of
-    sigma^-1 is the transpose of that of sigma), so its column m is its row
-    m.  A symmetric idempotent is an orthogonal projection, whose entries
-    lie in [-1, 1], so no numerator of op exceeds ``den``.  Only rows m of
-    e^(n) whose n slots all lie in the row support of e are nonzero; each
-    is the Kronecker product of n rows of e, repacked at a width of its own
-    and cut to its low k fields after every factor.  Arithmetic modulo
-    2**(width k) keeps those fields exact for the final cut.
-    """
-    d, k = e.source.dim, e.k
-    bits = max((abs(c) for _, _, t in e.numerators() for c in t), default=0).bit_length()
-    width = _room(n * bits + den.bit_length() + ((d * k) ** n).bit_length())
-    low = (1 << width * k) - 1
-    packed = {m: list(row.items()) for m, row in e._rows_at(width).items()}
-    acc: dict[int, dict[int, int]] = {}
-    for slots in product(packed, repeat=n):
-        m = 0
-        for s in slots:
-            m = m * d + s
-        col = op.get(m)
-        if col is None:
-            continue
-        kron = [(0, 1)]
-        for s in slots:
-            kron = [(j * d + j2, v * b & low) for j, v in kron for j2, b in packed[s]]
-        for i, c in col.items():
-            out = acc.setdefault(i, {})
-            for j, v in kron:
-                out[j] = out.get(j, 0) + c * v
-    return acc, den * e.den**n, width
 
 
 def _degree(n: int) -> int:
@@ -448,19 +401,10 @@ def _block_diagonal(idems: list[SuperMorphism]) -> SuperMorphism:
     the lcm of their denominators."""
     if not idems:
         raise ValueError("empty direct sum")
-    k = idems[0].k
-    if any(e.k != k for e in idems):
-        raise ValueError("truncation orders differ")
-    blocks, den, width = _aligned(idems)
-    rows = {}
-    off = 0
-    for e, block in zip(idems, blocks):
-        for i, row in block.items():
-            rows[i + off] = {j + off: v for j, v in row.items()}
-        off += e.source.dim
-    ambient = SuperSpace(tuple(chain.from_iterable(e.source.parities for e in idems)),
-                         tuple(chain.from_iterable(e.source.weights for e in idems)), k)
-    return SuperMorphism._from_packed(ambient, ambient, rows, den, width)
+    ambient = SuperSpace.concat(*(e.source for e in idems))
+    offsets = accumulate((e.source.dim for e in idems), initial=0)
+    return SuperMorphism._from_blocks(ambient, ambient,
+                                      [(o, o, e) for o, e in zip(offsets, idems)])
 
 
 def tensor_k(x: KaroubiObject, y: KaroubiObject) -> KaroubiObject:
@@ -523,23 +467,12 @@ def assemble_summand(maps_in, maps_out):
         total = total + b.compose(a)
     if total != ident:
         raise SummandDefectError(total - ident)
-    sum_space = SuperSpace(sum((a.target.parities for a in maps_in), ()),
-                           sum((a.target.weights for a in maps_in), ()), x.k)
-    a_rows, f_den, f_width = _aligned(maps_in)
-    b_rows, g_den, g_width = _aligned(maps_out)
-    f_rows: dict[int, dict[int, int]] = {}
-    g_rows: dict[int, dict[int, int]] = {}
-    off = 0
-    for a, a_block, b_block in zip(maps_in, a_rows, b_rows):
-        for i, row in a_block.items():
-            f_rows[i + off] = row
-        for i, row in b_block.items():
-            acc = g_rows.setdefault(i, {})
-            for j, v in row.items():
-                acc[j + off] = v
-        off += a.target.dim
-    f = SuperMorphism._from_packed(x, sum_space, f_rows, f_den, f_width)
-    g = SuperMorphism._from_packed(sum_space, x, g_rows, g_den, g_width)
+    sum_space = SuperSpace.concat(*(a.target for a in maps_in))
+    offsets = list(accumulate((a.target.dim for a in maps_in), initial=0))
+    f = SuperMorphism._from_blocks(x, sum_space,
+                                   [(o, 0, a) for o, a in zip(offsets, maps_in)])
+    g = SuperMorphism._from_blocks(sum_space, x,
+                                   [(0, o, b) for o, b in zip(offsets, maps_out)])
     e = f.compose(g)
     if g.compose(f) != ident:
         raise InvariantError("assembled g . f differs from the identity")

@@ -99,15 +99,7 @@ class MotiveSpec:
     @property
     def motive_dimension(self) -> int:
         """Half the top weight of the realization."""
-        if self.kind == "point":
-            return 0
-        if self.kind == "lefschetz":
-            return self.r
-        if self.kind == "curve":
-            return 1
-        if self.kind == "surface":
-            return 2
-        return self.g
+        return max(build_realization(self).weights) // 2
 
     @property
     def d_param(self) -> int:
@@ -162,11 +154,10 @@ def _transpose_partner(space: SuperSpace, top: int) -> list[int]:
 
 def weight_transpose(f: SuperMorphism, partner: Sequence[int]) -> SuperMorphism:
     """Adjoint of ``f`` under the pairing of weight w with weight top-w."""
-    rows: dict[int, dict[int, int]] = {}
-    for i, row in f.rows.items():
-        for j, v in row.items():
-            rows.setdefault(partner[j], {})[partner[i]] = v
-    return SuperMorphism._from_packed(f.source, f.target, rows, f.den, f.width, fits=True)
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    for i, j, t in f.numerators():
+        rows.setdefault(partner[j], {})[partner[i]] = t
+    return SuperMorphism._from_numerators(f.source, f.target, rows, f.den)
 
 
 def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
@@ -435,7 +426,8 @@ def albanese_wedge(cycles: Sequence[Sequence],
         (r, 0): math.prod(v[i] for v, i in zip(vectors, idx))
         for r, idx in enumerate(basis)})
     image = op.compose(outer)
-    return {basis[r]: image.entry(r, 0).realization() for r in sorted(image.rows)}
+    return {basis[r]: Fraction(t[0], image.den)
+            for r, _, t in sorted(image.numerators())}
 
 
 # --- conclusions for surfaces with all of weight 2 algebraic ----------------------------

@@ -35,7 +35,17 @@ each result against the bound of its rung (the fit test).
 
 ``TruncatedScalar``, with ``fractions.Fraction`` coefficients, is the value
 type at the API boundary only: the constructors accept it, and ``entry``,
-``items`` and ``supertrace`` return it; ``numerators`` gives the tuples.
+``items``, ``trace`` and ``supertrace`` return it; ``numerators`` gives the
+tuples.
+
+The packed format is private to this module.  Other modules build
+morphisms with ``from_entries`` or, from trusted numerator tuples,
+``_from_numerators``, read them through ``numerators`` and the accessors
+above, and reach block and Schur maps through three entry points:
+``SuperMorphism._from_blocks`` places morphisms as non-overlapping blocks
+of a larger one, ``SuperSpace.concat`` lists the bases of spaces one after
+another, and ``operator_on_power`` evaluates op . e^(n) for a symmetric
+idempotent op without forming e^(n).
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SizeCapError
@@ -248,6 +258,15 @@ class SuperSpace:
     def with_k(self, k: int) -> "SuperSpace":
         return SuperSpace(self.parities, self.weights, k)
 
+    @staticmethod
+    def concat(*spaces: "SuperSpace") -> "SuperSpace":
+        """The bases of one or more spaces that share k, one after another."""
+        k = spaces[0].k
+        if any(x.k != k for x in spaces):
+            raise ValueError("truncation orders differ")
+        return SuperSpace(tuple(chain.from_iterable(x.parities for x in spaces)),
+                          tuple(chain.from_iterable(x.weights for x in spaces)), k)
+
 
 def tensor(x: SuperSpace, y: SuperSpace) -> SuperSpace:
     """Ordered product basis; parity adds mod 2, weight adds."""
@@ -385,42 +404,6 @@ class SuperMorphism:
 
     __slots__ = ("source", "target", "rows", "den", "width", "_fp")
 
-    def __init__(self, source: SuperSpace, target: SuperSpace,
-                 rows: Mapping[int, Mapping[int, object]]):
-        """Validate and store entries given as TruncatedScalar, int or Fraction."""
-        if source.k != target.k:
-            raise ValueError("truncation orders differ")
-        k = source.k
-        tp, tw = target.parities, target.weights
-        sp, sw = source.parities, source.weights
-        scalars = []
-        for i, row in rows.items():
-            if not 0 <= i < target.dim:
-                raise ValueError(f"row index {i} out of range")
-            for j, s in row.items():
-                if not 0 <= j < source.dim:
-                    raise ValueError(f"column index {j} out of range")
-                nums, d = _scalar_ints(s, k)
-                if not any(nums):
-                    continue
-                if tp[i] != sp[j]:
-                    raise ValueError(
-                        f"entry ({i},{j}) violates parity: {tp[i]} != {sp[j]}"
-                    )
-                if nums[0] and tw[i] != sw[j]:
-                    raise ValueError(
-                        f"eps^0 entry ({i},{j}) violates weight: {tw[i]} != {sw[j]}"
-                    )
-                scalars.append((i, j, nums, d))
-        den = math.lcm(*(d for _, _, _, d in scalars))
-        clean: dict[int, dict[int, tuple[int, ...]]] = {}
-        for i, j, nums, d in scalars:
-            f = den // d
-            clean.setdefault(i, {})[j] = nums if f == 1 else tuple(c * f for c in nums)
-        m = self._from_numerators(source, target, clean, den)
-        self.source, self.target, self.rows, self.den, self.width, self._fp = (
-            source, target, m.rows, m.den, m.width, None)
-
     @classmethod
     def _from_packed(cls, source: SuperSpace, target: SuperSpace, rows: dict,
                      den: int = 1, width: int = _BASE_WIDTH,
@@ -461,6 +444,21 @@ class SuperMorphism:
         return cls._from_packed(source, target, cut, den, width, fits)
 
     @classmethod
+    def _from_blocks(cls, source: SuperSpace, target: SuperSpace,
+                     blocks: list[tuple[int, int, "SuperMorphism"]]) -> "SuperMorphism":
+        """Trusted constructor that places each ``(row offset, column
+        offset, m)`` of one or more ``blocks`` over the lcm of their
+        denominators; the caller guarantees that the blocks do not overlap
+        and that each m maps the basis of ``source`` from its column offset
+        on to that of ``target`` from its row offset on."""
+        packed, den, width = _aligned([m for _, _, m in blocks])
+        rows: dict[int, dict[int, int]] = {}
+        for (r, c, _), block in zip(blocks, packed):
+            for i, row in block.items():
+                rows.setdefault(i + r, {}).update({j + c: v for j, v in row.items()})
+        return cls._from_packed(source, target, rows, den, width)
+
+    @classmethod
     def _from_numerators(cls, source: SuperSpace, target: SuperSpace,
                          rows: dict, den: int = 1) -> "SuperMorphism":
         """Trusted constructor from rows of numerator k-tuples over ``den``,
@@ -473,12 +471,36 @@ class SuperMorphism:
     # --- constructors -------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, source, target,
+    def from_entries(cls, source: SuperSpace, target: SuperSpace,
                      entries: Mapping[tuple[int, int], object]) -> "SuperMorphism":
-        rows: dict[int, dict[int, object]] = {}
+        """Validate and store ``{(i, j): value}`` with values given as
+        TruncatedScalar, int or Fraction."""
+        if source.k != target.k:
+            raise ValueError("truncation orders differ")
+        k = source.k
+        tp, tw = target.parities, target.weights
+        sp, sw = source.parities, source.weights
+        scalars = []
         for (i, j), s in entries.items():
-            rows.setdefault(i, {})[j] = s
-        return cls(source, target, rows)
+            if not 0 <= i < target.dim:
+                raise ValueError(f"row index {i} out of range")
+            if not 0 <= j < source.dim:
+                raise ValueError(f"column index {j} out of range")
+            nums, d = _scalar_ints(s, k)
+            if not any(nums):
+                continue
+            if tp[i] != sp[j]:
+                raise ValueError(f"entry ({i},{j}) violates parity: {tp[i]} != {sp[j]}")
+            if nums[0] and tw[i] != sw[j]:
+                raise ValueError(
+                    f"eps^0 entry ({i},{j}) violates weight: {tw[i]} != {sw[j]}")
+            scalars.append((i, j, nums, d))
+        den = math.lcm(*(d for _, _, _, d in scalars))
+        rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        for i, j, nums, d in scalars:
+            f = den // d
+            rows.setdefault(i, {})[j] = nums if f == 1 else tuple(c * f for c in nums)
+        return cls._from_numerators(source, target, rows, den)
 
     @classmethod
     def zero(cls, source, target=None) -> "SuperMorphism":
@@ -662,10 +684,17 @@ class SuperMorphism:
 
     def supertrace(self) -> TruncatedScalar:
         """The categorical trace: the diagonal sum with odd entries negated."""
+        return self._diagonal_sum(self.source.parities)
+
+    def trace(self) -> TruncatedScalar:
+        """The classical trace: the diagonal sum, ignoring parity."""
+        return self._diagonal_sum((EVEN,) * self.source.dim)
+
+    def _diagonal_sum(self, parities: tuple[int, ...]) -> TruncatedScalar:
+        """The diagonal sum with the entries of odd ``parities`` negated."""
         if not self.is_endomorphism():
             raise ValueError("trace of a non-endomorphism")
         width = _room(_bound(self.width) + self.source.dim.bit_length(), self.width)
-        parities = self.source.parities
         total = sum(-row[i] if parities[i] == ODD else row[i]
                     for i, row in self._rows_at(width).items() if i in row)
         return TruncatedScalar([Fraction(c, self.den) for c in _fields(total, width, self.k)])
@@ -767,6 +796,48 @@ def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
     rows = {row: {col: sign}
             for col, (row, sign) in enumerate(signed_slot_map(sigma.images, x.parities))}
     return SuperMorphism._from_packed(xn, xn, rows, fits=True)
+
+
+def operator_on_power(op: dict, den: int, e: SuperMorphism, n: int) -> SuperMorphism:
+    """op . e^(n) on the n-th tensor power of the space of ``e``, for op the
+    integer rows over ``den`` of a symmetric idempotent and e an
+    endomorphism, without forming e^(n).
+
+    At e = id the result is op itself, which keeps ``op`` as its rows, so
+    op must not change afterwards.  op is symmetric, so its column m is its
+    row m.  A symmetric idempotent is an orthogonal projection, whose
+    entries lie in [-1, 1], so no numerator of op exceeds ``den``.  Only
+    rows m of e^(n) whose n slots all lie in the row support of e are
+    nonzero; each is the Kronecker product of n rows of e, repacked at a
+    width of its own and cut to its low k fields after every factor.
+    Arithmetic modulo 2**(width k) keeps those fields exact for the final
+    cut.
+    """
+    xn = tensor_power(e.source, n)
+    if e.is_identity():
+        # constants pack to themselves
+        return SuperMorphism._from_packed(xn, xn, op, den, _rung((den,)), fits=True)
+    d, k = e.source.dim, e.k
+    bits = max((abs(c) for _, _, t in e.numerators() for c in t), default=0).bit_length()
+    width = _room(n * bits + den.bit_length() + ((d * k) ** n).bit_length())
+    low = (1 << width * k) - 1
+    packed = {m: list(row.items()) for m, row in e._rows_at(width).items()}
+    acc: dict[int, dict[int, int]] = {}
+    for slots in product(packed, repeat=n):
+        m = 0
+        for s in slots:
+            m = m * d + s
+        col = op.get(m)
+        if col is None:
+            continue
+        kron = [(0, 1)]
+        for s in slots:
+            kron = [(j * d + j2, v * b & low) for j, v in kron for j2, b in packed[s]]
+        for i, c in col.items():
+            out = acc.setdefault(i, {})
+            for j, v in kron:
+                out[j] = out.get(j, 0) + c * v
+    return SuperMorphism._from_products(xn, xn, acc, den * e.den**n, width)
 
 
 def evaluation(x: SuperSpace) -> SuperMorphism:

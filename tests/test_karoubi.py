@@ -25,6 +25,7 @@ from finmot.supercat import (
     SuperMorphism,
     SuperSpace,
     TruncatedScalar,
+    fraction_free_reduce,
     permutation_action,
     signed_slot_map,
     tensor_power,
@@ -370,13 +371,13 @@ def test_schur_images_are_kept_on_their_object(monkeypatch):
     from finmot import karoubi
 
     builds = []
-    original = karoubi._apply_to_power
+    original = karoubi.operator_on_power
 
     def counting(op, den, e, n):
         builds.append(n)
         return original(op, den, e, n)
 
-    monkeypatch.setattr(karoubi, "_apply_to_power", counting)
+    monkeypatch.setattr(karoubi, "operator_on_power", counting)
     space = SuperSpace.standard(2, 1, 3)
     u = seeded_unit(space, seeded_rng(5))
     e = invert_unit(u).compose(SuperMorphism.diagonal(space, [1, 1, 0])).compose(u)
@@ -608,6 +609,26 @@ def _sheared_summand(p, q, diag, c, k=3):
     u = seeded_unit(space, seeded_rng(p + 4 * q)).compose(shear)
     return KaroubiObject(space, invert_unit(u).compose(
         SuperMorphism.diagonal(space, diag)).compose(u))
+
+
+def test_classical_rank_is_the_rank_of_the_realization():
+    # seeded mixed-parity summands with den > 1, and their parity parts,
+    # against fraction-free elimination of the eps^0 layer
+    checked = 0
+    for p, q, diag, c in [(2, 1, [1, 0, 1], 2), (2, 2, [0, 1, 0, 1], 3),
+                          (3, 1, [1, 0, 1, 1], 5), (2, 3, [1, 0, 1, 1, 0], 4)]:
+        x = _sheared_summand(p, q, diag, c)
+        assert x.idem.den > 1
+        for part in (x, *split_parity(x)):
+            d = part.ambient.dim
+            mat = [[0] * d for _ in range(d)]
+            for i, j, t in part.idem.numerators():
+                mat[i][j] = t[0]
+            pivots, _ = fraction_free_reduce(mat)
+            assert part.classical_rank() == len(pivots)
+            checked += 1
+        assert x.classical_rank() == sum(diag)
+    assert checked == 12
 
 
 def test_direct_sum_is_the_block_diagonal_of_its_parts():

@@ -94,6 +94,21 @@ def test_abelian_realization_is_exterior_algebra():
         assert all(p == w % 2 for p, w in zip(space.parities, space.weights))
 
 
+@pytest.mark.parametrize("spec, expected", [
+    (MotiveSpec(kind="point"), 0),
+    (MotiveSpec(kind="lefschetz", r=0), 0),
+    (MotiveSpec(kind="lefschetz", r=1), 1),
+    (MotiveSpec(kind="lefschetz", r=-1), -1),
+    (MotiveSpec(kind="curve", g=2), 1),
+    (SURFACE, 2),
+    (MotiveSpec(kind="abelian", g=0), 0),
+    (MotiveSpec(kind="abelian", g=3), 3),
+])
+def test_motive_dimension_is_half_the_top_weight(spec, expected):
+    assert spec.motive_dimension == expected
+    assert 2 * expected == max(build_realization(spec).weights)
+
+
 # --- projector families --------------------------------------------------------------
 
 

@@ -584,6 +584,39 @@ def test_equal_morphisms_built_by_different_routes_have_equal_storage(data):
         assert g.fingerprint() == f.fingerprint()
 
 
+def test_block_constructor_matches_inclusions_and_projections():
+    # blocks over dens 2, 3, 5 and 7, one of them with a numerator past the
+    # 64-bit rung's bound 2**24, two of them sharing a band of rows
+    u, v = SuperSpace.standard(1, 1, 3), SuperSpace.standard(2, 0, 3)
+    eps = TruncatedScalar.eps(3)
+    a = SuperMorphism.from_entries(u, u, {(0, 0): Fraction(1, 2), (1, 1): eps * 3})
+    b = SuperMorphism.from_entries(v, v, {(0, 1): Fraction(-2, 3), (1, 0): 1})
+    c = SuperMorphism.from_entries(u, u, {(0, 0): Fraction(2**30 + 1, 5),
+                                          (1, 1): eps * Fraction(-1, 5)})
+    d = SuperMorphism.from_entries(u, u, {(0, 0): eps * Fraction(4, 7), (1, 1): 2})
+    assert c.width == 128
+    source, target = SuperSpace.concat(u, v, u), SuperSpace.concat(v, u, u)
+    blocks = [(2, 0, a), (0, 2, b), (4, 4, c), (2, 4, d)]
+    got = SuperMorphism._from_blocks(source, target, blocks)
+    want = SuperMorphism.zero(source, target)
+    for r, col, m in blocks:
+        include = SuperMorphism.from_entries(
+            m.target, target, {(r + i, i): 1 for i in range(m.target.dim)})
+        project = SuperMorphism.from_entries(
+            source, m.source, {(i, col + i): 1 for i in range(m.source.dim)})
+        want = want + include.compose(m).compose(project)
+    assert got == want
+    assert (got.den, got.width, got.nnz()) == (210, 128, 8)
+
+
+def test_concat_lists_bases_in_order_and_refuses_mixed_orders():
+    x, y = SuperSpace.standard(1, 1, 2), SuperSpace.line(EVEN, 4, 2)
+    assert SuperSpace.concat(x, y) == SuperSpace((0, 1, 0), (0, 1, 4), 2)
+    assert SuperSpace.concat(y) == y
+    with pytest.raises(ValueError, match="truncation orders differ"):
+        SuperSpace.concat(x, SuperSpace.standard(0, 1, 3))
+
+
 int_matrices = st.integers(min_value=0, max_value=5).flatmap(
     lambda r: st.integers(min_value=0, max_value=6).flatmap(
         lambda c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c),
