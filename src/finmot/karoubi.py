@@ -8,6 +8,14 @@ the rows of op and of e, without forming e^(n).  Classification searches
 for the largest nonvanishing exterior power of the even part and symmetric
 power of the odd part.
 
+Over Q[eps]/(eps^k) the image W of an idempotent is free of the rank of
+its realization (Lam, A First Course in Noncommutative Rings, 21), and
+Lambda^n X+ and S^n X- are invariants up to isomorphism (Kimura 2005, 3).
+``s_wedge`` and ``classify`` therefore take each parity part to its
+verified free image (``KaroubiObject.free_image``) before applying Lambda
+or S, so the tensor cap bounds the part's rank to the n; ``split_parity``,
+``wedge`` and ``sym`` still return summands of the ambient (power).
+
 Exterior and symmetric powers, the only Schur functors the
 finite-dimensionality tests ask for, are built on the orbit basis instead
 of summing n! signed permutation operators (Macdonald, Symmetric
@@ -60,6 +68,8 @@ from .supercat import (
     SuperMorphism,
     SuperSpace,
     TENSOR_DIM_CAP,
+    fraction_free_reduce,
+    invert_unit,
     operator_on_power,
     signed_slot_map,
     tensor_power,
@@ -74,7 +84,7 @@ class KaroubiObject:
     kept on it, keyed by partition, and are freed with it.
     """
 
-    __slots__ = ("idem", "_dimension", "_images")
+    __slots__ = ("idem", "_dimension", "_images", "_free")
 
     def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
@@ -95,6 +105,7 @@ class KaroubiObject:
         obj.idem = idem
         obj._dimension = int(tr.realization())
         obj._images = {}
+        obj._free = None
         return obj
 
     @classmethod
@@ -132,6 +143,48 @@ class KaroubiObject:
 
     def is_zero(self) -> bool:
         return self.idem.is_zero()
+
+    def free_image(self) -> tuple["KaroubiObject", SuperMorphism, SuperMorphism]:
+        """``(w, a, b)``: the full object w on the free image W of the
+        idempotent e on V, with b . a = id_W and a . b = e checked; kept on
+        the object, and a full object is its own free image.
+
+        J and K are pivot columns and pivot rows of the realization, found
+        by fraction-free elimination in each (parity, weight) block and
+        listed block by block, so V on J and V on K are the same space W;
+        a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e.
+        """
+        if self._free is not None:
+            return self._free
+        e = self.idem
+        if e.is_identity():
+            self._free = (self, e, e)
+            return self._free
+        space = e.source
+        blocks: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(zip(space.parities, space.weights)):
+            blocks.setdefault(key, []).append(i)
+        real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
+        cols: list[int] = []
+        rows: list[int] = []
+        for key in sorted(blocks):
+            idx = blocks[key]
+            # elimination works in place: one fresh matrix per direction
+            cols += [idx[c] for c in fraction_free_reduce(
+                [[real.get((i, j), 0) for j in idx] for i in idx])[0]]
+            rows += [idx[r] for r in fraction_free_reduce(
+                [[real.get((i, j), 0) for i in idx] for j in idx])[0]]
+        w = SuperSpace(tuple(space.parities[j] for j in cols),
+                       tuple(space.weights[j] for j in cols), space.k)
+        proj = SuperMorphism.from_entries(space, w, {(r, i): 1 for r, i in enumerate(rows)})
+        a = e.compose(SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)}))
+        b = invert_unit(proj.compose(a)).compose(proj.compose(e))
+        if b.compose(a) != SuperMorphism.identity(w):
+            raise InvariantError(f"free image of rank {w.dim}: b . a != id_W")
+        if a.compose(b) != e:
+            raise InvariantError(f"free image of rank {w.dim}: a . b != e")
+        self._free = (KaroubiObject.full(w), a, b)
+        return self._free
 
     def fingerprint(self):
         return self.idem.fingerprint()
@@ -354,8 +407,9 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
 
 
 def classify(x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> FiniteDimReport:
-    """Largest nonvanishing exterior/symmetric powers of the parity parts."""
-    plus, minus = split_parity(x)
+    """Largest nonvanishing exterior/symmetric powers of the parity parts,
+    each taken on the part's free image, so ``cap`` bounds its rank to the n."""
+    plus, minus = (part.free_image()[0] for part in split_parity(x))
     kim_plus = _largest_nonvanishing(wedge, plus, cap)
     kim_minus = _largest_nonvanishing(sym, minus, cap)
     dimension = x.dimension()
@@ -424,9 +478,12 @@ def s_wedge(n: int, x: KaroubiObject,
             parity_split: tuple[KaroubiObject, KaroubiObject] | None = None,
             cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n;
-    the blocks are summed as idempotents, and only the sum is checked."""
+    the blocks are summed as idempotents, and only the sum is checked.
+    Each power is taken on the part's free image, so the sum is isomorphic
+    to the summand of the ambient's n-th power and ``cap`` bounds the ranks."""
     _degree(n)
-    plus, minus = parity_split if parity_split is not None else split_parity(x)
+    plus, minus = (part.free_image()[0] for part in
+                   (parity_split if parity_split is not None else split_parity(x)))
     return KaroubiObject._of(_block_diagonal(
         [wedge(i, plus, cap).idem.tensor(sym(n - i, minus, cap).idem)
          for i in range(n + 1)]))

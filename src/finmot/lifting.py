@@ -249,10 +249,11 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
         raise ValueError("the two idempotents have different realizations")
     e = pi.compose(pi2).compose(pi)
     defect = e - pi
-    for i, j, s in defect.items():
-        if any(s.coeffs[:2]):
+    for i, j, t in defect.numerators():
+        if any(t[:2]):
             raise InvariantError(
-                f"corner defect e - pi has an eps^0 or eps^1 part at ({i},{j}): {s}")
+                "corner defect e - pi has an eps^0 or eps^1 part at "
+                f"({i},{j}): {defect.entry(i, j)}")
     exact = defect.is_zero()
     # e = pi + d with d nilpotent in the corner algebra pi A pi, whose unit
     # is pi: e^-1 = pi - d + d^2 - ...

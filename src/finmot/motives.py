@@ -337,9 +337,9 @@ class MiddleSplit:
     """The middle motive split as rho weight-2 lines plus a remainder.
 
     ``kernel_in_ambient`` is the remainder as a summand of the full
-    realization; ``kernel`` is the same object transported onto its
-    natural (b2 - rho)-dimensional ambient through the explicit
-    isomorphism pair (``embed``, ``project``), which satisfies
+    realization; ``kernel`` is its verified free image, the full object on
+    the (b2 - rho) remaining weight-2 basis vectors, with the isomorphism
+    pair (``embed``, ``project``) of ``KaroubiObject.free_image``:
     project . embed = id and embed . project = the ambient idempotent.
     Classification runs on the compressed copy.
     """
@@ -377,19 +377,9 @@ def split_middle(spec: MotiveSpec,
     lines = [KaroubiObject._of(conjugated([idx])) for idx in weight2[:spec.rho]]
     middle = KaroubiObject._of(family[2])
     kernel_in_ambient = KaroubiObject._of(family[2] - conjugated(weight2[:spec.rho]))
-    rest = weight2[spec.rho:]
-    small = SuperSpace(tuple(space.parities[i] for i in rest),
-                       tuple(space.weights[i] for i in rest), spec.k)
-    embed = u.compose(SuperMorphism.from_entries(
-        small, space, {(idx, a): 1 for a, idx in enumerate(rest)}))
-    project = SuperMorphism.from_entries(
-        space, small, {(a, idx): 1 for a, idx in enumerate(rest)}).compose(uinv)
-    if project.compose(embed) != SuperMorphism.identity(small):
-        raise InvariantError("kernel splitting: project . embed != id")
-    if embed.compose(project) != kernel_in_ambient.idem:
-        raise InvariantError("kernel splitting: embed . project != the kernel idempotent")
+    kernel, embed, project = kernel_in_ambient.free_image()
     return MiddleSplit(rho=spec.rho, middle=middle,
-                       line_summands=tuple(lines), kernel=KaroubiObject.full(small),
+                       line_summands=tuple(lines), kernel=kernel,
                        kernel_in_ambient=kernel_in_ambient,
                        embed=embed, project=project)
 

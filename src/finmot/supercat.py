@@ -226,6 +226,15 @@ class SuperSpace:
         if not set(self.parities) <= {EVEN, ODD}:
             raise ValueError(f"parity must be 0 or 1, got {set(self.parities) - {EVEN, ODD}}")
 
+    @classmethod
+    def _of(cls, parities: tuple[int, ...], weights: tuple[int, ...],
+            k: int) -> "SuperSpace":
+        """Trusted constructor from tuples built from valid spaces: equal
+        lengths, parities in {0, 1} and k >= 1 hold, so nothing is checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(parities=parities, weights=weights, k=k)
+        return self
+
     @staticmethod
     def unit(k: int = 1) -> "SuperSpace":
         return SuperSpace((EVEN,), (0,), k)
@@ -256,7 +265,9 @@ class SuperSpace:
         return self.parities.count(ODD)
 
     def with_k(self, k: int) -> "SuperSpace":
-        return SuperSpace(self.parities, self.weights, k)
+        if k < 1:
+            raise ValueError("truncation order k must be >= 1")
+        return SuperSpace._of(self.parities, self.weights, k)
 
     @staticmethod
     def concat(*spaces: "SuperSpace") -> "SuperSpace":
@@ -264,28 +275,31 @@ class SuperSpace:
         k = spaces[0].k
         if any(x.k != k for x in spaces):
             raise ValueError("truncation orders differ")
-        return SuperSpace(tuple(chain.from_iterable(x.parities for x in spaces)),
-                          tuple(chain.from_iterable(x.weights for x in spaces)), k)
+        return SuperSpace._of(tuple(chain.from_iterable(x.parities for x in spaces)),
+                              tuple(chain.from_iterable(x.weights for x in spaces)), k)
 
 
 def tensor(x: SuperSpace, y: SuperSpace) -> SuperSpace:
     """Ordered product basis; parity adds mod 2, weight adds."""
     if x.k != y.k:
         raise ValueError("truncation orders differ")
-    return SuperSpace(tuple([px ^ py for px in x.parities for py in y.parities]),
-                      tuple([wx + wy for wx in x.weights for wy in y.weights]), x.k)
+    return SuperSpace._of(tuple([px ^ py for px in x.parities for py in y.parities]),
+                          tuple([wx + wy for wx in x.weights for wy in y.weights]), x.k)
 
 
 def tensor_power(x: SuperSpace, n: int) -> SuperSpace:
-    out = SuperSpace.unit(x.k)
+    """The n-fold product basis, row-major, as one space: the tuples grow
+    factor by factor and no intermediate space is built."""
+    parities, weights = [EVEN], [0]
     for _ in range(n):
-        out = tensor(out, x)
-    return out
+        parities = [a ^ b for a in parities for b in x.parities]
+        weights = [a + b for a in weights for b in x.weights]
+    return SuperSpace._of(tuple(parities), tuple(weights), x.k)
 
 
 def dual(x: SuperSpace) -> SuperSpace:
     """Same parities, negated weights, same basis order."""
-    return SuperSpace(x.parities, tuple([-w for w in x.weights]), x.k)
+    return SuperSpace._of(x.parities, tuple([-w for w in x.weights]), x.k)
 
 
 def _scalar_ints(value, k: int) -> tuple[tuple[int, ...], int]:

@@ -456,10 +456,15 @@ def test_slot_sign_check_catches_resigned_orbit_rows(resigned_orbit_rows, power,
 
 
 def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
-    # the rows do not depend on k and are never evicted: the default
-    # vanishing grid needs 44 distinct (parities, lam) row builds over
-    # k = 1..3, all of them exterior or symmetric powers, so none of them
-    # sums the n! terms of a group-algebra idempotent
+    # the rows do not depend on k and are never evicted.  The default
+    # vanishing grid (p, q <= 2, k = 1..3) needs 26 distinct (parities, lam)
+    # row builds: s_wedge runs on the free images (t|0) and (0|t) of the
+    # parity parts, t = 1, 2, whose Lambda^i and S^j for n <= t + 3 make
+    # 2 * (4 + 5) = 18; the direct Lambda^(p+1) and S^(q+1) on the four
+    # mixed ambients (p|q), p, q >= 1, make 8 more (on an ambient with
+    # p = 0 or q = 0 they coincide with free-image keys).  All of them are
+    # exterior or symmetric powers, so none of them sums the n! terms of a
+    # group-algebra idempotent
     from finmot import karoubi
     from finmot.cli import main
 
@@ -472,7 +477,7 @@ def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
 
     monkeypatch.setattr(karoubi, "young_idempotent", counting)
     assert main(["--out", "json", "verify", "vanishing"]) == 0
-    assert karoubi._young_rows.cache_info().misses == 44
+    assert karoubi._young_rows.cache_info().misses == 26
     assert calls == []
 
 
@@ -711,8 +716,11 @@ def test_classify_dual_same_report():
 
 
 def test_classify_surfaces_size_guard():
-    with pytest.raises(SizeCapError):
-        classify(full(4, 4), cap=4096)
+    # the cap bounds a parity part's rank to the n: (4|4) needs 4**5 and
+    # classifies, (5|5) needs 5**6 for Lambda^6 of its (5|0) part
+    assert classify(full(4, 4), cap=4096) == FiniteDimReport("mixed", 4, 4, 0)
+    with pytest.raises(SizeCapError, match=r"5\*\*6 exceeds cap 4096"):
+        classify(full(5, 5), cap=4096)
 
 
 # --- twists ------------------------------------------------------------------------------
@@ -754,6 +762,128 @@ def test_s_wedge_examples_on_1_1():
     assert not tensor_k(wedge(1, plus), sym(1, minus)).is_zero()
     assert sym(2, minus).is_zero()
     assert KaroubiObject.full(SuperSpace.zero_space(1)).is_zero()
+
+
+# --- free images ------------------------------------------------------------------------
+
+
+def _seeded_summands(k):
+    """u^-1 P u on the ambients (2|1), (3|2) and (2|3) for seeded units u,
+    and sheared summands whose idempotent has den > 1."""
+    out = []
+    for (p, q), diags in {(2, 1): ([1, 0, 1], [0, 1, 0], [1, 1, 1]),
+                          (3, 2): ([1, 0, 1, 1, 0], [0, 1, 0, 1, 1], [0, 0, 0, 0, 0]),
+                          (2, 3): ([1, 1, 0, 1, 0], [0, 1, 1, 0, 1])}.items():
+        space = SuperSpace.standard(p, q, k)
+        for seed, diag in enumerate(diags):
+            u = seeded_unit(space, seeded_rng(10 * p + q + seed))
+            out.append(KaroubiObject(space, invert_unit(u).compose(
+                SuperMorphism.diagonal(space, diag)).compose(u)))
+    out += [_sheared_summand(2, 1, [1, 0, 1], 2, k), _sheared_summand(2, 3, [1, 0, 1, 1, 0], 4, k)]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_free_image_round_trips_on_seeded_summands(k):
+    # w is a full (p|q) object of the realization's parity ranks, and the
+    # split (a, b) satisfies b . a = id_W and a . b = e, on each summand and
+    # on its parity parts
+    sheared = 0
+    for x in _seeded_summands(k):
+        sheared += x.idem.den > 1
+        for part in (x, *split_parity(x)):
+            w, a, b = part.free_image()
+            assert part.free_image() is part.free_image()
+            assert w.idem.is_identity() and w.k == k
+            assert w.dimension() == part.dimension()
+            assert w.ambient.dim == part.classical_rank()
+            assert b.compose(a) == SuperMorphism.identity(w.ambient)
+            assert a.compose(b) == part.idem
+    assert sheared >= 2
+
+
+def test_free_image_needs_pivot_rows():
+    # e0 = [[0, 0], [1, 1]]: the pivot column 0 has principal entry 0, so
+    # the minor on the column pivots alone is singular; the pivot row 1
+    # makes it invertible
+    for k in (1, 3):
+        space = SuperSpace.standard(2, 0, k)
+        e0 = SuperMorphism.from_entries(space, space, {(1, 0): 1, (1, 1): 1})
+        x = KaroubiObject(space, e0)
+        w, a, b = x.free_image()
+        assert e0.entry(0, 0).is_zero() and w.ambient.dim == 1
+        assert b.compose(a) == SuperMorphism.identity(w.ambient)
+        assert a.compose(b) == e0
+
+
+def test_free_image_round_trip_checks_name_the_failing_trip(monkeypatch):
+    from finmot import karoubi
+
+    def x():
+        return _seeded_summands(2)[1]
+
+    # one pivot too few in every block: b . a = id still holds, a . b != e
+    def short(mat, ncols=None, reduce=fraction_free_reduce):
+        pivots, det = reduce(mat, ncols)
+        return pivots[:-1], det
+
+    monkeypatch.setattr(karoubi, "fraction_free_reduce", short)
+    with pytest.raises(InvariantError, match=r"a \. b != e"):
+        x().free_image()
+    monkeypatch.undo()
+    monkeypatch.setattr(karoubi, "invert_unit", lambda m: invert_unit(m).scale(2))
+    with pytest.raises(InvariantError, match=r"b \. a != id_W"):
+        x().free_image()
+
+
+def _ambient_classify(x):
+    """The finite-dimensionality report with every power taken on the
+    parity parts as summands of the ambient (the materialised route)."""
+    plus, minus = split_parity(x)
+    kims = []
+    for power, part in ((wedge, plus), (sym, minus)):
+        n = 1
+        while not power(n, part).is_zero():
+            n += 1
+        kims.append(n - 1)
+    kind = "even" if not kims[1] else "odd" if not kims[0] else "mixed"
+    return FiniteDimReport(kind, kims[0], kims[1], x.dimension())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_free_image_route_matches_the_ambient_route(k):
+    # s_wedge on the free images against the block sum of wedge (x) sym on
+    # the ambient parts, in dimension and zero verdict for n <= 4, and
+    # classify against the ambient route
+    from finmot.karoubi import _block_diagonal
+
+    checked = 0
+    for x in _seeded_summands(k):
+        split = split_parity(x)
+        plus, minus = split
+        for n in range(5):
+            image = s_wedge(n, x, split)
+            oracle = KaroubiObject._of(_block_diagonal(
+                [wedge(i, plus).idem.tensor(sym(n - i, minus).idem) for i in range(n + 1)]))
+            assert (image.dimension(), image.is_zero()) == \
+                (oracle.dimension(), oracle.is_zero()), (x.ambient, n)
+            assert image.ambient.dim <= oracle.ambient.dim
+            checked += 1
+        assert classify(x) == _ambient_classify(x)
+    assert checked == 10 * 5
+
+
+def test_classify_rank_4_1_summand_of_a_6_3_ambient():
+    # the ambient route needs 9**4 > 4096 for Lambda^4 of the even part; the
+    # free image (4|0) needs 4**5 for Lambda^5
+    space = SuperSpace.standard(6, 3, 3)
+    u = seeded_unit(space, seeded_rng(5))
+    x = KaroubiObject(space, invert_unit(u).compose(
+        SuperMorphism.diagonal(space, [1, 0, 1, 1, 0, 1, 0, 1, 0])).compose(u))
+    plus, _ = split_parity(x)
+    with pytest.raises(SizeCapError, match=r"9\*\*4 exceeds cap 4096"):
+        wedge(4, plus)
+    assert classify(x) == FiniteDimReport("mixed", 4, 1, 3)
 
 
 # --- direct summand assembly ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from finmot.motives import (
     weight_projector,
     weight_transpose,
 )
-from finmot.supercat import SuperMorphism, exp_nilpotent, invert_unit
+from finmot.supercat import SuperMorphism, SuperSpace, exp_nilpotent, invert_unit
 
 
 SURFACE = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=2, t=2)
@@ -263,6 +263,14 @@ def test_split_middle_iso_pair_identities():
         spec = MotiveSpec(**{**SURFACE.__dict__, "seed": seed, "k": 3})
         split = split_middle(spec)
         small = split.kernel.ambient
+        # the conjugating unit is the identity mod eps, so the free image's
+        # pivot columns are the weight-2 vectors after the rho algebraic ones
+        space = split.middle.ambient
+        rest = [i for i, w in enumerate(space.weights) if w == 2][spec.rho:]
+        assert split.kernel is split.kernel_in_ambient.free_image()[0]
+        assert split.kernel.idem.is_identity()
+        assert small == SuperSpace(tuple(space.parities[i] for i in rest),
+                                   tuple(space.weights[i] for i in rest), spec.k)
         assert split.project.compose(split.embed) == SuperMorphism.identity(small)
         assert split.embed.compose(split.project) == split.kernel_in_ambient.idem
 

@@ -94,6 +94,12 @@ def test_tensor_parity_and_weight():
                 assert xn.parities == tuple(sum(pa for pa, _ in b) % 2 for b in basis)
                 assert xn.weights == tuple(sum(w for _, w in b) for b in basis)
                 assert xn.k == 2
+                # a derived space skips validation but equals and hashes
+                # like the validated one
+                checked = SuperSpace(list(xn.parities), list(xn.weights), 2)
+                assert xn == checked and hash(xn) == hash(checked)
+    with pytest.raises(ValueError, match="truncation order"):
+        SuperSpace.standard(1, 1).with_k(0)
     with pytest.raises(ValueError, match=r"parity must be 0 or 1, got \{2\}"):
         SuperSpace((EVEN, 2), (0, 0))
     with pytest.raises(ValueError, match="differ in length"):
