@@ -26,8 +26,10 @@ index repeated under Lambda, an odd index repeated under S.  Each
 surviving orbit is then a rank-1 block with entry (J, I) equal to
 c(J) c(I) |Stab I| / n!, so the rows cost sum |orbit|^2 rather than
 n! * d^n; they are checked against e . P_tau = +-e for adjacent slot swaps
-tau.  Other partitions keep the n!-term sum.  Every full (p|q) image is
-checked against the Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
+tau.  Other partitions are built one block per orbit type: one column by
+the n!-term sum, the rest by centrality, checked against
+P_tau . e = e . P_tau.  Every full (p|q) image is checked against the
+Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -49,8 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 from math import factorial, gcd, prod
+from operator import mul
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
@@ -152,7 +155,9 @@ class KaroubiObject:
         J and K are pivot columns and pivot rows of the realization, found
         by fraction-free elimination in each (parity, weight) block and
         listed block by block, so V on J and V on K are the same space W;
-        a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e.
+        a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e.  A coordinate
+        projector needs no elimination: J = K is its support, listed block
+        by block, a = iota_J and b = pi_J.
         """
         if self._free is not None:
             return self._free
@@ -161,24 +166,32 @@ class KaroubiObject:
             self._free = (self, e, e)
             return self._free
         space = e.source
-        blocks: dict[tuple[int, int], list[int]] = {}
-        for i, key in enumerate(zip(space.parities, space.weights)):
-            blocks.setdefault(key, []).append(i)
-        real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
-        cols: list[int] = []
-        rows: list[int] = []
-        for key in sorted(blocks):
-            idx = blocks[key]
-            # elimination works in place: one fresh matrix per direction
-            cols += [idx[c] for c in fraction_free_reduce(
-                [[real.get((i, j), 0) for j in idx] for i in idx])[0]]
-            rows += [idx[r] for r in fraction_free_reduce(
-                [[real.get((i, j), 0) for i in idx] for j in idx])[0]]
+        coordinate = e.is_coordinate_projector()
+        if coordinate:
+            cols = rows = sorted((i for i, _, _ in e.numerators()),
+                                 key=lambda i: (space.parities[i], space.weights[i], i))
+        else:
+            blocks: dict[tuple[int, int], list[int]] = {}
+            for i, key in enumerate(zip(space.parities, space.weights)):
+                blocks.setdefault(key, []).append(i)
+            real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
+            cols, rows = [], []
+            for key in sorted(blocks):
+                idx = blocks[key]
+                # elimination works in place: one fresh matrix per direction
+                cols += [idx[c] for c in fraction_free_reduce(
+                    [[real.get((i, j), 0) for j in idx] for i in idx])[0]]
+                rows += [idx[r] for r in fraction_free_reduce(
+                    [[real.get((i, j), 0) for i in idx] for j in idx])[0]]
         w = SuperSpace(tuple(space.parities[j] for j in cols),
                        tuple(space.weights[j] for j in cols), space.k)
         proj = SuperMorphism.from_entries(space, w, {(r, i): 1 for r, i in enumerate(rows)})
-        a = e.compose(SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)}))
-        b = invert_unit(proj.compose(a)).compose(proj.compose(e))
+        incl = SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)})
+        if coordinate:
+            a, b = incl, proj
+        else:
+            a = e.compose(incl)
+            b = invert_unit(proj.compose(a)).compose(proj.compose(e))
         if b.compose(a) != SuperMorphism.identity(w):
             raise InvariantError(f"free image of rank {w.dim}: b . a != id_W")
         if a.compose(b) != e:
@@ -228,6 +241,10 @@ class FiniteDimReport:
 # computed from.  Every image is read off the cached rows: the full object's
 # image is the rows themselves, and any other summand's image is op . e^(n),
 # read off the rows of op and e (``supercat.operator_on_power``).
+#
+# Any lam is block-diagonal by orbit, as e_lam lies in Q[S_n]; orbits whose
+# (multiplicity, parity) pairs agree share a block up to a parity-preserving
+# relabelling, since Koszul signs see only which slots are odd.
 
 
 @cache
@@ -236,37 +253,102 @@ def _young_rows(parities: tuple[int, ...], lam: Partition):
     integer numerators over one denominator: ``(rows, den)``.
 
     Exterior and symmetric powers are built orbit by orbit
-    (``_orbit_rows``), in lowest terms; any other ``lam`` sums the signed
-    slot maps of its n! permutations.  Every ``lam`` is refused above
-    ``CONVOLUTION_BOUND``.  The rows (the full object's image) are checked
-    against the hook rule and, for Lambda/S, the slot signs; they are
-    shared by every caller and must not be mutated.
+    (``_orbit_rows``), in lowest terms; any other ``lam`` one block per
+    orbit type (``_central_rows``), over ``young_idempotent(lam).den``.
+    Every ``lam`` is refused above ``CONVOLUTION_BOUND``.  The rows (the
+    full object's image) are checked against the hook rule and adjacent
+    slot swaps (``_check_slot_swaps``); they are shared by every caller
+    and must not be mutated.
     """
     n = lam.n
     if n > CONVOLUTION_BOUND:
         raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
-    if len(lam) in (1, n):
-        rows, den = _orbit_rows(parities, n, symmetric=len(lam) == 1)
+    chi = 1 if len(lam) == 1 else -1 if len(lam) == n else None  # S, Lambda, other
+    if chi is not None:
+        rows, den = _orbit_rows(parities, n, symmetric=chi == 1)
     else:
         elem = young_idempotent(lam)
-        rows = {}
-        for img, coeff in elem.numerators.items():
-            for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
-                acc = rows.setdefault(row, {})
-                total = acc.get(col, 0) + sign * coeff
-                if total:
-                    acc[col] = total
-                else:
-                    del acc[col]
-        rows, den = {i: r for i, r in rows.items() if r}, elem.den
+        rows, den = _central_rows(parities, elem), elem.den
     p, q = parities.count(EVEN), parities.count(ODD)
     if (not rows) != (len(lam) > p and lam[p] > q):
         raise InvariantError(
             f"S_{lam.parts} of the full ({p}|{q}) object is "
             f"{'zero' if not rows else 'nonzero'}, against the hook rule")
-    if len(lam) in (1, n):
-        _check_slot_signs(rows, parities, lam, chi=1 if len(lam) == 1 else -1)
+    _check_slot_swaps(rows, parities, lam, chi)
     return rows, den
+
+
+def _central_rows(parities: tuple[int, ...], elem) -> dict:
+    """Integer rows of the central element ``elem`` on the n-th tensor
+    power, over ``elem.den``: one block per orbit type (the sorted
+    (multiplicity, parity) pairs of an orbit's distinct indices), built
+    on labels by ``_type_block`` and relabelled onto each orbit."""
+    n, d = elem.n, len(parities)
+    types: dict[tuple, list[list[int]]] = {}
+    for key in combinations_with_replacement(range(d), n):
+        counts = {v: key.count(v) for v in key}
+        values = sorted(counts, key=lambda v: (counts[v], parities[v]))
+        types.setdefault(tuple((counts[v], parities[v]) for v in values), []).append(values)
+    place = [d ** (n - 1 - a) for a in range(n)]
+    rows: dict[int, dict[int, int]] = {}
+    for kind, orbits in types.items():
+        orbit, block = _type_block(elem, kind)
+        # tensor t of the orbit sits at sum_a values[t[a]] d^(n-1-a)
+        spread = [[sum(w for label, w in zip(t, place) if label == m) for m in range(len(kind))]
+                  for t in orbit]
+        for values in orbits:
+            code = [sum(map(mul, values, w)) for w in spread]
+            for i, row in block.items():
+                if row:
+                    rows[code[i]] = {code[j]: c for j, c in row.items()}
+    return rows
+
+
+def _type_block(elem, kind: tuple) -> tuple[list[tuple[int, ...]], dict]:
+    """``(orbit, block)``: the orbit of the sorted tuple I0 with label l
+    repeated ``kind[l][0]`` times at parity ``kind[l][1]``, and the block's
+    rows keyed by position in ``orbit``.
+
+    Column I0 is the n!-term sum (``_young_column``).  An adjacent swap tau
+    sends e_J to s e_(tau J), s = -1 when both slots are odd, and e commutes
+    with P_tau, so column tau J is s P_tau (column J); swaps from I0 reach
+    the whole orbit.  The operator is symmetric (chi(sigma) = chi(sigma^-1)
+    and P_(sigma^-1) = P_sigma^T), so its columns are its rows.
+    """
+    odd = [parity for _, parity in kind]
+    rep = tuple(label for label, (mult, _) in enumerate(kind) for _ in range(mult))
+    orbit = sorted(set(permutations(rep)))
+    pos = {t: i for i, t in enumerate(orbit)}
+    swaps = [[(pos[(*t[:a], t[a + 1], t[a], *t[a + 2:])],
+               -1 if odd[t[a]] and odd[t[a + 1]] else 1) for t in orbit]
+             for a in range(len(rep) - 1)]
+    start = pos[rep]
+    block = {start: {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}}
+    reached = [start]
+    for i in reached:
+        for swap in swaps:
+            j, s = swap[i]
+            if j not in block:
+                block[j] = {swap[m][0]: s * swap[m][1] * c for m, c in block[i].items()}
+                reached.append(j)
+    return orbit, block
+
+
+def _young_column(elem, rep: tuple[int, ...], odd: list[int]) -> dict:
+    """Column ``rep`` of ``elem`` (label l of parity ``odd[l]``) as the sum
+    over its permutations, each moving slot a to images[a] with the sign of
+    its inversions among odd slots; nonzero numerators keyed by tuple."""
+    n = len(rep)
+    pairs = [(a, b) for b in range(n) for a in range(b) if odd[rep[a]] and odd[rep[b]]]
+    acc: dict[tuple[int, ...], int] = {}
+    for images, c in elem.numerators.items():
+        target = [0] * n
+        for a, b in enumerate(images):
+            target[b] = rep[a]
+        flips = sum(images[a] > images[b] for a, b in pairs)
+        key = tuple(target)
+        acc[key] = acc.get(key, 0) + (-c if flips & 1 else c)
+    return {key: c for key, c in acc.items() if c}
 
 
 def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
@@ -299,24 +381,31 @@ def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
     return rows, factorial(n) // g
 
 
-def _check_slot_signs(rows: dict, parities: tuple[int, ...], lam: Partition,
-                      chi: int) -> None:
-    """Check e . P_tau = chi e (chi = +1 for S, -1 for Lambda) for each
-    adjacent slot swap tau, P_tau its signed slot map, on one row per orbit
-    (a rank-1 block); raise ``InvariantError`` naming (parities, lam, tau)."""
-    seen, reps = set(), []
-    for i, row in rows.items():
-        if i not in seen:
-            seen.update(row)
-            reps.append(row)
-    for a in range(lam.n - 1):
-        moves = signed_slot_map((*range(a), a + 1, a, *range(a + 2, lam.n)), parities)
-        for row in reps:
-            if any(row.get(moves[col][0], 0) * moves[col][1] != chi * c
-                   for col, c in row.items()):
-                raise InvariantError(
-                    f"S_{lam.parts} rows on parities {parities} break "
-                    f"e . P_tau = {chi:+d} e at tau = ({a}, {a + 1})")
+def _check_slot_swaps(rows: dict, parities: tuple[int, ...], lam: Partition,
+                      chi: int | None) -> None:
+    """Check each adjacent slot swap tau, P_tau its signed slot map, on the
+    last row of each orbit: e . P_tau = chi e for S (chi = +1) and Lambda
+    (chi = -1), else P_tau . e = e . P_tau, i.e. row tau I = s (row I) P_tau
+    for P_tau e_I = s e_(tau I); raise ``InvariantError`` naming
+    (parities, lam, tau).  The last row of an orbit lists its sorted
+    indices in reverse; outside Lambda/S it is filled in by centrality."""
+    n, d = lam.n, len(parities)
+    last = [sum(v * d**b for b, v in enumerate(key))
+            for key in combinations_with_replacement(range(d), n)]
+    law = "P_tau . e = e . P_tau" if chi is None else f"e . P_tau = {chi:+d} e"
+    for a in range(n - 1):
+        moves = signed_slot_map((*range(a), a + 1, a, *range(a + 2, n)), parities)
+        for i in last:
+            row = rows.get(i, {})
+            carried = {moves[m][0]: moves[m][1] * c for m, c in row.items()}
+            if chi is None:
+                j, s = moves[i]
+                want = {m: s * c for m, c in rows.get(j, {}).items()}
+            else:
+                want = {m: chi * c for m, c in row.items()}
+            if carried != want:
+                raise InvariantError(f"S_{lam.parts} rows on parities {parities} "
+                                     f"break {law} at tau = ({a}, {a + 1})")
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
@@ -336,7 +425,7 @@ def schur_apply(lam: Partition, x: KaroubiObject,
         return KaroubiObject.full(tensor_power(ambient, n))
     if ambient.dim**n > cap:
         raise SizeCapError(
-            f"ambient tensor power {ambient.dim}**{n} exceeds cap {cap}"
+            f"tensor power {ambient.dim}**{n} exceeds cap {cap}"
         )
     image = x._images.get(lam.parts)
     if image is not None:

@@ -684,11 +684,13 @@ class SuperMorphism:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def is_coordinate_projector(self) -> bool:
+        """Whether self projects its source onto some of its basis vectors."""
+        return (self.source == self.target and self.den == 1
+                and all(row == {i: 1} for i, row in self.rows.items()))
+
     def is_identity(self) -> bool:
-        if (self.source != self.target or self.den != 1
-                or len(self.rows) != self.source.dim):
-            return False
-        return all(len(row) == 1 and row.get(i) == 1 for i, row in self.rows.items())
+        return len(self.rows) == self.source.dim and self.is_coordinate_projector()
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -233,10 +235,13 @@ def test_schur_vanishing_matches_hook_criterion(k):
         assert schur_apply(lam, full(p, q, k)).is_zero() == outside_hook, (p, q, lam)
 
 
+_young_idempotent = functools.cache(young_idempotent)
+
+
 def _permutation_sum_rows(parities, lam):
     """The rows of e_lam on the tensor power as the sum of its n! signed
     slot maps, in the form ``_young_rows`` returns."""
-    elem = young_idempotent(lam)
+    elem = _young_idempotent(lam)
     acc = {}
     for img, coeff in elem.numerators.items():
         for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
@@ -249,21 +254,57 @@ def _permutation_sum_rows(parities, lam):
     return rows, elem.den // g
 
 
+def _lowest_terms(rows, den):
+    g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
+    return {i: {j: c // g for j, c in row.items()} for i, row in rows.items()}, den // g
+
+
 def test_orbit_rows_equal_the_permutation_sum():
+    # Lambda/S rows come in lowest terms; the other partitions' rows are over
+    # young_idempotent(lam).den and are compared in lowest terms
     from finmot import karoubi
 
-    cases = 0
+    cases = general = 0
     for d in range(1, 7):
         for p in range(d + 1):
             parities = (0,) * p + (1,) * (d - p)
             for n in range(1, 8):
                 if math.factorial(n) * d**n > 20_000:
                     continue
-                for lam in {Partition((n,)), Partition((1,) * n)}:
-                    assert karoubi._young_rows(parities, lam) == \
-                        _permutation_sum_rows(parities, lam), (p, d - p, lam)
+                for lam in partitions(n):
+                    rows, den = karoubi._young_rows(parities, lam)
+                    if len(lam) not in (1, n):
+                        assert den == _young_idempotent(lam).den
+                        rows, den = _lowest_terms(rows, den)
+                        general += 1
+                    assert (rows, den) == _permutation_sum_rows(parities, lam), \
+                        (p, d - p, lam)
                     cases += 1
-    assert cases == 193
+    assert (cases, general) == (349, 156)
+    karoubi._young_rows.cache_clear()
+
+
+def test_general_rows_sum_one_column_per_orbit_type(monkeypatch):
+    # (2,1,1) on (6|2): the 8**4 = 4096 columns fall into 330 orbits of 17
+    # types, the multiplicities 4, 3+1, 2+2, 2+1+1 and 1+1+1+1 with 2, 4,
+    # 3, 5 and 3 parity patterns that need at most two distinct odd
+    # indices; the n!-term sum runs once per type
+    from finmot import karoubi
+
+    sums = []
+    original = karoubi._young_column
+
+    def counting(elem, rep, odd):
+        sums.append((rep, tuple(odd)))
+        return original(elem, rep, odd)
+
+    monkeypatch.setattr(karoubi, "_young_column", counting)
+    parities, lam = (0,) * 6 + (1,) * 2, Partition((2, 1, 1))
+    karoubi._young_rows.cache_clear()
+    rows, den = karoubi._young_rows(parities, lam)
+    karoubi._young_rows.cache_clear()
+    assert len(sums) == len(set(sums)) == 17
+    assert _lowest_terms(rows, den) == _permutation_sum_rows(parities, lam)
 
 
 def test_young_rows_are_symmetric():
@@ -453,6 +494,49 @@ def test_slot_sign_check_catches_resigned_orbit_rows(resigned_orbit_rows, power,
     with pytest.raises(InvariantError, match=rf"rows on parities \(0, 0\) break "
                                              rf"e \. P_tau = {sign} e at tau = \(0, 1\)"):
         power(2, full(2, 0))
+
+
+@pytest.fixture
+def resigned_central_rows(monkeypatch):
+    """General-partition rows conjugated by the diagonal that negates basis
+    tensor (1, 0, ..., 0): the sign of one column filled in by centrality,
+    and of its row, flipped."""
+    from finmot import karoubi
+
+    original = karoubi._central_rows
+
+    def resigned(parities, elem):
+        flip = len(parities) ** (elem.n - 1)
+
+        def sign(i):
+            return -1 if i == flip else 1
+
+        return {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
+                for i, row in original(parities, elem).items()}
+
+    monkeypatch.setattr(karoubi, "_central_rows", resigned)
+    karoubi._young_rows.cache_clear()
+    yield resigned
+    karoubi._young_rows.cache_clear()
+
+
+@pytest.mark.parametrize("p, q", [(2, 0), (1, 1)])
+def test_centrality_check_catches_resigned_central_rows(resigned_central_rows, p, q):
+    # the conjugated rows stay an idempotent of the same trace and zero
+    # pattern, so only the centrality check can see the sign error
+    lam = Partition((2, 1))
+    space = SuperSpace.standard(p, q)
+    elem = young_idempotent(lam)
+    xn = tensor_power(space, 3)
+    rows = resigned_central_rows(space.parities, elem)
+    e = SuperMorphism._from_numerators(
+        xn, xn, {i: {j: (c,) for j, c in row.items()} for i, row in rows.items()}, elem.den)
+    assert e.is_idempotent()
+    assert e.supertrace().realization() == schur_super_dimension(lam, full(p, q))
+    with pytest.raises(InvariantError, match=rf"\(2, 1\) rows on parities "
+                                             rf"{re.escape(str(space.parities))} break "
+                                             rf"P_tau \. e = e \. P_tau at tau = \(0, 1\)"):
+        schur_apply(lam, full(p, q))
 
 
 def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
@@ -814,6 +898,34 @@ def test_free_image_needs_pivot_rows():
         assert e0.entry(0, 0).is_zero() and w.ambient.dim == 1
         assert b.compose(a) == SuperMorphism.identity(w.ambient)
         assert a.compose(b) == e0
+
+
+def test_free_image_of_a_coordinate_projector_skips_the_elimination(monkeypatch):
+    # the parity parts of a full object, and a projector onto scattered
+    # basis vectors of a weighted ambient, whose support listed block by
+    # block is (2, 4, 1, 0): J = K = the support, a = iota_J and b = pi_J,
+    # equal to the elimination route's split and with no inversion
+    from finmot import karoubi
+
+    weighted = SuperSpace((1, 0, 0, 1, 0), (0, 2, 0, 0, 0), 2)
+
+    def projectors():
+        return [*split_parity(full(2, 2, 3)),
+                KaroubiObject(weighted, SuperMorphism.projector(weighted, [4, 0, 2, 1]))]
+
+    monkeypatch.setattr(SuperMorphism, "is_coordinate_projector", lambda self: False)
+    eliminated = [x.free_image() for x in projectors()]
+    monkeypatch.undo()
+
+    def refused(f):
+        raise AssertionError("invert_unit called")
+
+    monkeypatch.setattr(karoubi, "invert_unit", refused)
+    for x, (w0, a0, b0) in zip(projectors(), eliminated):
+        assert x.idem.is_coordinate_projector() and not x.idem.is_identity()
+        w, a, b = x.free_image()
+        assert (w.idem, a, b) == (w0.idem, a0, b0)
+    assert w.ambient.parities == (0, 0, 0, 1) and w.ambient.weights == (0, 0, 2, 0)
 
 
 def test_free_image_round_trip_checks_name_the_failing_trip(monkeypatch):
