@@ -16,20 +16,20 @@ verified free image (``KaroubiObject.free_image``) before applying Lambda
 or S, so the tensor cap bounds the part's rank to the n; ``split_parity``,
 ``wedge`` and ``sym`` still return summands of the ambient (power).
 
-Exterior and symmetric powers, the only Schur functors the
-finite-dimensionality tests ask for, are built on the orbit basis instead
-of summing n! signed permutation operators (Macdonald, Symmetric
-Functions and Hall Polynomials, I.1).  Every permutation that sends a
-basis tensor e_I to e_J carries the same Koszul-signed coefficient
-c(J) c(I), unless the stabiliser of I cancels the whole column: an even
-index repeated under Lambda, an odd index repeated under S.  Each
-surviving orbit is then a rank-1 block with entry (J, I) equal to
-c(J) c(I) |Stab I| / n!, so the rows cost sum |orbit|^2 rather than
-n! * d^n; they are checked against e . P_tau = +-e for adjacent slot swaps
-tau.  Other partitions are built one block per orbit type: one column by
-the n!-term sum, the rest by centrality, checked against
-P_tau . e = e . P_tau.  Every full (p|q) image is checked against the
-Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
+Schur functors are built one block per orbit type instead of summing
+n! signed permutation operators over all d^n columns.  e_lam lies in
+Q[S_n], so it keeps the span of each orbit of basis tensors, and orbits
+whose distinct indices carry the same (multiplicity, parity) pairs share
+one block up to a parity-preserving relabelling.  A type's block takes
+its column at the sorted tuple I0 from the n!-term sum, or, for the
+exterior and symmetric powers the finite-dimensionality tests ask for,
+in closed form (Macdonald, Symmetric Functions and Hall Polynomials,
+I.1): zero when an even index repeats under Lambda or an odd index under
+S, else |Stab I0| at I0 carried along the orbit by e . P_tau = chi e.
+Centrality carries that column to the rest of the block, which is
+checked against P_tau . e = e . P_tau (e . P_tau = +-e under S and
+Lambda) for adjacent slot swaps tau.  Every full (p|q) image is checked
+against the Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement
 from math import factorial, gcd, prod
 from operator import mul
 
@@ -250,40 +250,44 @@ class FiniteDimReport:
 @cache
 def _young_rows(parities: tuple[int, ...], lam: Partition):
     """Rows of the group-algebra idempotent acting on the tensor power, as
-    integer numerators over one denominator: ``(rows, den)``.
+    integer numerators over one denominator, in lowest terms: ``(rows, den)``.
 
-    Exterior and symmetric powers are built orbit by orbit
-    (``_orbit_rows``), in lowest terms; any other ``lam`` one block per
-    orbit type (``_central_rows``), over ``young_idempotent(lam).den``.
-    Every ``lam`` is refused above ``CONVOLUTION_BOUND``.  The rows (the
-    full object's image) are checked against the hook rule and adjacent
-    slot swaps (``_check_slot_swaps``); they are shared by every caller
-    and must not be mutated.
+    Every ``lam`` is built one block per orbit type (``_central_rows``) and
+    refused above ``CONVOLUTION_BOUND``.  The rows (the full object's image)
+    are checked against the hook rule and, unless they are zero, adjacent
+    slot swaps (``_check_slot_swaps``); they are shared by every caller and
+    must not be mutated.
     """
     n = lam.n
     if n > CONVOLUTION_BOUND:
         raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
     chi = 1 if len(lam) == 1 else -1 if len(lam) == n else None  # S, Lambda, other
-    if chi is not None:
-        rows, den = _orbit_rows(parities, n, symmetric=chi == 1)
+    rows, den = _central_rows(parities, lam, chi)
+    g = den
+    for row in rows.values():
+        if (g := gcd(g, *row.values())) == 1:
+            break
     else:
-        elem = young_idempotent(lam)
-        rows, den = _central_rows(parities, elem), elem.den
+        rows = {i: {j: c // g for j, c in row.items()} for i, row in rows.items()}
+        den //= g
     p, q = parities.count(EVEN), parities.count(ODD)
     if (not rows) != (len(lam) > p and lam[p] > q):
         raise InvariantError(
             f"S_{lam.parts} of the full ({p}|{q}) object is "
             f"{'zero' if not rows else 'nonzero'}, against the hook rule")
-    _check_slot_swaps(rows, parities, lam, chi)
+    if rows:
+        _check_slot_swaps(rows, parities, lam, chi)
     return rows, den
 
 
-def _central_rows(parities: tuple[int, ...], elem) -> dict:
-    """Integer rows of the central element ``elem`` on the n-th tensor
-    power, over ``elem.den``: one block per orbit type (the sorted
-    (multiplicity, parity) pairs of an orbit's distinct indices), built
-    on labels by ``_type_block`` and relabelled onto each orbit."""
-    n, d = elem.n, len(parities)
+def _central_rows(parities: tuple[int, ...], lam: Partition, chi: int | None):
+    """``(rows, den)``: integer rows of e_lam on the n-th tensor power over
+    n! for S (chi = +1) and Lambda (chi = -1), else over
+    ``young_idempotent(lam).den``; one block per orbit type (the sorted
+    (multiplicity, parity) pairs of an orbit's distinct indices), built on
+    labels by ``_type_block`` and relabelled onto each orbit."""
+    n, d = lam.n, len(parities)
+    elem = None if chi else young_idempotent(lam)
     types: dict[tuple, list[list[int]]] = {}
     for key in combinations_with_replacement(range(d), n):
         counts = {v: key.count(v) for v in key}
@@ -291,8 +295,10 @@ def _central_rows(parities: tuple[int, ...], elem) -> dict:
         types.setdefault(tuple((counts[v], parities[v]) for v in values), []).append(values)
     place = [d ** (n - 1 - a) for a in range(n)]
     rows: dict[int, dict[int, int]] = {}
-    for kind, orbits in types.items():
-        orbit, block = _type_block(elem, kind)
+    # most distinct labels first: the smallest stabilisers, whose entries end
+    # the lowest-terms gcd scans of the rows early
+    for kind, orbits in sorted(types.items(), key=lambda item: len(item[0]), reverse=True):
+        orbit, block = _type_block(kind, chi, elem)
         # tensor t of the orbit sits at sum_a values[t[a]] d^(n-1-a)
         spread = [[sum(w for label, w in zip(t, place) if label == m) for m in range(len(kind))]
                   for t in orbit]
@@ -301,30 +307,47 @@ def _central_rows(parities: tuple[int, ...], elem) -> dict:
             for i, row in block.items():
                 if row:
                     rows[code[i]] = {code[j]: c for j, c in row.items()}
-    return rows
+    return rows, factorial(n) if chi else elem.den
 
 
-def _type_block(elem, kind: tuple) -> tuple[list[tuple[int, ...]], dict]:
+def _type_block(kind: tuple, chi: int | None, elem) -> tuple[list[tuple[int, ...]], dict]:
     """``(orbit, block)``: the orbit of the sorted tuple I0 with label l
-    repeated ``kind[l][0]`` times at parity ``kind[l][1]``, and the block's
-    rows keyed by position in ``orbit``.
+    repeated ``kind[l][0]`` times at parity ``kind[l][1]``, found by
+    adjacent swaps from ``orbit[0]`` = I0, and the block's rows keyed by
+    position in ``orbit``; a zero block is ``([], {})``.
 
-    Column I0 is the n!-term sum (``_young_column``).  An adjacent swap tau
-    sends e_J to s e_(tau J), s = -1 when both slots are odd, and e commutes
-    with P_tau, so column tau J is s P_tau (column J); swaps from I0 reach
-    the whole orbit.  The operator is symmetric (chi(sigma) = chi(sigma^-1)
-    and P_(sigma^-1) = P_sigma^T), so its columns are its rows.
+    An adjacent swap tau sends e_J to s e_(tau J), s = -1 when both slots
+    are odd.  Under S (chi = +1) and Lambda (chi = -1) column I0 is zero
+    when a label of the cancelling parity repeats, odd under S and even
+    under Lambda; else it is |Stab I0| at I0, over n!, and e . P_tau =
+    chi e gives entry tau J = chi s (entry J).  Under ``elem`` it is the
+    n!-term sum (``_young_column``).  e commutes with P_tau, so column
+    tau J is s P_tau (column J); swaps from I0 reach the whole orbit.  The
+    operator is symmetric (chi(sigma) = chi(sigma^-1) and P_(sigma^-1) =
+    P_sigma^T), so its columns are its rows.
     """
+    if chi and any(mult > 1 and parity == (chi == 1) for mult, parity in kind):
+        return [], {}
     odd = [parity for _, parity in kind]
     rep = tuple(label for label, (mult, _) in enumerate(kind) for _ in range(mult))
-    orbit = sorted(set(permutations(rep)))
-    pos = {t: i for i, t in enumerate(orbit)}
-    swaps = [[(pos[(*t[:a], t[a + 1], t[a], *t[a + 2:])],
-               -1 if odd[t[a]] and odd[t[a + 1]] else 1) for t in orbit]
-             for a in range(len(rep) - 1)]
-    start = pos[rep]
-    block = {start: {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}}
-    reached = [start]
+    orbit, pos = [rep], {rep: 0}
+    swaps: list[list[tuple[int, int]]] = [[] for _ in rep[1:]]
+    column = {0: prod(factorial(mult) for mult, _ in kind)} if chi else None
+    for i, t in enumerate(orbit):
+        for a, swap in enumerate(swaps):
+            u = (*t[:a], t[a + 1], t[a], *t[a + 2:])
+            s = -1 if odd[t[a]] and odd[t[a + 1]] else 1
+            j = pos.get(u)
+            if j is None:
+                j = pos[u] = len(orbit)
+                orbit.append(u)
+                if column is not None:
+                    column[j] = chi * s * column[i]
+            swap.append((j, s))
+    if column is None:
+        column = {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}
+    block = {0: column}
+    reached = [0]
     for i in reached:
         for swap in swaps:
             j, s = swap[i]
@@ -351,36 +374,6 @@ def _young_column(elem, rep: tuple[int, ...], odd: list[int]) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-def _orbit_rows(parities: tuple[int, ...], n: int, symmetric: bool):
-    """Rows of the symmetriser (``symmetric``) or the antisymmetriser on
-    the n-th tensor power, one rank-1 block per orbit of basis tensors:
-    ``(rows, den)`` in lowest terms, den = n! / g for g the gcd of n! and
-    the surviving stabiliser orders.
-
-    c(I) is (-1) to the number of inversions of I that count: both
-    entries odd under S, not both odd under Lambda.  A column whose sorted
-    index repeats an odd (S) or even (Lambda) entry cancels.
-    """
-    cancelling = int(symmetric)
-    orbits: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for col, idx in enumerate(product(range(len(parities)), repeat=n)):
-        key = tuple(sorted(idx))
-        if any(a == b and parities[a] == cancelling for a, b in zip(key, key[1:])):
-            continue
-        odd = [parities[i] for i in idx]
-        flips = sum(1 for a in range(n) for b in range(a + 1, n)
-                    if idx[a] > idx[b] and (odd[a] & odd[b]) == symmetric)
-        orbits.setdefault(key, []).append((col, -1 if flips & 1 else 1))
-    stabs = {key: prod(factorial(key.count(i)) for i in set(key)) for key in orbits}
-    g = gcd(factorial(n), *stabs.values())
-    rows: dict[int, dict[int, int]] = {}
-    for key, members in orbits.items():
-        c = stabs[key] // g
-        for row, row_sign in members:
-            rows[row] = {col: row_sign * col_sign * c for col, col_sign in members}
-    return rows, factorial(n) // g
-
-
 def _check_slot_swaps(rows: dict, parities: tuple[int, ...], lam: Partition,
                       chi: int | None) -> None:
     """Check each adjacent slot swap tau, P_tau its signed slot map, on the
@@ -388,7 +381,8 @@ def _check_slot_swaps(rows: dict, parities: tuple[int, ...], lam: Partition,
     (chi = -1), else P_tau . e = e . P_tau, i.e. row tau I = s (row I) P_tau
     for P_tau e_I = s e_(tau I); raise ``InvariantError`` naming
     (parities, lam, tau).  The last row of an orbit lists its sorted
-    indices in reverse; outside Lambda/S it is filled in by centrality."""
+    indices in reverse, the row that ``_type_block`` carries from the
+    column at the sorted indices."""
     n, d = lam.n, len(parities)
     last = [sum(v * d**b for b, v in enumerate(key))
             for key in combinations_with_replacement(range(d), n)]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -254,14 +255,8 @@ def _permutation_sum_rows(parities, lam):
     return rows, elem.den // g
 
 
-def _lowest_terms(rows, den):
-    g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
-    return {i: {j: c // g for j, c in row.items()} for i, row in rows.items()}, den // g
-
-
 def test_orbit_rows_equal_the_permutation_sum():
-    # Lambda/S rows come in lowest terms; the other partitions' rows are over
-    # young_idempotent(lam).den and are compared in lowest terms
+    # every partition's rows come in lowest terms
     from finmot import karoubi
 
     cases = general = 0
@@ -272,16 +267,37 @@ def test_orbit_rows_equal_the_permutation_sum():
                 if math.factorial(n) * d**n > 20_000:
                     continue
                 for lam in partitions(n):
-                    rows, den = karoubi._young_rows(parities, lam)
-                    if len(lam) not in (1, n):
-                        assert den == _young_idempotent(lam).den
-                        rows, den = _lowest_terms(rows, den)
-                        general += 1
-                    assert (rows, den) == _permutation_sum_rows(parities, lam), \
-                        (p, d - p, lam)
+                    assert karoubi._young_rows(parities, lam) == \
+                        _permutation_sum_rows(parities, lam), (p, d - p, lam)
                     cases += 1
+                    general += len(lam) not in (1, n)
     assert (cases, general) == (349, 156)
     karoubi._young_rows.cache_clear()
+
+
+def test_exterior_and_symmetric_columns_equal_the_permutation_sum():
+    # the closed-form column at the sorted tuple of every orbit type with at
+    # most four distinct labels and n <= 5: zero when a label of the
+    # cancelling parity repeats, else |Stab I0| carried by e . P_tau = chi e
+    from finmot import karoubi
+
+    kinds = {tuple(sorted(zip(mults.parts, pars)))
+             for n in range(1, 6) for mults in partitions(n) if len(mults) <= 4
+             for pars in itertools.product((0, 1), repeat=len(mults))}
+    cases = zero = 0
+    for kind in sorted(kinds):
+        n = sum(m for m, _ in kind)
+        rep = tuple(label for label, (m, _) in enumerate(kind) for _ in range(m))
+        odd = [parity for _, parity in kind]
+        for lam, chi in ((Partition((n,)), 1), (Partition((1,) * n), -1)):
+            orbit, block = karoubi._type_block(kind, chi, None)
+            column = {orbit[j]: c for j, c in block.get(0, {}).items()}
+            assert not orbit or orbit[0] == rep
+            assert column == karoubi._young_column(_young_idempotent(lam), rep, odd), \
+                (kind, chi)
+            cases += 1
+            zero += not column
+    assert (cases, zero) == (134, 58)
 
 
 def test_general_rows_sum_one_column_per_orbit_type(monkeypatch):
@@ -304,7 +320,7 @@ def test_general_rows_sum_one_column_per_orbit_type(monkeypatch):
     rows, den = karoubi._young_rows(parities, lam)
     karoubi._young_rows.cache_clear()
     assert len(sums) == len(set(sums)) == 17
-    assert _lowest_terms(rows, den) == _permutation_sum_rows(parities, lam)
+    assert (rows, den) == _permutation_sum_rows(parities, lam)
 
 
 def test_young_rows_are_symmetric():
@@ -441,9 +457,9 @@ def swapped_orbit_rows(monkeypatch):
     """Exterior and symmetric rows built with the cancelling parity swapped."""
     from finmot import karoubi
 
-    original = karoubi._orbit_rows
-    monkeypatch.setattr(karoubi, "_orbit_rows",
-                        lambda parities, n, symmetric: original(parities, n, not symmetric))
+    original = karoubi._central_rows
+    monkeypatch.setattr(karoubi, "_central_rows", lambda parities, lam, chi:
+                        original(parities, lam, None if chi is None else -chi))
     karoubi._young_rows.cache_clear()
     yield
     karoubi._young_rows.cache_clear()
@@ -455,16 +471,17 @@ def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
 
 
 @pytest.fixture
-def resigned_orbit_rows(monkeypatch):
-    """Exterior and symmetric rows conjugated by the diagonal that negates
-    basis tensor (1, 0, ..., 0), an index that is not sorted."""
+def resigned_rows(monkeypatch):
+    """Rows conjugated by the diagonal that negates basis tensor
+    (1, 0, ..., 0), an index that is not sorted: the sign of one column
+    carried from the sorted representative, and of its row, flipped."""
     from finmot import karoubi
 
-    original = karoubi._orbit_rows
+    original = karoubi._central_rows
 
-    def resigned(parities, n, symmetric):
-        rows, den = original(parities, n, symmetric)
-        flip = len(parities) ** (n - 1)
+    def resigned(parities, lam, chi):
+        rows, den = original(parities, lam, chi)
+        flip = len(parities) ** (lam.n - 1)
 
         def sign(i):
             return -1 if i == flip else 1
@@ -472,69 +489,41 @@ def resigned_orbit_rows(monkeypatch):
         return {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
                 for i, row in rows.items()}, den
 
-    monkeypatch.setattr(karoubi, "_orbit_rows", resigned)
-    karoubi._young_rows.cache_clear()
-    yield resigned
-    karoubi._young_rows.cache_clear()
-
-
-@pytest.mark.parametrize("power, symmetric", [(wedge, False), (sym, True)])
-def test_slot_sign_check_catches_resigned_orbit_rows(resigned_orbit_rows, power,
-                                                      symmetric):
-    # the conjugated rows stay an idempotent of the same trace and zero
-    # pattern, so only the slot-sign check can see the sign error
-    lam = Partition((2,) if symmetric else (1, 1))
-    xn = tensor_power(SuperSpace.standard(2, 0), 2)
-    rows, den = resigned_orbit_rows((0, 0), 2, symmetric)
-    e = SuperMorphism._from_numerators(
-        xn, xn, {i: {j: (c,) for j, c in row.items()} for i, row in rows.items()}, den)
-    assert e.is_idempotent()
-    assert e.supertrace().realization() == schur_super_dimension(lam, full(2, 0))
-    sign = r"\+1" if symmetric else "-1"
-    with pytest.raises(InvariantError, match=rf"rows on parities \(0, 0\) break "
-                                             rf"e \. P_tau = {sign} e at tau = \(0, 1\)"):
-        power(2, full(2, 0))
-
-
-@pytest.fixture
-def resigned_central_rows(monkeypatch):
-    """General-partition rows conjugated by the diagonal that negates basis
-    tensor (1, 0, ..., 0): the sign of one column filled in by centrality,
-    and of its row, flipped."""
-    from finmot import karoubi
-
-    original = karoubi._central_rows
-
-    def resigned(parities, elem):
-        flip = len(parities) ** (elem.n - 1)
-
-        def sign(i):
-            return -1 if i == flip else 1
-
-        return {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
-                for i, row in original(parities, elem).items()}
-
     monkeypatch.setattr(karoubi, "_central_rows", resigned)
     karoubi._young_rows.cache_clear()
     yield resigned
     karoubi._young_rows.cache_clear()
 
 
-@pytest.mark.parametrize("p, q", [(2, 0), (1, 1)])
-def test_centrality_check_catches_resigned_central_rows(resigned_central_rows, p, q):
-    # the conjugated rows stay an idempotent of the same trace and zero
-    # pattern, so only the centrality check can see the sign error
-    lam = Partition((2, 1))
+def _assert_resigned_rows_pass_but_the_slot_swaps(resigned_rows, lam, p, q, chi):
+    """The resigned rows of ``lam`` on the full (p|q) object stay an
+    idempotent of the right trace and zero pattern, so only the slot-swap
+    check can see the sign error."""
     space = SuperSpace.standard(p, q)
-    elem = young_idempotent(lam)
-    xn = tensor_power(space, 3)
-    rows = resigned_central_rows(space.parities, elem)
+    xn = tensor_power(space, lam.n)
+    rows, den = resigned_rows(space.parities, lam, chi)
     e = SuperMorphism._from_numerators(
-        xn, xn, {i: {j: (c,) for j, c in row.items()} for i, row in rows.items()}, elem.den)
+        xn, xn, {i: {j: (c,) for j, c in row.items()} for i, row in rows.items()}, den)
     assert e.is_idempotent()
     assert e.supertrace().realization() == schur_super_dimension(lam, full(p, q))
-    with pytest.raises(InvariantError, match=rf"\(2, 1\) rows on parities "
-                                             rf"{re.escape(str(space.parities))} break "
+
+
+@pytest.mark.parametrize("power, symmetric", [(wedge, False), (sym, True)])
+def test_slot_sign_check_catches_resigned_orbit_rows(resigned_rows, power, symmetric):
+    lam = Partition((2,) if symmetric else (1, 1))
+    _assert_resigned_rows_pass_but_the_slot_swaps(resigned_rows, lam, 2, 0, 1 if symmetric else -1)
+    sign = r"\+1" if symmetric else "-1"
+    with pytest.raises(InvariantError, match=rf"rows on parities \(0, 0\) break "
+                                             rf"e \. P_tau = {sign} e at tau = \(0, 1\)"):
+        power(2, full(2, 0))
+
+
+@pytest.mark.parametrize("p, q", [(2, 0), (1, 1)])
+def test_centrality_check_catches_resigned_central_rows(resigned_rows, p, q):
+    lam = Partition((2, 1))
+    _assert_resigned_rows_pass_but_the_slot_swaps(resigned_rows, lam, p, q, None)
+    parities = re.escape(str(SuperSpace.standard(p, q).parities))
+    with pytest.raises(InvariantError, match=rf"\(2, 1\) rows on parities {parities} break "
                                              rf"P_tau \. e = e \. P_tau at tau = \(0, 1\)"):
         schur_apply(lam, full(p, q))
 
