@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` are the JSON stdout of ``finmot`` for every
 verify suite at its default grid (seeds 0 and 7), the surface suite at
-k = 6, the sample surface model and one Schur query.  Any change to the
+k = 6, the sample surface model and the Schur queries that the benchmark and
+CI run.  Any change to the
 arithmetic core must reproduce them exactly.  To regenerate a payload, run
 the argv listed below through the ``finmot`` console script from the
 repository root.
@@ -26,6 +27,22 @@ CASES["surface-sample.json"] = ["--out", "json", "surface",
                                 "scripts/sample_surface.spec"]
 CASES["schur-2.1-p2q1.json"] = ["--out", "json", "schur", "--lam", "2,1",
                                 "--p", "2", "--q", "1"]
+# the benchmark's Schur queries in both orientations (perfbench/workloads.py),
+# then Sym^6 of (0|4), Lambda^6 of (2|2) and S_(2,2,1,1) of (2|2) at the cap
+# and Lambda^7 of (2|1)
+SCHUR_CASES = {
+    "schur-2.1.1.1-p1q3-k3.json": "--k 3 schur --lam 2,1,1,1 --p 1 --q 3",
+    "schur-4.1-p3q1-k3.json": "--k 3 schur --lam 4,1 --p 3 --q 1",
+    "schur-3.1-p2q6-k3.json": "--k 3 schur --lam 3,1 --p 2 --q 6",
+    "schur-2.1.1-p6q2-k3.json": "--k 3 schur --lam 2,1,1 --p 6 --q 2",
+    "schur-1.1.1.1.1-p4q0-k3.json": "--k 3 schur --lam 1,1,1,1,1 --p 4 --q 0",
+    "schur-5-p0q4-k3.json": "--k 3 schur --lam 5 --p 0 --q 4",
+    "schur-6-p0q4-k3.json": "--k 3 schur --lam 6 --p 0 --q 4",
+    "schur-1.1.1.1.1.1-p2q2-k3.json": "--k 3 schur --lam 1,1,1,1,1,1 --p 2 --q 2",
+    "schur-1.1.1.1.1.1.1-p2q1.json": "schur --lam 1,1,1,1,1,1,1 --p 2 --q 1",
+    "schur-2.2.1.1-p2q2-k3.json": "--k 3 schur --lam 2,2,1,1 --p 2 --q 2",
+}
+CASES.update({name: ["--out", "json", *argv.split()] for name, argv in SCHUR_CASES.items()})
 # at k = 6 the seeded family unit exp(eps S) has every eps order
 CASES["verify-surface-seed7-k6.json"] = ["--out", "json", "--seed", "7", "--k", "6",
                                          "verify", "surface"]
