@@ -12,8 +12,9 @@ Over Q[eps]/(eps^k) the image W of an idempotent is free of the rank of
 its realization (Lam, A First Course in Noncommutative Rings, 21), and
 Lambda^n X+ and S^n X- are invariants up to isomorphism (Kimura 2005, 3).
 ``s_wedge`` and ``classify`` therefore take each parity part to its
-verified free image (``KaroubiObject.free_image``) before applying Lambda
-or S, so the tensor cap bounds the part's rank to the n; ``split_parity``,
+verified free image (``KaroubiObject.free_image``, split by one
+elimination of the realization per direction) before applying Lambda or
+S, so the tensor cap bounds the part's rank to the n; ``split_parity``,
 ``wedge`` and ``sym`` still return summands of the ambient (power).
 
 Schur functors are built one block per orbit type instead of summing
@@ -28,7 +29,8 @@ I.1): zero when an even index repeats under Lambda or an odd index under
 S, else |Stab I0| at I0 carried along the orbit by e . P_tau = chi e.
 Centrality carries that column to the rest of the block, which is
 checked against P_tau . e = e . P_tau (e . P_tau = +-e under S and
-Lambda) for adjacent slot swaps tau.  Every full (p|q) image is checked
+Lambda) for adjacent slot swaps tau, with P_tau read off the base-d
+digits of the indices compared.  Every full (p|q) image is checked
 against the Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
@@ -74,7 +76,6 @@ from .supercat import (
     fraction_free_reduce,
     invert_unit,
     operator_on_power,
-    signed_slot_map,
     tensor_power,
 )
 
@@ -152,12 +153,12 @@ class KaroubiObject:
         idempotent e on V, with b . a = id_W and a . b = e checked; kept on
         the object, and a full object is its own free image.
 
-        J and K are pivot columns and pivot rows of the realization, found
-        by fraction-free elimination in each (parity, weight) block and
-        listed block by block, so V on J and V on K are the same space W;
-        a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e.  A coordinate
-        projector needs no elimination: J = K is its support, listed block
-        by block, a = iota_J and b = pi_J.
+        J and K are the pivot columns and pivot rows of the realization,
+        found by one fraction-free elimination per direction and listed by
+        (parity, weight, index), so V on J and V on K are the same space W;
+        a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e.  The realization
+        preserves parity and weight, so a column is a pivot exactly when it
+        is one inside its (parity, weight) block.
         """
         if self._free is not None:
             return self._free
@@ -166,32 +167,23 @@ class KaroubiObject:
             self._free = (self, e, e)
             return self._free
         space = e.source
-        coordinate = e.is_coordinate_projector()
-        if coordinate:
-            cols = rows = sorted((i for i, _, _ in e.numerators()),
-                                 key=lambda i: (space.parities[i], space.weights[i], i))
-        else:
-            blocks: dict[tuple[int, int], list[int]] = {}
-            for i, key in enumerate(zip(space.parities, space.weights)):
-                blocks.setdefault(key, []).append(i)
-            real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
-            cols, rows = [], []
-            for key in sorted(blocks):
-                idx = blocks[key]
-                # elimination works in place: one fresh matrix per direction
-                cols += [idx[c] for c in fraction_free_reduce(
-                    [[real.get((i, j), 0) for j in idx] for i in idx])[0]]
-                rows += [idx[r] for r in fraction_free_reduce(
-                    [[real.get((i, j), 0) for i in idx] for j in idx])[0]]
-        w = SuperSpace(tuple(space.parities[j] for j in cols),
-                       tuple(space.weights[j] for j in cols), space.k)
+        span = range(space.dim)
+        real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
+
+        def order(i):
+            return space.parities[i], space.weights[i], i
+
+        # elimination works in place: one fresh matrix per direction
+        cols = sorted(fraction_free_reduce(
+            [[real.get((i, j), 0) for j in span] for i in span])[0], key=order)
+        rows = sorted(fraction_free_reduce(
+            [[real.get((i, j), 0) for i in span] for j in span])[0], key=order)
+        w = SuperSpace._of(tuple(space.parities[j] for j in cols),
+                           tuple(space.weights[j] for j in cols), space.k)
         proj = SuperMorphism.from_entries(space, w, {(r, i): 1 for r, i in enumerate(rows)})
         incl = SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)})
-        if coordinate:
-            a, b = incl, proj
-        else:
-            a = e.compose(incl)
-            b = invert_unit(proj.compose(a)).compose(proj.compose(e))
+        a = e.compose(incl)
+        b = invert_unit(proj.compose(a)).compose(proj.compose(e))
         if b.compose(a) != SuperMorphism.identity(w):
             raise InvariantError(f"free image of rank {w.dim}: b . a != id_W")
         if a.compose(b) != e:
@@ -376,24 +368,31 @@ def _young_column(elem, rep: tuple[int, ...], odd: list[int]) -> dict:
 
 def _check_slot_swaps(rows: dict, parities: tuple[int, ...], lam: Partition,
                       chi: int | None) -> None:
-    """Check each adjacent slot swap tau, P_tau its signed slot map, on the
-    last row of each orbit: e . P_tau = chi e for S (chi = +1) and Lambda
-    (chi = -1), else P_tau . e = e . P_tau, i.e. row tau I = s (row I) P_tau
-    for P_tau e_I = s e_(tau I); raise ``InvariantError`` naming
-    (parities, lam, tau).  The last row of an orbit lists its sorted
-    indices in reverse, the row that ``_type_block`` carries from the
-    column at the sorted indices."""
+    """Check each adjacent slot swap tau on the last row of each orbit:
+    e . P_tau = chi e for S (chi = +1) and Lambda (chi = -1), else
+    P_tau . e = e . P_tau, i.e. row tau I = s (row I) P_tau for
+    P_tau e_I = s e_(tau I); raise ``InvariantError`` naming
+    (parities, lam, tau).  tau I and s are read off the base-d digits of
+    I alone: slots a and a + 1 trade digits, and s = -1 when both are odd.
+    The last row of an orbit lists its sorted indices in reverse, the row
+    that ``_type_block`` carries from the column at the sorted indices."""
     n, d = lam.n, len(parities)
     last = [sum(v * d**b for b, v in enumerate(key))
             for key in combinations_with_replacement(range(d), n)]
     law = "P_tau . e = e . P_tau" if chi is None else f"e . P_tau = {chi:+d} e"
     for a in range(n - 1):
-        moves = signed_slot_map((*range(a), a + 1, a, *range(a + 2, n)), parities)
+        hi, lo = d ** (n - 1 - a), d ** (n - 2 - a)
+
+        def moved(m: int, c: int = 1) -> tuple[int, int]:
+            """``(tau m, s c)`` for P_tau e_m = s e_(tau m)."""
+            x, y = m // hi % d, m // lo % d
+            return m + (y - x) * (hi - lo), -c if parities[x] and parities[y] else c
+
         for i in last:
             row = rows.get(i, {})
-            carried = {moves[m][0]: moves[m][1] * c for m, c in row.items()}
+            carried = dict(moved(m, c) for m, c in row.items())
             if chi is None:
-                j, s = moves[i]
+                j, s = moved(i)
                 want = {m: s * c for m, c in rows.get(j, {}).items()}
             else:
                 want = {m: chi * c for m, c in row.items()}
@@ -413,8 +412,6 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     """
     n = lam.n
     ambient = x.ambient
-    if n == 0:
-        return KaroubiObject.unit(x.k)
     if ambient.dim == 0:
         return KaroubiObject.full(tensor_power(ambient, n))
     if ambient.dim**n > cap:
@@ -461,11 +458,6 @@ def schur_super_dimension(lam: Partition, x: KaroubiObject) -> Fraction:
 # --- parity splitting and classification --------------------------------------
 
 
-def parity_projector(space: SuperSpace, parity: int) -> SuperMorphism:
-    return SuperMorphism.projector(
-        space, [i for i, p in enumerate(space.parities) if p == parity])
-
-
 def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
     """The even/odd summand pair cut out by the parity projectors.
 
@@ -478,7 +470,8 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
     ambient = x.ambient
     out = []
     for parity in (EVEN, ODD):
-        proj = parity_projector(ambient, parity)
+        proj = SuperMorphism.projector(
+            ambient, [i for i, p in enumerate(ambient.parities) if p == parity])
         cand = x.idem.compose(proj)
         if cand != proj.compose(x.idem):
             raise InvariantError(

@@ -297,7 +297,6 @@ class RigidityBlock:
     s: int
     t: int
     is_zero: bool
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -340,15 +339,9 @@ def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityRe
     report_blocks = []
     all_zero = True
     for (s, t), b in sorted(decomposition.items()):
-        if s != t:
-            reason = "off-diagonal hom group vanishes"
-        elif hom_trivial:
-            reason = "zero realization and eps-free corner"
-        else:
-            reason = "diagonal corner determined by its realization"
         is_zero = b.is_zero()
         all_zero = all_zero and is_zero
-        report_blocks.append(RigidityBlock(s=s, t=t, is_zero=is_zero, reason=reason))
+        report_blocks.append(RigidityBlock(s=s, t=t, is_zero=is_zero))
     certified = hom_trivial and all_zero
     if hom_trivial and not (all_zero and q.is_zero()):
         nonzero = [(b.s, b.t) for b in report_blocks if not b.is_zero]

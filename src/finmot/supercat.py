@@ -684,13 +684,10 @@ class SuperMorphism:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def is_coordinate_projector(self) -> bool:
-        """Whether self projects its source onto some of its basis vectors."""
-        return (self.source == self.target and self.den == 1
-                and all(row == {i: 1} for i, row in self.rows.items()))
-
     def is_identity(self) -> bool:
-        return len(self.rows) == self.source.dim and self.is_coordinate_projector()
+        return (self.source == self.target and self.den == 1
+                and len(self.rows) == self.source.dim
+                and all(row == {i: 1} for i, row in self.rows.items()))
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -940,10 +937,13 @@ def invert_unit(f: SuperMorphism) -> SuperMorphism:
 
     The realization is inverted by fraction-free elimination over the
     integers, giving g0; the nilpotent correction is
-    ``geometric_series(id, id - f . g0)``.
+    ``geometric_series(id, id - f . g0)``.  The identity is its own
+    inverse and is returned unchanged.
     """
     if not f.is_endomorphism():
         raise ValueError("only endomorphisms are inverted")
+    if f.is_identity():
+        return f
     n = f.source.dim
     # the realization is R / den for the integer matrix R of eps^0 numerators
     aug = [[0] * n + [int(i == r) for i in range(n)] for r in range(n)]

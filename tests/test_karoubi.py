@@ -121,6 +121,22 @@ def test_schur_of_empty_partition_is_unit():
     assert obj.ambient.dim == 1 and obj.dimension() == 1
 
 
+def test_schur_of_empty_partition_on_a_summand_is_the_kept_unit():
+    # Lambda^0 = S^0 of any summand is the unit, read off the one orbit (the
+    # empty tuple) and kept on the summand like every other image; the zero
+    # summand of a nonempty ambient takes the Kronecker path at n = 0
+    space = SuperSpace.standard(2, 1, 3)
+    u = seeded_unit(space, seeded_rng(4))
+    proper = KaroubiObject(space, invert_unit(u).compose(
+        SuperMorphism.diagonal(space, [1, 0, 1])).compose(u))
+    for x in (proper, KaroubiObject(space, SuperMorphism.zero(space))):
+        assert not x.idem.is_identity()
+        image = schur_apply(Partition(()), x)
+        assert image.idem == SuperMorphism.identity(SuperSpace.unit(3))
+        assert schur_apply(Partition(()), x) is image
+        assert wedge(0, x) is image and sym(0, x) is image
+
+
 def test_schur_size_guard():
     with pytest.raises(SizeCapError):
         wedge(7, full(2, 2), cap=4096)
@@ -530,10 +546,11 @@ def test_centrality_check_catches_resigned_central_rows(resigned_rows, p, q):
 
 def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
     # the rows do not depend on k and are never evicted.  The default
-    # vanishing grid (p, q <= 2, k = 1..3) needs 26 distinct (parities, lam)
+    # vanishing grid (p, q <= 2, k = 1..3) needs 30 distinct (parities, lam)
     # row builds: s_wedge runs on the free images (t|0) and (0|t) of the
-    # parity parts, t = 1, 2, whose Lambda^i and S^j for n <= t + 3 make
-    # 2 * (4 + 5) = 18; the direct Lambda^(p+1) and S^(q+1) on the four
+    # parity parts, t = 1, 2, whose Lambda^i and S^j for 0 <= n <= t + 3
+    # make 2 * (5 + 6) = 22, Lambda^0 = S^0 being one row set per free
+    # image; the direct Lambda^(p+1) and S^(q+1) on the four
     # mixed ambients (p|q), p, q >= 1, make 8 more (on an ambient with
     # p = 0 or q = 0 they coincide with free-image keys).  All of them are
     # exterior or symmetric powers, so none of them sums the n! terms of a
@@ -550,7 +567,7 @@ def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
 
     monkeypatch.setattr(karoubi, "young_idempotent", counting)
     assert main(["--out", "json", "verify", "vanishing"]) == 0
-    assert karoubi._young_rows.cache_info().misses == 26
+    assert karoubi._young_rows.cache_info().misses == 30
     assert calls == []
 
 
@@ -772,14 +789,14 @@ def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
         s_wedge(n, x, split)
         assert calls["block_diagonal"] == 1, n
     # the blocks are summed as idempotents: with the Schur images kept on
-    # the parity parts, s_wedge constructs the sum and the two unit objects
-    # that wedge(0, -) and sym(0, -) return, and no object per block
+    # the parity parts' free images, Lambda^0 and S^0 among them, s_wedge
+    # constructs the sum alone, and no object per block
     monkeypatch.setattr(KaroubiObject, "_of", classmethod(
         counted("objects", KaroubiObject._of.__func__)))
     for n in range(5):
         calls["objects"] = 0
         s_wedge(n, x, split)
-        assert calls["objects"] == 3, n
+        assert calls["objects"] == 1, n
 
 
 def test_classify_dual_same_report():
@@ -889,32 +906,83 @@ def test_free_image_needs_pivot_rows():
         assert a.compose(b) == e0
 
 
-def test_free_image_of_a_coordinate_projector_skips_the_elimination(monkeypatch):
-    # the parity parts of a full object, and a projector onto scattered
-    # basis vectors of a weighted ambient, whose support listed block by
-    # block is (2, 4, 1, 0): J = K = the support, a = iota_J and b = pi_J,
-    # equal to the elimination route's split and with no inversion
+def _coordinate_projectors():
+    """The parity parts of a full object, and a projector onto scattered
+    basis vectors of a weighted ambient, whose support listed block by
+    block is (2, 4, 1, 0)."""
+    weighted = SuperSpace((1, 0, 0, 1, 0), (0, 2, 0, 0, 0), 2)
+    return [*split_parity(full(2, 2, 3)),
+            KaroubiObject(weighted, SuperMorphism.projector(weighted, [4, 0, 2, 1]))]
+
+
+def test_free_image_of_a_coordinate_projector_is_its_support():
+    # J = K = the support, listed block by block, and the split is
+    # (full(W), iota_J, pi_J): the identity minor inverts to itself
+    supports = [[0, 1], [2, 3], [2, 4, 1, 0]]
+    for x, cols in zip(_coordinate_projectors(), supports):
+        space = x.ambient
+        w = SuperSpace(tuple(space.parities[j] for j in cols),
+                       tuple(space.weights[j] for j in cols), space.k)
+        incl = SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)})
+        proj = SuperMorphism.from_entries(space, w, {(c, j): 1 for c, j in enumerate(cols)})
+        image, a, b = x.free_image()
+        assert (image.idem, a, b) == (SuperMorphism.identity(w), incl, proj)
+    assert w.parities == (0, 0, 0, 1) and w.weights == (0, 0, 2, 0)
+
+
+def _block_pivots(e):
+    """Pivot columns and pivot rows of the realization of e, found by one
+    elimination per (parity, weight) block and listed block by block."""
+    space = e.source
+    blocks = {}
+    for i, key in enumerate(zip(space.parities, space.weights)):
+        blocks.setdefault(key, []).append(i)
+    real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
+    cols, rows = [], []
+    for key in sorted(blocks):
+        idx = blocks[key]
+        cols += [idx[c] for c in fraction_free_reduce(
+            [[real.get((i, j), 0) for j in idx] for i in idx])[0]]
+        rows += [idx[r] for r in fraction_free_reduce(
+            [[real.get((i, j), 0) for i in idx] for j in idx])[0]]
+    return cols, rows
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_free_image_pivots_equal_the_per_block_pivots(k, monkeypatch):
+    # one elimination of the whole realization per direction finds the
+    # pivots that one elimination per (parity, weight) block finds, and
+    # a = e iota_J lists the columns J block by block
     from finmot import karoubi
 
-    weighted = SuperSpace((1, 0, 0, 1, 0), (0, 2, 0, 0, 0), 2)
+    found = []
 
-    def projectors():
-        return [*split_parity(full(2, 2, 3)),
-                KaroubiObject(weighted, SuperMorphism.projector(weighted, [4, 0, 2, 1]))]
+    def recorded(mat, ncols=None):
+        pivots, det = fraction_free_reduce(mat, ncols)
+        found.append(pivots)
+        return pivots, det
 
-    monkeypatch.setattr(SuperMorphism, "is_coordinate_projector", lambda self: False)
-    eliminated = [x.free_image() for x in projectors()]
-    monkeypatch.undo()
-
-    def refused(f):
-        raise AssertionError("invert_unit called")
-
-    monkeypatch.setattr(karoubi, "invert_unit", refused)
-    for x, (w0, a0, b0) in zip(projectors(), eliminated):
-        assert x.idem.is_coordinate_projector() and not x.idem.is_identity()
-        w, a, b = x.free_image()
-        assert (w.idem, a, b) == (w0.idem, a0, b0)
-    assert w.ambient.parities == (0, 0, 0, 1) and w.ambient.weights == (0, 0, 2, 0)
+    monkeypatch.setattr(karoubi, "fraction_free_reduce", recorded)
+    checked = 0
+    for x in _seeded_summands(k):
+        for part in (x, *split_parity(x)):
+            if part.idem.is_identity():
+                continue
+            cols, rows = _block_pivots(part.idem)
+            found.clear()
+            _, a, _ = part.free_image()
+            assert [sorted(p) for p in found] == [sorted(cols), sorted(rows)]
+            space = part.ambient
+            w = SuperSpace(tuple(space.parities[j] for j in cols),
+                           tuple(space.weights[j] for j in cols), k)
+            assert a == part.idem.compose(SuperMorphism.from_entries(
+                w, space, {(j, c): 1 for c, j in enumerate(cols)}))
+            checked += 1
+    assert checked >= 25
+    for x in _coordinate_projectors():
+        found.clear()
+        x.free_image()
+        assert [sorted(p) for p in found] == [sorted(c) for c in _block_pivots(x.idem)]
 
 
 def test_free_image_round_trip_checks_name_the_failing_trip(monkeypatch):
@@ -923,7 +991,7 @@ def test_free_image_round_trip_checks_name_the_failing_trip(monkeypatch):
     def x():
         return _seeded_summands(2)[1]
 
-    # one pivot too few in every block: b . a = id still holds, a . b != e
+    # one pivot too few: b . a = id still holds, a . b != e
     def short(mat, ncols=None, reduce=fraction_free_reduce):
         pivots, det = reduce(mat, ncols)
         return pivots[:-1], det

@@ -340,6 +340,13 @@ def test_invert_unit_roundtrip():
             assert g.compose(f) == ident
 
 
+def test_invert_unit_returns_an_identity_unchanged():
+    for space in (SuperSpace.standard(2, 1, 3), SuperSpace((1, 0), (0, 2), 2),
+                  SuperSpace.zero_space(2)):
+        ident = SuperMorphism.identity(space)
+        assert invert_unit(ident) is ident
+
+
 def test_exp_nilpotent_inverse_pair():
     x = SuperSpace.standard(2, 2, 4)
     rng = seeded_rng(43)
