@@ -827,7 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pretty", help="report format")
     parser.add_argument("--seed", type=int, default=0, help="base seed (u64)")
     parser.add_argument("--cap", type=int, default=TENSOR_DIM_CAP,
-                        help="ambient dimension cap for tensor powers")
+                        help="size cap: orbits of a full object's Schur image, "
+                             "else the tensor-power dimension")
     parser.add_argument("--k", type=int, default=2, choices=K_RANGE,
                         metavar="1..6", help="truncation order of the scalar ring")
     parser.add_argument("--file", default=None, help="write the report here")

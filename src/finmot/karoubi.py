@@ -1,12 +1,10 @@
 """Idempotent completion of the graded model category.
 
 Objects are pairs (ambient space, idempotent endomorphism).  Schur
-functors act by the central group-algebra idempotents, realized as signed
-permutation operators op on a tensor power: the image of a summand e is
-op . e^(n), which ``supercat.operator_on_power`` evaluates row by row from
-the rows of op and of e, without forming e^(n).  Classification searches
-for the largest nonvanishing exterior power of the even part and symmetric
-power of the odd part.
+functors act by the central group-algebra idempotents e_lam, realized as
+signed permutation operators op on a tensor power.  Classification
+searches for the largest nonvanishing exterior power of the even part and
+symmetric power of the odd part.
 
 Over Q[eps]/(eps^k) the image W of an idempotent is free of the rank of
 its realization (Lam, A First Course in Noncommutative Rings, 21), and
@@ -14,11 +12,12 @@ Lambda^n X+ and S^n X- are invariants up to isomorphism (Kimura 2005, 3).
 ``s_wedge`` and ``classify`` therefore take each parity part to its
 verified free image (``KaroubiObject.free_image``, split by one
 elimination of the realization per direction) before applying Lambda or
-S, so the tensor cap bounds the part's rank to the n; ``split_parity``,
-``wedge`` and ``sym`` still return summands of the ambient (power).
+S, so they only ever ask for Schur images of full objects;
+``split_parity``, ``wedge`` and ``sym`` still return summands of the
+ambient (power).
 
-Schur functors are built one block per orbit type instead of summing
-n! signed permutation operators over all d^n columns.  e_lam lies in
+Schur functors are built one block per orbit type, never by summing n!
+signed permutation operators over the d^n basis tensors.  e_lam lies in
 Q[S_n], so it keeps the span of each orbit of basis tensors, and orbits
 whose distinct indices carry the same (multiplicity, parity) pairs share
 one block up to a parity-preserving relabelling.  A type's block takes
@@ -27,11 +26,28 @@ exterior and symmetric powers the finite-dimensionality tests ask for,
 in closed form (Macdonald, Symmetric Functions and Hall Polynomials,
 I.1): zero when an even index repeats under Lambda or an odd index under
 S, else |Stab I0| at I0 carried along the orbit by e . P_tau = chi e.
-Centrality carries that column to the rest of the block, which is
-checked against P_tau . e = e . P_tau (e . P_tau = +-e under S and
-Lambda) for adjacent slot swaps tau, with P_tau read off the base-d
-digits of the indices compared.  Every full (p|q) image is checked
-against the Berele-Regev hook rule: S_lam = 0 iff lam_{p+1} > q.
+Centrality carries that column to the rest of the block.  The blocks and
+the number of orbits of each type are all that a full (p|q) object's
+verdicts need, and they are checked where they are built: against the
+Berele-Regev hook rule (S_lam = 0 iff lam_{p+1} > q), against
+C(p + q + n - 1, n) orbits in all, against P_tau . e = e . P_tau
+(e . P_tau = +-e under S and Lambda) for adjacent slot swaps tau, for
+symmetry, and against the rank f^lam hs_lam(1^p | 1^q) of the super
+Jacobi-Trudi determinant (``symgroup.hook_schur``).  The rank is the sum
+over types of count . tr(block), and the super dimension the same sum
+with each type signed by the parity of its odd slots.  So the tensor cap
+bounds the number of orbits of a full object's image, not its d^n basis
+tensors; ``BLOCK_ENTRY_BOUND`` bounds the |orbit|^2 entries that its
+type blocks may hold, and ``symgroup.CONVOLUTION_BOUND`` the degree n.
+
+The blocks are relabelled onto the d^n basis only where a caller needs
+the idempotent on the tensor power: a proper summand's image op . e^(n),
+which ``supercat.operator_on_power`` evaluates row by row from the rows
+of op and of e without forming e^(n), and the first read of a full
+object's image ``idem`` (``s_wedge``'s tensor products,
+``motives.albanese_wedge``).  There the cap bounds d^n, and the
+supertrace of the relabelled idempotent must equal the super dimension
+read off the blocks.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -42,7 +58,7 @@ The super dimension of a Schur image has a closed form that materializes
 nothing: a permutation with c cycles has supertrace (dim X)^c on the n-th
 tensor power of X, so the character sum over cycle types needs only
 dim X.  ``schur_super_dimension`` uses it as the independent second route
-next to the trace of the materialized image.
+next to the super dimension read off the blocks.
 
 ``tate_twist`` by r tensors with the weight -2r line, shifting every
 ambient weight by -2r; the weights are the only record of it.
@@ -53,8 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations_with_replacement
-from math import factorial, gcd, prod
+from itertools import accumulate, combinations, groupby
+from math import comb, factorial, gcd, perm, prod
 from operator import mul
 
 from .errors import InvariantError, SizeCapError
@@ -64,6 +80,7 @@ from .symgroup import (
     character,
     conjugacy_class_size,
     hook_dimension,
+    hook_schur,
     partitions,
     young_idempotent,
 )
@@ -85,10 +102,13 @@ class KaroubiObject:
 
     ``KaroubiObject(ambient, idem)`` checks that idem is an idempotent
     endomorphism of ambient.  The Schur images computed from an object are
-    kept on it, keyed by partition, and are freed with it.
+    kept on it, keyed by partition, and are freed with it.  A full
+    object's Schur image carries its rank and super dimension, read off
+    the orbit-type blocks, and builds its idempotent on the tensor power
+    only when ``idem`` is first read (``_schur_image``).
     """
 
-    __slots__ = ("idem", "_dimension", "_images", "_free")
+    __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_full", "_power", "_cap")
 
     def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
@@ -105,16 +125,35 @@ class KaroubiObject:
         tr = idem.supertrace()
         if not tr.eps_part_is_zero() or tr.realization().denominator != 1:
             raise ValueError(f"idempotent trace {tr} is not an integer constant")
+        return cls._new(idem, int(tr.realization()))
+
+    @classmethod
+    def _schur_image(cls, one: SuperMorphism, lam: Partition, rank: int, dimension: int,
+                     cap: int) -> "KaroubiObject":
+        """S_lam of the full object whose idempotent is ``one``, of the given
+        rank and super dimension; its idempotent on the n-th tensor power is
+        built on the first read of ``idem``, refused when dim**n exceeds the
+        cap of the last ``schur_apply`` that returned it."""
+        return cls._new(None, dimension, rank, (one, lam), cap)
+
+    @classmethod
+    def _new(cls, idem, dimension, rank=None, power=None, cap=None) -> "KaroubiObject":
         obj = object.__new__(cls)
-        obj.idem = idem
-        obj._dimension = int(tr.realization())
+        obj._idem = idem
+        obj._dimension = dimension
+        obj._rank = rank
         obj._images = {}
         obj._free = None
+        obj._full = None
+        obj._power = power
+        obj._cap = cap
         return obj
 
     @classmethod
     def full(cls, space: SuperSpace) -> "KaroubiObject":
-        return cls._of(SuperMorphism.identity(space))
+        obj = cls._of(SuperMorphism.identity(space))
+        obj._full = True
+        return obj
 
     @classmethod
     def unit(cls, k: int = 1) -> "KaroubiObject":
@@ -126,12 +165,21 @@ class KaroubiObject:
         return cls.full(SuperSpace.line(EVEN, 2 * r, k))
 
     @property
+    def idem(self) -> SuperMorphism:
+        if self._idem is None:
+            self._idem = _power_idempotent(*self._power, self._cap, self._dimension)
+        return self._idem
+
+    @property
     def ambient(self) -> SuperSpace:
-        return self.idem.source
+        if self._idem is None:
+            one, lam = self._power
+            return tensor_power(one.source, lam.n)
+        return self._idem.source
 
     @property
     def k(self) -> int:
-        return self.ambient.k
+        return (self._idem if self._idem is not None else self._power[0]).source.k
 
     def dimension(self) -> int:
         """Supertrace of the idempotent, the integer the constructor checked."""
@@ -139,14 +187,23 @@ class KaroubiObject:
 
     def classical_rank(self) -> int:
         """Rank of the realization, ignoring parity signs."""
-        total = self.idem.trace().realization()
-        if total.denominator != 1:
-            raise InvariantError(
-                f"idempotent realization trace {total} is not an integer")
-        return int(total)
+        if self._rank is None:
+            total = self.idem.trace().realization()
+            if total.denominator != 1:
+                raise InvariantError(
+                    f"idempotent realization trace {total} is not an integer")
+            self._rank = int(total)
+        return self._rank
 
     def is_zero(self) -> bool:
-        return self.idem.is_zero()
+        """An idempotent is zero exactly when its rank is."""
+        return self._rank == 0 if self._idem is None else self._idem.is_zero()
+
+    def _is_full(self) -> bool:
+        """Whether the idempotent is the identity, kept once known."""
+        if self._full is None:
+            self._full = self.idem.is_identity()
+        return self._full
 
     def free_image(self) -> tuple["KaroubiObject", SuperMorphism, SuperMorphism]:
         """``(w, a, b)``: the full object w on the free image W of the
@@ -163,7 +220,7 @@ class KaroubiObject:
         if self._free is not None:
             return self._free
         e = self.idem
-        if e.is_identity():
+        if self._is_full():
             self._free = (self, e, e)
             return self._free
         space = e.source
@@ -227,79 +284,169 @@ class FiniteDimReport:
 
 # --- Schur functors ---------------------------------------------------------
 
-# The integer rows of each central idempotent acting on a tensor power depend
-# only on the parities of the ambient basis and on lam, not on k; they are
-# kept for the whole process.  Each Schur image is kept on the object it was
-# computed from.  Every image is read off the cached rows: the full object's
-# image is the rows themselves, and any other summand's image is op . e^(n),
-# read off the rows of op and e (``supercat.operator_on_power``).
-#
-# Any lam is block-diagonal by orbit, as e_lam lies in Q[S_n]; orbits whose
-# (multiplicity, parity) pairs agree share a block up to a parity-preserving
-# relabelling, since Koszul signs see only which slots are odd.
+# The central idempotent of lam on a tensor power depends only on the parities
+# of the ambient basis and on lam, not on k.  Any lam is block-diagonal by
+# orbit, as e_lam lies in Q[S_n]; orbits whose (multiplicity, parity) pairs
+# agree share a block up to a parity-preserving relabelling, since Koszul
+# signs see only which slots are odd.  ``_young_blocks`` keeps one block per
+# orbit type and the number of orbits of that type, for the whole process; a
+# full object's zero test, rank and super dimension are read off it.
+# ``_young_rows`` relabels the blocks onto every orbit, also kept for the
+# whole process, for the callers that need the idempotent on the tensor
+# power: a proper summand's image op . e^(n) (``supercat.operator_on_power``)
+# and the first read of a full object's image ``idem``.  Each Schur image is
+# kept on the object it was computed from.
+
+#: the most entries that the type blocks of one (parities, lam) may hold:
+#: a type block is at most |orbit| x |orbit|
+BLOCK_ENTRY_BOUND = 2**21
+
+
+@cache
+def _young_blocks(parities: tuple[int, ...], lam: Partition):
+    """``(table, den, rank, dimension)``: the group-algebra idempotent of
+    ``lam`` on the n-th tensor power as ``{kind: (orbit, block, count)}``
+    (``_central_blocks``) over one denominator, in lowest terms, and the
+    rank and super dimension of its image, each the sum over types of
+    count . tr(block) / den, signed by the parity of the odd slots for the
+    super dimension.
+
+    Refused above ``CONVOLUTION_BOUND`` and when the blocks could hold more
+    than ``BLOCK_ENTRY_BOUND`` entries.  The table is checked against the
+    hook rule, the orbit count C(d + n - 1, n), adjacent slot swaps
+    (``_check_slot_swaps``), symmetry and the rank f^lam hs_lam(1^p | 1^q),
+    each raising ``InvariantError``; it is shared by every caller and must
+    not be mutated.
+    """
+    n, d = lam.n, len(parities)
+    if n > CONVOLUTION_BOUND:
+        raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
+    chi = 1 if len(lam) == 1 else -1 if len(lam) == n else None  # S, Lambda, other
+    p, q = parities.count(EVEN), parities.count(ODD)
+    table, den = _central_blocks(parities, lam, chi)
+    g = den
+    for _, block, _ in table.values():
+        for row in block.values():
+            g = gcd(g, *row.values())
+        if g == 1:
+            break
+    else:
+        table = {kind: (orbit, {i: {j: c // g for j, c in row.items()}
+                                for i, row in block.items()}, count)
+                 for kind, (orbit, block, count) in table.items()}
+        den //= g
+    where = f"S_{lam.parts} of the full ({p}|{q}) object"
+    zero = not any(block for _, block, _ in table.values())
+    if zero != (len(lam) > p and lam[p] > q):
+        raise InvariantError(
+            f"{where} is {'zero' if zero else 'nonzero'}, against the hook rule")
+    orbits = sum(count for _, _, count in table.values())
+    if orbits != comb(d + n - 1, n):
+        raise InvariantError(f"{where} has {orbits} orbits, not C({d + n - 1}, {n})")
+    if not zero:
+        _check_slot_swaps(table, parities, lam, chi)
+    # supercat.operator_on_power reads column m of the rows as row m
+    for kind, (_, block, _) in table.items():
+        if any(block.get(j, {}).get(i) != c for i, row in block.items() for j, c in row.items()):
+            raise InvariantError(f"{where} has an asymmetric block of type {kind}")
+    rank = dimension = 0
+    for kind, (_, block, count) in table.items():
+        t = count * sum(row.get(i, 0) for i, row in block.items())
+        rank += t
+        dimension += -t if sum(mult for mult, parity in kind if parity) & 1 else t
+    want = hook_dimension(lam) * hook_schur(lam, p, q)
+    if rank != want * den or dimension % den:
+        raise InvariantError(f"{where} has rank {Fraction(rank, den)} and super dimension "
+                             f"{Fraction(dimension, den)}, against f^lam hs_lam = {want}")
+    return table, den, rank // den, dimension // den
+
+
+def _central_blocks(parities: tuple[int, ...], lam: Partition, chi: int | None):
+    """``(table, den)``: e_lam on the n-th tensor power over n! for S
+    (chi = +1) and Lambda (chi = -1), else over ``young_idempotent(lam).den``,
+    as ``{kind: (orbit, block, count)}``: kind is an orbit type (the sorted
+    (multiplicity, parity) pairs of an orbit's distinct indices), orbit and
+    block its labelled orbit and block (``_type_block``), count its number
+    of orbits (``_orbit_types``)."""
+    n = lam.n
+    kinds = _orbit_types(parities.count(EVEN), parities.count(ODD), n)
+    size = sum(_orbit_size(kind) ** 2 for kind in kinds if not _cancels(kind, chi))
+    if size > BLOCK_ENTRY_BOUND:
+        raise SizeCapError(f"S_{lam.parts} type blocks of up to {size} entries exceed "
+                           f"bound {BLOCK_ENTRY_BOUND}")
+    elem = None if chi else young_idempotent(lam)
+    return ({kind: (*_type_block(kind, chi, elem), count) for kind, count in kinds.items()},
+            factorial(n) if chi else elem.den)
+
+
+@cache
+def _orbit_types(p: int, q: int, n: int) -> dict[tuple, int]:
+    """``{kind: number of orbits}`` over the n-th tensor power of a (p|q)
+    space.  A kind with l distinct even indices, r_m of them of
+    multiplicity m, is realized p! / ((p - l)! prod r_m!) ways among the
+    even indices, and likewise among the odd ones."""
+    def placements(mults: tuple[int, ...], labels: int) -> int:
+        return perm(labels, len(mults)) // prod(factorial(mults.count(m)) for m in set(mults))
+
+    splits = _multiplicities(n)
+    kinds = {}
+    for a in range(n + 1):
+        for even in splits[a]:
+            for odd in splits[n - a]:
+                if len(even) <= p and len(odd) <= q:
+                    kind = tuple(sorted([(m, EVEN) for m in even] + [(m, ODD) for m in odd]))
+                    kinds[kind] = placements(even, p) * placements(odd, q)
+    return kinds
+
+
+@cache
+def _multiplicities(n: int) -> list[list[tuple[int, ...]]]:
+    """The parts of each partition of a, for a = 0 .. n."""
+    return [[mu.parts for mu in partitions(a)] for a in range(n + 1)]
+
+
+def _orbit_size(kind: tuple) -> int:
+    """The number of tensors in one orbit of the type."""
+    return factorial(sum(mult for mult, _ in kind)) // prod(factorial(mult) for mult, _ in kind)
+
+
+def _cancels(kind: tuple, chi: int | None) -> bool:
+    """Whether S (chi = +1) or Lambda (chi = -1) kills the type: a label of
+    the cancelling parity, odd under S and even under Lambda, repeats."""
+    return bool(chi) and any(mult > 1 and parity == (chi == 1) for mult, parity in kind)
 
 
 @cache
 def _young_rows(parities: tuple[int, ...], lam: Partition):
-    """Rows of the group-algebra idempotent acting on the tensor power, as
-    integer numerators over one denominator, in lowest terms: ``(rows, den)``.
-
-    Every ``lam`` is built one block per orbit type (``_central_rows``) and
-    refused above ``CONVOLUTION_BOUND``.  The rows (the full object's image)
-    are checked against the hook rule and, unless they are zero, adjacent
-    slot swaps (``_check_slot_swaps``); they are shared by every caller and
-    must not be mutated.
-    """
-    n = lam.n
-    if n > CONVOLUTION_BOUND:
-        raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
-    chi = 1 if len(lam) == 1 else -1 if len(lam) == n else None  # S, Lambda, other
-    rows, den = _central_rows(parities, lam, chi)
-    g = den
-    for row in rows.values():
-        if (g := gcd(g, *row.values())) == 1:
-            break
-    else:
-        rows = {i: {j: c // g for j, c in row.items()} for i, row in rows.items()}
-        den //= g
-    p, q = parities.count(EVEN), parities.count(ODD)
-    if (not rows) != (len(lam) > p and lam[p] > q):
-        raise InvariantError(
-            f"S_{lam.parts} of the full ({p}|{q}) object is "
-            f"{'zero' if not rows else 'nonzero'}, against the hook rule")
-    if rows:
-        _check_slot_swaps(rows, parities, lam, chi)
-    return rows, den
-
-
-def _central_rows(parities: tuple[int, ...], lam: Partition, chi: int | None):
-    """``(rows, den)``: integer rows of e_lam on the n-th tensor power over
-    n! for S (chi = +1) and Lambda (chi = -1), else over
-    ``young_idempotent(lam).den``; one block per orbit type (the sorted
-    (multiplicity, parity) pairs of an orbit's distinct indices), built on
-    labels by ``_type_block`` and relabelled onto each orbit."""
+    """``(rows, den)``: the blocks of ``_young_blocks`` relabelled onto every
+    orbit of the n-th tensor power, integer rows over the same denominator.
+    The rows are shared by every caller and must not be mutated."""
+    table, den, _, _ = _young_blocks(parities, lam)
     n, d = lam.n, len(parities)
-    elem = None if chi else young_idempotent(lam)
-    types: dict[tuple, list[list[int]]] = {}
-    for key in combinations_with_replacement(range(d), n):
-        counts = {v: key.count(v) for v in key}
-        values = sorted(counts, key=lambda v: (counts[v], parities[v]))
-        types.setdefault(tuple((counts[v], parities[v]) for v in values), []).append(values)
+    pools = [[i for i, parity in enumerate(parities) if parity == want] for want in (EVEN, ODD)]
     place = [d ** (n - 1 - a) for a in range(n)]
     rows: dict[int, dict[int, int]] = {}
     # most distinct labels first: the smallest stabilisers, whose entries end
-    # the lowest-terms gcd scans of the rows early
-    for kind, orbits in sorted(types.items(), key=lambda item: len(item[0]), reverse=True):
-        orbit, block = _type_block(kind, chi, elem)
+    # supercat's lowest-terms scan of the rows early
+    for kind, (orbit, block, _) in sorted(table.items(), key=lambda item: len(item[0]),
+                                          reverse=True):
+        if not block:
+            continue
+        # an orbit gives its labels distinct indices of their parities, increasing
+        # along each run of equal (multiplicity, parity): values[l] for label l
+        orbits = [[]]
+        for (_, parity), run in groupby(kind):
+            size = len(list(run))
+            orbits = [values + list(pick) for values in orbits for pick in
+                      combinations([i for i in pools[parity] if i not in values], size)]
         # tensor t of the orbit sits at sum_a values[t[a]] d^(n-1-a)
         spread = [[sum(w for label, w in zip(t, place) if label == m) for m in range(len(kind))]
                   for t in orbit]
         for values in orbits:
             code = [sum(map(mul, values, w)) for w in spread]
             for i, row in block.items():
-                if row:
-                    rows[code[i]] = {code[j]: c for j, c in row.items()}
-    return rows, factorial(n) if chi else elem.den
+                rows[code[i]] = {code[j]: c for j, c in row.items()}
+    return rows, den
 
 
 def _type_block(kind: tuple, chi: int | None, elem) -> tuple[list[tuple[int, ...]], dict]:
@@ -318,7 +465,7 @@ def _type_block(kind: tuple, chi: int | None, elem) -> tuple[list[tuple[int, ...
     operator is symmetric (chi(sigma) = chi(sigma^-1) and P_(sigma^-1) =
     P_sigma^T), so its columns are its rows.
     """
-    if chi and any(mult > 1 and parity == (chi == 1) for mult, parity in kind):
+    if _cancels(kind, chi):
         return [], {}
     odd = [parity for _, parity in kind]
     rep = tuple(label for label, (mult, _) in enumerate(kind) for _ in range(mult))
@@ -338,6 +485,8 @@ def _type_block(kind: tuple, chi: int | None, elem) -> tuple[list[tuple[int, ...
             swap.append((j, s))
     if column is None:
         column = {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}
+        if not column:
+            return [], {}
     block = {0: column}
     reached = [0]
     for i in reached:
@@ -366,34 +515,32 @@ def _young_column(elem, rep: tuple[int, ...], odd: list[int]) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-def _check_slot_swaps(rows: dict, parities: tuple[int, ...], lam: Partition,
+def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition,
                       chi: int | None) -> None:
-    """Check each adjacent slot swap tau on the last row of each orbit:
+    """Check each adjacent slot swap tau on the last row of each block:
     e . P_tau = chi e for S (chi = +1) and Lambda (chi = -1), else
     P_tau . e = e . P_tau, i.e. row tau I = s (row I) P_tau for
     P_tau e_I = s e_(tau I); raise ``InvariantError`` naming
-    (parities, lam, tau).  tau I and s are read off the base-d digits of
-    I alone: slots a and a + 1 trade digits, and s = -1 when both are odd.
-    The last row of an orbit lists its sorted indices in reverse, the row
-    that ``_type_block`` carries from the column at the sorted indices."""
-    n, d = lam.n, len(parities)
-    last = [sum(v * d**b for b, v in enumerate(key))
-            for key in combinations_with_replacement(range(d), n)]
+    (parities, lam, tau).  tau I and s are read off the labels of the
+    orbit's tuples: slots a and a + 1 trade labels, and s = -1 when both
+    are odd.  The last row of a block is its sorted labels in reverse, the
+    row that ``_type_block`` carries from the column at the sorted labels."""
     law = "P_tau . e = e . P_tau" if chi is None else f"e . P_tau = {chi:+d} e"
-    for a in range(n - 1):
-        hi, lo = d ** (n - 1 - a), d ** (n - 2 - a)
+    blocks = [(kind, orbit, block, {t: i for i, t in enumerate(orbit)})
+              for kind, (orbit, block, _) in table.items() if block]
+    for a in range(lam.n - 1):
+        for kind, orbit, block, pos in blocks:
+            def moved(t: tuple, c: int = 1) -> tuple[int, int]:
+                """``(tau t, s c)`` for P_tau e_t = s e_(tau t), by position."""
+                return (pos[(*t[:a], t[a + 1], t[a], *t[a + 2:])],
+                        -c if kind[t[a]][1] and kind[t[a + 1]][1] else c)
 
-        def moved(m: int, c: int = 1) -> tuple[int, int]:
-            """``(tau m, s c)`` for P_tau e_m = s e_(tau m)."""
-            x, y = m // hi % d, m // lo % d
-            return m + (y - x) * (hi - lo), -c if parities[x] and parities[y] else c
-
-        for i in last:
-            row = rows.get(i, {})
-            carried = dict(moved(m, c) for m, c in row.items())
+            last = orbit[0][::-1]
+            row = block.get(pos[last], {})
+            carried = dict(moved(orbit[m], c) for m, c in row.items())
             if chi is None:
-                j, s = moved(i)
-                want = {m: s * c for m, c in rows.get(j, {}).items()}
+                j, s = moved(last)
+                want = {m: s * c for m, c in block.get(j, {}).items()}
             else:
                 want = {m: chi * c for m, c in row.items()}
             if carried != want:
@@ -401,29 +548,59 @@ def _check_slot_swaps(rows: dict, parities: tuple[int, ...], lam: Partition,
                                      f"break {law} at tau = ({a}, {a + 1})")
 
 
+def _power_idempotent(one: SuperMorphism, lam: Partition, cap: int,
+                      dimension: int) -> SuperMorphism:
+    """The idempotent of S_lam of the full object with idempotent ``one`` on
+    the n-th tensor power of its space, refused when dim**n exceeds ``cap``;
+    its supertrace must be ``dimension``, the super dimension read off the
+    type blocks."""
+    space, n = one.source, lam.n
+    if space.dim**n > cap:
+        raise SizeCapError(f"tensor power {space.dim}**{n} exceeds cap {cap}")
+    idem = operator_on_power(*_young_rows(space.parities, lam), one, n)
+    tr = idem.supertrace()
+    if not tr.eps_part_is_zero() or tr.realization() != dimension:
+        raise InvariantError(f"S_{lam.parts} on parities {space.parities} has supertrace "
+                             f"{tr}, against {dimension} read off its type blocks")
+    return idem
+
+
 def schur_apply(lam: Partition, x: KaroubiObject,
                 cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """The image of the central idempotent attached to ``lam`` on x^(n).
 
-    The image is kept on x, so a second call with the same ``lam`` returns
-    the same object.  The rows it is read from are checked against the hook
-    rule in ``_young_rows``; a disagreement raises ``InvariantError`` naming
-    (p, q, lam).
+    For a full object x of dimension (p|q) the image is read off the
+    orbit-type blocks (``_young_blocks``), so ``cap`` bounds the number of
+    orbits C(p + q + n - 1, n), and its idempotent on the tensor power is
+    built on first use against ``cap`` and (p + q)**n.  For any other
+    summand e the image is op . e^(n), and ``cap`` bounds the ambient's
+    dim**n.  The image is kept on x, so a second call with the same ``lam``
+    returns the same object.
     """
     n = lam.n
     ambient = x.ambient
-    if ambient.dim == 0:
+    d = ambient.dim
+    if d == 0:
         return KaroubiObject.full(tensor_power(ambient, n))
-    if ambient.dim**n > cap:
-        raise SizeCapError(
-            f"tensor power {ambient.dim}**{n} exceeds cap {cap}"
-        )
     image = x._images.get(lam.parts)
-    if image is not None:
-        return image
-    # op is central and e^(n) an even idempotent, so op . e^(n) = e^(n) . op . e^(n)
-    image = x._images[lam.parts] = KaroubiObject._of(
-        operator_on_power(*_young_rows(ambient.parities, lam), x.idem, n))
+    full = x._is_full() if image is None else image._power is not None
+    if full and comb(d + n - 1, n) > cap:
+        raise SizeCapError(f"orbit count C({d + n - 1}, {n}) = {comb(d + n - 1, n)} "
+                           f"exceeds cap {cap}")
+    if not full and d**n > cap:
+        raise SizeCapError(f"tensor power {d}**{n} exceeds cap {cap}")
+    if image is None:
+        if full:
+            _, _, rank, dimension = _young_blocks(ambient.parities, lam)
+            image = KaroubiObject._schur_image(x.idem, lam, rank, dimension, cap)
+        else:
+            # op is central and e^(n) an even idempotent, so op . e^(n) =
+            # e^(n) . op . e^(n)
+            image = KaroubiObject._of(
+                operator_on_power(*_young_rows(ambient.parities, lam), x.idem, n))
+        x._images[lam.parts] = image
+    elif image._idem is None:
+        image._cap = cap
     return image
 
 

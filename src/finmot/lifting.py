@@ -247,7 +247,8 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
             raise ValueError(f"{name} is not idempotent")
     if pi.realization() != pi2.realization():
         raise ValueError("the two idempotents have different realizations")
-    e = pi.compose(pi2).compose(pi)
+    round_trip = pi2.compose(pi)
+    e = pi.compose(round_trip)
     defect = e - pi
     for i, j, t in defect.numerators():
         if any(t[:2]):
@@ -258,8 +259,9 @@ def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
     # e = pi + d with d nilpotent in the corner algebra pi A pi, whose unit
     # is pi: e^-1 = pi - d + d^2 - ...
     v = pi if exact else geometric_series(pi, -defect)
-    iso_to = pi2.compose(pi)
-    iso_from = v.compose(pi).compose(pi2)
+    iso_to = round_trip
+    # v lies in pi A pi, so v . pi = v
+    iso_from = v.compose(pi2)
     if iso_from.compose(iso_to) != pi:
         raise InvariantError("corner isomorphism: iso_from . iso_to != pi")
     if iso_to.compose(iso_from) != pi2:
@@ -323,9 +325,10 @@ def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityRe
         raise ValueError("q must be an endomorphism of the family's ambient space")
     violations: list[tuple[int, int, str]] = []
     decomposition: dict[tuple[int, int], SuperMorphism] = {}
+    left = [pt.compose(q) for pt in blocks.members]
     for s, ps in enumerate(blocks.members):
-        for t, pt in enumerate(blocks.members):
-            b = pt.compose(q).compose(ps)
+        for t, pt_q in enumerate(left):
+            b = pt_q.compose(ps)
             decomposition[(s, t)] = b
             if s != t and not b.is_zero():
                 violations.append((s, t, "nonzero off-diagonal block"))

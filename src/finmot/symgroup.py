@@ -115,6 +115,42 @@ def hook_dimension(lam: Partition) -> int:
     return d
 
 
+def hook_schur(lam: Partition, p: int, q: int) -> int:
+    """hs_lam(1^p | 1^q), the hook Schur function at p even and q odd
+    ones (Berele-Regev): the rank of S_lam X for X of rank (p|q), zero
+    exactly outside the (p, q)-hook.  It is the super Jacobi-Trudi
+    determinant det(h_(lam_i - i + j)) (Macdonald, I.3), where h_m counts
+    the degree-m monomials in p commuting and q anticommuting variables,
+    sum_i C(q, i) C(p + m - i - 1, m - i) with C(-1, 0) = 1.  It equals
+    hs_lam'(1^q | 1^p), so the shorter of lam and its conjugate is used."""
+    conj = lam.conjugate()
+    if len(conj) < len(lam):
+        lam, p, q = conj, q, p
+
+    def h(m: int) -> int:
+        return sum(math.comb(q, i) * (math.comb(p + m - i - 1, m - i) if m > i else 1)
+                   for i in range(min(q, m) + 1))
+
+    # fraction-free (Bareiss) elimination: each step divides exactly by the
+    # previous pivot, and the last pivot is the determinant
+    size = len(lam)
+    mat = [[h(lam[i] - i + j) for j in range(size)] for i in range(size)]
+    sign, prev = 1, 1
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if mat[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            sign = -sign
+        top = mat[c]
+        for r in range(c + 1, size):
+            row = mat[r]
+            mat[r] = [(top[c] * row[j] - row[c] * top[j]) // prev for j in range(size)]
+        prev = top[c]
+    return sign * prev
+
+
 class Permutation:
     """A bijection of ``{0, ..., n-1}`` stored as its tuple of images."""
 

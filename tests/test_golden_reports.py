@@ -9,11 +9,15 @@ the argv listed below through the ``finmot`` console script from the
 repository root.
 """
 
+import json
 import os
 
 import pytest
 
 from finmot.cli import SUITES, main
+from finmot.karoubi import KaroubiObject, schur_super_dimension
+from finmot.supercat import SuperSpace
+from finmot.symgroup import Partition, hook_dimension, hook_schur
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -28,8 +32,9 @@ CASES["surface-sample.json"] = ["--out", "json", "surface",
 CASES["schur-2.1-p2q1.json"] = ["--out", "json", "schur", "--lam", "2,1",
                                 "--p", "2", "--q", "1"]
 # the benchmark's Schur queries in both orientations (perfbench/workloads.py),
-# then Sym^6 of (0|4), Lambda^6 of (2|2) and S_(2,2,1,1) of (2|2) at the cap
-# and Lambda^7 of (2|1)
+# then Sym^6 of (0|4), Lambda^6 of (2|2) and S_(2,2,1,1) of (2|2) at the cap,
+# Lambda^7 of (2|1), and Sym^6 of (0|6) and S_(3,2,1) of (3|3), whose tensor
+# powers exceed the cap but whose 462 orbits do not
 SCHUR_CASES = {
     "schur-2.1.1.1-p1q3-k3.json": "--k 3 schur --lam 2,1,1,1 --p 1 --q 3",
     "schur-4.1-p3q1-k3.json": "--k 3 schur --lam 4,1 --p 3 --q 1",
@@ -41,6 +46,8 @@ SCHUR_CASES = {
     "schur-1.1.1.1.1.1-p2q2-k3.json": "--k 3 schur --lam 1,1,1,1,1,1 --p 2 --q 2",
     "schur-1.1.1.1.1.1.1-p2q1.json": "schur --lam 1,1,1,1,1,1,1 --p 2 --q 1",
     "schur-2.2.1.1-p2q2-k3.json": "--k 3 schur --lam 2,2,1,1 --p 2 --q 2",
+    "schur-6-p0q6-k3.json": "--k 3 schur --lam 6 --p 0 --q 6",
+    "schur-3.2.1-p3q3-k3.json": "--k 3 schur --lam 3,2,1 --p 3 --q 3",
 }
 CASES.update({name: ["--out", "json", *argv.split()] for name, argv in SCHUR_CASES.items()})
 # at k = 6 the seeded family unit exp(eps S) has every eps order
@@ -59,3 +66,16 @@ def test_report_matches_golden(name, capsys, monkeypatch):
         want = fh.read()
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("schur-")))
+def test_schur_golden_matches_hook_schur_and_the_character_sum(name):
+    # rank f^lam hs_lam(1^p | 1^q) by the super Jacobi-Trudi determinant, and
+    # the super dimension by the character sum, both independent of the blocks
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    lam, p, q = Partition(results["lam"]), results["p"], results["q"]
+    rank = hook_dimension(lam) * hook_schur(lam, p, q)
+    assert (results["classical_rank"], results["is_zero"]) == (rank, rank == 0)
+    assert results["super_dimension"] == schur_super_dimension(
+        lam, KaroubiObject.full(SuperSpace.standard(p, q)))

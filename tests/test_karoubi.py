@@ -33,7 +33,14 @@ from finmot.supercat import (
     signed_slot_map,
     tensor_power,
 )
-from finmot.symgroup import Partition, all_permutations, partitions, young_idempotent
+from finmot.symgroup import (
+    Partition,
+    all_permutations,
+    hook_dimension,
+    hook_schur,
+    partitions,
+    young_idempotent,
+)
 from finmot.lifting import (
     eps_perturbation,
     lift_idempotent,
@@ -46,6 +53,13 @@ from finmot.supercat import invert_unit
 
 def full(p, q, k=1):
     return KaroubiObject.full(SuperSpace.standard(p, q, k))
+
+
+def _clear_young_caches():
+    from finmot import karoubi
+
+    karoubi._young_blocks.cache_clear()
+    karoubi._young_rows.cache_clear()
 
 
 # --- construction guards ---------------------------------------------------------
@@ -138,8 +152,16 @@ def test_schur_of_empty_partition_on_a_summand_is_the_kept_unit():
 
 
 def test_schur_size_guard():
-    with pytest.raises(SizeCapError):
-        wedge(7, full(2, 2), cap=4096)
+    # a full object's verdicts are read off its orbit-type blocks, so the cap
+    # bounds the orbit count C(4 + 7 - 1, 7) = 120 of Lambda^7 on (2|2); its
+    # idempotent on the tensor power is refused by 4**7 > 4096 when read
+    with pytest.raises(SizeCapError, match=r"orbit count C\(10, 7\) = 120 exceeds cap 119"):
+        wedge(7, full(2, 2), cap=119)
+    # Lambda^7 (2|2) = sum_i Lambda^i (2|0) (x) S^(7-i) (0|2): ranks 8 + 14 + 6
+    image = wedge(7, full(2, 2), cap=4096)
+    assert image.dimension() == 0 and image.classical_rank() == 28
+    with pytest.raises(SizeCapError, match=r"tensor power 4\*\*7 exceeds cap 4096"):
+        image.idem
 
 
 def test_wedge_dims_even():
@@ -225,18 +247,32 @@ def _binomial(x, n):
 @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
 def test_super_dimension_binomials_beyond_the_cap(p, q):
     # dim(wedge^n X) = C(d, n) and dim(S^n X) = C(d+n-1, n) with d = p - q;
-    # the character route needs no tensor power, so it answers where
-    # schur_apply refuses (5**6 > 4096)
+    # the character route needs no tensor power.  schur_apply reads the
+    # same numbers off the orbit-type blocks at n = 6 (210 orbits, 5**6 >
+    # 4096), where only the idempotent on the tensor power is refused; at
+    # n = 7 the dense rank-1 blocks would hold 2.6M-3.2M entries, and n = 8
+    # exceeds the group-algebra degree bound
     x = full(p, q)
     d = p - q
     for n in range(9):
         lam_wedge, lam_sym = Partition((1,) * n), Partition((n,) if n else ())
         assert schur_super_dimension(lam_wedge, x) == _binomial(d, n)
         assert schur_super_dimension(lam_sym, x) == _binomial(d + n - 1, n)
-        if n >= 6:
-            for lam in (lam_wedge, lam_sym):
-                with pytest.raises(SizeCapError):
+        for lam, want in ((lam_wedge, _binomial(d, n)), (lam_sym, _binomial(d + n - 1, n))):
+            if n == 8:
+                with pytest.raises(SizeCapError, match=r"degree 8 exceeds bound 7"):
                     schur_apply(lam, x)
+            elif n == 7:
+                with pytest.raises(SizeCapError, match=r"type blocks of up to \d+ entries "
+                                                       r"exceed bound 2097152"):
+                    schur_apply(lam, x)
+            elif n == 6:
+                image = schur_apply(lam, x)
+                assert image.dimension() == want, (lam, n)
+                with pytest.raises(SizeCapError, match=rf"tensor power 5\*\*{n} exceeds cap"):
+                    image.idem
+            else:
+                assert schur_apply(lam, x).idem.supertrace().realization() == want
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -250,6 +286,124 @@ def test_schur_vanishing_matches_hook_criterion(k):
     for p, q, lam in cases:
         outside_hook = len(lam) > p and lam[p] > q
         assert schur_apply(lam, full(p, q, k)).is_zero() == outside_hook, (p, q, lam)
+
+
+def test_block_read_verdicts_equal_the_materialized_image_and_hook_schur():
+    # every partition of n <= 5 on every (p|q), p, q <= 4, with (p+q)**n <=
+    # 4096: the zero test, rank and super dimension read off the orbit-type
+    # blocks equal those of the idempotent on the tensor power and
+    # f^lam hs_lam(1^p | 1^q), and the character sum for the super dimension
+    cases = zero = 0
+    for p in range(5):
+        for q in range(5):
+            for n in range(6):
+                if p + q == 0 or (p + q) ** n > 4096:
+                    continue
+                x = full(p, q, 2)
+                for lam in partitions(n):
+                    image = schur_apply(lam, x)
+                    verdicts = image.is_zero(), image.classical_rank(), image.dimension()
+                    rank = hook_dimension(lam) * hook_schur(lam, p, q)
+                    e = image.idem
+                    materialized = (e.is_zero(), e.trace().realization(),
+                                    e.supertrace().realization())
+                    assert verdicts == materialized, (p, q, lam)
+                    assert verdicts[:2] == (rank == 0, rank), (p, q, lam)
+                    assert verdicts[2] == schur_super_dimension(lam, x), (p, q, lam)
+                    cases += 1
+                    zero += verdicts[0]
+    assert (cases, zero) == (414, 51)
+
+
+def test_full_object_image_builds_its_idempotent_on_first_read(monkeypatch):
+    # the verdicts need no row relabelling; the first read of idem builds
+    # the rows once, against the cap of the last call that returned the
+    # image, and checks their supertrace against the block-read dimension
+    from finmot import karoubi
+
+    _clear_young_caches()
+    x = full(2, 1)
+    image = sym(3, x, cap=27)
+    assert (image.is_zero(), image.classical_rank(), image.dimension()) == (False, 7, 1)
+    assert karoubi._young_rows.cache_info().currsize == 0
+    assert sym(3, x, cap=26) is image
+    with pytest.raises(SizeCapError, match=r"tensor power 3\*\*3 exceeds cap 26"):
+        image.idem
+    assert sym(3, x, cap=27) is image and image.idem is image.idem
+    assert karoubi._young_rows.cache_info().misses == 1
+    assert image.ambient == tensor_power(x.ambient, 3) and image.k == 1
+    _clear_young_caches()
+    rows, den = karoubi._young_rows(x.ambient.parities, Partition((3,)))
+    monkeypatch.setattr(karoubi, "_young_rows", lambda parities, lam: (
+        {i: {j: -c for j, c in row.items()} for i, row in rows.items()}, den))
+    with pytest.raises(InvariantError, match=r"supertrace -1, against 1 read off its type blocks"):
+        sym(3, full(2, 1)).idem
+    monkeypatch.undo()
+    _clear_young_caches()
+
+
+def _mutated_blocks(monkeypatch, mutate):
+    """``_central_blocks`` with ``mutate(table)`` applied to a copy of each
+    table it builds, in place of any earlier mutation."""
+    from finmot import karoubi
+
+    monkeypatch.undo()
+    original = karoubi._central_blocks
+
+    def mutated(parities, lam, chi):
+        table, den = original(parities, lam, chi)
+        table = {kind: (orbit, {i: dict(row) for i, row in block.items()}, count)
+                 for kind, (orbit, block, count) in table.items()}
+        mutate(table)
+        return table, den
+
+    monkeypatch.setattr(karoubi, "_central_blocks", mutated)
+    _clear_young_caches()
+
+
+@pytest.mark.parametrize("parts, p, q", [((2, 1), 1, 1), ((2,), 2, 1), ((1, 1, 1), 2, 1),
+                                          ((3, 1), 1, 2), ((2, 2), 2, 0)])
+def test_every_single_sign_flip_in_a_block_raises(monkeypatch, parts, p, q):
+    # off the diagonal a flip breaks the symmetry of its block or an
+    # adjacent slot swap; on it, the rank f^lam hs_lam
+    from finmot import karoubi
+
+    lam = Partition(parts)
+    table, _, _, _ = karoubi._young_blocks(SuperSpace.standard(p, q).parities, lam)
+    entries = [(kind, i, j) for kind, (_, block, _) in table.items()
+               for i, row in block.items() for j in row]
+    for kind, i, j in entries:
+        def flip(table, kind=kind, i=i, j=j):
+            table[kind][1][i][j] *= -1
+
+        _mutated_blocks(monkeypatch, flip)
+        with pytest.raises(InvariantError, match=rf"S_{re.escape(str(parts))}"):
+            schur_apply(lam, full(p, q))
+    assert len(entries) >= 4
+    monkeypatch.undo()
+    _clear_young_caches()
+
+
+@pytest.mark.parametrize("parts, p, q", [((2, 1), 1, 1), ((1, 1, 1), 2, 1), ((3,), 0, 2)])
+def test_every_orbit_count_off_by_one_raises(monkeypatch, parts, p, q):
+    # the counts must add up to C(d + n - 1, n), whether or not the type's
+    # block is zero
+    from finmot import karoubi
+
+    lam = Partition(parts)
+    kinds = list(karoubi._young_blocks(SuperSpace.standard(p, q).parities, lam)[0])
+    for kind in kinds:
+        for step in (1, -1):
+            def shift(table, kind=kind, step=step):
+                orbit, block, count = table[kind]
+                table[kind] = (orbit, block, count + step)
+
+            _mutated_blocks(monkeypatch, shift)
+            with pytest.raises(InvariantError, match=r"orbits, not C\("):
+                schur_apply(lam, full(p, q))
+    assert len(kinds) >= 2
+    monkeypatch.undo()
+    _clear_young_caches()
 
 
 _young_idempotent = functools.cache(young_idempotent)
@@ -332,6 +486,7 @@ def test_general_rows_sum_one_column_per_orbit_type(monkeypatch):
 
     monkeypatch.setattr(karoubi, "_young_column", counting)
     parities, lam = (0,) * 6 + (1,) * 2, Partition((2, 1, 1))
+    karoubi._young_blocks.cache_clear()
     karoubi._young_rows.cache_clear()
     rows, den = karoubi._young_rows(parities, lam)
     karoubi._young_rows.cache_clear()
@@ -470,15 +625,15 @@ def test_negative_degree_is_rejected(power):
 
 @pytest.fixture
 def swapped_orbit_rows(monkeypatch):
-    """Exterior and symmetric rows built with the cancelling parity swapped."""
+    """Exterior and symmetric blocks built with the cancelling parity swapped."""
     from finmot import karoubi
 
-    original = karoubi._central_rows
-    monkeypatch.setattr(karoubi, "_central_rows", lambda parities, lam, chi:
+    original = karoubi._central_blocks
+    monkeypatch.setattr(karoubi, "_central_blocks", lambda parities, lam, chi:
                         original(parities, lam, None if chi is None else -chi))
-    karoubi._young_rows.cache_clear()
+    _clear_young_caches()
     yield
-    karoubi._young_rows.cache_clear()
+    _clear_young_caches()
 
 
 def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
@@ -488,40 +643,54 @@ def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
 
 @pytest.fixture
 def resigned_rows(monkeypatch):
-    """Rows conjugated by the diagonal that negates basis tensor
-    (1, 0, ..., 0), an index that is not sorted: the sign of one column
-    carried from the sorted representative, and of its row, flipped."""
+    """Blocks conjugated by the diagonal that negates, in each orbit type
+    with more than one tensor, its sorted representative I0: the signs of
+    the column every other column is carried from, and of its row, flipped.
+    Yields the resigned and the original ``_central_blocks``."""
     from finmot import karoubi
 
-    original = karoubi._central_rows
+    original = karoubi._central_blocks
 
     def resigned(parities, lam, chi):
-        rows, den = original(parities, lam, chi)
-        flip = len(parities) ** (lam.n - 1)
+        table, den = original(parities, lam, chi)
+        out = {}
+        for kind, (orbit, block, count) in table.items():
+            flip = 0 if len(orbit) > 1 else None
 
-        def sign(i):
-            return -1 if i == flip else 1
+            def sign(i):
+                return -1 if i == flip else 1
 
-        return {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
-                for i, row in rows.items()}, den
+            out[kind] = (orbit, {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
+                                 for i, row in block.items()}, count)
+        return out, den
 
-    monkeypatch.setattr(karoubi, "_central_rows", resigned)
-    karoubi._young_rows.cache_clear()
-    yield resigned
-    karoubi._young_rows.cache_clear()
+    monkeypatch.setattr(karoubi, "_central_blocks", resigned)
+    _clear_young_caches()
+    yield resigned, original
+    _clear_young_caches()
 
 
 def _assert_resigned_rows_pass_but_the_slot_swaps(resigned_rows, lam, p, q, chi):
-    """The resigned rows of ``lam`` on the full (p|q) object stay an
-    idempotent of the right trace and zero pattern, so only the slot-swap
-    check can see the sign error."""
-    space = SuperSpace.standard(p, q)
-    xn = tensor_power(space, lam.n)
-    rows, den = resigned_rows(space.parities, lam, chi)
-    e = SuperMorphism._from_numerators(
-        xn, xn, {i: {j: (c,) for j, c in row.items()} for i, row in rows.items()}, den)
-    assert e.is_idempotent()
-    assert e.supertrace().realization() == schur_super_dimension(lam, full(p, q))
+    """The resigned blocks of ``lam`` on the full (p|q) object stay
+    symmetric idempotents with the traces and zero pattern of the original
+    ones, at least one of them changed, so only the slot-swap check can see
+    the sign error."""
+    resigned, original = resigned_rows
+    parities = SuperSpace.standard(p, q).parities
+    table, den = resigned(parities, lam, chi)
+    want, _ = original(parities, lam, chi)
+    assert table.keys() == want.keys() and table != want
+    for kind, (_, block, _) in table.items():
+        _, other, _ = want[kind]
+        assert block.keys() == other.keys()
+        for i, row in block.items():
+            assert row.get(i) == other[i].get(i)
+            assert all(block[j][i] == c for j, c in row.items())
+            square = {}
+            for m, c in row.items():
+                for j, b in block[m].items():
+                    square[j] = square.get(j, 0) + c * b
+            assert {j: c for j, c in square.items() if c} == {j: den * c for j, c in row.items()}
 
 
 @pytest.mark.parametrize("power, symmetric", [(wedge, False), (sym, True)])
@@ -806,11 +975,14 @@ def test_classify_dual_same_report():
 
 
 def test_classify_surfaces_size_guard():
-    # the cap bounds a parity part's rank to the n: (4|4) needs 4**5 and
-    # classifies, (5|5) needs 5**6 for Lambda^6 of its (5|0) part
+    # classify reads the powers of the parity parts' free images off their
+    # orbit-type blocks, so the cap bounds the orbit count: Lambda^6 of the
+    # (5|0) part of (5|5) has C(10, 6) = 210 orbits (5**6 > 4096 refused it
+    # when the cap bounded the tensor power), and none survives
     assert classify(full(4, 4), cap=4096) == FiniteDimReport("mixed", 4, 4, 0)
-    with pytest.raises(SizeCapError, match=r"5\*\*6 exceeds cap 4096"):
-        classify(full(5, 5), cap=4096)
+    assert classify(full(5, 5), cap=4096) == FiniteDimReport("mixed", 5, 5, 0)
+    with pytest.raises(SizeCapError, match=r"orbit count C\(10, 6\) = 210 exceeds cap 209"):
+        classify(full(5, 5), cap=209)
 
 
 # --- twists ------------------------------------------------------------------------------

@@ -303,6 +303,31 @@ def test_corner_check_isos_exact_for_higher_k(k):
             assert rep.corner_inverse.compose(rep.e) == pi
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_corner_check_shares_the_round_trip(k, monkeypatch):
+    # e = pi . (pi~ . pi) and iso_to = pi~ . pi come from one product, and
+    # iso_from = v . pi~ equals v . pi . pi~ since v lies in pi A pi
+    space = SuperSpace.standard(2, 2, k)
+    pi = SuperMorphism.diagonal(space, [1, 0, 1, 0])
+    for seed in range(10):
+        u = seeded_unit(space, seeded_rng(seed + 1))
+        pit = invert_unit(u).compose(pi).compose(u)
+        pairs = []
+        compose = SuperMorphism.compose
+        monkeypatch.setattr(SuperMorphism, "compose",
+                            lambda a, b: pairs.append((a, b)) or compose(a, b))
+        rep = corner_unit_check(pi, pit)
+        monkeypatch.undo()
+        # pi is a right factor twice: in pi~ . pi and in the idempotency
+        # check pi . pi
+        assert sum(b is pi for _, b in pairs) == 2
+        assert sum(a is pit and b is pi for a, b in pairs) == 1
+        v = pi if rep.exact_equality else rep.corner_inverse
+        assert rep.e == pi.compose(pit).compose(pi)
+        assert rep.iso_to == pit.compose(pi)
+        assert rep.iso_from == v.compose(pi).compose(pit)
+
+
 def test_corner_check_rejects_mismatch():
     space = SuperSpace.standard(2, 0, 2)
     a = SuperMorphism.diagonal(space, [1, 0])
@@ -401,6 +426,30 @@ def test_rigidity_enforced_blocks_certify_zero():
         rep = murre_rigidity(fam, enforced)
         assert rep.within_hypotheses and rep.certified_zero
         assert all(b.is_zero for b in rep.blocks)
+
+
+def test_rigidity_forms_each_left_product_once(monkeypatch):
+    # pi_t . q once per member, then one product per block: m + m^2 composes
+    # for m members, and the blocks equal pi_t . q . pi_s
+    fam = weight_family(4)
+    fam.validate()
+    space = fam.ambient
+    q = random_hom_trivial(space, seeded_rng(3))
+    enforced = SuperMorphism.zero(space, space)
+    for member in fam.members:
+        enforced = enforced + member.compose(q).compose(member).realization().promoted(4)
+    calls = []
+    compose = SuperMorphism.compose
+    monkeypatch.setattr(SuperMorphism, "compose",
+                        lambda a, b: calls.append(1) or compose(a, b))
+    rep = murre_rigidity(fam, enforced)
+    m = len(fam.members)
+    assert len(calls) == m + m * m
+    monkeypatch.undo()
+    assert rep.within_hypotheses and len(rep.blocks) == m * m
+    for block in rep.blocks:
+        b = fam.members[block.t].compose(enforced).compose(fam.members[block.s])
+        assert block.is_zero == b.is_zero()
 
 
 def test_rigidity_diagonal_rational_q_within_hypotheses():

@@ -14,6 +14,7 @@ from finmot.symgroup import (
     character,
     conjugacy_class_size,
     hook_dimension,
+    hook_schur,
     partitions,
     young_idempotent,
 )
@@ -119,6 +120,44 @@ def test_hook_dimension_matches_identity_character():
         ident = Partition((1,) * n)
         for lam in partitions(n):
             assert hook_dimension(lam) == character(lam, ident)
+
+
+def _content_product(lam, p):
+    """s_lam(1^p) by the hook-content formula: prod (p + j - i) / h(i, j)."""
+    value = Fraction(1)
+    for i, row in enumerate(lam.hook_lengths()):
+        for j, h in enumerate(row):
+            value *= Fraction(p + j - i, h)
+    return value
+
+
+def test_hook_schur_at_q_zero_is_the_hook_content_formula():
+    for n in range(8):
+        for lam in partitions(n):
+            for p in range(6):
+                assert hook_schur(lam, p, 0) == _content_product(lam, p), (lam, p)
+
+
+def test_hook_schur_is_conjugation_symmetric_and_zero_outside_the_hook():
+    for n in range(8):
+        for lam in partitions(n):
+            for p in range(4):
+                for q in range(4):
+                    value = hook_schur(lam, p, q)
+                    assert value == hook_schur(lam.conjugate(), q, p), (lam, p, q)
+                    assert (value == 0) == (len(lam) > p and lam[p] > q), (lam, p, q)
+                    assert value >= 0
+
+
+def test_hook_schur_ranks_sum_to_the_tensor_power():
+    # Schur-Weyl: the n-th tensor power of a (p|q) space is the sum over lam
+    # of f^lam copies of S_lam, so sum f^lam hs_lam = (p + q)^n
+    for n in range(8):
+        for p in range(4):
+            for q in range(4):
+                total = sum(hook_dimension(lam) * hook_schur(lam, p, q)
+                            for lam in partitions(n))
+                assert total == (p + q) ** n, (n, p, q)
 
 
 def test_standard_rep_of_s3_is_a_representation():
