@@ -247,6 +247,8 @@ def cmd_chars(cfg: RunConfig) -> Report:
 def cmd_schur(cfg: RunConfig) -> Report:
     lam = cfg.params["lam"]
     p, q = cfg.params["p"], cfg.params["q"]
+    if p + q > cfg.cap:
+        raise SizeCapError(f"object dimension {p} + {q} exceeds cap {cfg.cap}")
     obj = KaroubiObject.full(SuperSpace.standard(p, q, cfg.k))
     image = schur_apply(lam, obj, cap=cfg.cap)
     super_dim = image.dimension()
@@ -827,8 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pretty", help="report format")
     parser.add_argument("--seed", type=int, default=0, help="base seed (u64)")
     parser.add_argument("--cap", type=int, default=TENSOR_DIM_CAP,
-                        help="size cap: orbits of a full object's Schur image, "
-                             "else the tensor-power dimension")
+                        help="size cap: orbits of a Schur image on its free image, "
+                             "the dimension p + q of a schur object, else the "
+                             "tensor-power dimension")
     parser.add_argument("--k", type=int, default=2, choices=K_RANGE,
                         metavar="1..6", help="truncation order of the scalar ring")
     parser.add_argument("--file", default=None, help="write the report here")

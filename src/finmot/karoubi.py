@@ -8,13 +8,14 @@ symmetric power of the odd part.
 
 Over Q[eps]/(eps^k) the image W of an idempotent is free of the rank of
 its realization (Lam, A First Course in Noncommutative Rings, 21), and
-Lambda^n X+ and S^n X- are invariants up to isomorphism (Kimura 2005, 3).
-``s_wedge`` and ``classify`` therefore take each parity part to its
-verified free image (``KaroubiObject.free_image``, split by one
-elimination of the realization per direction) before applying Lambda or
-S, so they only ever ask for Schur images of full objects;
-``split_parity``, ``wedge`` and ``sym`` still return summands of the
-ambient (power).
+Schur images are invariants up to isomorphism (Kimura 2005, 3), so
+S_lam X is isomorphic to S_lam W.  ``schur_apply`` therefore takes every
+summand to its verified free image (``KaroubiObject.free_image``, split
+by one elimination of the realization per direction) and returns the
+Schur image of that full object: ``wedge``, ``sym`` and ``schur_apply``
+of a rank-r summand are summands of W^(n), and so are the powers of the
+parity parts that ``s_wedge`` and ``classify`` read.  ``split_parity``
+still returns summands of the ambient.
 
 Schur functors are built one block per orbit type, never by summing n!
 signed permutation operators over the d^n basis tensors.  e_lam lies in
@@ -36,18 +37,17 @@ symmetry, and against the rank f^lam hs_lam(1^p | 1^q) of the super
 Jacobi-Trudi determinant (``symgroup.hook_schur``).  The rank is the sum
 over types of count . tr(block), and the super dimension the same sum
 with each type signed by the parity of its odd slots.  So the tensor cap
-bounds the number of orbits of a full object's image, not its d^n basis
-tensors; ``BLOCK_ENTRY_BOUND`` bounds the |orbit|^2 entries that its
-type blocks may hold, and ``symgroup.CONVOLUTION_BOUND`` the degree n.
+bounds the number of orbits C(r + n - 1, n) of a rank-r image, not its
+r^n basis tensors; ``BLOCK_ENTRY_BOUND`` bounds the |orbit|^2 entries
+that its type blocks may hold, and ``symgroup.CONVOLUTION_BOUND`` the
+degree n.
 
-The blocks are relabelled onto the d^n basis only where a caller needs
-the idempotent on the tensor power: a proper summand's image op . e^(n),
-which ``supercat.operator_on_power`` evaluates row by row from the rows
-of op and of e without forming e^(n), and the first read of a full
-object's image ``idem`` (``s_wedge``'s tensor products,
-``motives.albanese_wedge``).  There the cap bounds d^n, and the
-supertrace of the relabelled idempotent must equal the super dimension
-read off the blocks.
+The blocks are relabelled onto the r^n basis only on the first read of
+an image's ``idem`` (``s_wedge``'s tensor products,
+``motives.albanese_wedge``), which ``supercat.operator_on_power`` packs
+as a morphism.  There the cap bounds r^n, and the supertrace of the
+relabelled idempotent must equal the super dimension read off the
+blocks.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -101,11 +101,11 @@ class KaroubiObject:
     """A direct summand of an ambient graded space, cut out by an idempotent.
 
     ``KaroubiObject(ambient, idem)`` checks that idem is an idempotent
-    endomorphism of ambient.  The Schur images computed from an object are
-    kept on it, keyed by partition, and are freed with it.  A full
-    object's Schur image carries its rank and super dimension, read off
-    the orbit-type blocks, and builds its idempotent on the tensor power
-    only when ``idem`` is first read (``_schur_image``).
+    endomorphism of ambient.  The Schur images of an object are kept on
+    its free image, keyed by partition, and are freed with it.  A Schur
+    image carries its rank and super dimension, read off the orbit-type
+    blocks, and builds its idempotent on the tensor power only when
+    ``idem`` is first read (``_schur_image``).
     """
 
     __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_full", "_power", "_cap")
@@ -128,13 +128,13 @@ class KaroubiObject:
         return cls._new(idem, int(tr.realization()))
 
     @classmethod
-    def _schur_image(cls, one: SuperMorphism, lam: Partition, rank: int, dimension: int,
+    def _schur_image(cls, space: SuperSpace, lam: Partition, rank: int, dimension: int,
                      cap: int) -> "KaroubiObject":
-        """S_lam of the full object whose idempotent is ``one``, of the given
-        rank and super dimension; its idempotent on the n-th tensor power is
-        built on the first read of ``idem``, refused when dim**n exceeds the
-        cap of the last ``schur_apply`` that returned it."""
-        return cls._new(None, dimension, rank, (one, lam), cap)
+        """S_lam of the full object on ``space``, of the given rank and super
+        dimension; its idempotent on the n-th tensor power is built on the
+        first read of ``idem``, refused when dim**n exceeds the cap of the
+        last ``schur_apply`` that returned it."""
+        return cls._new(None, dimension, rank, (space, lam), cap)
 
     @classmethod
     def _new(cls, idem, dimension, rank=None, power=None, cap=None) -> "KaroubiObject":
@@ -173,13 +173,13 @@ class KaroubiObject:
     @property
     def ambient(self) -> SuperSpace:
         if self._idem is None:
-            one, lam = self._power
-            return tensor_power(one.source, lam.n)
+            space, lam = self._power
+            return tensor_power(space, lam.n)
         return self._idem.source
 
     @property
     def k(self) -> int:
-        return (self._idem if self._idem is not None else self._power[0]).source.k
+        return self._idem.source.k if self._idem is not None else self._power[0].k
 
     def dimension(self) -> int:
         """Supertrace of the idempotent, the integer the constructor checked."""
@@ -289,13 +289,12 @@ class FiniteDimReport:
 # orbit, as e_lam lies in Q[S_n]; orbits whose (multiplicity, parity) pairs
 # agree share a block up to a parity-preserving relabelling, since Koszul
 # signs see only which slots are odd.  ``_young_blocks`` keeps one block per
-# orbit type and the number of orbits of that type, for the whole process; a
-# full object's zero test, rank and super dimension are read off it.
-# ``_young_rows`` relabels the blocks onto every orbit, also kept for the
-# whole process, for the callers that need the idempotent on the tensor
-# power: a proper summand's image op . e^(n) (``supercat.operator_on_power``)
-# and the first read of a full object's image ``idem``.  Each Schur image is
-# kept on the object it was computed from.
+# orbit type and the number of orbits of that type, for the whole process;
+# the zero test, rank and super dimension of every Schur image are read off
+# it, on the free image of the summand.  ``_young_rows`` relabels the blocks
+# onto every orbit, also kept for the whole process, for the first read of
+# an image's ``idem``.  Each Schur image is kept on the free image it was
+# computed on.
 
 #: the most entries that the type blocks of one (parities, lam) may hold:
 #: a type block is at most |orbit| x |orbit|
@@ -345,7 +344,7 @@ def _young_blocks(parities: tuple[int, ...], lam: Partition):
         raise InvariantError(f"{where} has {orbits} orbits, not C({d + n - 1}, {n})")
     if not zero:
         _check_slot_swaps(table, parities, lam, chi)
-    # supercat.operator_on_power reads column m of the rows as row m
+    # _type_block carries columns and keeps them as rows
     for kind, (_, block, _) in table.items():
         if any(block.get(j, {}).get(i) != c for i, row in block.items() for j, c in row.items()):
             raise InvariantError(f"{where} has an asymmetric block of type {kind}")
@@ -548,16 +547,15 @@ def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition,
                                      f"break {law} at tau = ({a}, {a + 1})")
 
 
-def _power_idempotent(one: SuperMorphism, lam: Partition, cap: int,
+def _power_idempotent(space: SuperSpace, lam: Partition, cap: int,
                       dimension: int) -> SuperMorphism:
-    """The idempotent of S_lam of the full object with idempotent ``one`` on
-    the n-th tensor power of its space, refused when dim**n exceeds ``cap``;
-    its supertrace must be ``dimension``, the super dimension read off the
-    type blocks."""
-    space, n = one.source, lam.n
+    """The idempotent of S_lam of the full object on ``space`` on its n-th
+    tensor power, refused when dim**n exceeds ``cap``; its supertrace must
+    be ``dimension``, the super dimension read off the type blocks."""
+    n = lam.n
     if space.dim**n > cap:
         raise SizeCapError(f"tensor power {space.dim}**{n} exceeds cap {cap}")
-    idem = operator_on_power(*_young_rows(space.parities, lam), one, n)
+    idem = operator_on_power(*_young_rows(space.parities, lam), space, n)
     tr = idem.supertrace()
     if not tr.eps_part_is_zero() or tr.realization() != dimension:
         raise InvariantError(f"S_{lam.parts} on parities {space.parities} has supertrace "
@@ -567,38 +565,30 @@ def _power_idempotent(one: SuperMorphism, lam: Partition, cap: int,
 
 def schur_apply(lam: Partition, x: KaroubiObject,
                 cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
-    """The image of the central idempotent attached to ``lam`` on x^(n).
+    """The image of the central idempotent attached to ``lam`` on w^(n), for
+    w the free image of x (``KaroubiObject.free_image``), isomorphic to
+    its image on x^(n).
 
-    For a full object x of dimension (p|q) the image is read off the
-    orbit-type blocks (``_young_blocks``), so ``cap`` bounds the number of
-    orbits C(p + q + n - 1, n), and its idempotent on the tensor power is
-    built on first use against ``cap`` and (p + q)**n.  For any other
-    summand e the image is op . e^(n), and ``cap`` bounds the ambient's
-    dim**n.  The image is kept on x, so a second call with the same ``lam``
-    returns the same object.
+    For w of dimension (p|q) the image is read off the orbit-type blocks
+    (``_young_blocks``), so ``cap`` bounds the number of orbits
+    C(p + q + n - 1, n), and its idempotent on the tensor power is built
+    on first use against ``cap`` and (p + q)**n.  The image is kept on w,
+    so a second call with the same ``lam`` returns the same object.
     """
-    n = lam.n
-    ambient = x.ambient
-    d = ambient.dim
-    if d == 0:
-        return KaroubiObject.full(tensor_power(ambient, n))
-    image = x._images.get(lam.parts)
-    full = x._is_full() if image is None else image._power is not None
-    if full and comb(d + n - 1, n) > cap:
+    w = x.free_image()[0]
+    space, n = w.ambient, lam.n
+    d = space.dim
+    if d and comb(d + n - 1, n) > cap:
         raise SizeCapError(f"orbit count C({d + n - 1}, {n}) = {comb(d + n - 1, n)} "
                            f"exceeds cap {cap}")
-    if not full and d**n > cap:
-        raise SizeCapError(f"tensor power {d}**{n} exceeds cap {cap}")
+    image = w._images.get(lam.parts)
     if image is None:
-        if full:
-            _, _, rank, dimension = _young_blocks(ambient.parities, lam)
-            image = KaroubiObject._schur_image(x.idem, lam, rank, dimension, cap)
+        if d == 0:
+            image = KaroubiObject.full(tensor_power(space, n))
         else:
-            # op is central and e^(n) an even idempotent, so op . e^(n) =
-            # e^(n) . op . e^(n)
-            image = KaroubiObject._of(
-                operator_on_power(*_young_rows(ambient.parities, lam), x.idem, n))
-        x._images[lam.parts] = image
+            _, _, rank, dimension = _young_blocks(space.parities, lam)
+            image = KaroubiObject._schur_image(space, lam, rank, dimension, cap)
+        w._images[lam.parts] = image
     elif image._idem is None:
         image._cap = cap
     return image
@@ -661,8 +651,9 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
 
 def classify(x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> FiniteDimReport:
     """Largest nonvanishing exterior/symmetric powers of the parity parts,
-    each taken on the part's free image, so ``cap`` bounds its rank to the n."""
-    plus, minus = (part.free_image()[0] for part in split_parity(x))
+    each taken on the part's free image (``schur_apply``), so ``cap``
+    bounds the orbit count on its rank."""
+    plus, minus = split_parity(x)
     kim_plus = _largest_nonvanishing(wedge, plus, cap)
     kim_minus = _largest_nonvanishing(sym, minus, cap)
     dimension = x.dimension()
@@ -732,14 +723,18 @@ def s_wedge(n: int, x: KaroubiObject,
             cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n;
     the blocks are summed as idempotents, and only the sum is checked.
-    Each power is taken on the part's free image, so the sum is isomorphic
-    to the summand of the ambient's n-th power and ``cap`` bounds the ranks."""
+    Each power is taken on the part's free image (``schur_apply``), so the
+    sum is isomorphic to the summand of the ambient's n-th power and
+    ``cap`` bounds the orbit counts on the ranks.  Only the terms whose two
+    factors are nonzero, read off the orbit-type blocks, are built; when
+    none is, the sum is the zero object."""
     _degree(n)
-    plus, minus = (part.free_image()[0] for part in
-                   (parity_split if parity_split is not None else split_parity(x)))
-    return KaroubiObject._of(_block_diagonal(
-        [wedge(i, plus, cap).idem.tensor(sym(n - i, minus, cap).idem)
-         for i in range(n + 1)]))
+    plus, minus = parity_split if parity_split is not None else split_parity(x)
+    pairs = [(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)]
+    idems = [a.idem.tensor(b.idem) for a, b in pairs if not (a.is_zero() or b.is_zero())]
+    if not idems:
+        return KaroubiObject.full(SuperSpace.zero_space(x.k))
+    return KaroubiObject._of(_block_diagonal(idems))
 
 
 # --- splitting through a family of factorizations --------------------------------

@@ -44,8 +44,8 @@ morphisms with ``from_entries`` or, from trusted numerator tuples,
 above, and reach block and Schur maps through three entry points:
 ``SuperMorphism._from_blocks`` places morphisms as non-overlapping blocks
 of a larger one, ``SuperSpace.concat`` lists the bases of spaces one after
-another, and ``operator_on_power`` evaluates op . e^(n) for a symmetric
-idempotent op without forming e^(n).
+another, and ``operator_on_power`` packs the integer rows of a symmetric
+idempotent op as a morphism of the n-th tensor power of a space.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SizeCapError
@@ -811,46 +811,17 @@ def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
     return SuperMorphism._from_packed(xn, xn, rows, fits=True)
 
 
-def operator_on_power(op: dict, den: int, e: SuperMorphism, n: int) -> SuperMorphism:
-    """op . e^(n) on the n-th tensor power of the space of ``e``, for op the
-    integer rows over ``den`` of a symmetric idempotent and e an
-    endomorphism, without forming e^(n).
+def operator_on_power(op: dict, den: int, space: SuperSpace, n: int) -> SuperMorphism:
+    """op on the n-th tensor power of ``space``, for op the integer rows
+    over ``den`` of a symmetric idempotent.
 
-    At e = id the result is op itself, which keeps ``op`` as its rows, so
-    op must not change afterwards.  op is symmetric, so its column m is its
-    row m.  A symmetric idempotent is an orthogonal projection, whose
-    entries lie in [-1, 1], so no numerator of op exceeds ``den``.  Only
-    rows m of e^(n) whose n slots all lie in the row support of e are
-    nonzero; each is the Kronecker product of n rows of e, repacked at a
-    width of its own and cut to its low k fields after every factor.
-    Arithmetic modulo 2**(width k) keeps those fields exact for the final
-    cut.
+    The result keeps ``op`` as its rows, so op must not change afterwards.
+    A symmetric idempotent is an orthogonal projection, whose entries lie
+    in [-1, 1], so no numerator of op exceeds ``den`` and the constants
+    pack to themselves on the rung of ``den``.
     """
-    xn = tensor_power(e.source, n)
-    if e.is_identity():
-        # constants pack to themselves
-        return SuperMorphism._from_packed(xn, xn, op, den, _rung((den,)), fits=True)
-    d, k = e.source.dim, e.k
-    bits = max((abs(c) for _, _, t in e.numerators() for c in t), default=0).bit_length()
-    width = _room(n * bits + den.bit_length() + ((d * k) ** n).bit_length())
-    low = (1 << width * k) - 1
-    packed = {m: list(row.items()) for m, row in e._rows_at(width).items()}
-    acc: dict[int, dict[int, int]] = {}
-    for slots in product(packed, repeat=n):
-        m = 0
-        for s in slots:
-            m = m * d + s
-        col = op.get(m)
-        if col is None:
-            continue
-        kron = [(0, 1)]
-        for s in slots:
-            kron = [(j * d + j2, v * b & low) for j, v in kron for j2, b in packed[s]]
-        for i, c in col.items():
-            out = acc.setdefault(i, {})
-            for j, v in kron:
-                out[j] = out.get(j, 0) + c * v
-    return SuperMorphism._from_products(xn, xn, acc, den * e.den**n, width)
+    xn = tensor_power(space, n)
+    return SuperMorphism._from_packed(xn, xn, op, den, _rung((den,)), fits=True)
 
 
 def evaluation(x: SuperSpace) -> SuperMorphism:

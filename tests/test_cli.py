@@ -91,6 +91,22 @@ def test_schur_seeded_matches_unseeded(capsys):
     assert r1["super_dimension"] == r2["super_dimension"] == 3
 
 
+def test_schur_refuses_an_object_past_the_cap_before_building_it(capsys, monkeypatch):
+    # a (1|10**8) object would fill memory; the cap refuses p + q first,
+    # also for Lambda^0, whose one orbit the orbit count would admit
+    from finmot import cli
+
+    def refused(*args):
+        raise AssertionError("SuperSpace.standard called")
+
+    monkeypatch.setattr(cli.SuperSpace, "standard", refused)
+    code, out, err = run(capsys, "schur", "--lam", "1", "--p", "1", "--q", str(10**8))
+    assert (code, out) == (3, "")
+    assert "object dimension 1 + 100000000 exceeds cap 4096" in err
+    code, _, err = run(capsys, "--cap", "4999", "schur", "--lam", "0", "--p", "5000")
+    assert code == 3 and "object dimension 5000 + 0 exceeds cap 4999" in err
+
+
 # --- verify ------------------------------------------------------------------------
 
 

@@ -137,8 +137,9 @@ def test_schur_of_empty_partition_is_unit():
 
 def test_schur_of_empty_partition_on_a_summand_is_the_kept_unit():
     # Lambda^0 = S^0 of any summand is the unit, read off the one orbit (the
-    # empty tuple) and kept on the summand like every other image; the zero
-    # summand of a nonempty ambient takes the Kronecker path at n = 0
+    # empty tuple) and kept on the summand's free image like every other
+    # image; the zero summand's free image is the zero space, whose 0-th
+    # power is the unit
     space = SuperSpace.standard(2, 1, 3)
     u = seeded_unit(space, seeded_rng(4))
     proper = KaroubiObject(space, invert_unit(u).compose(
@@ -523,10 +524,15 @@ def _tensor_power_oracle(lam, e):
     pad = (0,) * (e.k - 1)
     rows = {i: {j: (c,) + pad for j, c in row.items()} for i, row in rows.items()}
     op = SuperMorphism._from_numerators(xn, xn, rows, den)
-    en = e
-    for _ in range(lam.n - 1):
-        en = en.tensor(e)
-    return op.compose(en)
+    return op.compose(_tensor_power_of(e, lam.n))
+
+
+def _tensor_power_of(f, n):
+    """f (x) ... (x) f, n factors, built by ``SuperMorphism.tensor``."""
+    fn = SuperMorphism.identity(SuperSpace.unit(f.k))
+    for _ in range(n):
+        fn = fn.tensor(f)
+    return fn
 
 
 def _large_unit(space):
@@ -551,7 +557,8 @@ def _large_unit(space):
 def test_schur_apply_equals_the_tensor_power_oracle(k):
     # seeded proper summands of (p|q) ambients with d <= 4, their parity
     # parts and one conjugate by a unit with wide fractional entries, against
-    # op . e^(n) for every partition of n <= 4
+    # op . e^(n) for every partition of n <= 4: the image lives on the free
+    # image W, and a^(n) . S_lam(W) . b^(n) carries it back onto the ambient
     objects = []
     for (p, q), diag in {(1, 1): [1, 0], (2, 1): [1, 0, 1], (1, 2): [0, 1, 0],
                          (2, 2): [1, 0, 0, 1], (3, 1): [1, 1, 0, 1]}.items():
@@ -569,9 +576,13 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
     checked = 0
     for x in objects:
         assert not x.idem.is_identity()
+        w, a, b = x.free_image()
         for n in range(1, 5):
+            an, bn = _tensor_power_of(a, n), _tensor_power_of(b, n)
             for lam in partitions(n):
-                assert schur_apply(lam, x).idem == _tensor_power_oracle(lam, x.idem), \
+                image = schur_apply(lam, x)
+                assert image.ambient == tensor_power(w.ambient, n)
+                assert an.compose(image.idem).compose(bn) == _tensor_power_oracle(lam, x.idem), \
                     (x.ambient.parities, x.idem.nnz(), lam)
                 checked += 1
     assert checked == 16 * 11
@@ -593,27 +604,22 @@ def test_proper_summand_schur_builds_no_tensor_power(monkeypatch):
     assert classify(x) == FiniteDimReport("mixed", 1, 1, 0)
 
 
-def test_schur_images_are_kept_on_their_object(monkeypatch):
-    # a second wedge on the same object returns the image it kept; a new
-    # object with an equal idempotent computes an equal image of its own
-    from finmot import karoubi
-
-    builds = []
-    original = karoubi.operator_on_power
-
-    def counting(op, den, e, n):
-        builds.append(n)
-        return original(op, den, e, n)
-
-    monkeypatch.setattr(karoubi, "operator_on_power", counting)
+def test_schur_images_are_kept_on_their_object():
+    # a proper summand's image is the Schur image of its free image w, kept
+    # on w: a second wedge on the same summand, or on w itself, returns it;
+    # a new object with an equal idempotent computes an equal image of its own
     space = SuperSpace.standard(2, 1, 3)
     u = seeded_unit(space, seeded_rng(5))
     e = invert_unit(u).compose(SuperMorphism.diagonal(space, [1, 1, 0])).compose(u)
     x = KaroubiObject(space, e)
     image = wedge(2, x)
-    assert wedge(2, x) is image and builds == [2]
+    w = x.free_image()[0]
+    assert w._images == {(1, 1): image} and x._images == {}
+    assert wedge(2, x) is image and wedge(2, w) is image
+    assert w.ambient == SuperSpace.standard(2, 0, 3)
+    assert image.ambient == tensor_power(w.ambient, 2)
     again = wedge(2, KaroubiObject(space, e))
-    assert again is not image and again.idem == image.idem and builds == [2, 2]
+    assert again is not image and again.idem == image.idem
     assert not image.is_zero() and image.dimension() == 1
 
 
@@ -715,14 +721,13 @@ def test_centrality_check_catches_resigned_central_rows(resigned_rows, p, q):
 
 def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
     # the rows do not depend on k and are never evicted.  The default
-    # vanishing grid (p, q <= 2, k = 1..3) needs 30 distinct (parities, lam)
-    # row builds: s_wedge runs on the free images (t|0) and (0|t) of the
-    # parity parts, t = 1, 2, whose Lambda^i and S^j for 0 <= n <= t + 3
-    # make 2 * (5 + 6) = 22, Lambda^0 = S^0 being one row set per free
-    # image; the direct Lambda^(p+1) and S^(q+1) on the four
-    # mixed ambients (p|q), p, q >= 1, make 8 more (on an ambient with
-    # p = 0 or q = 0 they coincide with free-image keys).  All of them are
-    # exterior or symmetric powers, so none of them sums the n! terms of a
+    # vanishing grid (p, q <= 2, k = 1..3) needs 4 distinct (parities, lam)
+    # row builds: every zero test is read off the orbit-type blocks, and
+    # s_wedge reads the idempotents of its nonzero terms only, which at
+    # n = p + q is Lambda^p (p|0) (x) S^q (0|q) alone; the free image of a
+    # part with p = 0 or q = 0 is the zero space, which has no rows, so
+    # Lambda^t on (0,) * t and S^t on (1,) * t, t = 1, 2, remain.  Both are
+    # exterior or symmetric powers, so neither sums the n! terms of a
     # group-algebra idempotent
     from finmot import karoubi
     from finmot.cli import main
@@ -736,7 +741,7 @@ def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
 
     monkeypatch.setattr(karoubi, "young_idempotent", counting)
     assert main(["--out", "json", "verify", "vanishing"]) == 0
-    assert karoubi._young_rows.cache_info().misses == 30
+    assert karoubi._young_rows.cache_info().misses == 4
     assert calls == []
 
 
@@ -951,15 +956,17 @@ def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
     calls["tensor"] = 0
     assert f.tensor(f).target == SuperSpace((0,), (2,))
     assert calls["tensor"] == 2
+    # on (2|1) some Lambda^i (2|0) (x) S^(n-i) (0|1) is nonzero for n <= 3;
+    # at n = 4 every term vanishes, and the zero object needs no block sum
     x = full(2, 1, 1)
     split = split_parity(x)
     for n in range(5):
         calls["block_diagonal"] = 0
         s_wedge(n, x, split)
-        assert calls["block_diagonal"] == 1, n
+        assert calls["block_diagonal"] == (n < 4), n
     # the blocks are summed as idempotents: with the Schur images kept on
     # the parity parts' free images, Lambda^0 and S^0 among them, s_wedge
-    # constructs the sum alone, and no object per block
+    # constructs the sum (or the zero object) alone, and no object per block
     monkeypatch.setattr(KaroubiObject, "_of", classmethod(
         counted("objects", KaroubiObject._of.__func__)))
     for n in range(5):
@@ -1177,12 +1184,23 @@ def test_free_image_round_trip_checks_name_the_failing_trip(monkeypatch):
         x().free_image()
 
 
+def _ambient_wedge(n, part):
+    """Lambda^n of a summand as op . e^(n) on its ambient's tensor power
+    (``_tensor_power_oracle``), never through its free image."""
+    return _tensor_power_oracle(Partition((1,) * n), part.idem)
+
+
+def _ambient_sym(n, part):
+    """S^n of a summand, as ``_ambient_wedge``."""
+    return _tensor_power_oracle(Partition((n,) if n else ()), part.idem)
+
+
 def _ambient_classify(x):
     """The finite-dimensionality report with every power taken on the
     parity parts as summands of the ambient (the materialised route)."""
     plus, minus = split_parity(x)
     kims = []
-    for power, part in ((wedge, plus), (sym, minus)):
+    for power, part in ((_ambient_wedge, plus), (_ambient_sym, minus)):
         n = 1
         while not power(n, part).is_zero():
             n += 1
@@ -1205,7 +1223,8 @@ def test_free_image_route_matches_the_ambient_route(k):
         for n in range(5):
             image = s_wedge(n, x, split)
             oracle = KaroubiObject._of(_block_diagonal(
-                [wedge(i, plus).idem.tensor(sym(n - i, minus).idem) for i in range(n + 1)]))
+                [_ambient_wedge(i, plus).tensor(_ambient_sym(n - i, minus))
+                 for i in range(n + 1)]))
             assert (image.dimension(), image.is_zero()) == \
                 (oracle.dimension(), oracle.is_zero()), (x.ambient, n)
             assert image.ambient.dim <= oracle.ambient.dim
@@ -1215,15 +1234,18 @@ def test_free_image_route_matches_the_ambient_route(k):
 
 
 def test_classify_rank_4_1_summand_of_a_6_3_ambient():
-    # the ambient route needs 9**4 > 4096 for Lambda^4 of the even part; the
-    # free image (4|0) needs 4**5 for Lambda^5
+    # Lambda^4 of the even part is read off the blocks of its free image
+    # (4|0), so the cap bounds C(4 + 4 - 1, 4) = 35 orbits, not the 9**4
+    # tensors of the ambient
     space = SuperSpace.standard(6, 3, 3)
     u = seeded_unit(space, seeded_rng(5))
     x = KaroubiObject(space, invert_unit(u).compose(
         SuperMorphism.diagonal(space, [1, 0, 1, 1, 0, 1, 0, 1, 0])).compose(u))
     plus, _ = split_parity(x)
-    with pytest.raises(SizeCapError, match=r"9\*\*4 exceeds cap 4096"):
-        wedge(4, plus)
+    top = wedge(4, plus)
+    assert (top.classical_rank(), top.dimension()) == (1, 1)
+    with pytest.raises(SizeCapError, match=r"orbit count C\(7, 4\) = 35 exceeds cap 34"):
+        wedge(4, plus, cap=34)
     assert classify(x) == FiniteDimReport("mixed", 4, 1, 3)
 
 
