@@ -713,6 +713,10 @@ def cmd_surface(cfg: RunConfig) -> Report:
     spec = parse_model_file(cfg.params["path"])
     if spec.kind != "surface":
         raise ModelFileError(f"surface command needs kind = surface, got {spec.kind}")
+    for name, formula, dim in (("realization", "2 + 4q + b2", 2 + 4 * spec.q + spec.b2),
+                               ("Chow model", "1 + q + t", 1 + spec.q + spec.t)):
+        if dim > cfg.cap:
+            raise SizeCapError(f"{name} dimension {formula} = {dim} exceeds cap {cfg.cap}")
     run = _run_surface(spec, cfg.cap)
     checks = [Check("surface/family-valid", not run.family_error, run.family_error)]
     for c in run.relations.checks:
@@ -830,8 +834,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed (u64)")
     parser.add_argument("--cap", type=int, default=TENSOR_DIM_CAP,
                         help="size cap: orbits of a Schur image on its free image, "
-                             "the dimension p + q of a schur object, else the "
-                             "tensor-power dimension")
+                             "the dimension p + q of a schur object, the realization "
+                             "and Chow model dimensions of a surface model file, else "
+                             "the tensor-power dimension")
     parser.add_argument("--k", type=int, default=2, choices=K_RANGE,
                         metavar="1..6", help="truncation order of the scalar ring")
     parser.add_argument("--file", default=None, help="write the report here")

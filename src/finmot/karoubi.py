@@ -13,9 +13,10 @@ S_lam X is isomorphic to S_lam W.  ``schur_apply`` therefore takes every
 summand to its verified free image (``KaroubiObject.free_image``, split
 by one elimination of the realization per direction) and returns the
 Schur image of that full object: ``wedge``, ``sym`` and ``schur_apply``
-of a rank-r summand are summands of W^(n), and so are the powers of the
-parity parts that ``s_wedge`` and ``classify`` read.  ``split_parity``
-still returns summands of the ambient.
+of a rank-r summand are summands of W^(n).  The split preserves parity,
+so ``split_parity`` returns the even and odd blocks of W as full
+objects, and the powers that ``s_wedge`` and ``classify`` read are
+those of the blocks: each summand is eliminated once.
 
 Schur functors are built one block per orbit type, never by summing n!
 signed permutation operators over the d^n basis tensors.  e_lam lies in
@@ -108,7 +109,7 @@ class KaroubiObject:
     ``idem`` is first read (``_schur_image``).
     """
 
-    __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_full", "_power", "_cap")
+    __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_power", "_cap")
 
     def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
@@ -144,7 +145,6 @@ class KaroubiObject:
         obj._rank = rank
         obj._images = {}
         obj._free = None
-        obj._full = None
         obj._power = power
         obj._cap = cap
         return obj
@@ -152,7 +152,7 @@ class KaroubiObject:
     @classmethod
     def full(cls, space: SuperSpace) -> "KaroubiObject":
         obj = cls._of(SuperMorphism.identity(space))
-        obj._full = True
+        obj._free = (obj, obj._idem, obj._idem)
         return obj
 
     @classmethod
@@ -199,12 +199,6 @@ class KaroubiObject:
         """An idempotent is zero exactly when its rank is."""
         return self._rank == 0 if self._idem is None else self._idem.is_zero()
 
-    def _is_full(self) -> bool:
-        """Whether the idempotent is the identity, kept once known."""
-        if self._full is None:
-            self._full = self.idem.is_identity()
-        return self._full
-
     def free_image(self) -> tuple["KaroubiObject", SuperMorphism, SuperMorphism]:
         """``(w, a, b)``: the full object w on the free image W of the
         idempotent e on V, with b . a = id_W and a . b = e checked; kept on
@@ -220,7 +214,7 @@ class KaroubiObject:
         if self._free is not None:
             return self._free
         e = self.idem
-        if self._is_full():
+        if e.is_identity():
             self._free = (self, e, e)
             return self._free
         space = e.source
@@ -626,33 +620,28 @@ def schur_super_dimension(lam: Partition, x: KaroubiObject) -> Fraction:
 
 
 def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
-    """The even/odd summand pair cut out by the parity projectors.
+    """The even and odd parts of x, as the full objects on the even and odd
+    basis vectors of its free image W, each kept in W's order.
 
-    Every morphism of the model preserves parity, so the idempotent
-    commutes with the parity projectors exactly.  Each part e . p is then
-    idempotent, and the two parts sum back to e . id = e.  A part that does
-    not commute, or is not idempotent because e is not, raises
-    ``InvariantError``.
+    The split (a, b) of ``KaroubiObject.free_image`` is an isomorphism
+    between W and the image of x that preserves parity, so it restricts to
+    an isomorphism between each parity block of W and the matching summand
+    x.idem . P_parity of the ambient (Kimura 2005, 3): the parts are those
+    summands up to isomorphism, and no idempotent is built for them.
     """
-    ambient = x.ambient
-    out = []
-    for parity in (EVEN, ODD):
-        proj = SuperMorphism.projector(
-            ambient, [i for i, p in enumerate(ambient.parities) if p == parity])
-        cand = x.idem.compose(proj)
-        if cand != proj.compose(x.idem):
-            raise InvariantError(
-                f"idempotent does not preserve the parity-{parity} block")
-        if not cand.is_idempotent():
-            raise InvariantError(f"parity-{parity} part is not idempotent")
-        out.append(KaroubiObject._of(cand))
-    return tuple(out)
+    space = x.free_image()[0].ambient
+    return tuple(
+        KaroubiObject.full(SuperSpace._of(
+            tuple(p for p in space.parities if p == parity),
+            tuple(w for p, w in zip(space.parities, space.weights) if p == parity),
+            space.k))
+        for parity in (EVEN, ODD))
 
 
 def classify(x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> FiniteDimReport:
     """Largest nonvanishing exterior/symmetric powers of the parity parts,
-    each taken on the part's free image (``schur_apply``), so ``cap``
-    bounds the orbit count on its rank."""
+    the even and odd blocks of x's free image (``split_parity``), so
+    ``cap`` bounds the orbit count on their ranks."""
     plus, minus = split_parity(x)
     kim_plus = _largest_nonvanishing(wedge, plus, cap)
     kim_minus = _largest_nonvanishing(sym, minus, cap)
@@ -723,11 +712,11 @@ def s_wedge(n: int, x: KaroubiObject,
             cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n;
     the blocks are summed as idempotents, and only the sum is checked.
-    Each power is taken on the part's free image (``schur_apply``), so the
-    sum is isomorphic to the summand of the ambient's n-th power and
-    ``cap`` bounds the orbit counts on the ranks.  Only the terms whose two
-    factors are nonzero, read off the orbit-type blocks, are built; when
-    none is, the sum is the zero object."""
+    The parts are the even and odd blocks of x's free image
+    (``split_parity``), so the sum is isomorphic to the summand of the
+    ambient's n-th power and ``cap`` bounds the orbit counts on the ranks.
+    Only the terms whose two factors are nonzero, read off the orbit-type
+    blocks, are built; when none is, the sum is the zero object."""
     _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
     pairs = [(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)]

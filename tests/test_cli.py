@@ -274,6 +274,34 @@ def test_surface_command_missing_file(capsys):
     assert code == 2
 
 
+def test_surface_command_refuses_oversized_models_before_building(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a b2 = 10**8 realization or a t = 10**6 Chow model would fill memory;
+    # the cap refuses both dimensions before any projector or model is built
+    from finmot import cli
+
+    def refused(name):
+        def wrapper(*args):
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    monkeypatch.setattr(cli, "chow_kunneth", refused("chow_kunneth"))
+    monkeypatch.setattr(cli, "murre_filtration", refused("murre_filtration"))
+    path = tmp_path / "model.spec"
+    path.write_text(GOOD_SPEC.replace("pg = 0", "pg = 1")
+                    .replace("b2 = 9", f"b2 = {10**8}").replace("rho = 9", "rho = 1"))
+    code, out, err = run(capsys, "surface", str(path))
+    assert (code, out) == (3, "")
+    assert "realization dimension 2 + 4q + b2 = 100000002 exceeds cap 4096" in err
+    path.write_text(GOOD_SPEC.replace("t = 0", f"t = {10**6}"))
+    code, out, err = run(capsys, "surface", str(path))
+    assert (code, out) == (3, "")
+    assert "Chow model dimension 1 + q + t = 1000001 exceeds cap 4096" in err
+    path.write_text(GOOD_SPEC)
+    code, _, err = run(capsys, "--cap", "10", "surface", str(path))
+    assert code == 3 and "realization dimension 2 + 4q + b2 = 11 exceeds cap 10" in err
+
+
 def test_report_to_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "--out", "json", "--file", str(out_path),

@@ -55,6 +55,17 @@ def full(p, q, k=1):
     return KaroubiObject.full(SuperSpace.standard(p, q, k))
 
 
+def _ambient_parity_parts(x):
+    """The even and odd summands x.idem . P_parity of x's ambient, cut out
+    by the coordinate projectors P_parity: the parts that ``split_parity``
+    returns up to isomorphism, built without it."""
+    space = x.ambient
+    return tuple(
+        KaroubiObject(space, x.idem.compose(SuperMorphism.projector(
+            space, [i for i, p in enumerate(space.parities) if p == parity])))
+        for parity in (0, 1))
+
+
 def _clear_young_caches():
     from finmot import karoubi
 
@@ -555,10 +566,11 @@ def _large_unit(space):
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_schur_apply_equals_the_tensor_power_oracle(k):
-    # seeded proper summands of (p|q) ambients with d <= 4, their parity
-    # parts and one conjugate by a unit with wide fractional entries, against
-    # op . e^(n) for every partition of n <= 4: the image lives on the free
-    # image W, and a^(n) . S_lam(W) . b^(n) carries it back onto the ambient
+    # seeded proper summands of (p|q) ambients with d <= 4, their ambient
+    # parity parts and one conjugate by a unit with wide fractional entries,
+    # against op . e^(n) for every partition of n <= 4: the image lives on
+    # the free image W, and a^(n) . S_lam(W) . b^(n) carries it back onto
+    # the ambient
     objects = []
     for (p, q), diag in {(1, 1): [1, 0], (2, 1): [1, 0, 1], (1, 2): [0, 1, 0],
                          (2, 2): [1, 0, 0, 1], (3, 1): [1, 1, 0, 1]}.items():
@@ -566,7 +578,7 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
         u = seeded_unit(space, seeded_rng(p + 4 * q))
         x = KaroubiObject(space, invert_unit(u).compose(
             SuperMorphism.diagonal(space, diag)).compose(u))
-        objects += [x, *split_parity(x)]
+        objects += [x, *_ambient_parity_parts(x)]
     space = SuperSpace.standard(2, 1, k)
     u = _large_unit(space)
     wide = KaroubiObject(space, invert_unit(u).compose(
@@ -784,13 +796,24 @@ def test_seeded_mixed_rank_summand_classification():
 
 
 def test_split_parity_of_full_object():
+    # the parts are the parity blocks of the object itself, selected by
+    # parity and kept in order, also when the parities interleave
     plus, minus = split_parity(full(2, 1))
+    assert plus.idem.is_identity() and minus.idem.is_identity()
+    assert (plus.ambient, minus.ambient) == (SuperSpace.standard(2, 0),
+                                             SuperSpace((1,), (1,)))
     assert plus.dimension() == 2 and plus.classical_rank() == 2
     assert minus.dimension() == -1 and minus.classical_rank() == 1
-    assert plus.idem + minus.idem == SuperMorphism.identity(plus.ambient)
+    weighted = SuperSpace((1, 0, 0, 1, 0), (0, 2, 0, 1, 3), 2)
+    plus, minus = split_parity(KaroubiObject.full(weighted))
+    assert (plus.ambient, minus.ambient) == (SuperSpace((0, 0, 0), (2, 0, 3), 2),
+                                             SuperSpace((1, 1), (0, 1), 2))
+    assert plus.idem.is_identity() and minus.idem.is_identity()
 
 
 def test_split_parity_of_perturbed_idempotent():
+    # a proper rank-(1|2) summand splits into the even and odd blocks of
+    # its free image, full objects of the ranks of its ambient parity parts
     space = SuperSpace.standard(2, 2, 2)
     rng = seeded_rng(9)
     base = SuperMorphism.diagonal(space, [1, 0, 1, 1])
@@ -798,9 +821,35 @@ def test_split_parity_of_perturbed_idempotent():
     conj = invert_unit(u).compose(base).compose(u)
     x = KaroubiObject(space, conj)
     plus, minus = split_parity(x)
-    assert plus.idem.is_idempotent() and minus.idem.is_idempotent()
-    assert plus.idem + minus.idem == x.idem
-    assert plus.idem.compose(minus.idem).is_zero()
+    assert plus.idem.is_identity() and minus.idem.is_identity()
+    assert SuperSpace.concat(plus.ambient, minus.ambient) == x.free_image()[0].ambient
+    assert (plus.classical_rank(), minus.classical_rank()) == (1, 2)
+    assert (plus.dimension(), minus.dimension()) == (1, -2)
+    ambient_plus, ambient_minus = _ambient_parity_parts(x)
+    assert (ambient_plus.classical_rank(), ambient_minus.classical_rank()) == (1, 2)
+
+
+def test_split_parity_and_classify_split_each_summand_once(monkeypatch):
+    # a full object is its own free image, so its parts and their powers
+    # need no compose and no elimination; a proper summand is eliminated
+    # once, by its own free image, and none of its parts is split again
+    from finmot import karoubi
+
+    def refused(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    weighted = SuperSpace((1, 0, 0, 1, 0), (0, 2, 0, 1, 3), 2)
+    x = _seeded_summands(2)[3]  # rank (2|1) in a (3|2) ambient
+    x.free_image()
+    monkeypatch.setattr(SuperMorphism, "compose", refused("SuperMorphism.compose"))
+    monkeypatch.setattr(karoubi, "fraction_free_reduce", refused("fraction_free_reduce"))
+    for obj, report in [(full(2, 1, 3), FiniteDimReport("mixed", 2, 1, 1)),
+                        (KaroubiObject.full(weighted), FiniteDimReport("mixed", 3, 2, 1))]:
+        assert all(part.idem.is_identity() for part in split_parity(obj))
+        assert classify(obj) == report
+    assert classify(x) == FiniteDimReport("mixed", 2, 1, 1)
 
 
 def test_parity_decomposition_unique_up_to_explicit_isomorphism():
@@ -813,7 +862,7 @@ def test_parity_decomposition_unique_up_to_explicit_isomorphism():
     for seed in range(5):
         rng = seeded_rng(seed + 1)
         p = SuperMorphism.diagonal(space, [1, 0, 1, 0])
-        plus, minus = split_parity(KaroubiObject(space, p))
+        plus, minus = _ambient_parity_parts(KaroubiObject(space, p))
         # a unit commuting with p produces a second split of the same object
         n = eps_perturbation(space, rng)
         r = ident - p
@@ -881,14 +930,14 @@ def _sheared_summand(p, q, diag, c, k=3):
 
 
 def test_classical_rank_is_the_rank_of_the_realization():
-    # seeded mixed-parity summands with den > 1, and their parity parts,
-    # against fraction-free elimination of the eps^0 layer
+    # seeded mixed-parity summands with den > 1, and their ambient parity
+    # parts, against fraction-free elimination of the eps^0 layer
     checked = 0
     for p, q, diag, c in [(2, 1, [1, 0, 1], 2), (2, 2, [0, 1, 0, 1], 3),
                           (3, 1, [1, 0, 1, 1], 5), (2, 3, [1, 0, 1, 1, 0], 4)]:
         x = _sheared_summand(p, q, diag, c)
         assert x.idem.den > 1
-        for part in (x, *split_parity(x)):
+        for part in (x, *_ambient_parity_parts(x)):
             d = part.ambient.dim
             mat = [[0] * d for _ in range(d)]
             for i, j, t in part.idem.numerators():
@@ -1056,11 +1105,11 @@ def _seeded_summands(k):
 def test_free_image_round_trips_on_seeded_summands(k):
     # w is a full (p|q) object of the realization's parity ranks, and the
     # split (a, b) satisfies b . a = id_W and a . b = e, on each summand and
-    # on its parity parts
+    # on its ambient parity parts
     sheared = 0
     for x in _seeded_summands(k):
         sheared += x.idem.den > 1
-        for part in (x, *split_parity(x)):
+        for part in (x, *_ambient_parity_parts(x)):
             w, a, b = part.free_image()
             assert part.free_image() is part.free_image()
             assert w.idem.is_identity() and w.k == k
@@ -1086,11 +1135,11 @@ def test_free_image_needs_pivot_rows():
 
 
 def _coordinate_projectors():
-    """The parity parts of a full object, and a projector onto scattered
-    basis vectors of a weighted ambient, whose support listed block by
-    block is (2, 4, 1, 0)."""
+    """The ambient parity parts of a full object, and a projector onto
+    scattered basis vectors of a weighted ambient, whose support listed
+    block by block is (2, 4, 1, 0)."""
     weighted = SuperSpace((1, 0, 0, 1, 0), (0, 2, 0, 0, 0), 2)
-    return [*split_parity(full(2, 2, 3)),
+    return [*_ambient_parity_parts(full(2, 2, 3)),
             KaroubiObject(weighted, SuperMorphism.projector(weighted, [4, 0, 2, 1]))]
 
 
@@ -1144,7 +1193,7 @@ def test_free_image_pivots_equal_the_per_block_pivots(k, monkeypatch):
     monkeypatch.setattr(karoubi, "fraction_free_reduce", recorded)
     checked = 0
     for x in _seeded_summands(k):
-        for part in (x, *split_parity(x)):
+        for part in (x, *_ambient_parity_parts(x)):
             if part.idem.is_identity():
                 continue
             cols, rows = _block_pivots(part.idem)
@@ -1198,7 +1247,8 @@ def _ambient_sym(n, part):
 def _ambient_classify(x):
     """The finite-dimensionality report with every power taken on the
     parity parts as summands of the ambient (the materialised route)."""
-    plus, minus = split_parity(x)
+    plus, minus = _ambient_parity_parts(x)
+    assert plus.ambient == minus.ambient == x.ambient
     kims = []
     for power, part in ((_ambient_wedge, plus), (_ambient_sym, minus)):
         n = 1
@@ -1211,15 +1261,16 @@ def _ambient_classify(x):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_free_image_route_matches_the_ambient_route(k):
-    # s_wedge on the free images against the block sum of wedge (x) sym on
-    # the ambient parts, in dimension and zero verdict for n <= 4, and
-    # classify against the ambient route
+    # s_wedge on the parity blocks of the free images against the block sum
+    # of wedge (x) sym on the parity summands of the ambient, in dimension
+    # and zero verdict for n <= 4, and classify against the ambient route
     from finmot.karoubi import _block_diagonal
 
     checked = 0
     for x in _seeded_summands(k):
         split = split_parity(x)
-        plus, minus = split
+        plus, minus = _ambient_parity_parts(x)
+        assert plus.ambient == minus.ambient == x.ambient
         for n in range(5):
             image = s_wedge(n, x, split)
             oracle = KaroubiObject._of(_block_diagonal(
