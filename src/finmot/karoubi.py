@@ -44,11 +44,11 @@ that its type blocks may hold, and ``symgroup.CONVOLUTION_BOUND`` the
 degree n.
 
 The blocks are relabelled onto the r^n basis only on the first read of
-an image's ``idem`` (``s_wedge``'s tensor products,
-``motives.albanese_wedge``), which ``supercat.operator_on_power`` packs
-as a morphism.  There the cap bounds r^n, and the supertrace of the
-relabelled idempotent must equal the super dimension read off the
-blocks.
+an image's ``idem`` (``motives.albanese_wedge``), packed by
+``supercat.operator_on_power``; there the cap bounds r^n, and the
+supertrace must equal the super dimension read off the blocks.
+``s_wedge`` reads SLambda^n X off its terms Lambda^i X+ (x) S^(n-i) X-,
+and builds its own idempotent only on the first read of its ``idem``.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, combinations, groupby
 from math import comb, factorial, gcd, perm, prod
 from operator import mul
@@ -104,12 +104,12 @@ class KaroubiObject:
     ``KaroubiObject(ambient, idem)`` checks that idem is an idempotent
     endomorphism of ambient.  The Schur images of an object are kept on
     its free image, keyed by partition, and are freed with it.  A Schur
-    image carries its rank and super dimension, read off the orbit-type
-    blocks, and builds its idempotent on the tensor power only when
-    ``idem`` is first read (``_schur_image``).
+    image or ``s_wedge`` carries its rank and super dimension, read off
+    the orbit-type blocks, and builds its idempotent by ``_build`` only
+    when ``idem``, ``ambient`` or ``k`` is first read.
     """
 
-    __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_power", "_cap")
+    __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_build")
 
     def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
@@ -129,24 +129,14 @@ class KaroubiObject:
         return cls._new(idem, int(tr.realization()))
 
     @classmethod
-    def _schur_image(cls, space: SuperSpace, lam: Partition, rank: int, dimension: int,
-                     cap: int) -> "KaroubiObject":
-        """S_lam of the full object on ``space``, of the given rank and super
-        dimension; its idempotent on the n-th tensor power is built on the
-        first read of ``idem``, refused when dim**n exceeds the cap of the
-        last ``schur_apply`` that returned it."""
-        return cls._new(None, dimension, rank, (space, lam), cap)
-
-    @classmethod
-    def _new(cls, idem, dimension, rank=None, power=None, cap=None) -> "KaroubiObject":
+    def _new(cls, idem, dimension, rank=None, build=None) -> "KaroubiObject":
         obj = object.__new__(cls)
         obj._idem = idem
         obj._dimension = dimension
         obj._rank = rank
         obj._images = {}
         obj._free = None
-        obj._power = power
-        obj._cap = cap
+        obj._build = build
         return obj
 
     @classmethod
@@ -167,19 +157,16 @@ class KaroubiObject:
     @property
     def idem(self) -> SuperMorphism:
         if self._idem is None:
-            self._idem = _power_idempotent(*self._power, self._cap, self._dimension)
+            self._idem = self._build()
         return self._idem
 
     @property
     def ambient(self) -> SuperSpace:
-        if self._idem is None:
-            space, lam = self._power
-            return tensor_power(space, lam.n)
-        return self._idem.source
+        return self.idem.source
 
     @property
     def k(self) -> int:
-        return self._idem.source.k if self._idem is not None else self._power[0].k
+        return self.idem.source.k
 
     def dimension(self) -> int:
         """Supertrace of the idempotent, the integer the constructor checked."""
@@ -246,8 +233,7 @@ class KaroubiObject:
         return self.idem.fingerprint()
 
     def __repr__(self):
-        return (f"KaroubiObject(ambient={self.ambient.dim}d, k={self.k}, "
-                f"dim={self.dimension()})")
+        return f"KaroubiObject(rank={self.classical_rank()}, dim={self.dimension()})"
 
 
 @dataclass(frozen=True)
@@ -286,9 +272,8 @@ class FiniteDimReport:
 # orbit type and the number of orbits of that type, for the whole process;
 # the zero test, rank and super dimension of every Schur image are read off
 # it, on the free image of the summand.  ``_young_rows`` relabels the blocks
-# onto every orbit, also kept for the whole process, for the first read of
-# an image's ``idem``.  Each Schur image is kept on the free image it was
-# computed on.
+# onto every orbit on the first read of an image's ``idem``, which keeps
+# the result.  Each Schur image is kept on the free image it was computed on.
 
 #: the most entries that the type blocks of one (parities, lam) may hold:
 #: a type block is at most |orbit| x |orbit|
@@ -409,11 +394,10 @@ def _cancels(kind: tuple, chi: int | None) -> bool:
     return bool(chi) and any(mult > 1 and parity == (chi == 1) for mult, parity in kind)
 
 
-@cache
 def _young_rows(parities: tuple[int, ...], lam: Partition):
     """``(rows, den)``: the blocks of ``_young_blocks`` relabelled onto every
-    orbit of the n-th tensor power, integer rows over the same denominator.
-    The rows are shared by every caller and must not be mutated."""
+    orbit of the n-th tensor power, integer rows over the same denominator,
+    built afresh on every call."""
     table, den, _, _ = _young_blocks(parities, lam)
     n, d = lam.n, len(parities)
     pools = [[i for i, parity in enumerate(parities) if parity == want] for want in (EVEN, ODD)]
@@ -541,6 +525,16 @@ def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition,
                                      f"break {law} at tau = ({a}, {a + 1})")
 
 
+def _checked_supertrace(idem: SuperMorphism, dimension: int, what: str,
+                        parts: str) -> SuperMorphism:
+    """``idem``, once its supertrace is checked against ``dimension``."""
+    tr = idem.supertrace()
+    if not tr.eps_part_is_zero() or tr.realization() != dimension:
+        raise InvariantError(
+            f"{what} has supertrace {tr}, against {dimension} read off its {parts}")
+    return idem
+
+
 def _power_idempotent(space: SuperSpace, lam: Partition, cap: int,
                       dimension: int) -> SuperMorphism:
     """The idempotent of S_lam of the full object on ``space`` on its n-th
@@ -549,12 +543,9 @@ def _power_idempotent(space: SuperSpace, lam: Partition, cap: int,
     n = lam.n
     if space.dim**n > cap:
         raise SizeCapError(f"tensor power {space.dim}**{n} exceeds cap {cap}")
-    idem = operator_on_power(*_young_rows(space.parities, lam), space, n)
-    tr = idem.supertrace()
-    if not tr.eps_part_is_zero() or tr.realization() != dimension:
-        raise InvariantError(f"S_{lam.parts} on parities {space.parities} has supertrace "
-                             f"{tr}, against {dimension} read off its type blocks")
-    return idem
+    return _checked_supertrace(
+        operator_on_power(*_young_rows(space.parities, lam), space, n), dimension,
+        f"S_{lam.parts} on parities {space.parities}", "type blocks")
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
@@ -581,10 +572,10 @@ def schur_apply(lam: Partition, x: KaroubiObject,
             image = KaroubiObject.full(tensor_power(space, n))
         else:
             _, _, rank, dimension = _young_blocks(space.parities, lam)
-            image = KaroubiObject._schur_image(space, lam, rank, dimension, cap)
+            image = KaroubiObject._new(None, dimension, rank)
         w._images[lam.parts] = image
-    elif image._idem is None:
-        image._cap = cap
+    if image._idem is None:
+        image._build = partial(_power_idempotent, space, lam, cap, image._dimension)
     return image
 
 
@@ -710,20 +701,25 @@ def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:
 def s_wedge(n: int, x: KaroubiObject,
             parity_split: tuple[KaroubiObject, KaroubiObject] | None = None,
             cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
-    """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n;
-    the blocks are summed as idempotents, and only the sum is checked.
+    """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n.
     The parts are the even and odd blocks of x's free image
     (``split_parity``), so the sum is isomorphic to the summand of the
     ambient's n-th power and ``cap`` bounds the orbit counts on the ranks.
-    Only the terms whose two factors are nonzero, read off the orbit-type
-    blocks, are built; when none is, the sum is the zero object."""
+    Rank and super dimension sum the products of the factors' block-read
+    ones over the terms whose two factors are nonzero; when none is, the
+    sum is the zero object.  The block sum of the terms' tensor products
+    is built on the first read of ``idem``, and its supertrace checked."""
     _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
-    pairs = [(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)]
-    idems = [a.idem.tensor(b.idem) for a, b in pairs if not (a.is_zero() or b.is_zero())]
-    if not idems:
-        return KaroubiObject.full(SuperSpace.zero_space(x.k))
-    return KaroubiObject._of(_block_diagonal(idems))
+    terms = [(a, b) for a, b in ((wedge(i, plus, cap), sym(n - i, minus, cap))
+                                 for i in range(n + 1)) if not (a.is_zero() or b.is_zero())]
+    if not terms:
+        return KaroubiObject.full(SuperSpace.zero_space(plus.k))
+    dimension = sum(a.dimension() * b.dimension() for a, b in terms)
+    return KaroubiObject._new(
+        None, dimension, sum(a.classical_rank() * b.classical_rank() for a, b in terms),
+        lambda: _checked_supertrace(_block_diagonal([a.idem.tensor(b.idem) for a, b in terms]),
+                                    dimension, f"SLambda^{n}", "terms"))
 
 
 # --- splitting through a family of factorizations --------------------------------

@@ -584,9 +584,8 @@ def test_verify_all_fails_when_a_suite_fails(capsys, monkeypatch):
 def test_schur_suites_check_the_full_object_once(capsys, monkeypatch):
     # the Schur checks run once per (p, q, k) on the full (p|q) object: 27
     # parity splits in vanishing, and no idempotent is lifted in either suite
-    from finmot import cli, karoubi
+    from finmot import cli
 
-    karoubi._young_rows.cache_clear()
     calls = {"split_parity": 0, "lift_idempotent": 0}
 
     def counting(name):
@@ -606,6 +605,18 @@ def test_schur_suites_check_the_full_object_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "--out", "json", "verify", "kimura-dim")
     assert code == 0
     assert calls == {"split_parity": 0, "lift_idempotent": 0}
+
+
+@pytest.mark.parametrize("grid", ["p=6,q=0,k=1", "p=0,q=6,k=1"])
+def test_vanishing_cap_bounds_the_orbit_count(capsys, grid):
+    # SLambda^7 of (6|0) and (0|6) is read off its terms' type blocks, so the
+    # cap bounds the orbit count C(12, 7) = 792, not the 6**6 tensor power
+    code, out, _ = run(capsys, "--out", "json", "verify", "vanishing", "--grid", grid)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 7 and all(check["passed"] for check in checks)
+    code, _, err = run(capsys, "--cap", "791", "verify", "vanishing", "--grid", grid)
+    assert code == 3 and "orbit count C(12, 7) = 792 exceeds cap 791" in err
 
 
 def test_lifting_family_error_is_a_failed_check(capsys, monkeypatch):

@@ -2,8 +2,8 @@
 
 The files under ``tests/golden/`` are the JSON stdout of ``finmot`` for every
 verify suite at its default grid (seeds 0 and 7), the surface suite at
-k = 6, the sample surface model and the Schur queries that the benchmark and
-CI run.  Any change to the
+k = 6, the vanishing suite on the (6|0) and (0|6) grids, the sample surface
+model and the Schur queries that the benchmark and CI run.  Any change to the
 arithmetic core must reproduce them exactly.  To regenerate a payload, run
 the argv listed below through the ``finmot`` console script from the
 repository root.
@@ -50,6 +50,11 @@ SCHUR_CASES = {
     "schur-3.2.1-p3q3-k3.json": "--k 3 schur --lam 3,2,1 --p 3 --q 3",
 }
 CASES.update({name: ["--out", "json", *argv.split()] for name, argv in SCHUR_CASES.items()})
+# SLambda^7 of (6|0) and (0|6), read off the type blocks of its terms: C(12, 7)
+# orbits are within the cap, the 6**6 tensor power is not
+CASES.update({f"verify-vanishing-p{p}q{q}k1.json": ["--out", "json", "verify", "vanishing",
+                                                   "--grid", f"p={p},q={q},k=1"]
+              for p, q in ((6, 0), (0, 6))})
 # at k = 6 the seeded family unit exp(eps S) has every eps order
 CASES["verify-surface-seed7-k6.json"] = ["--out", "json", "--seed", "7", "--k", "6",
                                          "verify", "surface"]

@@ -70,7 +70,6 @@ def _clear_young_caches():
     from finmot import karoubi
 
     karoubi._young_blocks.cache_clear()
-    karoubi._young_rows.cache_clear()
 
 
 # --- construction guards ---------------------------------------------------------
@@ -334,18 +333,28 @@ def test_full_object_image_builds_its_idempotent_on_first_read(monkeypatch):
     from finmot import karoubi
 
     _clear_young_caches()
+    rows_of = karoubi._young_rows
+    builds = []
+
+    def counted(parities, lam):
+        builds.append((parities, lam))
+        return rows_of(parities, lam)
+
+    monkeypatch.setattr(karoubi, "_young_rows", counted)
     x = full(2, 1)
     image = sym(3, x, cap=27)
     assert (image.is_zero(), image.classical_rank(), image.dimension()) == (False, 7, 1)
-    assert karoubi._young_rows.cache_info().currsize == 0
+    assert builds == [] and image._idem is None
     assert sym(3, x, cap=26) is image
     with pytest.raises(SizeCapError, match=r"tensor power 3\*\*3 exceeds cap 26"):
         image.idem
+    assert builds == []
     assert sym(3, x, cap=27) is image and image.idem is image.idem
-    assert karoubi._young_rows.cache_info().misses == 1
+    assert len(builds) == 1
     assert image.ambient == tensor_power(x.ambient, 3) and image.k == 1
+    assert len(builds) == 1
     _clear_young_caches()
-    rows, den = karoubi._young_rows(x.ambient.parities, Partition((3,)))
+    rows, den = rows_of(x.ambient.parities, Partition((3,)))
     monkeypatch.setattr(karoubi, "_young_rows", lambda parities, lam: (
         {i: {j: -c for j, c in row.items()} for i, row in rows.items()}, den))
     with pytest.raises(InvariantError, match=r"supertrace -1, against 1 read off its type blocks"):
@@ -454,7 +463,6 @@ def test_orbit_rows_equal_the_permutation_sum():
                     cases += 1
                     general += len(lam) not in (1, n)
     assert (cases, general) == (349, 156)
-    karoubi._young_rows.cache_clear()
 
 
 def test_exterior_and_symmetric_columns_equal_the_permutation_sum():
@@ -499,9 +507,7 @@ def test_general_rows_sum_one_column_per_orbit_type(monkeypatch):
     monkeypatch.setattr(karoubi, "_young_column", counting)
     parities, lam = (0,) * 6 + (1,) * 2, Partition((2, 1, 1))
     karoubi._young_blocks.cache_clear()
-    karoubi._young_rows.cache_clear()
     rows, den = karoubi._young_rows(parities, lam)
-    karoubi._young_rows.cache_clear()
     assert len(sums) == len(set(sums)) == 17
     assert (rows, den) == _permutation_sum_rows(parities, lam)
 
@@ -524,7 +530,6 @@ def test_young_rows_are_symmetric():
                         (parities, lam)
                     cases += 1
     assert cases == 14 * 18
-    karoubi._young_rows.cache_clear()  # the n = 5 row sets are large
 
 
 def _tensor_power_oracle(lam, e):
@@ -731,30 +736,38 @@ def test_centrality_check_catches_resigned_central_rows(resigned_rows, p, q):
         schur_apply(lam, full(p, q))
 
 
-def test_young_rows_built_once_per_parities_and_partition(monkeypatch):
-    # the rows do not depend on k and are never evicted.  The default
-    # vanishing grid (p, q <= 2, k = 1..3) needs 4 distinct (parities, lam)
-    # row builds: every zero test is read off the orbit-type blocks, and
-    # s_wedge reads the idempotents of its nonzero terms only, which at
-    # n = p + q is Lambda^p (p|0) (x) S^q (0|q) alone; the free image of a
-    # part with p = 0 or q = 0 is the zero space, which has no rows, so
-    # Lambda^t on (0,) * t and S^t on (1,) * t, t = 1, 2, remain.  Both are
-    # exterior or symmetric powers, so neither sums the n! terms of a
-    # group-algebra idempotent
+def test_report_verdicts_build_no_tensor_power_idempotent(monkeypatch, capsys):
+    # every zero test, rank and super dimension in a Schur report, s_wedge's
+    # among them, is read off the orbit-type blocks: no rows are relabelled,
+    # no idempotent is packed on a tensor power, tensored or block-summed,
+    # and the Lambda/S verdicts sum no n!-term group-algebra idempotent
     from finmot import karoubi
     from finmot.cli import main
 
-    karoubi._young_rows.cache_clear()
-    calls = []
+    def refused(name):
+        def raising(*args):
+            raise AssertionError(f"{name} called")
+        return raising
 
-    def counting(lam, *args):
-        calls.append(lam)
-        return young_idempotent(lam, *args)
-
-    monkeypatch.setattr(karoubi, "young_idempotent", counting)
+    for name in ("_young_rows", "operator_on_power", "_block_diagonal", "young_idempotent"):
+        monkeypatch.setattr(karoubi, name, refused(name))
+    monkeypatch.setattr(SuperMorphism, "tensor", refused("SuperMorphism.tensor"))
     assert main(["--out", "json", "verify", "vanishing"]) == 0
-    assert karoubi._young_rows.cache_info().misses == 4
-    assert calls == []
+    assert main(["--out", "json", "verify", "kimura-dim"]) == 0
+    assert main(["--out", "json", "verify", "vanishing", "--grid", "p=6,q=0,k=1"]) == 0
+    monkeypatch.setattr(karoubi, "young_idempotent", young_idempotent)
+    assert main(["--out", "json", "--k", "3", "schur", "--lam", "3,1", "--p", "2",
+                 "--q", "6"]) == 0
+    capsys.readouterr()
+    # the library calls of the perturbed benchmark on seeded proper summands
+    for x in _seeded_summands(2):
+        split = split_parity(x)
+        plus, minus = split
+        a, b = plus.classical_rank(), minus.classical_rank()
+        assert wedge(a + 1, plus).is_zero() and sym(b + 1, minus).is_zero()
+        assert s_wedge(a + b + 1, x, split).is_zero()
+        top = s_wedge(a + b, x, split)
+        assert not top.is_zero() and top.dimension() == (-1) ** b
 
 
 def test_seeded_wedge_vanishing_on_padded_ambient():
@@ -1006,22 +1019,22 @@ def test_sums_and_products_of_summands_build_each_space_once(monkeypatch):
     assert f.tensor(f).target == SuperSpace((0,), (2,))
     assert calls["tensor"] == 2
     # on (2|1) some Lambda^i (2|0) (x) S^(n-i) (0|1) is nonzero for n <= 3;
-    # at n = 4 every term vanishes, and the zero object needs no block sum
+    # at n = 4 every term vanishes, and the zero object needs no block sum.
+    # The sum is read off its terms and block-summed once, on the first
+    # read of its idem; with the Schur images kept on the parity parts'
+    # free images, Lambda^0 and S^0 among them, the zero object is the one
+    # object that s_wedge constructs through _of, and the build none
     x = full(2, 1, 1)
     split = split_parity(x)
-    for n in range(5):
-        calls["block_diagonal"] = 0
-        s_wedge(n, x, split)
-        assert calls["block_diagonal"] == (n < 4), n
-    # the blocks are summed as idempotents: with the Schur images kept on
-    # the parity parts' free images, Lambda^0 and S^0 among them, s_wedge
-    # constructs the sum (or the zero object) alone, and no object per block
     monkeypatch.setattr(KaroubiObject, "_of", classmethod(
         counted("objects", KaroubiObject._of.__func__)))
     for n in range(5):
-        calls["objects"] = 0
-        s_wedge(n, x, split)
-        assert calls["objects"] == 1, n
+        calls.update(block_diagonal=0, objects=0)
+        image = s_wedge(n, x, split)
+        assert (calls["block_diagonal"], calls["objects"]) == (0, n == 4), n
+        image.idem
+        image.idem
+        assert (calls["block_diagonal"], calls["objects"]) == (n < 4, n == 4), n
 
 
 def test_classify_dual_same_report():
@@ -1080,6 +1093,75 @@ def test_s_wedge_examples_on_1_1():
     assert not tensor_k(wedge(1, plus), sym(1, minus)).is_zero()
     assert sym(2, minus).is_zero()
     assert KaroubiObject.full(SuperSpace.zero_space(1)).is_zero()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_s_wedge_idempotent_is_the_block_sum_of_its_terms(k):
+    # the deferred idempotent is the block sum of wedge (x) sym over the
+    # terms whose two factors are nonzero, and its trace and supertrace are
+    # the rank and super dimension read off those terms
+    from finmot.karoubi import _block_diagonal
+
+    checked = 0
+    for x in _seeded_summands(k):
+        split = split_parity(x)
+        plus, minus = split
+        for n in range(5):
+            image = s_wedge(n, x, split)
+            terms = [(wedge(i, plus), sym(n - i, minus)) for i in range(n + 1)]
+            terms = [(a, b) for a, b in terms if not (a.is_zero() or b.is_zero())]
+            if not terms:
+                assert image.is_zero() and image.classical_rank() == 0
+                continue
+            assert image._idem is None
+            assert image.idem == _block_diagonal([a.idem.tensor(b.idem) for a, b in terms])
+            assert image.idem.trace().realization() == image.classical_rank()
+            assert image.idem.supertrace().realization() == image.dimension()
+            checked += 1
+    assert checked >= 30
+
+
+def test_s_wedge_of_full_objects_in_closed_form():
+    # SLambda^n of (p|q) is sum_i Lambda^i (p|0) (x) S^(n-i) (0|q): rank
+    # C(p + q, n), and super dimension the t^n coefficient of
+    # (1 + t)^p (1 - t)^q; (6|0) and (0|6) reach n = 6 and 7 within the cap
+    cases = 0
+    for d in range(7):
+        for p in range(d + 1):
+            x = full(p, d - p)
+            split = split_parity(x)
+            for n in range(d + 2):
+                image = s_wedge(n, x, split)
+                dimension = sum(math.comb(p, i) * (-1) ** (n - i) * math.comb(d - p, n - i)
+                                for i in range(n + 1))
+                assert (image.classical_rank(), image.dimension(), image.is_zero()) == \
+                    (math.comb(d, n), dimension, n > d), (p, d - p, n)
+                cases += 1
+    assert cases == 168
+
+
+def test_s_wedge_build_checks_its_supertrace(monkeypatch):
+    # a block sum that drops the term Lambda^1 (2|0) (x) S^1 (0|1), of super
+    # dimension -2, no longer has the super dimension read off the terms
+    from finmot import karoubi
+
+    block_sum = karoubi._block_diagonal
+    monkeypatch.setattr(karoubi, "_block_diagonal", lambda idems: block_sum(idems[1:]))
+    x = full(2, 1)
+    image = s_wedge(2, x)
+    assert (image.classical_rank(), image.dimension()) == (3, -1)
+    with pytest.raises(InvariantError, match=r"SLambda\^2 has supertrace 1, against -1 "
+                                             r"read off its terms"):
+        image.idem
+
+
+def test_repr_reads_no_idempotent():
+    # Lambda^7 of (2|2) has 4**7 basis tensors, over the cap of its idem
+    image = wedge(7, full(2, 2))
+    assert repr(image) == f"KaroubiObject(rank={image.classical_rank()}, dim={image.dimension()})"
+    assert image._idem is None
+    with pytest.raises(SizeCapError, match=r"tensor power 4\*\*7 exceeds cap 4096"):
+        image.ambient
 
 
 # --- free images ------------------------------------------------------------------------
@@ -1262,8 +1344,8 @@ def _ambient_classify(x):
 @pytest.mark.parametrize("k", [1, 3])
 def test_free_image_route_matches_the_ambient_route(k):
     # s_wedge on the parity blocks of the free images against the block sum
-    # of wedge (x) sym on the parity summands of the ambient, in dimension
-    # and zero verdict for n <= 4, and classify against the ambient route
+    # of wedge (x) sym on the parity summands of the ambient, in dimension,
+    # rank and zero verdict for n <= 4, and classify against the ambient route
     from finmot.karoubi import _block_diagonal
 
     checked = 0
@@ -1276,8 +1358,8 @@ def test_free_image_route_matches_the_ambient_route(k):
             oracle = KaroubiObject._of(_block_diagonal(
                 [_ambient_wedge(i, plus).tensor(_ambient_sym(n - i, minus))
                  for i in range(n + 1)]))
-            assert (image.dimension(), image.is_zero()) == \
-                (oracle.dimension(), oracle.is_zero()), (x.ambient, n)
+            assert (image.dimension(), image.classical_rank(), image.is_zero()) == \
+                (oracle.dimension(), oracle.classical_rank(), oracle.is_zero()), (x.ambient, n)
             assert image.ambient.dim <= oracle.ambient.dim
             checked += 1
         assert classify(x) == _ambient_classify(x)
