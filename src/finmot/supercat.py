@@ -28,10 +28,11 @@ its numerators.  With all-zero entries absent and ``gcd(den, every
 numerator) == 1`` the form is canonical: equal morphisms have equal
 ``(width, den, rows)``.  Sums, products and tensor products work on the
 packed integers.  A product of entries is their truncated convolution
-plus fields for eps^k and beyond, which one add, mask and subtract cut
-away; the 2B + bitlen(dim k) + 1 <= W headroom keeps every field exact,
-and operands move up a rung when it does not.  The same add and mask test
-each result against the bound of its rung (the fit test).
+plus fields for eps^k and beyond, which ``compose`` cuts away in the loop
+that sums them (each sum starts at an offset, then one mask and subtract);
+the 2B + bitlen(dim k) + 1 <= W headroom keeps every field exact, and
+operands move up a rung when it does not.  The same mask tests each result
+against the bound of its rung (the fit test).
 
 ``TruncatedScalar``, with ``fractions.Fraction`` coefficients, is the value
 type at the API boundary only: the constructors accept it, and ``entry``,
@@ -51,6 +52,7 @@ idempotent op as a morphism of the n-th tensor power of a space.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -343,16 +345,19 @@ def _values(rows: dict) -> Iterator[int]:
 
 
 @cache
-def _window(width: int, bits: int, k: int) -> tuple[int, int]:
-    """(offset, mask): 2**bits and the low bits + 1 bits, in each of k fields.
-    ``v + offset`` lies inside ``mask`` exactly when every field of v lies in
-    [-2**bits, 2**bits); at bits = width - 1, ``((v + offset) & mask) -
-    offset`` cuts an exact v to its k low fields."""
-    offset = mask = 0
+def _window(width: int, k: int) -> tuple:
+    """(offset, mask, half, low, unpack) for k fields of ``width`` bits: ``v +
+    offset`` lies inside ``mask`` exactly when every field of v lies within
+    the bound of the rung (the fit test), ``((v + half) & low) - half`` cuts
+    an exact v to its k low fields, and on the base rung ``unpack`` reads k
+    signed 64-bit fields from bytes (else it is None)."""
+    offset = mask = half = 0
     for _ in range(k):
-        offset = (offset << width) | (1 << bits)
-        mask = (mask << width) | ((2 << bits) - 1)
-    return offset, mask
+        offset = (offset << width) | (1 << _bound(width))
+        mask = (mask << width) | ((2 << _bound(width)) - 1)
+        half = (half << width) | (1 << (width - 1))
+    unpack = struct.Struct(f"<{k}q").unpack if width == _BASE_WIDTH else None
+    return offset, mask, half, (1 << (width * k)) - 1, unpack
 
 
 def _pack(t: Iterable[int], width: int) -> int:
@@ -365,9 +370,12 @@ def _pack(t: Iterable[int], width: int) -> int:
 
 def _fields(v: int, width: int, k: int) -> tuple[int, ...]:
     """The k signed fields of a packed entry (the inverse of ``_pack``)."""
-    half = 1 << (width - 1)
-    v += _window(width, width - 1, k)[0]
-    return tuple([((v >> s) & (2 * half - 1)) - half for s in range(0, width * k, width)])
+    half, _, unpack = _window(width, k)[2:]
+    v += half  # no borrow crosses a field
+    if unpack:  # the xor makes each field its two's complement again
+        return unpack((v ^ half).to_bytes(8 * k, "little"))
+    top = 1 << (width - 1)
+    return tuple([((v >> s) & (2 * top - 1)) - top for s in range(0, width * k, width)])
 
 
 def _settle(rows: dict, den: int, width: int, k: int,
@@ -375,8 +383,10 @@ def _settle(rows: dict, den: int, width: int, k: int,
     """The canonical ``(rows, den, width)`` of packed rows over ``den`` whose
     fields are exact at the rung ``width``: in lowest terms, on the lowest
     rung whose bound holds every numerator.  ``fits`` says that the bound of
-    ``width`` holds; else one add-and-mask test per entry checks the base rung.
-    """
+    ``width`` holds, so rows over den 1 on the base rung are canonical as
+    given; else one pass of add-and-mask tests checks the base rung."""
+    if width == _BASE_WIDTH and fits and den == 1:
+        return rows, den, width
     if den > 1:
         g = den
         for v in _values(rows):
@@ -386,8 +396,12 @@ def _settle(rows: dict, den: int, width: int, k: int,
             rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
             den //= g
     if width == _BASE_WIDTH:
-        offset, mask = _window(width, _bound(width), k)
-        if fits or not any((v + offset) | mask != mask for v in _values(rows)):
+        offset, mask = _window(width, k)[:2]
+        seen = 0
+        for row in () if fits else rows.values():
+            for v in row.values():
+                seen |= v + offset
+        if seen | mask == mask:
             return rows, den, width
     rung = _rung(chain.from_iterable(_fields(v, width, k) for v in _values(rows)))
     if rung != width:
@@ -398,7 +412,14 @@ def _settle(rows: dict, den: int, width: int, k: int,
 
 def _aligned(morphisms) -> tuple[list[dict], int, int]:
     """The packed rows of each morphism over the lcm of their denominators,
-    at one rung with room for a sign and a sum of two: ``(rows, den, width)``."""
+    at one rung with room for a sign and a sum of two: ``(rows, den, width)``;
+    every rung has that room over its bound, so one rung and den keep them."""
+    den, width = morphisms[0].den, morphisms[0].width
+    for m in morphisms:
+        if m.den != den or m.width != width:
+            break
+    else:
+        return [m.rows for m in morphisms], den, width
     den = math.lcm(*[m.den for m in morphisms])
     top = max([m.width for m in morphisms])
     factors = [den // m.den for m in morphisms]
@@ -416,7 +437,7 @@ class SuperMorphism:
     docstring.  Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("source", "target", "rows", "den", "width", "_fp")
+    __slots__ = ("source", "target", "rows", "den", "width", "_fp", "_idem")
 
     @classmethod
     def _from_packed(cls, source: SuperSpace, target: SuperSpace, rows: dict,
@@ -430,6 +451,7 @@ class SuperMorphism:
         self.target = target
         self.rows, self.den, self.width = _settle(rows, den, width, source.k, fits)
         self._fp = None
+        self._idem = False
         return self
 
     @classmethod
@@ -438,8 +460,7 @@ class SuperMorphism:
         """Trusted constructor from sums of packed products whose low k fields
         are exact at ``width``: one add, mask and subtract cut each entry to
         those fields and test it against the bound of the rung."""
-        offset, mask = _window(width, _bound(width), source.k)
-        half, low = _window(width, width - 1, source.k)
+        offset, mask, half, low, _ = _window(width, source.k)
         cut, seen = {}, 0
         for i, row in rows.items():
             out = {}
@@ -584,7 +605,7 @@ class SuperMorphism:
 
     def _combine(self, other: "SuperMorphism", sign: int) -> "SuperMorphism":
         """``self + sign * other``."""
-        if self.source != other.source or self.target != other.target:
+        if (other.source, other.target) != (self.source, self.target):
             raise ValueError("morphisms are not parallel")
         (a, b), den, width = _aligned((self, other))
         rows = {i: dict(row) for i, row in a.items()}
@@ -610,34 +631,49 @@ class SuperMorphism:
         return self.scale(-1)
 
     def scale(self, c) -> "SuperMorphism":
-        k = self.k
-        nums, d = _scalar_ints(c, k)
-        bits = _bound(self.width) + max(map(abs, nums)).bit_length() + k.bit_length()
-        width = _room(bits, self.width)
-        pc = _pack(nums, width)
-        rows = {i: {j: pc * v for j, v in row.items()} for i, row in self._rows_at(width).items()}
-        return SuperMorphism._from_products(self.source, self.target, rows,
-                                            self.den * d, width)
+        if not isinstance(c, (int, Fraction)):  # a product that spreads fields to cut
+            return self.compose(SuperMorphism.diagonal(self.source, [c] * self.source.dim))
+        # a constant multiplies each field alone: no field spreads
+        n = c.numerator
+        width = _room(_bound(self.width) + abs(n).bit_length(), self.width)
+        rows = {i: {j: n * v for j, v in row.items()} for i, row in self._rows_at(width).items()}
+        return SuperMorphism._from_packed(self.source, self.target, rows if n else {},
+                                          self.den * c.denominator, width)
 
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
         """``self`` after ``other`` (matrix product self . other)."""
         source = self.source
         if other.target is not source and other.target != source:
             raise ValueError("composition mismatch")
-        rows: dict[int, dict[int, int]] = {}
-        width = max(self.width, other.width)
-        width = _room(2 * _bound(width) + (source.dim * source.k).bit_length(), width)
-        right = other._rows_at(width)
-        for i, srow in self._rows_at(width).items():
+        width = self.width if self.width >= other.width else other.width
+        # the headroom 2 * _bound(width) + bitlen(dim k), as width - 16 + ...
+        width = _room(width - 16 + (len(source.parities) * source.k).bit_length(), width)
+        left = self.rows if self.width == width else self._rows_at(width)
+        right = other.rows if other.width == width else other._rows_at(width)
+        offset, mask, _, low, _ = _window(width, source.k)
+        rows, seen = {}, 0
+        for i, srow in left.items():
+            # each sum starts at the offset of _from_products' cut and fit test
             acc: dict[int, int] = {}
             for m, a in srow.items():
                 prow = right.get(m)
                 if prow:
                     for j, b in prow.items():
-                        acc[j] = acc.get(j, 0) + a * b
-            rows[i] = acc
-        return SuperMorphism._from_products(other.source, self.target, rows,
-                                            self.den * other.den, width)
+                        acc[j] = acc.get(j, offset) + a * b
+            out = {}
+            for j, v in acc.items():
+                y = v & low
+                if y != offset:
+                    out[j] = y - offset
+                    seen |= y
+            if out:
+                rows[i] = out
+        den = self.den * other.den
+        if seen | mask == mask:
+            return SuperMorphism._from_packed(other.source, self.target, rows, den, width,
+                                              fits=True)
+        # a field past the bound: cutting again recentres each entry
+        return SuperMorphism._from_products(other.source, self.target, rows, den, width)
 
     def power(self, m: int) -> "SuperMorphism":
         if self.source != self.target:
@@ -690,10 +726,13 @@ class SuperMorphism:
                 and all(row == {i: 1} for i, row in self.rows.items()))
 
     def is_endomorphism(self) -> bool:
-        return self.source == self.target
+        return self.source is self.target or self.source == self.target
 
     def is_idempotent(self) -> bool:
-        return self.is_endomorphism() and self.compose(self) == self
+        """self . self == self; a True verdict is kept, a False one is not."""
+        if not self._idem:
+            self._idem = self.is_endomorphism() and self.compose(self) == self
+        return self._idem
 
     def supertrace(self) -> TruncatedScalar:
         """The categorical trace: the diagonal sum with odd entries negated."""
@@ -741,8 +780,8 @@ class SuperMorphism:
     def __eq__(self, other):
         return (
             isinstance(other, SuperMorphism)
-            and self.source == other.source
-            and self.target == other.target
+            # a tuple compares identical spaces without calling their __eq__
+            and (self.source, self.target) == (other.source, other.target)
             and self.den == other.den
             and self.width == other.width
             and self.rows == other.rows
@@ -920,7 +959,7 @@ def invert_unit(f: SuperMorphism) -> SuperMorphism:
     aug = [[0] * n + [int(i == r) for i in range(n)] for r in range(n)]
     for i, row in f.rows.items():
         for j, v in row.items():
-            aug[i][j] = _fields(v, f.width, 1)[0]
+            aug[i][j] = _fields(v, f.width, f.k)[0]
     pivots, det = fraction_free_reduce(aug, n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")

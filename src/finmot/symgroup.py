@@ -321,14 +321,15 @@ def _rank_of(n: int) -> dict[tuple[int, ...], int]:
 def _mult_table(n: int) -> tuple:
     """Row ``rank(a)`` is an ``array('H')`` of ``rank(a * b)`` for every rank b.
 
-    Built on first use and only for n <= ``TABLE_BOUND``; ``array`` is an
+    ``itertools.permutations(a)`` lists a * b = (a[b[0]], a[b[1]], ...) for
+    b in lexicographic order, so no product is formed pair by pair.  Built
+    on first use and only for n <= ``TABLE_BOUND``; ``array`` is an
     extension module, so it is imported here rather than with the package.
     """
     from array import array
 
-    ranked, rank_of = _ranked(n), _rank_of(n)
-    return tuple(array("H", [rank_of[tuple(map(a.__getitem__, b))] for b in ranked])
-                 for a in ranked)
+    rank = _rank_of(n).__getitem__
+    return tuple(array("H", map(rank, itertools.permutations(a))) for a in _ranked(n))
 
 
 class GroupAlgebraElement:

@@ -1,12 +1,12 @@
 """Byte-for-byte comparison of CLI JSON reports against recorded payloads.
 
 The files under ``tests/golden/`` are the JSON stdout of ``finmot`` for every
-verify suite at its default grid (seeds 0 and 7), the surface suite at
-k = 6, the vanishing suite on the (6|0) and (0|6) grids, the sample surface
-model and the Schur queries that the benchmark and CI run.  Any change to the
-arithmetic core must reproduce them exactly.  To regenerate a payload, run
-the argv listed below through the ``finmot`` console script from the
-repository root.
+verify suite at its default grid (seeds 0 and 7), the surface suite and
+the calculus grids of the benchmark at k = 6, the vanishing suite on the
+(6|0) and (0|6) grids, the sample surface model and the Schur queries that
+the benchmark and CI run.  Any change to the arithmetic core must reproduce
+them exactly.  To regenerate a payload, run the argv listed below through
+the ``finmot`` console script from the repository root.
 """
 
 import json
@@ -58,6 +58,13 @@ CASES.update({f"verify-vanishing-p{p}q{q}k1.json": ["--out", "json", "verify", "
 # at k = 6 the seeded family unit exp(eps S) has every eps order
 CASES["verify-surface-seed7-k6.json"] = ["--out", "json", "--seed", "7", "--k", "6",
                                          "verify", "surface"]
+# the calculus grids of the benchmark at k = 6, whose entries are the widest
+# packed products of the morphism suites
+CASES.update({f"verify-{suite}-seed7-k6.json": ["--out", "json", "--seed", "7", "verify",
+                                                suite, "--grid", "k=6"]
+              for suite in ("uniqueness", "lifting", "nilpotency")})
+CASES["verify-summand-assembly-seed7-k6.json"] = ["--out", "json", "--seed", "7", "--k", "6",
+                                                  "verify", "summand-assembly"]
 
 
 def test_every_golden_file_has_a_case():

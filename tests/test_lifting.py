@@ -318,9 +318,9 @@ def test_corner_check_shares_the_round_trip(k, monkeypatch):
                             lambda a, b: pairs.append((a, b)) or compose(a, b))
         rep = corner_unit_check(pi, pit)
         monkeypatch.undo()
-        # pi is a right factor twice: in pi~ . pi and in the idempotency
-        # check pi . pi
-        assert sum(b is pi for _, b in pairs) == 2
+        # pi is a right factor in pi~ . pi, and for the first seed also in
+        # the idempotency check pi . pi, whose True verdict pi then keeps
+        assert sum(b is pi for _, b in pairs) == (2 if seed == 0 else 1)
         assert sum(a is pit and b is pi for a, b in pairs) == 1
         v = pi if rep.exact_equality else rep.corner_inverse
         assert rep.e == pi.compose(pit).compose(pi)

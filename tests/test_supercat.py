@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmot import supercat
 from finmot.errors import SizeCapError
 from finmot.supercat import (
     EVEN,
@@ -27,7 +28,7 @@ from finmot.supercat import (
     tensor_power,
 )
 from finmot.symgroup import Permutation, all_permutations
-from finmot.lifting import random_endomorphism, seeded_rng
+from finmot.lifting import random_endomorphism, seeded_rng, seeded_unit
 
 
 # --- scalar ring ------------------------------------------------------------------
@@ -443,10 +444,17 @@ def _fraction_rank(mat):
 def test_compose_and_tensor_match_entrywise_reference(data):
     k = data.draw(orders)
     x, y, z = (data.draw(spaces_k(k)) for _ in range(3))
-    f = data.draw(morphisms(y, z))
+    # one operand may sit on a higher rung or over another den than the other
+    f = data.draw(morphisms(y, z, values=data.draw(st.sampled_from((rationals, wide)))))
     g = data.draw(morphisms(x, y))
     rf, rg = reference(f), reference(g)
-    assert_canonical(f.compose(g), ref_product(rf, rg, k, x.dim))
+    want = ref_product(rf, rg, k, x.dim)
+    assert_canonical(f.compose(g), want)
+    assert_canonical(g.dual().compose(f.dual()), [list(col) for col in zip(*want)]
+                     if want and want[0] else [[] for _ in range(x.dim)])
+    # numerators with a common factor of the den: lowest terms, negative fields too
+    d = data.draw(st.integers(2, 12))
+    assert_canonical(f.scale(Fraction(1, d)).compose(g.scale(d)), want)
     t = f.tensor(g)
     want_t = [[rf[i1][j1] * rg[i2][j2] for j1 in range(y.dim) for j2 in range(x.dim)]
               for i1 in range(z.dim) for i2 in range(y.dim)]
@@ -461,7 +469,16 @@ def test_linear_structure_matches_entrywise_reference(data):
     f, g = data.draw(morphisms(x, y)), data.draw(morphisms(x, y))
     c = data.draw(rationals)
     s = data.draw(scalars(k))
+    # 0, small ints, and ints that push a field past 2**24 so the rung climbs
+    n = data.draw(st.one_of(st.integers(-3, 3), st.sampled_from((2**20, -(2**21) - 1, 2**40))))
+    d = data.draw(st.integers(2, 12))
     rf, rg = reference(f), reference(g)
+    assert_canonical(f.scale(n), [[a * n for a in ra] for ra in rf])
+    assert_canonical(f.scale(Fraction(1, d)).scale(d), rf)
+    # operands on different rungs and over different dens
+    h = g.scale(Fraction(n or 1, d))
+    assert_canonical(f + h, [[a + b * Fraction(n or 1, d) for a, b in zip(ra, rb)]
+                             for ra, rb in zip(rf, rg)])
     assert_canonical(f + g, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(rf, rg)])
     assert_canonical(f - g, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rf, rg)])
     assert_canonical(-f, [[-a for a in ra] for ra in rf])
@@ -595,6 +612,64 @@ def test_equal_morphisms_built_by_different_routes_have_equal_storage(data):
         assert (g.source, g.target, g.width, g.den, g.rows) == \
             (f.source, f.target, f.width, f.den, f.rows)
         assert g.fingerprint() == f.fingerprint()
+
+
+def test_base_rung_product_over_den_one_skips_the_settle_scans(monkeypatch):
+    # a den-1 product that passes the fit test on the base rung is canonical
+    # as the product loop leaves it: _settle returns at its top, before its
+    # lowest-terms and rung scans and before it reads a window of its own
+    space = SuperSpace.standard(2, 2, 6)
+    u = seeded_unit(space, seeded_rng(1))
+    assert (u.den, u.width) == (1, 64)
+    want = reference(u.compose(u))
+
+    def refuse(*args):
+        raise AssertionError("settle scanned the product")
+
+    window, windows = supercat._window, []
+    monkeypatch.setattr(supercat, "_values", refuse)
+    monkeypatch.setattr(supercat, "_fields", refuse)
+    monkeypatch.setattr(supercat, "_window", lambda *args: windows.append(args) or window(*args))
+    uu = u.compose(u)
+    monkeypatch.undo()
+    assert windows == [(64, 6)]
+    assert_canonical(uu, want)
+
+
+def _counting_composes(monkeypatch):
+    pairs = []
+    compose = SuperMorphism.compose
+    monkeypatch.setattr(SuperMorphism, "compose",
+                        lambda a, b: pairs.append((a, b)) or compose(a, b))
+    return pairs
+
+
+def test_an_idempotent_is_squared_once(monkeypatch):
+    space = SuperSpace.standard(2, 2, 3)
+    u = seeded_unit(space, seeded_rng(1))
+    e = invert_unit(u).compose(SuperMorphism.diagonal(space, [1, 0, 1, 0])).compose(u)
+    pairs = _counting_composes(monkeypatch)
+    assert e.is_idempotent() and e.is_idempotent()
+    assert pairs == [(e, e)]
+
+
+def test_a_non_idempotent_is_squared_on_every_call(monkeypatch):
+    space = SuperSpace.standard(2, 2, 3)
+    f = seeded_unit(space, seeded_rng(1))
+    pairs = _counting_composes(monkeypatch)
+    assert not f.is_idempotent() and not f.is_idempotent()
+    assert len(pairs) == 2 and all(a is f and b is f for a, b in pairs)
+    # a morphism between different spaces is never idempotent and never squared
+    g = SuperMorphism.zero(space, SuperSpace.standard(1, 0, 3))
+    assert not g.is_idempotent() and len(pairs) == 2
+
+
+def test_equality_and_fingerprint_ignore_the_idempotency_verdict():
+    space = SuperSpace.standard(2, 1, 2)
+    checked, fresh = (SuperMorphism.projector(space, [0, 2]) for _ in range(2))
+    assert checked.is_idempotent()
+    assert checked == fresh and fresh == checked
+    assert checked.fingerprint() == fresh.fingerprint()
 
 
 def test_block_constructor_matches_inclusions_and_projections():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from finmot.errors import SizeCapError
 from finmot.symgroup import (
+    TABLE_BOUND,
     GroupAlgebraElement,
     Partition,
     Permutation,
@@ -17,6 +18,9 @@ from finmot.symgroup import (
     hook_schur,
     partitions,
     young_idempotent,
+    _mult_table,
+    _rank_of,
+    _ranked,
 )
 
 from oracle_characters import (
@@ -354,6 +358,14 @@ def test_group_algebra_product_matches_naive_convolution(case):
 def test_group_algebra_product_degree7_composes_on_the_fly(a, b):
     got = GroupAlgebraElement(7, a) * GroupAlgebraElement(7, b)
     assert got.terms == naive_product(a, b)
+
+
+@pytest.mark.parametrize("n", range(TABLE_BOUND + 1))
+def test_multiplication_table_equals_the_pairwise_products(n):
+    # row rank(a) holds rank(a * b) for b in rank order, a * b = a[b[i]]
+    ranked, rank_of = _ranked(n), _rank_of(n)
+    want = [[rank_of[tuple(map(a.__getitem__, b))] for b in ranked] for a in ranked]
+    assert [row.tolist() for row in _mult_table(n)] == want
 
 
 def test_group_algebra_canonical_form():
