@@ -2,9 +2,9 @@
 
 Objects are pairs (ambient space, idempotent endomorphism).  Schur
 functors act by the central group-algebra idempotents e_lam, realized as
-signed permutation operators op on a tensor power.  Classification
-searches for the largest nonvanishing exterior power of the even part and
-symmetric power of the odd part.
+signed permutation operators on a tensor power.  Classification reads
+kim_+ and kim_- as the ranks r of the even and odd parts and checks the
+witnesses Lambda^(r+1) X+ = 0 != Lambda^r X+ and S^(r+1) X- = 0 != S^r X-.
 
 Over Q[eps]/(eps^k) the image W of an idempotent is free of the rank of
 its realization (Lam, A First Course in Noncommutative Rings, 21), and
@@ -12,11 +12,11 @@ Schur images are invariants up to isomorphism (Kimura 2005, 3), so
 S_lam X is isomorphic to S_lam W.  ``schur_apply`` therefore takes every
 summand to its verified free image (``KaroubiObject.free_image``, split
 by one elimination of the realization per direction) and returns the
-Schur image of that full object: ``wedge``, ``sym`` and ``schur_apply``
-of a rank-r summand are summands of W^(n).  The split preserves parity,
-so ``split_parity`` returns the even and odd blocks of W as full
-objects, and the powers that ``s_wedge`` and ``classify`` read are
-those of the blocks: each summand is eliminated once.
+verdicts of the Schur image of that full object, a summand of W^(n).
+The split preserves parity, so ``split_parity`` returns the even and odd
+blocks of W as full objects, and the powers that ``s_wedge`` and
+``classify`` read are those of the blocks: each summand is eliminated
+once.
 
 Schur functors are built one block per orbit type, never by summing n!
 signed permutation operators over the d^n basis tensors.  e_lam lies in
@@ -41,14 +41,13 @@ with each type signed by the parity of its odd slots.  So the tensor cap
 bounds the number of orbits C(r + n - 1, n) of a rank-r image, not its
 r^n basis tensors; ``BLOCK_ENTRY_BOUND`` bounds the |orbit|^2 entries
 that its type blocks may hold, and ``symgroup.CONVOLUTION_BOUND`` the
-degree n.
+degree n of a partition other than Lambda and S, whose blocks sum the
+n!-term idempotent.
 
-The blocks are relabelled onto the r^n basis only on the first read of
-an image's ``idem`` (``motives.albanese_wedge``), packed by
-``supercat.operator_on_power``; there the cap bounds r^n, and the
-supertrace must equal the super dimension read off the blocks.
-``s_wedge`` reads SLambda^n X off its terms Lambda^i X+ (x) S^(n-i) X-,
-and builds its own idempotent only on the first read of its ``idem``.
+A Schur image is its verdicts: ``schur_apply`` and ``s_wedge`` return a
+``SchurImage`` of rank and super dimension, and no idempotent is built on
+a tensor power.  ``s_wedge`` reads SLambda^n X off its terms
+Lambda^i X+ (x) S^(n-i) X-, whose ranks and super dimensions multiply.
 
 The zero test for an object is "the idempotent matrix is exactly zero".
 This is equivalent to the realization being zero: an idempotent all of
@@ -69,10 +68,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from itertools import accumulate, combinations, groupby
+from functools import cache
+from itertools import accumulate
 from math import comb, factorial, gcd, perm, prod
-from operator import mul
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
@@ -93,8 +91,6 @@ from .supercat import (
     TENSOR_DIM_CAP,
     fraction_free_reduce,
     invert_unit,
-    operator_on_power,
-    tensor_power,
 )
 
 
@@ -103,13 +99,10 @@ class KaroubiObject:
 
     ``KaroubiObject(ambient, idem)`` checks that idem is an idempotent
     endomorphism of ambient.  The Schur images of an object are kept on
-    its free image, keyed by partition, and are freed with it.  A Schur
-    image or ``s_wedge`` carries its rank and super dimension, read off
-    the orbit-type blocks, and builds its idempotent by ``_build`` only
-    when ``idem``, ``ambient`` or ``k`` is first read.
+    its free image, keyed by partition, and are freed with it.
     """
 
-    __slots__ = ("_idem", "_dimension", "_rank", "_images", "_free", "_build")
+    __slots__ = ("idem", "_dimension", "_rank", "_images", "_free")
 
     def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
@@ -126,23 +119,18 @@ class KaroubiObject:
         tr = idem.supertrace()
         if not tr.eps_part_is_zero() or tr.realization().denominator != 1:
             raise ValueError(f"idempotent trace {tr} is not an integer constant")
-        return cls._new(idem, int(tr.realization()))
-
-    @classmethod
-    def _new(cls, idem, dimension, rank=None, build=None) -> "KaroubiObject":
         obj = object.__new__(cls)
-        obj._idem = idem
-        obj._dimension = dimension
-        obj._rank = rank
+        obj.idem = idem
+        obj._dimension = int(tr.realization())
+        obj._rank = None
         obj._images = {}
         obj._free = None
-        obj._build = build
         return obj
 
     @classmethod
     def full(cls, space: SuperSpace) -> "KaroubiObject":
         obj = cls._of(SuperMorphism.identity(space))
-        obj._free = (obj, obj._idem, obj._idem)
+        obj._free = (obj, obj.idem, obj.idem)
         return obj
 
     @classmethod
@@ -153,12 +141,6 @@ class KaroubiObject:
     def lefschetz(cls, r: int, k: int = 1) -> "KaroubiObject":
         """The invertible weight-2r line (the r-th power of the weight-2 line)."""
         return cls.full(SuperSpace.line(EVEN, 2 * r, k))
-
-    @property
-    def idem(self) -> SuperMorphism:
-        if self._idem is None:
-            self._idem = self._build()
-        return self._idem
 
     @property
     def ambient(self) -> SuperSpace:
@@ -183,8 +165,8 @@ class KaroubiObject:
         return self._rank
 
     def is_zero(self) -> bool:
-        """An idempotent is zero exactly when its rank is."""
-        return self._rank == 0 if self._idem is None else self._idem.is_zero()
+        """The zero test: the idempotent matrix is exactly zero."""
+        return self.idem.is_zero()
 
     def free_image(self) -> tuple["KaroubiObject", SuperMorphism, SuperMorphism]:
         """``(w, a, b)``: the full object w on the free image W of the
@@ -271,9 +253,8 @@ class FiniteDimReport:
 # signs see only which slots are odd.  ``_young_blocks`` keeps one block per
 # orbit type and the number of orbits of that type, for the whole process;
 # the zero test, rank and super dimension of every Schur image are read off
-# it, on the free image of the summand.  ``_young_rows`` relabels the blocks
-# onto every orbit on the first read of an image's ``idem``, which keeps
-# the result.  Each Schur image is kept on the free image it was computed on.
+# it, on the free image of the summand, and are all that the image keeps.
+# Each Schur image is kept on the free image it was computed on.
 
 #: the most entries that the type blocks of one (parities, lam) may hold:
 #: a type block is at most |orbit| x |orbit|
@@ -289,17 +270,19 @@ def _young_blocks(parities: tuple[int, ...], lam: Partition):
     count . tr(block) / den, signed by the parity of the odd slots for the
     super dimension.
 
-    Refused above ``CONVOLUTION_BOUND`` and when the blocks could hold more
-    than ``BLOCK_ENTRY_BOUND`` entries.  The table is checked against the
+    A partition other than Lambda and S is refused above
+    ``CONVOLUTION_BOUND``, whose n!-term idempotent its blocks sum; every
+    partition when the blocks could hold more than ``BLOCK_ENTRY_BOUND``
+    entries.  The table is checked against the
     hook rule, the orbit count C(d + n - 1, n), adjacent slot swaps
     (``_check_slot_swaps``), symmetry and the rank f^lam hs_lam(1^p | 1^q),
     each raising ``InvariantError``; it is shared by every caller and must
     not be mutated.
     """
     n, d = lam.n, len(parities)
-    if n > CONVOLUTION_BOUND:
-        raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
     chi = 1 if len(lam) == 1 else -1 if len(lam) == n else None  # S, Lambda, other
+    if chi is None and n > CONVOLUTION_BOUND:
+        raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
     p, q = parities.count(EVEN), parities.count(ODD)
     table, den = _central_blocks(parities, lam, chi)
     g = den
@@ -392,38 +375,6 @@ def _cancels(kind: tuple, chi: int | None) -> bool:
     """Whether S (chi = +1) or Lambda (chi = -1) kills the type: a label of
     the cancelling parity, odd under S and even under Lambda, repeats."""
     return bool(chi) and any(mult > 1 and parity == (chi == 1) for mult, parity in kind)
-
-
-def _young_rows(parities: tuple[int, ...], lam: Partition):
-    """``(rows, den)``: the blocks of ``_young_blocks`` relabelled onto every
-    orbit of the n-th tensor power, integer rows over the same denominator,
-    built afresh on every call."""
-    table, den, _, _ = _young_blocks(parities, lam)
-    n, d = lam.n, len(parities)
-    pools = [[i for i, parity in enumerate(parities) if parity == want] for want in (EVEN, ODD)]
-    place = [d ** (n - 1 - a) for a in range(n)]
-    rows: dict[int, dict[int, int]] = {}
-    # most distinct labels first: the smallest stabilisers, whose entries end
-    # supercat's lowest-terms scan of the rows early
-    for kind, (orbit, block, _) in sorted(table.items(), key=lambda item: len(item[0]),
-                                          reverse=True):
-        if not block:
-            continue
-        # an orbit gives its labels distinct indices of their parities, increasing
-        # along each run of equal (multiplicity, parity): values[l] for label l
-        orbits = [[]]
-        for (_, parity), run in groupby(kind):
-            size = len(list(run))
-            orbits = [values + list(pick) for values in orbits for pick in
-                      combinations([i for i in pools[parity] if i not in values], size)]
-        # tensor t of the orbit sits at sum_a values[t[a]] d^(n-1-a)
-        spread = [[sum(w for label, w in zip(t, place) if label == m) for m in range(len(kind))]
-                  for t in orbit]
-        for values in orbits:
-            code = [sum(map(mul, values, w)) for w in spread]
-            for i, row in block.items():
-                rows[code[i]] = {code[j]: c for j, c in row.items()}
-    return rows, den
 
 
 def _type_block(kind: tuple, chi: int | None, elem) -> tuple[list[tuple[int, ...]], dict]:
@@ -525,40 +476,34 @@ def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition,
                                      f"break {law} at tau = ({a}, {a + 1})")
 
 
-def _checked_supertrace(idem: SuperMorphism, dimension: int, what: str,
-                        parts: str) -> SuperMorphism:
-    """``idem``, once its supertrace is checked against ``dimension``."""
-    tr = idem.supertrace()
-    if not tr.eps_part_is_zero() or tr.realization() != dimension:
-        raise InvariantError(
-            f"{what} has supertrace {tr}, against {dimension} read off its {parts}")
-    return idem
+@dataclass(frozen=True)
+class SchurImage:
+    """A Schur image as its verdicts: the rank and super dimension read off
+    the orbit-type blocks.  It carries no idempotent."""
 
+    rank: int
+    super_dimension: int
 
-def _power_idempotent(space: SuperSpace, lam: Partition, cap: int,
-                      dimension: int) -> SuperMorphism:
-    """The idempotent of S_lam of the full object on ``space`` on its n-th
-    tensor power, refused when dim**n exceeds ``cap``; its supertrace must
-    be ``dimension``, the super dimension read off the type blocks."""
-    n = lam.n
-    if space.dim**n > cap:
-        raise SizeCapError(f"tensor power {space.dim}**{n} exceeds cap {cap}")
-    return _checked_supertrace(
-        operator_on_power(*_young_rows(space.parities, lam), space, n), dimension,
-        f"S_{lam.parts} on parities {space.parities}", "type blocks")
+    def is_zero(self) -> bool:
+        return self.rank == 0
+
+    def classical_rank(self) -> int:
+        return self.rank
+
+    def dimension(self) -> int:
+        return self.super_dimension
 
 
 def schur_apply(lam: Partition, x: KaroubiObject,
-                cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
+                cap: int = TENSOR_DIM_CAP) -> SchurImage:
     """The image of the central idempotent attached to ``lam`` on w^(n), for
     w the free image of x (``KaroubiObject.free_image``), isomorphic to
     its image on x^(n).
 
     For w of dimension (p|q) the image is read off the orbit-type blocks
     (``_young_blocks``), so ``cap`` bounds the number of orbits
-    C(p + q + n - 1, n), and its idempotent on the tensor power is built
-    on first use against ``cap`` and (p + q)**n.  The image is kept on w,
-    so a second call with the same ``lam`` returns the same object.
+    C(p + q + n - 1, n).  The image is kept on w, so a second call with
+    the same ``lam`` returns the same object.
     """
     w = x.free_image()[0]
     space, n = w.ambient, lam.n
@@ -569,13 +514,11 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     image = w._images.get(lam.parts)
     if image is None:
         if d == 0:
-            image = KaroubiObject.full(tensor_power(space, n))
+            image = SchurImage(1, 1) if n == 0 else SchurImage(0, 0)
         else:
             _, _, rank, dimension = _young_blocks(space.parities, lam)
-            image = KaroubiObject._new(None, dimension, rank)
+            image = SchurImage(rank, dimension)
         w._images[lam.parts] = image
-    if image._idem is None:
-        image._build = partial(_power_idempotent, space, lam, cap, image._dimension)
     return image
 
 
@@ -585,11 +528,11 @@ def _degree(n: int) -> int:
     return n
 
 
-def wedge(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
+def wedge(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> SchurImage:
     return schur_apply(Partition((1,) * _degree(n)), x, cap)
 
 
-def sym(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
+def sym(n: int, x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> SchurImage:
     return schur_apply(Partition((n,) if _degree(n) else ()), x, cap)
 
 
@@ -630,12 +573,19 @@ def split_parity(x: KaroubiObject) -> tuple[KaroubiObject, KaroubiObject]:
 
 
 def classify(x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> FiniteDimReport:
-    """Largest nonvanishing exterior/symmetric powers of the parity parts,
-    the even and odd blocks of x's free image (``split_parity``), so
-    ``cap`` bounds the orbit count on their ranks."""
-    plus, minus = split_parity(x)
-    kim_plus = _largest_nonvanishing(wedge, plus, cap)
-    kim_minus = _largest_nonvanishing(sym, minus, cap)
+    """kim_+ and kim_- are the ranks r of the parity parts, the even and odd
+    blocks of x's free image (``split_parity``), once the witnesses
+    Lambda^(r+1) X+ = 0 != Lambda^r X+ and S^(r+1) X- = 0 != S^r X- are
+    checked; ``cap`` bounds the orbit count on those ranks."""
+    kims = []
+    for power, name, part in zip((wedge, sym), ("Lambda^{} X+", "S^{} X-"), split_parity(x)):
+        r = part.ambient.dim
+        for n in (r, r + 1):
+            if power(n, part, cap).is_zero() != (n > r):
+                raise InvariantError(f"{name.format(n)} is {'zero' if n == r else 'nonzero'} "
+                                     f"on a part of rank {r}")
+        kims.append(r)
+    kim_plus, kim_minus = kims
     dimension = x.dimension()
     if dimension != kim_plus - kim_minus:
         raise InvariantError(
@@ -648,22 +598,6 @@ def classify(x: KaroubiObject, cap: int = TENSOR_DIM_CAP) -> FiniteDimReport:
         kind = "mixed"
     return FiniteDimReport(kind=kind, kim_plus=kim_plus, kim_minus=kim_minus,
                            dim=dimension)
-
-
-def _largest_nonvanishing(power, part: KaroubiObject, cap: int) -> int:
-    bound = part.classical_rank()
-    last = 0
-    n = 1
-    while True:
-        obj = power(n, part, cap)
-        if obj.is_zero():
-            break
-        last = n
-        if n > bound:
-            raise InvariantError(
-                f"power {n} is nonzero beyond the classical rank bound {bound}")
-        n += 1
-    return last
 
 
 # --- categorical operations -----------------------------------------------------
@@ -700,26 +634,19 @@ def tate_twist(x: KaroubiObject, r: int) -> KaroubiObject:
 
 def s_wedge(n: int, x: KaroubiObject,
             parity_split: tuple[KaroubiObject, KaroubiObject] | None = None,
-            cap: int = TENSOR_DIM_CAP) -> KaroubiObject:
+            cap: int = TENSOR_DIM_CAP) -> SchurImage:
     """Direct sum of wedge(i, even part) (x) sym(j, odd part) over i+j = n.
     The parts are the even and odd blocks of x's free image
     (``split_parity``), so the sum is isomorphic to the summand of the
     ambient's n-th power and ``cap`` bounds the orbit counts on the ranks.
     Rank and super dimension sum the products of the factors' block-read
-    ones over the terms whose two factors are nonzero; when none is, the
-    sum is the zero object.  The block sum of the terms' tensor products
-    is built on the first read of ``idem``, and its supertrace checked."""
+    ones: they multiply under (x) and add under (+), and a zero factor
+    has both 0."""
     _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
-    terms = [(a, b) for a, b in ((wedge(i, plus, cap), sym(n - i, minus, cap))
-                                 for i in range(n + 1)) if not (a.is_zero() or b.is_zero())]
-    if not terms:
-        return KaroubiObject.full(SuperSpace.zero_space(plus.k))
-    dimension = sum(a.dimension() * b.dimension() for a, b in terms)
-    return KaroubiObject._new(
-        None, dimension, sum(a.classical_rank() * b.classical_rank() for a, b in terms),
-        lambda: _checked_supertrace(_block_diagonal([a.idem.tensor(b.idem) for a, b in terms]),
-                                    dimension, f"SLambda^{n}", "terms"))
+    terms = [(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)]
+    return SchurImage(sum(a.classical_rank() * b.classical_rank() for a, b in terms),
+                      sum(a.dimension() * b.dimension() for a, b in terms))
 
 
 # --- splitting through a family of factorizations --------------------------------

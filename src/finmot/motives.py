@@ -16,11 +16,10 @@ On top of the realization the module builds:
   (Q, albanese part, kernel part);
 * the splitting of the middle motive into rho weight-2 lines plus an
   evenly finite dimensional remainder;
-* the wedge of zero-cycle classes in the kernel part, computed as the
-  exterior-power idempotent of ``karoubi.wedge`` applied to their outer
-  product under the same size guards as every Schur functor, and the
-  resulting "kernel must vanish" conclusion for surfaces whose second
-  cohomology is entirely algebraic;
+* the wedge of zero-cycle classes in the kernel part, computed as a
+  column of minors of the matrix of their coordinates, and the resulting
+  "kernel must vanish" conclusion for surfaces whose second cohomology
+  is entirely algebraic;
 * the multiplication-by-n eigenrelations on the abelian model.
 
 The kernel dimension ``t`` is a free model parameter, not derived from
@@ -44,13 +43,14 @@ from .supercat import (
     fraction_free_reduce,
     invert_unit,
 )
-from .karoubi import KaroubiObject, wedge
+from .karoubi import KaroubiObject
 from .lifting import (
     ProjectorFamily,
     conjugating_unit,
     eps_perturbation,
     seeded_rng,
 )
+from .symgroup import Permutation
 
 KINDS = ("point", "lefschetz", "curve", "surface", "abelian")
 
@@ -391,15 +391,18 @@ def albanese_wedge(cycles: Sequence[Sequence],
                    cap: int = TENSOR_DIM_CAP) -> dict[tuple[int, ...], Fraction]:
     """The wedge of n vectors in the kernel part Q^t, t their common length.
 
-    The outer product of the cycles, a morphism from the unit to the n-th
-    tensor power of X = Q^t, is cut by the idempotent of
-    ``wedge(n, X, cap)``, i.e. (1/n!) sum over permutations of sign times
-    the reordered outer product.  The result is returned as a sparse map
-    from index tuples to coefficients (empty = zero).  It vanishes
-    whenever the cycles are linearly dependent, in particular whenever n
-    exceeds t.  The guards are those of every Schur functor:
-    ``SizeCapError`` when t^n exceeds ``cap`` or n exceeds the
-    group-algebra degree bound.
+    The wedge is the outer product of the cycles cut by the exterior-power
+    idempotent (1/n!) sum over permutations of sign times the reordered
+    outer product, a tensor in (Q^t)^(n).  At a tuple I of distinct
+    indices its coefficient is det(v_b[I_a]) / n!; at a tuple with a
+    repeated index it is 0.  The minors on the n-subsets of the indices,
+    one column of the n-th compound matrix of the t x n cycle matrix, are
+    built by expanding along the last cycle, and each gives the
+    coefficient at every ordering of its subset, signed by the ordering's
+    permutation.  The result is a sparse map from index tuples to
+    coefficients in sorted order (empty = zero).  It vanishes whenever
+    the cycles are linearly dependent, in particular whenever n exceeds t.
+    ``SizeCapError`` when the t^n entries of (Q^t)^(n) exceed ``cap``.
     """
     vectors = [tuple(Fraction(c) for c in cyc) for cyc in cycles]
     if not vectors:
@@ -408,16 +411,21 @@ def albanese_wedge(cycles: Sequence[Sequence],
     if any(len(v) != t for v in vectors):
         raise ValueError("cycles must all live in the same kernel part")
     n = len(vectors)
-    x = SuperSpace.standard(t, 0)
-    op = wedge(n, KaroubiObject.full(x), cap).idem
-    # the tensor power's basis is row-major, in the order of itertools.product
-    basis = list(itertools.product(range(t), repeat=n))
-    outer = SuperMorphism.from_entries(SuperSpace.unit(), op.source, {
-        (r, 0): math.prod(v[i] for v, i in zip(vectors, idx))
-        for r, idx in enumerate(basis)})
-    image = op.compose(outer)
-    return {basis[r]: Fraction(t[0], image.den)
-            for r, _, t in sorted(image.numerators())}
+    if t**n > cap:
+        raise SizeCapError(f"tensor power {t}**{n} exceeds cap {cap}")
+    # minors[rows]: the minor of the first m cycles on the sorted rows
+    minors = {(): Fraction(1)}
+    for m, v in enumerate(vectors, 1):
+        minors = {rows: sum((-1) ** (m - 1 - a) * v[i] * minors[rows[:a] + rows[a + 1:]]
+                            for a, i in enumerate(rows))
+                  for rows in itertools.combinations(range(t), m)}
+    out = {}
+    for rows, minor in minors.items():
+        if minor:
+            for order in itertools.permutations(range(n)):
+                out[tuple(rows[a] for a in order)] = \
+                    Permutation(order).sign() * minor / math.factorial(n)
+    return dict(sorted(out.items()))
 
 
 # --- conclusions for surfaces with all of weight 2 algebraic ----------------------------

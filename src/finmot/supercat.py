@@ -42,11 +42,10 @@ tuples.
 The packed format is private to this module.  Other modules build
 morphisms with ``from_entries`` or, from trusted numerator tuples,
 ``_from_numerators``, read them through ``numerators`` and the accessors
-above, and reach block and Schur maps through three entry points:
+above, and reach block maps through two entry points:
 ``SuperMorphism._from_blocks`` places morphisms as non-overlapping blocks
-of a larger one, ``SuperSpace.concat`` lists the bases of spaces one after
-another, and ``operator_on_power`` packs the integer rows of a symmetric
-idempotent op as a morphism of the n-th tensor power of a space.
+of a larger one, and ``SuperSpace.concat`` lists the bases of spaces one
+after another.
 """
 
 from __future__ import annotations
@@ -848,19 +847,6 @@ def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
     rows = {row: {col: sign}
             for col, (row, sign) in enumerate(signed_slot_map(sigma.images, x.parities))}
     return SuperMorphism._from_packed(xn, xn, rows, fits=True)
-
-
-def operator_on_power(op: dict, den: int, space: SuperSpace, n: int) -> SuperMorphism:
-    """op on the n-th tensor power of ``space``, for op the integer rows
-    over ``den`` of a symmetric idempotent.
-
-    The result keeps ``op`` as its rows, so op must not change afterwards.
-    A symmetric idempotent is an orthogonal projection, whose entries lie
-    in [-1, 1], so no numerator of op exceeds ``den`` and the constants
-    pack to themselves on the rung of ``den``.
-    """
-    xn = tensor_power(space, n)
-    return SuperMorphism._from_packed(xn, xn, op, den, _rung((den,)), fits=True)
 
 
 def evaluation(x: SuperSpace) -> SuperMorphism:

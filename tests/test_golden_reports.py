@@ -3,13 +3,14 @@
 The files under ``tests/golden/`` are the JSON stdout of ``finmot`` for every
 verify suite at its default grid (seeds 0 and 7), the surface suite and
 the calculus grids of the benchmark at k = 6, the vanishing suite on the
-(6|0) and (0|6) grids, the sample surface model and the Schur queries that
-the benchmark and CI run.  Any change to the arithmetic core must reproduce
-them exactly.  To regenerate a payload, run the argv listed below through
+(6|0), (0|6) and (6|1) grids, the sample surface model and the Schur
+queries that the benchmark and CI run.  Any change to the arithmetic core
+must reproduce them exactly.  To regenerate a payload, run the argv listed below through
 the ``finmot`` console script from the repository root.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -51,10 +52,12 @@ SCHUR_CASES = {
 }
 CASES.update({name: ["--out", "json", *argv.split()] for name, argv in SCHUR_CASES.items()})
 # SLambda^7 of (6|0) and (0|6), read off the type blocks of its terms: C(12, 7)
-# orbits are within the cap, the 6**6 tensor power is not
+# orbits are within the cap, the 6**6 tensor power is not; SLambda^8 of (6|1)
+# asks for Lambda^8 of (6|0), whose blocks form no n!-term sum
+VANISHING_GRIDS = ((6, 0), (0, 6), (6, 1))
 CASES.update({f"verify-vanishing-p{p}q{q}k1.json": ["--out", "json", "verify", "vanishing",
                                                    "--grid", f"p={p},q={q},k=1"]
-              for p, q in ((6, 0), (0, 6))})
+              for p, q in VANISHING_GRIDS})
 # at k = 6 the seeded family unit exp(eps S) has every eps order
 CASES["verify-surface-seed7-k6.json"] = ["--out", "json", "--seed", "7", "--k", "6",
                                          "verify", "surface"]
@@ -91,3 +94,25 @@ def test_schur_golden_matches_hook_schur_and_the_character_sum(name):
     assert (results["classical_rank"], results["is_zero"]) == (rank, rank == 0)
     assert results["super_dimension"] == schur_super_dimension(
         lam, KaroubiObject.full(SuperSpace.standard(p, q)))
+
+
+@pytest.mark.parametrize("pmax, qmax", VANISHING_GRIDS)
+def test_vanishing_golden_matches_the_hook_rule_and_binomials(pmax, qmax):
+    # one check per (p, q) of the grid, passed exactly when Lambda^(p+1) X+
+    # and S^(q+1) X- lie outside the hook (hook_schur = 0), and SLambda^n X,
+    # of rank sum_i C(p, i) C(q, n - i) = C(p + q, n), vanishes at
+    # n = p + q + 1 but not at n = p + q
+    with open(os.path.join(GOLDEN, f"verify-vanishing-p{pmax}q{qmax}k1.json"),
+              encoding="utf-8") as fh:
+        checks = {c["id"]: c["passed"] for c in json.load(fh)["checks"]}
+    want = {}
+    for p in range(pmax + 1):
+        for q in range(qmax + 1):
+            def s_wedge_rank(n):
+                return sum(math.comb(p, i) * math.comb(q, n - i) for i in range(n + 1))
+
+            want[f"vanishing/p{p}q{q}k1"] = (
+                hook_schur(Partition((1,) * (p + 1)), p, 0) == 0
+                and hook_schur(Partition((q + 1,)), 0, q) == 0
+                and s_wedge_rank(p + q + 1) == 0 and s_wedge_rank(p + q) == 1)
+    assert checks == want and all(want.values())

@@ -53,3 +53,28 @@ def _packed_format_uses(directory):
 
 def test_packed_entry_format_stays_inside_supercat():
     assert _packed_format_uses(SRC) == []
+
+
+# the Schur idempotent on a tensor power, which only the tests build
+# (tests/schur_oracle.py): a Schur image is its verdicts
+TENSOR_POWER_SCHUR_NAMES = {"_young_rows", "_power_idempotent", "_checked_supertrace",
+                            "operator_on_power", "_largest_nonvanishing", "_build"}
+
+
+def _tensor_power_schur_uses(directory):
+    found = []
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            used = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                    ast.FunctionDef: "name", ast.Constant: "value"}.get(type(node))
+            if used and getattr(node, used) in TENSOR_POWER_SCHUR_NAMES:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_schur_idempotent_on_a_tensor_power_in_package():
+    assert _tensor_power_schur_uses(SRC) == []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -32,6 +33,8 @@ from finmot.motives import (
     weight_transpose,
 )
 from finmot.supercat import SuperMorphism, SuperSpace, exp_nilpotent, invert_unit
+from finmot.symgroup import Partition
+from schur_oracle import permutation_sum_rows
 
 
 SURFACE = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=2, t=2)
@@ -355,6 +358,45 @@ def test_wedge_matches_the_determinant_closed_form():
     assert nonzero >= 10
 
 
+def _permutation_sum_wedge(cycles, rows_of):
+    """The outer product of the cycles cut by the n!-term antisymmetrizer
+    on (Q^t)^(n), the even parities (0,) * t, as a sorted sparse map: a
+    route that shares nothing with the minors ``albanese_wedge`` reads."""
+    t, n = len(cycles[0]), len(cycles)
+    rows, den = rows_of(t, n)
+    basis = list(itertools.product(range(t), repeat=n))
+    outer = [math.prod(Fraction(v[i]) for v, i in zip(cycles, idx)) for idx in basis]
+    out = {}
+    for r in sorted(rows):
+        c = sum(coeff * outer[col] for col, coeff in rows[r].items())
+        if c:
+            out[basis[r]] = c / den
+    return out
+
+
+def test_wedge_matches_the_permutation_sum_route():
+    # 40 seeded cases with t, n <= 5 and the inputs of criterion 08, against
+    # the permutation-sum Lambda^n rows applied to the outer product
+    rows_of = functools.cache(
+        lambda t, n: permutation_sum_rows((0,) * t, Partition((1,) * n)))
+    rng = random.Random(27)
+    cases = []
+    for _ in range(40):
+        t, n = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(t)]
+                      for _ in range(n)])
+    for d in range(4):
+        draw = seeded_rng(d + 1)
+        cases.append([[draw.randint(-3, 3) for _ in range(d)] for _ in range(d + 1)])
+    nonzero = 0
+    for cycles in cases:
+        out = albanese_wedge(cycles)
+        assert out == _permutation_sum_wedge(cycles, rows_of), cycles
+        assert list(out) == sorted(out)
+        nonzero += bool(out)
+    assert nonzero >= 10
+
+
 def test_seven_cycles_in_q3_wedge_to_zero():
     # Lambda^7 of a (3|0) space lies outside the (3, 0)-hook
     cycles = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [2, 0, 1], [1, 2, 3], [3, 1, 1]]
@@ -367,11 +409,11 @@ def test_wedge_shares_the_schur_size_guards():
         albanese_wedge(cycles, cap=242)
     assert albanese_wedge(cycles, cap=243) == {}
     # 3**9 > 4096: refused before any work
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=r"tensor power 3\*\*9 exceeds cap 4096"):
         albanese_wedge([[1, 2, 3]] * 9)
-    # 1**8 is within the cap, but degree 8 exceeds the group-algebra bound
-    with pytest.raises(SizeCapError):
-        albanese_wedge([[1]] * 8)
+    # 1**8 is within the cap, and the minors need no group algebra: eight
+    # cycles in Q^1 wedge to zero
+    assert albanese_wedge([[1]] * 8) == {}
 
 
 # --- kernel-vanishing conclusion --------------------------------------------------------------
