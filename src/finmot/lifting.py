@@ -143,7 +143,21 @@ class ProjectorFamily:
         return self.members[i]
 
     def validate(self) -> None:
-        """Raise unless complete and orthogonal; a family that passed is not checked again."""
+        """Raise unless complete and orthogonal; a family that passed is not
+        checked again.
+
+        Only idempotency and completeness are checked: they imply
+        orthogonality, so no pairwise product is formed.  Over the local
+        ring R = Q[eps]/(eps^k), the image of an idempotent e on V = R^n is
+        a direct summand of V, hence free, and tr e is its rank.  When the
+        members e_i are idempotent and sum to 1, the map from the direct
+        sum of the im e_i to V that adds the components is onto, since
+        v = sum_i e_i v, and both sides are free of rank
+        sum_i tr e_i = tr 1 = n; a surjection between free modules of equal
+        finite rank is an isomorphism.  For v in V, the tuple (e_i e_j v)_i
+        and the tuple with e_j v in slot j alone both map to e_j v, so they
+        are equal: e_i e_j = 0 for i != j.
+        """
         if self._valid:
             return
         total = SuperMorphism.zero(self.ambient, self.ambient)
@@ -155,10 +169,6 @@ class ProjectorFamily:
             total = total + m
         if total != SuperMorphism.identity(self.ambient):
             raise ValueError("members do not sum to the identity")
-        for i, a in enumerate(self.members):
-            for j, b in enumerate(self.members):
-                if i != j and not a.compose(b).is_zero():
-                    raise ValueError(f"members {i} and {j} are not orthogonal")
         object.__setattr__(self, "_valid", True)
 
 

@@ -165,11 +165,13 @@ def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
 
     Seed 0 (or k = 1) gives the weight projectors themselves.  Any other
     seed conjugates them by u = exp(eps S), S = N - N^t for a seeded
-    parity-preserving N and the transpose of the weight pairing.  u is
-    the identity mod eps, so realizations are unchanged, and its inverse
-    is exp(-eps S); S is antisymmetric for the pairing, so the surface
-    projector relations hold for the conjugated family too.  A one-member family (point,
-    Lefschetz) is {id} under every unit and takes none.
+    parity-preserving N and the transpose t of the weight pairing.  u is
+    the identity mod eps, so realizations are unchanged.  S is
+    antisymmetric for the pairing, so the surface projector relations
+    hold for the conjugated family too, and u^-1 = exp(-eps S) is read off
+    u as its transpose: t is an anti-involution, so
+    exp(eps S)^t = exp(eps S^t) = exp(-eps S) exactly.  A one-member
+    family (point, Lefschetz) is {id} under every unit and takes none.
     """
     family = weight_family(spec)
     if spec.seed and spec.k > 1 and len(family) > 1:
@@ -177,7 +179,8 @@ def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
         n = eps_perturbation(space, seeded_rng(spec.seed))
         partner = _transpose_partner(space, 2 * spec.motive_dimension)
         s = n - weight_transpose(n, partner)
-        u, uinv = exp_nilpotent(s), exp_nilpotent(-s)
+        u = exp_nilpotent(s)
+        uinv = weight_transpose(u, partner)
         family = ProjectorFamily(space, tuple(uinv.compose(m).compose(u) for m in family))
     return family
 

@@ -208,13 +208,28 @@ class TruncatedScalar:
         return f"TruncatedScalar({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperSpace:
-    """A graded space: the parities and weights of its basis, in order."""
+    """A graded space: the parities and weights of its basis, in order.
+
+    Equality compares the three fields and returns at once for the same
+    object; the hash is the one the dataclass would generate, so spaces key
+    caches as before."""
 
     parities: tuple[int, ...]
     weights: tuple[int, ...]
     k: int = 1
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not SuperSpace:
+            return NotImplemented
+        return (self.parities == other.parities and self.weights == other.weights
+                and self.k == other.k)
+
+    def __hash__(self):
+        return hash((self.parities, self.weights, self.k))
 
     def __post_init__(self):
         # lists would compare unequal to tuples and could not key a cache
@@ -436,7 +451,7 @@ class SuperMorphism:
     docstring.  Instances are treated as immutable after construction.
     """
 
-    __slots__ = ("source", "target", "rows", "den", "width", "_fp", "_idem")
+    __slots__ = ("source", "target", "rows", "den", "width", "_fp", "_idem", "_real")
 
     @classmethod
     def _from_packed(cls, source: SuperSpace, target: SuperSpace, rows: dict,
@@ -451,6 +466,7 @@ class SuperMorphism:
         self.rows, self.den, self.width = _settle(rows, den, width, source.k, fits)
         self._fp = None
         self._idem = False
+        self._real = None
         return self
 
     @classmethod
@@ -604,7 +620,7 @@ class SuperMorphism:
 
     def _combine(self, other: "SuperMorphism", sign: int) -> "SuperMorphism":
         """``self + sign * other``."""
-        if (other.source, other.target) != (self.source, self.target):
+        if other.source != self.source or other.target != self.target:
             raise ValueError("morphisms are not parallel")
         (a, b), den, width = _aligned((self, other))
         rows = {i: dict(row) for i, row in a.items()}
@@ -642,7 +658,7 @@ class SuperMorphism:
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
         """``self`` after ``other`` (matrix product self . other)."""
         source = self.source
-        if other.target is not source and other.target != source:
+        if other.target != source:
             raise ValueError("composition mismatch")
         width = self.width if self.width >= other.width else other.width
         # the headroom 2 * _bound(width) + bitlen(dim k), as width - 16 + ...
@@ -725,7 +741,7 @@ class SuperMorphism:
                 and all(row == {i: 1} for i, row in self.rows.items()))
 
     def is_endomorphism(self) -> bool:
-        return self.source is self.target or self.source == self.target
+        return self.source == self.target
 
     def is_idempotent(self) -> bool:
         """self . self == self; a True verdict is kept, a False one is not."""
@@ -751,7 +767,13 @@ class SuperMorphism:
         return TruncatedScalar([Fraction(c, self.den) for c in _fields(total, width, self.k)])
 
     def realization(self) -> "SuperMorphism":
-        """Set eps to 0.  A tensor functor onto the k = 1 layer."""
+        """Set eps to 0.  A tensor functor onto the k = 1 layer; the result
+        is kept, like a True idempotency verdict, and a k = 1 morphism is its
+        own realization."""
+        if self._real is not None:
+            return self._real
+        if self.k == 1:
+            return self
         width = self.width
         half = 1 << (width - 1)
         mask = 2 * half - 1
@@ -760,8 +782,9 @@ class SuperMorphism:
             acc = {j: c for j, v in row.items() if (c := ((v + half) & mask) - half)}
             if acc:
                 rows[i] = acc
-        return SuperMorphism._from_packed(self.source.with_k(1), self.target.with_k(1),
-                                          rows, self.den, width, fits=True)
+        self._real = SuperMorphism._from_packed(self.source.with_k(1), self.target.with_k(1),
+                                                rows, self.den, width, fits=True)
+        return self._real
 
     def is_hom_trivial(self) -> bool:
         """Whether the realization vanishes."""
@@ -779,8 +802,8 @@ class SuperMorphism:
     def __eq__(self, other):
         return (
             isinstance(other, SuperMorphism)
-            # a tuple compares identical spaces without calling their __eq__
-            and (self.source, self.target) == (other.source, other.target)
+            and self.source == other.source
+            and self.target == other.target
             and self.den == other.den
             and self.width == other.width
             and self.rows == other.rows
@@ -911,35 +934,76 @@ def fraction_free_reduce(mat: list[list[int]], ncols: int | None = None
     return pivots, prev
 
 
+def _nilpotent_powers(r: SuperMorphism) -> Iterator[tuple[int, SuperMorphism]]:
+    """``(m, r^m)`` for m = 1, 2, ... up to the first zero power, for a
+    homologically trivial endomorphism ``r``.
+
+    r^k = 0 at truncation order k, so at most k - 1 powers are yielded,
+    r^k is never formed, and the first power is ``r`` itself.
+    """
+    term, m = r, 1
+    while not term.is_zero():
+        yield m, term
+        if (m := m + 1) >= r.k:
+            return
+        term = term.compose(r)
+
+
 def geometric_series(one: SuperMorphism, r: SuperMorphism) -> SuperMorphism:
     """``one + r + r^2 + ...`` for a homologically trivial ``r`` with
     ``one . r = r``.
 
-    r^k = 0 at truncation order k, so at most k - 1 powers are formed.
-    When ``one`` is a unit of an algebra containing ``r``, the sum is the
-    inverse of ``one - r`` there.
+    The powers start at ``r``, which the contract makes equal to one . r,
+    and stop before r^k, which is 0 at truncation order k: at most k - 2
+    products are formed.  When ``one`` is a unit of an algebra containing
+    ``r``, the sum is the inverse of ``one - r`` there.
     """
-    acc = term = one
-    for _ in range(one.k - 1):
-        term = term.compose(r)
-        if term.is_zero():
-            break
+    acc = one
+    for _, term in _nilpotent_powers(r):
         acc = acc + term
     return acc
+
+
+def _realizes_identity(f: SuperMorphism) -> bool:
+    """Whether the eps^0 layer of the endomorphism ``f`` is the identity,
+    read off the low fields of its packed entries in place.
+
+    The low field of an entry is its eps^0 numerator c_0 modulo 2^W, and
+    c_0 lies within the bound B of the rung; so for den < 2^B, the entry is
+    den / den on the diagonal exactly when v - den is 0 modulo 2^W, and
+    0 off it exactly when v is.
+    """
+    rows, den = f.rows, f.den
+    mask = (1 << f.width) - 1
+    if len(rows) != f.source.dim or den >> _bound(f.width):
+        return False
+    for i, row in rows.items():
+        v = row.get(i)
+        if v is None or (v - den) & mask:
+            return False
+        if any(x & mask for j, x in row.items() if j != i):
+            return False
+    return True
 
 
 def invert_unit(f: SuperMorphism) -> SuperMorphism:
     """Exact inverse of an endomorphism whose realization is invertible.
 
-    The realization is inverted by fraction-free elimination over the
-    integers, giving g0; the nilpotent correction is
-    ``geometric_series(id, id - f . g0)``.  The identity is its own
+    When the realization is the identity, f = id - r with r = id - f
+    homologically trivial, and f^-1 is the Neumann series
+    ``geometric_series(id, r)``: no elimination and no product with the
+    identity.  Otherwise the realization is inverted by fraction-free
+    elimination over the integers, giving g0, and the nilpotent correction
+    is ``geometric_series(id, id - f . g0)``.  The identity is its own
     inverse and is returned unchanged.
     """
     if not f.is_endomorphism():
         raise ValueError("only endomorphisms are inverted")
     if f.is_identity():
         return f
+    ident = SuperMorphism.identity(f.source)
+    if _realizes_identity(f):
+        return geometric_series(ident, ident - f)
     n = f.source.dim
     # the realization is R / den for the integer matrix R of eps^0 numerators
     aug = [[0] * n + [int(i == r) for i in range(n)] for r in range(n)]
@@ -956,21 +1020,18 @@ def invert_unit(f: SuperMorphism) -> SuperMorphism:
     g0 = SuperMorphism._from_packed(
         f.source, f.source, rows, abs(det),
         _rung(_values(rows)), fits=True)
-    ident = SuperMorphism.identity(f.source)
     return g0.compose(geometric_series(ident, ident - f.compose(g0)))
 
 
 def exp_nilpotent(f: SuperMorphism) -> SuperMorphism:
-    """exp of a homologically trivial endomorphism (a finite sum)."""
+    """exp of a homologically trivial endomorphism: the finite sum of
+    f^m / m! from the identity, whose powers start at f and stop before
+    f^k = 0."""
     if not f.is_endomorphism():
         raise ValueError("exp of a non-endomorphism")
     if not f.is_hom_trivial():
         raise ValueError("exp is only defined here for hom-trivial morphisms")
     acc = SuperMorphism.identity(f.source)
-    term = SuperMorphism.identity(f.source)
-    for m in range(1, f.k):
-        term = term.compose(f)
-        if term.is_zero():
-            break
+    for m, term in _nilpotent_powers(f):
         acc = acc + term.scale(Fraction(1, math.factorial(m)))
     return acc

@@ -30,6 +30,10 @@ CASES = {
 }
 CASES["surface-sample.json"] = ["--out", "json", "surface",
                                 "scripts/sample_surface.spec"]
+# the benchmark's irregular surface shape at k = 5, whose seeded family unit
+# has every eps order below 5
+CASES["surface-irregular-k5.json"] = ["--out", "json", "surface",
+                                      "scripts/irregular_surface.spec"]
 CASES["schur-2.1-p2q1.json"] = ["--out", "json", "schur", "--lam", "2,1",
                                 "--p", "2", "--q", "1"]
 # the benchmark's Schur queries in both orientations (perfbench/workloads.py),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -198,15 +199,65 @@ def test_family_validation_is_kept_and_failures_repeat(monkeypatch):
                         lambda a, b: calls.append(1) or compose(a, b))
     lifted.validate()  # lift_family validated it
     assert calls == []
-    fresh.validate()
-    assert calls
+    fresh.validate()  # its members keep the idempotency verdicts lift_family found
+    assert calls == []
+    # fresh member objects: one square per idempotency test, and no pairwise
+    # product, since idempotents that sum to the identity are orthogonal
+    renewed = ProjectorFamily(space, tuple(m.promoted(m.k) for m in lifted.members))
+    renewed.validate()
+    assert len(calls) == len(renewed.members)
     calls.clear()
-    fresh.validate()
+    renewed.validate()
     assert calls == []
     broken = ProjectorFamily(space, (SuperMorphism.diagonal(space, [1, 0, 0]),))
     for _ in range(2):
         with pytest.raises(ValueError, match="do not sum to the identity"):
             broken.validate()
+
+
+def _assert_pairwise_orthogonal(fam):
+    for i, a in enumerate(fam.members):
+        for j, b in enumerate(fam.members):
+            assert i == j or a.compose(b).is_zero(), (i, j)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_validated_families_are_orthogonal_when_the_products_are_formed(k):
+    # validate checks idempotency and completeness, which imply orthogonality
+    # over the local ring Q[eps]/(eps^k); here the products are formed
+    space = SuperSpace((0, 1, 0, 0, 1), (0, 1, 2, 2, 3), k)
+    residues = diag_family(space.with_k(1), [{0}, {1}, {2, 3}, {4}])
+    for seed in range(3):
+        lifted = lift_family(residues, k, seed=seed)
+        _assert_pairwise_orthogonal(lifted)
+        u = seeded_unit(space, seeded_rng(seed + 11))
+        conj = ProjectorFamily(space, tuple(
+            invert_unit(u).compose(m).compose(u) for m in lifted.members))
+        conj.validate()
+        _assert_pairwise_orthogonal(conj)
+
+
+def test_every_complete_idempotent_triple_of_small_integer_matrices_is_orthogonal():
+    # all 3 x 3 matrices with entries in -1..1: 164 are idempotent, and 1035
+    # ordered triples of them sum to the identity
+    span = range(3)
+
+    def product(a, b):
+        return tuple(sum(a[3 * i + m] * b[3 * m + j] for m in span)
+                     for i in span for j in span)
+
+    idempotents = {v for v in itertools.product((-1, 0, 1), repeat=9) if product(v, v) == v}
+    ident = tuple(int(i == j) for i in span for j in span)
+    triples = [(a, b, c) for a in idempotents for b in idempotents
+               if (c := tuple(x - y - z for x, y, z in zip(ident, a, b))) in idempotents]
+    assert (len(idempotents), len(triples)) == (164, 1035)
+    space = SuperSpace.standard(3, 0, 1)
+    morphism = {v: SuperMorphism.from_entries(
+        space, space, {(i, j): v[3 * i + j] for i in span for j in span}) for v in idempotents}
+    for triple in triples:
+        fam = ProjectorFamily(space, tuple(morphism[v] for v in triple))
+        fam.validate()
+        _assert_pairwise_orthogonal(fam)
 
 
 # --- conjugating unit ---------------------------------------------------------------

@@ -135,16 +135,22 @@ def test_chow_kunneth_always_valid(spec, seed):
 @pytest.mark.parametrize("k", [2, 5, 6])
 @pytest.mark.parametrize("seed", [1, 7, 25])
 def test_exp_of_minus_s_inverts_the_family_unit(k, seed):
-    # chow_kunneth conjugates by u = exp(S) and inverts it as exp(-S)
+    # chow_kunneth conjugates by u = exp(S) and inverts it as the transpose
+    # of u, which is exp(-S) because the transpose is an anti-involution
+    # and S^t = -S
     spec = MotiveSpec(**{**SURFACE.__dict__, "k": k, "seed": seed})
     space = build_realization(spec)
+    partner = _transpose_partner(space, 4)
     n = eps_perturbation(space, seeded_rng(seed))
-    s = n - weight_transpose(n, _transpose_partner(space, 4))
+    s = n - weight_transpose(n, partner)
     assert s.is_hom_trivial() and not s.is_zero()
+    assert weight_transpose(s, partner) == -s
     u, v = exp_nilpotent(s), exp_nilpotent(-s)
     ident = SuperMorphism.identity(space)
     assert v.compose(u) == ident and u.compose(v) == ident
-    assert v == invert_unit(u)
+    assert weight_transpose(u, partner) == v == invert_unit(u)
+    assert chow_kunneth(spec).members == tuple(
+        v.compose(weight_projector(space, w)).compose(u) for w in range(5))
 
 
 def test_point_family_is_single_identity():

@@ -358,6 +358,75 @@ def test_exp_nilpotent_inverse_pair():
     assert u.compose(v) == SuperMorphism.identity(x)
 
 
+def _units_that_realize_the_identity(k):
+    """id + eps N over den 1, and id + eps N / 3 over den 3, on a (2|2) space."""
+    x = SuperSpace.standard(2, 2, k)
+    rng = seeded_rng(53)
+    for den in (1, 3):
+        n = random_endomorphism(x, rng)
+        eps_n = (n - n.realization().promoted(k)).scale(Fraction(1, den))
+        f = SuperMorphism.identity(x) + eps_n
+        assert f.realization().is_identity() and f.den == den and not f.is_identity()
+        yield f
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_a_unit_that_realizes_the_identity_is_inverted_without_elimination(k, monkeypatch):
+    # the Neumann series of f = id - (id - f) agrees with the elimination
+    # route, reached through an invertible diagonal D != id: (D f)^-1 D = f^-1
+    d = SuperMorphism.diagonal(SuperSpace.standard(2, 2, k), [2, -1, Fraction(1, 3), 5])
+    for f in _units_that_realize_the_identity(k):
+        eliminated = invert_unit(d.compose(f)).compose(d)
+        reduce_calls = []
+        monkeypatch.setattr(supercat, "fraction_free_reduce",
+                            lambda *a: reduce_calls.append(a) or fraction_free_reduce(*a))
+        g = invert_unit(f)
+        monkeypatch.undo()
+        assert reduce_calls == []
+        assert g == eliminated and g.fingerprint() == eliminated.fingerprint()
+        assert f.compose(g) == SuperMorphism.identity(f.source) == g.compose(f)
+
+
+def test_the_identity_test_reads_the_low_field_against_the_bound():
+    # (1 + eps) / (2**64 + 1) on the 64-bit rung: the eps^0 numerator 1 agrees
+    # with the den modulo 2**64, but the den lies past the bound of the rung
+    x = SuperSpace.standard(1, 0, 2)
+    den = 2**64 + 1
+    f = SuperMorphism.from_entries(x, x, {(0, 0): TruncatedScalar([Fraction(1, den)] * 2)})
+    assert f.width == 64 and f.den == den
+    g = invert_unit(f)
+    assert g.realization() == SuperMorphism.diagonal(x.with_k(1), [den])
+    assert f.compose(g) == SuperMorphism.identity(x)
+    # off-diagonal eps^0 entries, and a diagonal one of 2, are not the identity:
+    # id - f = [[0, -1], [1, 0]] squares to -id, so no series in it inverts f
+    y = SuperSpace.standard(2, 0, 2)
+    for entries in ({(0, 0): 1, (1, 1): 1, (0, 1): 1, (1, 0): -1}, {(0, 0): 2, (1, 1): 1}):
+        h = SuperMorphism.from_entries(y, y, entries)
+        assert invert_unit(h).compose(h) == SuperMorphism.identity(y)
+        assert not h.realization().is_identity()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_series_powers_start_at_r_and_stop_before_the_kth(k, monkeypatch):
+    # r = eps id has r^(k-1) != 0 = r^k: k - 2 products, each by r itself
+    x = SuperSpace.standard(1, 1, k)
+    ident = SuperMorphism.identity(x)
+    r = SuperMorphism.diagonal(x, [TruncatedScalar.eps(k)] * 2)
+    pairs = _counting_composes(monkeypatch)
+    series = supercat.geometric_series(ident, r)
+    assert len(pairs) == max(k - 2, 0) and all(b is r for _, b in pairs)
+    pairs.clear()
+    exp_r = exp_nilpotent(r)
+    assert len(pairs) == max(k - 2, 0) and all(b is r for _, b in pairs)
+    # 1 / (1 - eps) and exp(eps), scalar by scalar
+    one = TruncatedScalar.one(k)
+    assert series == SuperMorphism.diagonal(x, [(one - TruncatedScalar.eps(k)).inverse()] * 2)
+    want = one
+    for m in range(1, k):
+        want = want + TruncatedScalar.eps(k, m, Fraction(1, math.factorial(m)))
+    assert exp_r == SuperMorphism.diagonal(x, [want] * 2)
+
+
 # --- differential checks of the integer core against entry-wise scalars ------------
 
 orders = st.integers(min_value=1, max_value=6)
@@ -670,6 +739,27 @@ def test_equality_and_fingerprint_ignore_the_idempotency_verdict():
     assert checked.is_idempotent()
     assert checked == fresh and fresh == checked
     assert checked.fingerprint() == fresh.fingerprint()
+
+
+def test_a_realization_is_built_once_and_equality_ignores_it():
+    space = SuperSpace.standard(2, 1, 3)
+    f = random_endomorphism(space, seeded_rng(3))
+    fresh = f.promoted(3)
+    real = f.realization()
+    assert f.realization() is real and real == fresh.realization()
+    assert f == fresh and fresh == f
+    assert f.fingerprint() == fresh.fingerprint()
+    # a k = 1 morphism is its own realization
+    assert real.realization() is real
+
+
+def test_space_equality_is_field_equality_and_the_hash_is_unchanged():
+    x = SuperSpace.standard(2, 1, 3)
+    same = SuperSpace((0, 0, 1), (0, 0, 1), 3)
+    assert x == x and x == same and not x != same
+    assert hash(x) == hash(same) == hash((x.parities, x.weights, x.k))
+    assert x != x.with_k(2) and x != SuperSpace((0, 1, 0), (0, 1, 0), 3)
+    assert x != (x.parities, x.weights, x.k) and {x: 1}[same] == 1
 
 
 def test_block_constructor_matches_inclusions_and_projections():
