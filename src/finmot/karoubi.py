@@ -18,31 +18,29 @@ blocks of W as full objects, and the powers that ``s_wedge`` and
 ``classify`` read are those of the blocks: each summand is eliminated
 once.
 
-Schur functors are built one block per orbit type, never by summing n!
-signed permutation operators over the d^n basis tensors.  e_lam lies in
-Q[S_n], so it keeps the span of each orbit of basis tensors, and orbits
-whose distinct indices carry the same (multiplicity, parity) pairs share
-one block up to a parity-preserving relabelling.  A type's block takes
-its column at the sorted tuple I0 from the n!-term sum, or, for the
-exterior and symmetric powers the finite-dimensionality tests ask for,
-in closed form (Macdonald, Symmetric Functions and Hall Polynomials,
-I.1): zero when an even index repeats under Lambda or an odd index under
-S, else |Stab I0| at I0 carried along the orbit by e . P_tau = chi e.
-Centrality carries that column to the rest of the block.  The blocks and
-the number of orbits of each type are all that a full (p|q) object's
-verdicts need, and they are checked where they are built: against the
-Berele-Regev hook rule (S_lam = 0 iff lam_{p+1} > q), against
-C(p + q + n - 1, n) orbits in all, against P_tau . e = e . P_tau
-(e . P_tau = +-e under S and Lambda) for adjacent slot swaps tau, for
-symmetry, and against the rank f^lam hs_lam(1^p | 1^q) of the super
-Jacobi-Trudi determinant (``symgroup.hook_schur``).  The rank is the sum
-over types of count . tr(block), and the super dimension the same sum
-with each type signed by the parity of its odd slots.  So the tensor cap
-bounds the number of orbits C(r + n - 1, n) of a rank-r image, not its
-r^n basis tensors; ``BLOCK_ENTRY_BOUND`` bounds the |orbit|^2 entries
-that its type blocks may hold, and ``symgroup.CONVOLUTION_BOUND`` the
-degree n of a partition other than Lambda and S, whose blocks sum the
-n!-term idempotent.
+Schur functors are read off orbit types, never by summing n! signed
+permutation operators over the d^n basis tensors.  e_lam lies in Q[S_n],
+so it keeps the span of each orbit of basis tensors, and orbits whose
+distinct indices carry the same (multiplicity, parity) pairs share one
+block up to a parity-preserving relabelling.  Under the exterior and
+symmetric powers that the finite-dimensionality tests ask for, a type's
+block is zero when a label of the cancelling parity repeats, even under
+Lambda and odd under S, and of rank one otherwise (Macdonald, Symmetric
+Functions and Hall Polynomials, I.1), so their verdicts are survivor
+counts and build no block.  Any other lam takes a type's column at the
+sorted tuple I0 from the n!-term sum, and centrality carries it to the
+rest of the block, checked against P_tau . e = e . P_tau for adjacent
+slot swaps tau and for symmetry.  The rank is the sum over types of
+count . tr(block), and the super dimension the same sum with each type
+signed by the parity of its odd slots, checked against C(p + q + n - 1, n)
+orbits in all, the Berele-Regev hook rule (S_lam = 0 iff lam_{p+1} > q)
+and the rank f^lam hs_lam(1^p | 1^q) of the super Jacobi-Trudi
+determinant (``symgroup.hook_schur``).  So the tensor cap bounds the
+number of orbits C(r + n - 1, n) of a rank-r image, not its r^n basis
+tensors.  Only a partition other than Lambda and S builds blocks, so only
+it meets ``BLOCK_ENTRY_BOUND``, on the |orbit|^2 entries that they may
+hold, and ``symgroup.CONVOLUTION_BOUND``, on the degree of the n!-term
+idempotent that they sum.
 
 A Schur image is its verdicts: ``schur_apply`` and ``s_wedge`` return a
 ``SchurImage`` of rank and super dimension, and no idempotent is built on
@@ -98,11 +96,11 @@ class KaroubiObject:
     """A direct summand of an ambient graded space, cut out by an idempotent.
 
     ``KaroubiObject(ambient, idem)`` checks that idem is an idempotent
-    endomorphism of ambient.  The Schur images of an object are kept on
-    its free image, keyed by partition, and are freed with it.
+    endomorphism of ambient.  Its free image is kept on it; its Schur
+    images are those of the free image's parities, kept for the process.
     """
 
-    __slots__ = ("idem", "_dimension", "_rank", "_images", "_free")
+    __slots__ = ("idem", "_dimension", "_rank", "_free")
 
     def __new__(cls, ambient: SuperSpace, idem: SuperMorphism):
         if idem.source != ambient or idem.target != ambient:
@@ -123,7 +121,6 @@ class KaroubiObject:
         obj.idem = idem
         obj._dimension = int(tr.realization())
         obj._rank = None
-        obj._images = {}
         obj._free = None
         return obj
 
@@ -246,15 +243,13 @@ class FiniteDimReport:
 
 # --- Schur functors ---------------------------------------------------------
 
-# The central idempotent of lam on a tensor power depends only on the parities
-# of the ambient basis and on lam, not on k.  Any lam is block-diagonal by
-# orbit, as e_lam lies in Q[S_n]; orbits whose (multiplicity, parity) pairs
-# agree share a block up to a parity-preserving relabelling, since Koszul
-# signs see only which slots are odd.  ``_young_blocks`` keeps one block per
-# orbit type and the number of orbits of that type, for the whole process;
-# the zero test, rank and super dimension of every Schur image are read off
-# it, on the free image of the summand, and are all that the image keeps.
-# Each Schur image is kept on the free image it was computed on.
+# A full object's Schur image depends only on the parities of its basis and
+# on lam, not on k.  Any lam is block-diagonal by orbit, as e_lam lies in
+# Q[S_n]; orbits whose (multiplicity, parity) pairs agree share a block up to
+# a parity-preserving relabelling, since Koszul signs see only which slots
+# are odd.  ``_schur_image`` keeps one image per (parities, lam) for the
+# whole process, and every Schur image is read off it on the free image of
+# the summand.
 
 #: the most entries that the type blocks of one (parities, lam) may hold:
 #: a type block is at most |orbit| x |orbit|
@@ -262,29 +257,67 @@ BLOCK_ENTRY_BOUND = 2**21
 
 
 @cache
-def _young_blocks(parities: tuple[int, ...], lam: Partition):
-    """``(table, den, rank, dimension)``: the group-algebra idempotent of
-    ``lam`` on the n-th tensor power as ``{kind: (orbit, block, count)}``
-    (``_central_blocks``) over one denominator, in lowest terms, and the
-    rank and super dimension of its image, each the sum over types of
-    count . tr(block) / den, signed by the parity of the odd slots for the
-    super dimension.
+def _schur_image(parities: tuple[int, ...], lam: Partition) -> SchurImage:
+    """The image of e_lam on the n-th power of the full object with basis
+    ``parities``: rank the sum over orbit types of count . tr(block) / den,
+    and super dimension the same sum with each type signed by the parity
+    of its odd slots.
 
-    A partition other than Lambda and S is refused above
-    ``CONVOLUTION_BOUND``, whose n!-term idempotent its blocks sum; every
-    partition when the blocks could hold more than ``BLOCK_ENTRY_BOUND``
-    entries.  The table is checked against the
-    hook rule, the orbit count C(d + n - 1, n), adjacent slot swaps
-    (``_check_slot_swaps``), symmetry and the rank f^lam hs_lam(1^p | 1^q),
-    each raising ``InvariantError``; it is shared by every caller and must
-    not be mutated.
+    Under Lambda and S a type survives, with a rank-one block, unless a
+    label of the cancelling parity repeats, even under Lambda and odd
+    under S; so their image counts survivors and builds no block.  Every
+    other lam reads its blocks off ``_young_blocks``.  Both are checked
+    against C(d + n - 1, n) orbits, the hook rule and the rank
+    f^lam hs_lam(1^p | 1^q), each raising ``InvariantError``.
     """
     n, d = lam.n, len(parities)
-    chi = 1 if len(lam) == 1 else -1 if len(lam) == n else None  # S, Lambda, other
-    if chi is None and n > CONVOLUTION_BOUND:
-        raise SizeCapError(f"group algebra degree {n} exceeds bound {CONVOLUTION_BOUND}")
+    if not d:  # the zero space: its 0-th power is the unit
+        return SchurImage(int(n == 0), int(n == 0))
     p, q = parities.count(EVEN), parities.count(ODD)
-    table, den = _central_blocks(parities, lam, chi)
+    if len(lam) in (1, n):  # S or Lambda, which agree at n <= 1
+        cancelling = EVEN if len(lam) == n else ODD
+        traces = {kind: (count, int(all(mult == 1 or parity != cancelling
+                                        for mult, parity in kind)))
+                  for kind, count in _orbit_types(p, q, n).items()}
+        den = 1
+    else:
+        table, den = _young_blocks(parities, lam)
+        traces = {kind: (count, sum(row.get(i, 0) for i, row in block.items()))
+                  for kind, (_, block, count) in table.items()}
+    where = f"S_{lam.parts} of the full ({p}|{q}) object"
+    orbits = sum(count for count, _ in traces.values())
+    if orbits != comb(d + n - 1, n):
+        raise InvariantError(f"{where} has {orbits} orbits, not C({d + n - 1}, {n})")
+    rank = dimension = 0
+    for kind, (count, trace) in traces.items():
+        t = count * trace
+        rank += t
+        dimension += -t if sum(mult for mult, parity in kind if parity) & 1 else t
+    zero = rank == 0
+    if zero != (len(lam) > p and lam[p] > q):
+        raise InvariantError(
+            f"{where} is {'zero' if zero else 'nonzero'}, against the hook rule")
+    want = hook_dimension(lam) * hook_schur(lam, p, q)
+    if rank != want * den or dimension % den:
+        raise InvariantError(f"{where} has rank {Fraction(rank, den)} and super dimension "
+                             f"{Fraction(dimension, den)}, against f^lam hs_lam = {want}")
+    return SchurImage(rank // den, dimension // den)
+
+
+def _young_blocks(parities: tuple[int, ...], lam: Partition) -> tuple[dict, int]:
+    """``(table, den)``: the group-algebra idempotent of ``lam`` on the n-th
+    tensor power as ``{kind: (orbit, block, count)}`` (``_central_blocks``)
+    over one denominator, in lowest terms.
+
+    Refused above ``CONVOLUTION_BOUND``, whose n!-term idempotent the blocks
+    sum, and when the blocks could hold more than ``BLOCK_ENTRY_BOUND``
+    entries.  The blocks are checked against adjacent slot swaps
+    (``_check_slot_swaps``) and for symmetry, each raising
+    ``InvariantError``.
+    """
+    if lam.n > CONVOLUTION_BOUND:
+        raise SizeCapError(f"group algebra degree {lam.n} exceeds bound {CONVOLUTION_BOUND}")
+    table, den = _central_blocks(parities, lam)
     g = den
     for _, block, _ in table.values():
         for row in block.values():
@@ -296,48 +329,30 @@ def _young_blocks(parities: tuple[int, ...], lam: Partition):
                                 for i, row in block.items()}, count)
                  for kind, (orbit, block, count) in table.items()}
         den //= g
-    where = f"S_{lam.parts} of the full ({p}|{q}) object"
-    zero = not any(block for _, block, _ in table.values())
-    if zero != (len(lam) > p and lam[p] > q):
-        raise InvariantError(
-            f"{where} is {'zero' if zero else 'nonzero'}, against the hook rule")
-    orbits = sum(count for _, _, count in table.values())
-    if orbits != comb(d + n - 1, n):
-        raise InvariantError(f"{where} has {orbits} orbits, not C({d + n - 1}, {n})")
-    if not zero:
-        _check_slot_swaps(table, parities, lam, chi)
+    _check_slot_swaps(table, parities, lam)
     # _type_block carries columns and keeps them as rows
     for kind, (_, block, _) in table.items():
         if any(block.get(j, {}).get(i) != c for i, row in block.items() for j, c in row.items()):
-            raise InvariantError(f"{where} has an asymmetric block of type {kind}")
-    rank = dimension = 0
-    for kind, (_, block, count) in table.items():
-        t = count * sum(row.get(i, 0) for i, row in block.items())
-        rank += t
-        dimension += -t if sum(mult for mult, parity in kind if parity) & 1 else t
-    want = hook_dimension(lam) * hook_schur(lam, p, q)
-    if rank != want * den or dimension % den:
-        raise InvariantError(f"{where} has rank {Fraction(rank, den)} and super dimension "
-                             f"{Fraction(dimension, den)}, against f^lam hs_lam = {want}")
-    return table, den, rank // den, dimension // den
+            p, q = parities.count(EVEN), parities.count(ODD)
+            raise InvariantError(f"S_{lam.parts} of the full ({p}|{q}) object has an "
+                                 f"asymmetric block of type {kind}")
+    return table, den
 
 
-def _central_blocks(parities: tuple[int, ...], lam: Partition, chi: int | None):
-    """``(table, den)``: e_lam on the n-th tensor power over n! for S
-    (chi = +1) and Lambda (chi = -1), else over ``young_idempotent(lam).den``,
-    as ``{kind: (orbit, block, count)}``: kind is an orbit type (the sorted
-    (multiplicity, parity) pairs of an orbit's distinct indices), orbit and
-    block its labelled orbit and block (``_type_block``), count its number
-    of orbits (``_orbit_types``)."""
-    n = lam.n
-    kinds = _orbit_types(parities.count(EVEN), parities.count(ODD), n)
-    size = sum(_orbit_size(kind) ** 2 for kind in kinds if not _cancels(kind, chi))
+def _central_blocks(parities: tuple[int, ...], lam: Partition) -> tuple[dict, int]:
+    """``(table, den)``: e_lam on the n-th tensor power over
+    ``young_idempotent(lam).den``, as ``{kind: (orbit, block, count)}``:
+    kind is an orbit type (the sorted (multiplicity, parity) pairs of an
+    orbit's distinct indices), orbit and block its labelled orbit and block
+    (``_type_block``), count its number of orbits (``_orbit_types``)."""
+    kinds = _orbit_types(parities.count(EVEN), parities.count(ODD), lam.n)
+    size = sum(_orbit_size(kind) ** 2 for kind in kinds)
     if size > BLOCK_ENTRY_BOUND:
         raise SizeCapError(f"S_{lam.parts} type blocks of up to {size} entries exceed "
                            f"bound {BLOCK_ENTRY_BOUND}")
-    elem = None if chi else young_idempotent(lam)
-    return ({kind: (*_type_block(kind, chi, elem), count) for kind, count in kinds.items()},
-            factorial(n) if chi else elem.den)
+    elem = young_idempotent(lam)
+    return ({kind: (*_type_block(kind, elem), count) for kind, count in kinds.items()},
+            elem.den)
 
 
 @cache
@@ -371,50 +386,35 @@ def _orbit_size(kind: tuple) -> int:
     return factorial(sum(mult for mult, _ in kind)) // prod(factorial(mult) for mult, _ in kind)
 
 
-def _cancels(kind: tuple, chi: int | None) -> bool:
-    """Whether S (chi = +1) or Lambda (chi = -1) kills the type: a label of
-    the cancelling parity, odd under S and even under Lambda, repeats."""
-    return bool(chi) and any(mult > 1 and parity == (chi == 1) for mult, parity in kind)
-
-
-def _type_block(kind: tuple, chi: int | None, elem) -> tuple[list[tuple[int, ...]], dict]:
+def _type_block(kind: tuple, elem) -> tuple[list[tuple[int, ...]], dict]:
     """``(orbit, block)``: the orbit of the sorted tuple I0 with label l
     repeated ``kind[l][0]`` times at parity ``kind[l][1]``, found by
-    adjacent swaps from ``orbit[0]`` = I0, and the block's rows keyed by
-    position in ``orbit``; a zero block is ``([], {})``.
+    adjacent swaps from ``orbit[0]`` = I0, and the block of ``elem``'s
+    operator with rows keyed by position in ``orbit``; a zero block is
+    ``([], {})``.
 
     An adjacent swap tau sends e_J to s e_(tau J), s = -1 when both slots
-    are odd.  Under S (chi = +1) and Lambda (chi = -1) column I0 is zero
-    when a label of the cancelling parity repeats, odd under S and even
-    under Lambda; else it is |Stab I0| at I0, over n!, and e . P_tau =
-    chi e gives entry tau J = chi s (entry J).  Under ``elem`` it is the
-    n!-term sum (``_young_column``).  e commutes with P_tau, so column
-    tau J is s P_tau (column J); swaps from I0 reach the whole orbit.  The
-    operator is symmetric (chi(sigma) = chi(sigma^-1) and P_(sigma^-1) =
-    P_sigma^T), so its columns are its rows.
+    are odd.  Column I0 is the n!-term sum (``_young_column``); e commutes
+    with P_tau, so column tau J is s P_tau (column J), and swaps from I0
+    reach the whole orbit.  The operator is symmetric (chi(sigma) =
+    chi(sigma^-1) and P_(sigma^-1) = P_sigma^T), so its columns are its
+    rows.
     """
-    if _cancels(kind, chi):
-        return [], {}
     odd = [parity for _, parity in kind]
     rep = tuple(label for label, (mult, _) in enumerate(kind) for _ in range(mult))
     orbit, pos = [rep], {rep: 0}
     swaps: list[list[tuple[int, int]]] = [[] for _ in rep[1:]]
-    column = {0: prod(factorial(mult) for mult, _ in kind)} if chi else None
-    for i, t in enumerate(orbit):
+    for t in orbit:
         for a, swap in enumerate(swaps):
             u = (*t[:a], t[a + 1], t[a], *t[a + 2:])
-            s = -1 if odd[t[a]] and odd[t[a + 1]] else 1
             j = pos.get(u)
             if j is None:
                 j = pos[u] = len(orbit)
                 orbit.append(u)
-                if column is not None:
-                    column[j] = chi * s * column[i]
-            swap.append((j, s))
-    if column is None:
-        column = {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}
-        if not column:
-            return [], {}
+            swap.append((j, -1 if odd[t[a]] and odd[t[a + 1]] else 1))
+    column = {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}
+    if not column:
+        return [], {}
     block = {0: column}
     reached = [0]
     for i in reached:
@@ -443,17 +443,14 @@ def _young_column(elem, rep: tuple[int, ...], odd: list[int]) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition,
-                      chi: int | None) -> None:
-    """Check each adjacent slot swap tau on the last row of each block:
-    e . P_tau = chi e for S (chi = +1) and Lambda (chi = -1), else
-    P_tau . e = e . P_tau, i.e. row tau I = s (row I) P_tau for
-    P_tau e_I = s e_(tau I); raise ``InvariantError`` naming
-    (parities, lam, tau).  tau I and s are read off the labels of the
-    orbit's tuples: slots a and a + 1 trade labels, and s = -1 when both
-    are odd.  The last row of a block is its sorted labels in reverse, the
-    row that ``_type_block`` carries from the column at the sorted labels."""
-    law = "P_tau . e = e . P_tau" if chi is None else f"e . P_tau = {chi:+d} e"
+def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition) -> None:
+    """Check P_tau . e = e . P_tau for each adjacent slot swap tau on the
+    last row of each block, i.e. row tau I = s (row I) P_tau for P_tau e_I
+    = s e_(tau I); raise ``InvariantError`` naming (parities, lam, tau).
+    tau I and s are read off the labels of the orbit's tuples: slots a and
+    a + 1 trade labels, and s = -1 when both are odd.  The last row of a
+    block is its sorted labels in reverse, the row that ``_type_block``
+    carries from the column at the sorted labels."""
     blocks = [(kind, orbit, block, {t: i for i, t in enumerate(orbit)})
               for kind, (orbit, block, _) in table.items() if block]
     for a in range(lam.n - 1):
@@ -464,22 +461,17 @@ def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition,
                         -c if kind[t[a]][1] and kind[t[a + 1]][1] else c)
 
             last = orbit[0][::-1]
-            row = block.get(pos[last], {})
-            carried = dict(moved(orbit[m], c) for m, c in row.items())
-            if chi is None:
-                j, s = moved(last)
-                want = {m: s * c for m, c in block.get(j, {}).items()}
-            else:
-                want = {m: chi * c for m, c in row.items()}
-            if carried != want:
+            carried = dict(moved(orbit[m], c) for m, c in block.get(pos[last], {}).items())
+            j, s = moved(last)
+            if carried != {m: s * c for m, c in block.get(j, {}).items()}:
                 raise InvariantError(f"S_{lam.parts} rows on parities {parities} "
-                                     f"break {law} at tau = ({a}, {a + 1})")
+                                     f"break P_tau . e = e . P_tau at tau = ({a}, {a + 1})")
 
 
 @dataclass(frozen=True)
 class SchurImage:
     """A Schur image as its verdicts: the rank and super dimension read off
-    the orbit-type blocks.  It carries no idempotent."""
+    the orbit types.  It carries no idempotent."""
 
     rank: int
     super_dimension: int
@@ -500,26 +492,18 @@ def schur_apply(lam: Partition, x: KaroubiObject,
     w the free image of x (``KaroubiObject.free_image``), isomorphic to
     its image on x^(n).
 
-    For w of dimension (p|q) the image is read off the orbit-type blocks
-    (``_young_blocks``), so ``cap`` bounds the number of orbits
-    C(p + q + n - 1, n).  The image is kept on w, so a second call with
-    the same ``lam`` returns the same object.
+    For w of dimension (p|q) the image is read off the orbit types
+    (``_schur_image``), so ``cap`` bounds the number of orbits
+    C(p + q + n - 1, n).  Images are kept for the process, one per
+    (parities, lam): every call with the same w.ambient.parities and
+    ``lam`` returns the same object.
     """
-    w = x.free_image()[0]
-    space, n = w.ambient, lam.n
-    d = space.dim
+    parities, n = x.free_image()[0].ambient.parities, lam.n
+    d = len(parities)
     if d and comb(d + n - 1, n) > cap:
         raise SizeCapError(f"orbit count C({d + n - 1}, {n}) = {comb(d + n - 1, n)} "
                            f"exceeds cap {cap}")
-    image = w._images.get(lam.parts)
-    if image is None:
-        if d == 0:
-            image = SchurImage(1, 1) if n == 0 else SchurImage(0, 0)
-        else:
-            _, _, rank, dimension = _young_blocks(space.parities, lam)
-            image = SchurImage(rank, dimension)
-        w._images[lam.parts] = image
-    return image
+    return _schur_image(parities, lam)
 
 
 def _degree(n: int) -> int:

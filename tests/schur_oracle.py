@@ -1,11 +1,14 @@
 """Schur idempotents on tensor powers, materialised for the tests only.
 
 The package reads every Schur verdict (zero test, rank, super dimension)
-off the orbit-type blocks of ``karoubi._young_blocks`` and builds no
-idempotent on a tensor power.  Two independent routes build one here:
+off orbit types: Lambda and S count surviving orbits, any other partition
+reads the type blocks of ``karoubi._young_blocks``, and no idempotent is
+built on a tensor power.  Two independent routes build one here:
 
 * ``young_rows`` relabels the type blocks onto every orbit of the d^n
-  basis tensors: the block route, materialised;
+  basis tensors: the block route, materialised.  ``young_blocks`` builds
+  them for every partition, Lambda and S among them, by the n!-term sum,
+  and keeps them for the process;
 * ``permutation_sum_rows`` sums the n! signed slot maps of e_lam: the
   definition.
 
@@ -23,6 +26,7 @@ from finmot.supercat import EVEN, ODD, SuperMorphism, SuperSpace, signed_slot_ma
 from finmot.symgroup import young_idempotent
 
 cached_young_idempotent = functools.cache(young_idempotent)
+young_blocks = functools.cache(karoubi._young_blocks)
 
 
 def permutation_sum_rows(parities, lam):
@@ -42,14 +46,14 @@ def permutation_sum_rows(parities, lam):
 
 
 def young_rows(parities, lam):
-    """``(rows, den)``: the blocks of ``karoubi._young_blocks`` relabelled
-    onto every orbit of the n-th tensor power, in the form of
+    """``(rows, den)``: the type blocks (``young_blocks``) relabelled onto
+    every orbit of the n-th tensor power, in the form of
     ``permutation_sum_rows``.
 
     An orbit gives the labels of its type distinct indices of their
     parities, increasing along each run of equal (multiplicity, parity);
     the type's block then sits on the tensors of that orbit."""
-    table, den, _, _ = karoubi._young_blocks(parities, lam)
+    table, den = young_blocks(parities, lam)
     n, d = lam.n, len(parities)
     pools = [[i for i, parity in enumerate(parities) if parity == want] for want in (EVEN, ODD)]
     place = [d ** (n - 1 - a) for a in range(n)]

@@ -609,7 +609,7 @@ def test_schur_suites_check_the_full_object_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("grid", ["p=6,q=0,k=1", "p=0,q=6,k=1"])
 def test_vanishing_cap_bounds_the_orbit_count(capsys, grid):
-    # SLambda^7 of (6|0) and (0|6) is read off its terms' type blocks, so the
+    # SLambda^7 of (6|0) and (0|6) is read off its terms' survivors, so the
     # cap bounds the orbit count C(12, 7) = 792, not the 6**6 tensor power
     code, out, _ = run(capsys, "--out", "json", "verify", "vanishing", "--grid", grid)
     assert code == 0

@@ -3,8 +3,8 @@
 The files under ``tests/golden/`` are the JSON stdout of ``finmot`` for every
 verify suite at its default grid (seeds 0 and 7), the surface suite and
 the calculus grids of the benchmark at k = 6, the vanishing suite on the
-(6|0), (0|6) and (6|1) grids, the sample surface model and the Schur
-queries that the benchmark and CI run.  Any change to the arithmetic core
+(6|0), (0|6), (6|1) and (7|0) grids, the sample surface model and the
+Schur queries that the benchmark and CI run.  Any change to the arithmetic core
 must reproduce them exactly.  To regenerate a payload, run the argv listed below through
 the ``finmot`` console script from the repository root.
 """
@@ -38,8 +38,10 @@ CASES["schur-2.1-p2q1.json"] = ["--out", "json", "schur", "--lam", "2,1",
                                 "--p", "2", "--q", "1"]
 # the benchmark's Schur queries in both orientations (perfbench/workloads.py),
 # then Sym^6 of (0|4), Lambda^6 of (2|2) and S_(2,2,1,1) of (2|2) at the cap,
-# Lambda^7 of (2|1), and Sym^6 of (0|6) and S_(3,2,1) of (3|3), whose tensor
-# powers exceed the cap but whose 462 orbits do not
+# Lambda^7 of (2|1), Sym^6 of (0|6) and S_(3,2,1) of (3|3), whose tensor
+# powers exceed the cap but whose 462 orbits do not, and Sym^12 of (2|0) and
+# Lambda^7 of (7|0), counted off their surviving orbits beyond the
+# group-algebra degree bound and the block entry bound
 SCHUR_CASES = {
     "schur-2.1.1.1-p1q3-k3.json": "--k 3 schur --lam 2,1,1,1 --p 1 --q 3",
     "schur-4.1-p3q1-k3.json": "--k 3 schur --lam 4,1 --p 3 --q 1",
@@ -53,12 +55,15 @@ SCHUR_CASES = {
     "schur-2.2.1.1-p2q2-k3.json": "--k 3 schur --lam 2,2,1,1 --p 2 --q 2",
     "schur-6-p0q6-k3.json": "--k 3 schur --lam 6 --p 0 --q 6",
     "schur-3.2.1-p3q3-k3.json": "--k 3 schur --lam 3,2,1 --p 3 --q 3",
+    "schur-12-p2q0.json": "schur --lam 12 --p 2 --q 0",
+    "schur-1.1.1.1.1.1.1-p7q0.json": "schur --lam 1,1,1,1,1,1,1 --p 7 --q 0",
 }
 CASES.update({name: ["--out", "json", *argv.split()] for name, argv in SCHUR_CASES.items()})
-# SLambda^7 of (6|0) and (0|6), read off the type blocks of its terms: C(12, 7)
+# SLambda^7 of (6|0) and (0|6), read off the survivors of its terms: C(12, 7)
 # orbits are within the cap, the 6**6 tensor power is not; SLambda^8 of (6|1)
-# asks for Lambda^8 of (6|0), whose blocks form no n!-term sum
-VANISHING_GRIDS = ((6, 0), (0, 6), (6, 1))
+# asks for Lambda^8 of (6|0) beyond the group-algebra degree bound, and
+# (7|0) for Lambda^7 and Lambda^8 of (7|0)
+VANISHING_GRIDS = ((6, 0), (0, 6), (6, 1), (7, 0))
 CASES.update({f"verify-vanishing-p{p}q{q}k1.json": ["--out", "json", "verify", "vanishing",
                                                    "--grid", f"p={p},q={q},k=1"]
               for p, q in VANISHING_GRIDS})
