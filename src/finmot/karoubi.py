@@ -20,27 +20,23 @@ once.
 
 Schur functors are read off orbit types, never by summing n! signed
 permutation operators over the d^n basis tensors.  e_lam lies in Q[S_n],
-so it keeps the span of each orbit of basis tensors, and orbits whose
-distinct indices carry the same (multiplicity, parity) pairs share one
-block up to a parity-preserving relabelling.  Under the exterior and
-symmetric powers that the finite-dimensionality tests ask for, a type's
-block is zero when a label of the cancelling parity repeats, even under
-Lambda and odd under S, and of rank one otherwise (Macdonald, Symmetric
-Functions and Hall Polynomials, I.1), so their verdicts are survivor
-counts and build no block.  Any other lam takes a type's column at the
-sorted tuple I0 from the n!-term sum, and centrality carries it to the
-rest of the block, checked against P_tau . e = e . P_tau for adjacent
-slot swaps tau and for symmetry.  The rank is the sum over types of
-count . tr(block), and the super dimension the same sum with each type
+so it keeps the span of each orbit of basis tensors, and that span is
+induced from the stabilizer of the orbit's labels, trivial on an even label
+and sign on an odd one.  By the Pieri rules it holds K_lam copies of the
+irreducible of lam, so e_lam has trace f^lam K_lam there, where the strip
+count K_lam grows lam by one horizontal strip per even label and then one
+vertical strip per odd label (Berele-Regev; Macdonald, Symmetric Functions
+and Hall Polynomials, I.5).  Under Lambda and S the count is 1 or 0: a type
+survives unless a label of the cancelling parity repeats, even under
+Lambda and odd under S.  The rank is the sum over types of
+count . f^lam . K_lam, and the super dimension the same sum with each type
 signed by the parity of its odd slots, checked against C(p + q + n - 1, n)
 orbits in all, the Berele-Regev hook rule (S_lam = 0 iff lam_{p+1} > q)
 and the rank f^lam hs_lam(1^p | 1^q) of the super Jacobi-Trudi
 determinant (``symgroup.hook_schur``).  So the tensor cap bounds the
 number of orbits C(r + n - 1, n) of a rank-r image, not its r^n basis
-tensors.  Only a partition other than Lambda and S builds blocks, so only
-it meets ``BLOCK_ENTRY_BOUND``, on the |orbit|^2 entries that they may
-hold, and ``symgroup.CONVOLUTION_BOUND``, on the degree of the n!-term
-idempotent that they sum.
+tensors, and the partition bound n <= 12 the degree; no Schur verdict
+forms a group-algebra element.
 
 A Schur image is its verdicts: ``schur_apply`` and ``s_wedge`` return a
 ``SchurImage`` of rank and super dimension, and no idempotent is built on
@@ -56,7 +52,7 @@ The super dimension of a Schur image has a closed form that materializes
 nothing: a permutation with c cycles has supertrace (dim X)^c on the n-th
 tensor power of X, so the character sum over cycle types needs only
 dim X.  ``schur_super_dimension`` uses it as the independent second route
-next to the super dimension read off the blocks.
+next to the super dimension read off the orbit types.
 
 ``tate_twist`` by r tensors with the weight -2r line, shifting every
 ambient weight by -2r; the weights are the only record of it.
@@ -68,18 +64,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial, gcd, perm, prod
+from math import comb, factorial, perm, prod
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
-    CONVOLUTION_BOUND,
     Partition,
     character,
     conjugacy_class_size,
     hook_dimension,
     hook_schur,
     partitions,
-    young_idempotent,
 )
 from .supercat import (
     EVEN,
@@ -244,121 +238,94 @@ class FiniteDimReport:
 # --- Schur functors ---------------------------------------------------------
 
 # A full object's Schur image depends only on the parities of its basis and
-# on lam, not on k.  Any lam is block-diagonal by orbit, as e_lam lies in
-# Q[S_n]; orbits whose (multiplicity, parity) pairs agree share a block up to
-# a parity-preserving relabelling, since Koszul signs see only which slots
-# are odd.  ``_schur_image`` keeps one image per (parities, lam) for the
-# whole process, and every Schur image is read off it on the free image of
-# the summand.
-
-#: the most entries that the type blocks of one (parities, lam) may hold:
-#: a type block is at most |orbit| x |orbit|
-BLOCK_ENTRY_BOUND = 2**21
+# on lam, not on k: the trace of e_lam on an orbit depends only on the
+# orbit's type, since Koszul signs see only which slots are odd.
+# ``_schur_image`` keeps one image per (parities, lam) for the whole process,
+# and every Schur image is read off it on the free image of the summand.
 
 
 @cache
 def _schur_image(parities: tuple[int, ...], lam: Partition) -> SchurImage:
     """The image of e_lam on the n-th power of the full object with basis
-    ``parities``: rank the sum over orbit types of count . tr(block) / den,
-    and super dimension the same sum with each type signed by the parity
-    of its odd slots.
-
-    Under Lambda and S a type survives, with a rank-one block, unless a
-    label of the cancelling parity repeats, even under Lambda and odd
-    under S; so their image counts survivors and builds no block.  Every
-    other lam reads its blocks off ``_young_blocks``.  Both are checked
-    against C(d + n - 1, n) orbits, the hook rule and the rank
-    f^lam hs_lam(1^p | 1^q), each raising ``InvariantError``.
+    ``parities``: rank the sum over orbit types of count . f^lam . K_lam
+    (``_strip_count``), the trace of e_lam on their orbits, and super
+    dimension the same sum with each type signed by the parity of its odd
+    slots.  Checked against C(d + n - 1, n) orbits, the hook rule and the
+    rank f^lam hs_lam(1^p | 1^q), each raising ``InvariantError``.
     """
     n, d = lam.n, len(parities)
     if not d:  # the zero space: its 0-th power is the unit
         return SchurImage(int(n == 0), int(n == 0))
     p, q = parities.count(EVEN), parities.count(ODD)
-    if len(lam) in (1, n):  # S or Lambda, which agree at n <= 1
-        cancelling = EVEN if len(lam) == n else ODD
-        traces = {kind: (count, int(all(mult == 1 or parity != cancelling
-                                        for mult, parity in kind)))
-                  for kind, count in _orbit_types(p, q, n).items()}
-        den = 1
-    else:
-        table, den = _young_blocks(parities, lam)
-        traces = {kind: (count, sum(row.get(i, 0) for i, row in block.items()))
-                  for kind, (_, block, count) in table.items()}
+    kinds = _orbit_types(p, q, n)
     where = f"S_{lam.parts} of the full ({p}|{q}) object"
-    orbits = sum(count for count, _ in traces.values())
+    orbits = sum(kinds.values())
     if orbits != comb(d + n - 1, n):
         raise InvariantError(f"{where} has {orbits} orbits, not C({d + n - 1}, {n})")
+    f = hook_dimension(lam)
     rank = dimension = 0
-    for kind, (count, trace) in traces.items():
-        t = count * trace
+    for kind, count in kinds.items():
+        t = count * f * _strip_count(lam, kind)
         rank += t
         dimension += -t if sum(mult for mult, parity in kind if parity) & 1 else t
     zero = rank == 0
     if zero != (len(lam) > p and lam[p] > q):
         raise InvariantError(
             f"{where} is {'zero' if zero else 'nonzero'}, against the hook rule")
-    want = hook_dimension(lam) * hook_schur(lam, p, q)
-    if rank != want * den or dimension % den:
-        raise InvariantError(f"{where} has rank {Fraction(rank, den)} and super dimension "
-                             f"{Fraction(dimension, den)}, against f^lam hs_lam = {want}")
-    return SchurImage(rank // den, dimension // den)
+    want = f * hook_schur(lam, p, q)
+    if rank != want:
+        raise InvariantError(f"{where} has rank {rank} and super dimension {dimension}, "
+                             f"against f^lam hs_lam = {want}")
+    return SchurImage(rank, dimension)
 
 
-def _young_blocks(parities: tuple[int, ...], lam: Partition) -> tuple[dict, int]:
-    """``(table, den)``: the group-algebra idempotent of ``lam`` on the n-th
-    tensor power as ``{kind: (orbit, block, count)}`` (``_central_blocks``)
-    over one denominator, in lowest terms.
-
-    Refused above ``CONVOLUTION_BOUND``, whose n!-term idempotent the blocks
-    sum, and when the blocks could hold more than ``BLOCK_ENTRY_BOUND``
-    entries.  The blocks are checked against adjacent slot swaps
-    (``_check_slot_swaps``) and for symmetry, each raising
-    ``InvariantError``.
-    """
-    if lam.n > CONVOLUTION_BOUND:
-        raise SizeCapError(f"group algebra degree {lam.n} exceeds bound {CONVOLUTION_BOUND}")
-    table, den = _central_blocks(parities, lam)
-    g = den
-    for _, block, _ in table.values():
-        for row in block.values():
-            g = gcd(g, *row.values())
-        if g == 1:
-            break
-    else:
-        table = {kind: (orbit, {i: {j: c // g for j, c in row.items()}
-                                for i, row in block.items()}, count)
-                 for kind, (orbit, block, count) in table.items()}
-        den //= g
-    _check_slot_swaps(table, parities, lam)
-    # _type_block carries columns and keeps them as rows
-    for kind, (_, block, _) in table.items():
-        if any(block.get(j, {}).get(i) != c for i, row in block.items() for j, c in row.items()):
-            p, q = parities.count(EVEN), parities.count(ODD)
-            raise InvariantError(f"S_{lam.parts} of the full ({p}|{q}) object has an "
-                                 f"asymmetric block of type {kind}")
-    return table, den
+@cache
+def _strip_count(lam: Partition, kind: tuple) -> int:
+    """K_lam(kind): the ways to grow lam from the empty shape by one
+    horizontal strip per even label and then one vertical strip per odd
+    label, each of its label's multiplicity.  It counts the (p|q)-semistandard
+    supertableaux of shape lam and content kind (Berele-Regev; Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5), and is 1 or 0 on a
+    single row or column: the type survives S unless an odd label repeats,
+    and Lambda unless an even one does."""
+    shapes = {(0,) * len(lam): 1}
+    for mult, parity in kind:  # even labels come first
+        grown: dict[tuple[int, ...], int] = {}
+        for mu, ways in shapes.items():
+            for nu in _strips(mu, mult, lam.parts, parity == ODD):
+                grown[nu] = grown.get(nu, 0) + ways
+        shapes = grown
+    return shapes.get(lam.parts, 0)
 
 
-def _central_blocks(parities: tuple[int, ...], lam: Partition) -> tuple[dict, int]:
-    """``(table, den)``: e_lam on the n-th tensor power over
-    ``young_idempotent(lam).den``, as ``{kind: (orbit, block, count)}``:
-    kind is an orbit type (the sorted (multiplicity, parity) pairs of an
-    orbit's distinct indices), orbit and block its labelled orbit and block
-    (``_type_block``), count its number of orbits (``_orbit_types``)."""
-    kinds = _orbit_types(parities.count(EVEN), parities.count(ODD), lam.n)
-    size = sum(_orbit_size(kind) ** 2 for kind in kinds)
-    if size > BLOCK_ENTRY_BOUND:
-        raise SizeCapError(f"S_{lam.parts} type blocks of up to {size} entries exceed "
-                           f"bound {BLOCK_ENTRY_BOUND}")
-    elem = young_idempotent(lam)
-    return ({kind: (*_type_block(kind, elem), count) for kind, count in kinds.items()},
-            elem.den)
+def _strips(mu: tuple[int, ...], m: int, lam: tuple[int, ...],
+            vertical: bool) -> list[tuple[int, ...]]:
+    """The shapes nu inside lam, row lengths padded to len(lam), with nu / mu
+    a strip of m boxes: at most one box per column (nu_i <= mu_(i-1)), or per
+    row when ``vertical`` (nu_i <= mu_i + 1 and nu_i <= nu_(i-1))."""
+    out = []
+    rows = len(mu)
+
+    def grow(i: int, nu: tuple[int, ...], left: int) -> None:
+        if not left:
+            out.append(nu + mu[i:])
+        elif i < rows and (not i or nu[i - 1]):  # rows below an empty row stay empty
+            top = mu[i] + (1 if vertical else left)
+            if i:
+                top = min(top, nu[i - 1] if vertical else mu[i - 1])
+            for row in range(mu[i], min(top, lam[i]) + 1):
+                grow(i + 1, nu + (row,), left - row + mu[i])
+
+    grow(0, (), m)
+    return out
 
 
 @cache
 def _orbit_types(p: int, q: int, n: int) -> dict[tuple, int]:
     """``{kind: number of orbits}`` over the n-th tensor power of a (p|q)
-    space.  A kind with l distinct even indices, r_m of them of
+    space, kind the (multiplicity, parity) pairs of an orbit's distinct
+    indices, the even ones first and each parity's multiplicities
+    decreasing.  A kind with l distinct even indices, r_m of them of
     multiplicity m, is realized p! / ((p - l)! prod r_m!) ways among the
     even indices, and likewise among the odd ones."""
     def placements(mults: tuple[int, ...], labels: int) -> int:
@@ -370,7 +337,7 @@ def _orbit_types(p: int, q: int, n: int) -> dict[tuple, int]:
         for even in splits[a]:
             for odd in splits[n - a]:
                 if len(even) <= p and len(odd) <= q:
-                    kind = tuple(sorted([(m, EVEN) for m in even] + [(m, ODD) for m in odd]))
+                    kind = tuple([(m, EVEN) for m in even] + [(m, ODD) for m in odd])
                     kinds[kind] = placements(even, p) * placements(odd, q)
     return kinds
 
@@ -379,93 +346,6 @@ def _orbit_types(p: int, q: int, n: int) -> dict[tuple, int]:
 def _multiplicities(n: int) -> list[list[tuple[int, ...]]]:
     """The parts of each partition of a, for a = 0 .. n."""
     return [[mu.parts for mu in partitions(a)] for a in range(n + 1)]
-
-
-def _orbit_size(kind: tuple) -> int:
-    """The number of tensors in one orbit of the type."""
-    return factorial(sum(mult for mult, _ in kind)) // prod(factorial(mult) for mult, _ in kind)
-
-
-def _type_block(kind: tuple, elem) -> tuple[list[tuple[int, ...]], dict]:
-    """``(orbit, block)``: the orbit of the sorted tuple I0 with label l
-    repeated ``kind[l][0]`` times at parity ``kind[l][1]``, found by
-    adjacent swaps from ``orbit[0]`` = I0, and the block of ``elem``'s
-    operator with rows keyed by position in ``orbit``; a zero block is
-    ``([], {})``.
-
-    An adjacent swap tau sends e_J to s e_(tau J), s = -1 when both slots
-    are odd.  Column I0 is the n!-term sum (``_young_column``); e commutes
-    with P_tau, so column tau J is s P_tau (column J), and swaps from I0
-    reach the whole orbit.  The operator is symmetric (chi(sigma) =
-    chi(sigma^-1) and P_(sigma^-1) = P_sigma^T), so its columns are its
-    rows.
-    """
-    odd = [parity for _, parity in kind]
-    rep = tuple(label for label, (mult, _) in enumerate(kind) for _ in range(mult))
-    orbit, pos = [rep], {rep: 0}
-    swaps: list[list[tuple[int, int]]] = [[] for _ in rep[1:]]
-    for t in orbit:
-        for a, swap in enumerate(swaps):
-            u = (*t[:a], t[a + 1], t[a], *t[a + 2:])
-            j = pos.get(u)
-            if j is None:
-                j = pos[u] = len(orbit)
-                orbit.append(u)
-            swap.append((j, -1 if odd[t[a]] and odd[t[a + 1]] else 1))
-    column = {pos[t]: c for t, c in _young_column(elem, rep, odd).items()}
-    if not column:
-        return [], {}
-    block = {0: column}
-    reached = [0]
-    for i in reached:
-        for swap in swaps:
-            j, s = swap[i]
-            if j not in block:
-                block[j] = {swap[m][0]: s * swap[m][1] * c for m, c in block[i].items()}
-                reached.append(j)
-    return orbit, block
-
-
-def _young_column(elem, rep: tuple[int, ...], odd: list[int]) -> dict:
-    """Column ``rep`` of ``elem`` (label l of parity ``odd[l]``) as the sum
-    over its permutations, each moving slot a to images[a] with the sign of
-    its inversions among odd slots; nonzero numerators keyed by tuple."""
-    n = len(rep)
-    pairs = [(a, b) for b in range(n) for a in range(b) if odd[rep[a]] and odd[rep[b]]]
-    acc: dict[tuple[int, ...], int] = {}
-    for images, c in elem.numerators.items():
-        target = [0] * n
-        for a, b in enumerate(images):
-            target[b] = rep[a]
-        flips = sum(images[a] > images[b] for a, b in pairs)
-        key = tuple(target)
-        acc[key] = acc.get(key, 0) + (-c if flips & 1 else c)
-    return {key: c for key, c in acc.items() if c}
-
-
-def _check_slot_swaps(table: dict, parities: tuple[int, ...], lam: Partition) -> None:
-    """Check P_tau . e = e . P_tau for each adjacent slot swap tau on the
-    last row of each block, i.e. row tau I = s (row I) P_tau for P_tau e_I
-    = s e_(tau I); raise ``InvariantError`` naming (parities, lam, tau).
-    tau I and s are read off the labels of the orbit's tuples: slots a and
-    a + 1 trade labels, and s = -1 when both are odd.  The last row of a
-    block is its sorted labels in reverse, the row that ``_type_block``
-    carries from the column at the sorted labels."""
-    blocks = [(kind, orbit, block, {t: i for i, t in enumerate(orbit)})
-              for kind, (orbit, block, _) in table.items() if block]
-    for a in range(lam.n - 1):
-        for kind, orbit, block, pos in blocks:
-            def moved(t: tuple, c: int = 1) -> tuple[int, int]:
-                """``(tau t, s c)`` for P_tau e_t = s e_(tau t), by position."""
-                return (pos[(*t[:a], t[a + 1], t[a], *t[a + 2:])],
-                        -c if kind[t[a]][1] and kind[t[a + 1]][1] else c)
-
-            last = orbit[0][::-1]
-            carried = dict(moved(orbit[m], c) for m, c in block.get(pos[last], {}).items())
-            j, s = moved(last)
-            if carried != {m: s * c for m, c in block.get(j, {}).items()}:
-                raise InvariantError(f"S_{lam.parts} rows on parities {parities} "
-                                     f"break P_tau . e = e . P_tau at tau = ({a}, {a + 1})")
 
 
 @dataclass(frozen=True)
@@ -623,9 +503,8 @@ def s_wedge(n: int, x: KaroubiObject,
     The parts are the even and odd blocks of x's free image
     (``split_parity``), so the sum is isomorphic to the summand of the
     ambient's n-th power and ``cap`` bounds the orbit counts on the ranks.
-    Rank and super dimension sum the products of the factors' block-read
-    ones: they multiply under (x) and add under (+), and a zero factor
-    has both 0."""
+    Rank and super dimension sum the products of the factors' ones: they
+    multiply under (x) and add under (+), and a zero factor has both 0."""
     _degree(n)
     plus, minus = parity_split if parity_split is not None else split_parity(x)
     terms = [(wedge(i, plus, cap), sym(n - i, minus, cap)) for i in range(n + 1)]

@@ -1,79 +1,59 @@
 """Schur idempotents on tensor powers, materialised for the tests only.
 
 The package reads every Schur verdict (zero test, rank, super dimension)
-off orbit types: Lambda and S count surviving orbits, any other partition
-reads the type blocks of ``karoubi._young_blocks``, and no idempotent is
-built on a tensor power.  Two independent routes build one here:
+off orbit types, each type's trace a strip count (``karoubi._strip_count``),
+and no idempotent is built on a tensor power.  Here ``permutation_sum_rows``
+builds one by its definition, the sum of the n! signed slot maps of e_lam,
+summed once per conjugacy class for all partitions of n (``class_sums``).
 
-* ``young_rows`` relabels the type blocks onto every orbit of the d^n
-  basis tensors: the block route, materialised.  ``young_blocks`` builds
-  them for every partition, Lambda and S among them, by the n!-term sum,
-  and keeps them for the process;
-* ``permutation_sum_rows`` sums the n! signed slot maps of e_lam: the
-  definition.
-
-``tensor_power_oracle`` applies the permutation sum to e^(n) of a summand
-of any ambient, never through its free image.
+``image_idempotent`` applies it to the free image of a summand, and
+``tensor_power_oracle`` to e^(n) of a summand of any ambient, never through
+its free image.
 """
 
 import functools
 import math
-from itertools import combinations, groupby
 from operator import mul
 
-from finmot import karoubi
-from finmot.supercat import EVEN, ODD, SuperMorphism, SuperSpace, signed_slot_map, tensor_power
-from finmot.symgroup import young_idempotent
+from finmot.supercat import SuperMorphism, SuperSpace, signed_slot_map, tensor_power
+from finmot.symgroup import all_permutations, partitions, young_idempotent
 
 cached_young_idempotent = functools.cache(young_idempotent)
-young_blocks = functools.cache(karoubi._young_blocks)
+
+
+@functools.lru_cache(maxsize=2)
+def class_sums(parities, n):
+    """``(images, sums)``: the images of one permutation of each conjugacy
+    class of S_n, and at each (row, col) of the n-th tensor power the signed
+    count of each class's slot maps there, in the same class order."""
+    order = {ct: i for i, ct in enumerate(partitions(n))}
+    images = [None] * len(order)
+    sums = {}
+    for sigma in all_permutations(n):
+        i = order[sigma.cycle_type()]
+        images[i] = sigma.images
+        for col, (row, sign) in enumerate(signed_slot_map(sigma.images, parities)):
+            counts = sums.get((row, col))
+            if counts is None:
+                counts = sums[row, col] = [0] * len(order)
+            counts[i] += sign
+    return images, sums
 
 
 def permutation_sum_rows(parities, lam):
     """``(rows, den)``: e_lam on the tensor power as the sum of its n!
-    signed slot maps, integer rows over one denominator in lowest terms."""
+    signed slot maps, whose coefficients are constant on each class
+    (``class_sums``), as integer rows over one denominator in lowest terms."""
     elem = cached_young_idempotent(lam)
-    acc = {}
-    for img, coeff in elem.numerators.items():
-        for col, (row, sign) in enumerate(signed_slot_map(img, parities)):
-            acc[row, col] = acc.get((row, col), 0) + sign * coeff
+    images, sums = class_sums(parities, lam.n)
+    coeffs = [elem.numerators.get(img, 0) for img in images]
+    acc = {key: sum(map(mul, counts, coeffs)) for key, counts in sums.items()}
     g = math.gcd(elem.den, *acc.values())
     rows = {}
     for (row, col), c in acc.items():
         if c:
             rows.setdefault(row, {})[col] = c // g
     return rows, elem.den // g
-
-
-def young_rows(parities, lam):
-    """``(rows, den)``: the type blocks (``young_blocks``) relabelled onto
-    every orbit of the n-th tensor power, in the form of
-    ``permutation_sum_rows``.
-
-    An orbit gives the labels of its type distinct indices of their
-    parities, increasing along each run of equal (multiplicity, parity);
-    the type's block then sits on the tensors of that orbit."""
-    table, den = young_blocks(parities, lam)
-    n, d = lam.n, len(parities)
-    pools = [[i for i, parity in enumerate(parities) if parity == want] for want in (EVEN, ODD)]
-    place = [d ** (n - 1 - a) for a in range(n)]
-    rows = {}
-    for kind, (orbit, block, _) in table.items():
-        if not block:
-            continue
-        orbits = [[]]
-        for (_, parity), run in groupby(kind):
-            size = len(list(run))
-            orbits = [values + list(pick) for values in orbits for pick in
-                      combinations([i for i in pools[parity] if i not in values], size)]
-        # tensor t of the orbit sits at sum_a values[t[a]] d^(n-1-a)
-        spread = [[sum(w for label, w in zip(t, place) if label == m) for m in range(len(kind))]
-                  for t in orbit]
-        for values in orbits:
-            code = [sum(map(mul, values, w)) for w in spread]
-            for i, row in block.items():
-                rows[code[i]] = {code[j]: c for j, c in row.items()}
-    return rows, den
 
 
 def operator(rows, den, space, n):
@@ -87,11 +67,11 @@ def operator(rows, den, space, n):
 
 def image_idempotent(lam, x):
     """The idempotent of ``schur_apply(lam, x)`` on the n-th tensor power of
-    x's free image, relabelled from the type blocks (``young_rows``)."""
+    x's free image, by the permutation sum (``permutation_sum_rows``)."""
     space = x.free_image()[0].ambient
     if not space.dim:  # the unit at n = 0, the zero space beyond
         return SuperMorphism.identity(tensor_power(space, lam.n))
-    return operator(*young_rows(space.parities, lam), space, lam.n)
+    return operator(*permutation_sum_rows(space.parities, lam), space, lam.n)
 
 
 def tensor_power_of(f, n):

@@ -836,7 +836,7 @@ def _argvs(draw, workdir):
     if command == "chars":
         argv += ["chars", str(draw(st.one_of(_SMALL, st.just(13))))]
     elif command == "schur":
-        # Schur degrees n <= 4: a general partition of n = 7 takes seconds
+        # Schur degrees n <= 4, with malformed partitions among them
         lam = draw(st.sampled_from(["0", "", "1", "2", "1,1", "3", "2,1", "1,1,1", "4",
                                     "3,1", "2,2", "2,1,1", "1,1,1,1", "1,2", "x", "-1"]))
         argv += ["schur", "--lam", lam, *draw(_flag("--p", _SMALL)),

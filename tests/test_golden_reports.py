@@ -39,9 +39,10 @@ CASES["schur-2.1-p2q1.json"] = ["--out", "json", "schur", "--lam", "2,1",
 # the benchmark's Schur queries in both orientations (perfbench/workloads.py),
 # then Sym^6 of (0|4), Lambda^6 of (2|2) and S_(2,2,1,1) of (2|2) at the cap,
 # Lambda^7 of (2|1), Sym^6 of (0|6) and S_(3,2,1) of (3|3), whose tensor
-# powers exceed the cap but whose 462 orbits do not, and Sym^12 of (2|0) and
-# Lambda^7 of (7|0), counted off their surviving orbits beyond the
-# group-algebra degree bound and the block entry bound
+# powers exceed the cap but whose 462 orbits do not, Sym^12 of (2|0) and
+# Lambda^7 of (7|0), and S_(3,3) of (4|4) and S_(4,4) of (3|3) at 1,716 and
+# 1,287 orbits: every partition reads strip counts, so the degree bound on
+# the n!-term group-algebra idempotent meets none of them
 SCHUR_CASES = {
     "schur-2.1.1.1-p1q3-k3.json": "--k 3 schur --lam 2,1,1,1 --p 1 --q 3",
     "schur-4.1-p3q1-k3.json": "--k 3 schur --lam 4,1 --p 3 --q 1",
@@ -57,11 +58,13 @@ SCHUR_CASES = {
     "schur-3.2.1-p3q3-k3.json": "--k 3 schur --lam 3,2,1 --p 3 --q 3",
     "schur-12-p2q0.json": "schur --lam 12 --p 2 --q 0",
     "schur-1.1.1.1.1.1.1-p7q0.json": "schur --lam 1,1,1,1,1,1,1 --p 7 --q 0",
+    "schur-3.3-p4q4.json": "schur --lam 3,3 --p 4 --q 4",
+    "schur-4.4-p3q3.json": "schur --lam 4,4 --p 3 --q 3",
 }
 CASES.update({name: ["--out", "json", *argv.split()] for name, argv in SCHUR_CASES.items()})
 # SLambda^7 of (6|0) and (0|6), read off the survivors of its terms: C(12, 7)
 # orbits are within the cap, the 6**6 tensor power is not; SLambda^8 of (6|1)
-# asks for Lambda^8 of (6|0) beyond the group-algebra degree bound, and
+# asks for Lambda^8 of (6|0), whose group-algebra idempotent has 8! terms, and
 # (7|0) for Lambda^7 and Lambda^8 of (7|0)
 VANISHING_GRIDS = ((6, 0), (0, 6), (6, 1), (7, 0))
 CASES.update({f"verify-vanishing-p{p}q{q}k1.json": ["--out", "json", "verify", "vanishing",
@@ -95,7 +98,8 @@ def test_report_matches_golden(name, capsys, monkeypatch):
 @pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("schur-")))
 def test_schur_golden_matches_hook_schur_and_the_character_sum(name):
     # rank f^lam hs_lam(1^p | 1^q) by the super Jacobi-Trudi determinant, and
-    # the super dimension by the character sum, both independent of the blocks
+    # the super dimension by the character sum, both independent of the
+    # strip counts
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         results = json.load(fh)["results"]
     lam, p, q = Partition(results["lam"]), results["p"], results["q"]

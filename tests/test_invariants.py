@@ -56,9 +56,13 @@ def test_packed_entry_format_stays_inside_supercat():
 
 
 # the Schur idempotent on a tensor power, which only the tests build
-# (tests/schur_oracle.py): a Schur image is its verdicts
+# (tests/schur_oracle.py), and the type blocks summed from the n!-term Young
+# idempotent: a Schur image is its verdicts, each type's trace a strip count
 TENSOR_POWER_SCHUR_NAMES = {"_young_rows", "_power_idempotent", "_checked_supertrace",
-                            "operator_on_power", "_largest_nonvanishing", "_build"}
+                            "operator_on_power", "_largest_nonvanishing", "_build",
+                            "_young_blocks", "_central_blocks", "_type_block",
+                            "_young_column", "_check_slot_swaps", "_orbit_size",
+                            "BLOCK_ENTRY_BOUND"}
 
 
 def _tensor_power_schur_uses(directory):
@@ -78,3 +82,13 @@ def _tensor_power_schur_uses(directory):
 
 def test_no_schur_idempotent_on_a_tensor_power_in_package():
     assert _tensor_power_schur_uses(SRC) == []
+
+
+def test_karoubi_imports_no_group_algebra_idempotent():
+    # the Schur verdicts read strip counts, never the n!-term Young
+    # idempotent or the degree bound on its convolution
+    with open(os.path.join(SRC, "karoubi.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="karoubi.py")
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"young_idempotent", "CONVOLUTION_BOUND"}

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 import re
@@ -39,7 +40,6 @@ from finmot.symgroup import (
     hook_dimension,
     hook_schur,
     partitions,
-    young_idempotent,
 )
 from finmot.lifting import (
     eps_perturbation,
@@ -54,8 +54,6 @@ from schur_oracle import (
     permutation_sum_rows,
     tensor_power_of,
     tensor_power_oracle,
-    young_blocks,
-    young_rows,
 )
 
 
@@ -74,7 +72,7 @@ def _ambient_parity_parts(x):
         for parity in (0, 1))
 
 
-def _clear_young_caches():
+def _clear_schur_images():
     from finmot import karoubi
 
     karoubi._schur_image.cache_clear()
@@ -142,8 +140,9 @@ def test_schur_trivial_examples():
 
 
 def test_schur_apply_idempotent_and_commutes():
-    # the block route's idempotent, materialised, is one, and commutes with
-    # every slot permutation; its traces are the image's verdicts
+    # the image's idempotent, materialised by the permutation sum, is one,
+    # and commutes with every slot permutation; its traces are the image's
+    # verdicts
     x = full(2, 1, 2)
     for lam in partitions(3):
         obj = schur_apply(lam, x)
@@ -282,9 +281,8 @@ def test_super_dimension_binomials_beyond_the_cap(p, q):
     # dim(wedge^n X) = C(d, n) and dim(S^n X) = C(d+n-1, n) with d = p - q;
     # the character route needs no tensor power.  schur_apply counts the
     # same numbers off the surviving orbit types up to n = 8 (495 orbits,
-    # 5**8 basis tensors), whose dense rank-1 blocks would hold millions of
-    # entries, and below n = 6 the supertrace of the idempotent, materialised
-    # in the tests from blocks, agrees
+    # 5**8 basis tensors), and below n = 6 the supertrace of the idempotent,
+    # materialised in the tests by the permutation sum, agrees
     x = full(p, q)
     d = p - q
     for n in range(9):
@@ -312,8 +310,8 @@ def test_schur_vanishing_matches_hook_criterion(k):
 
 def test_block_read_verdicts_equal_the_materialized_image_and_hook_schur():
     # every partition of n <= 5 on every (p|q), p, q <= 4, with (p+q)**n <=
-    # 4096: the zero test, rank and super dimension read off the orbit-type
-    # blocks equal those of the idempotent on the tensor power and
+    # 4096: the zero test, rank and super dimension read off the orbit types
+    # equal those of the idempotent on the tensor power and
     # f^lam hs_lam(1^p | 1^q), and the character sum for the super dimension
     cases = zero = 0
     for p in range(5):
@@ -337,54 +335,10 @@ def test_block_read_verdicts_equal_the_materialized_image_and_hook_schur():
     assert (cases, zero) == (414, 51)
 
 
-def _mutated_blocks(monkeypatch, mutate):
-    """``_central_blocks`` with ``mutate(table)`` applied to a copy of each
-    table it builds, in place of any earlier mutation."""
-    from finmot import karoubi
-
-    monkeypatch.undo()
-    original = karoubi._central_blocks
-
-    def mutated(parities, lam):
-        table, den = original(parities, lam)
-        table = {kind: (orbit, {i: dict(row) for i, row in block.items()}, count)
-                 for kind, (orbit, block, count) in table.items()}
-        mutate(table)
-        return table, den
-
-    monkeypatch.setattr(karoubi, "_central_blocks", mutated)
-    _clear_young_caches()
-
-
-@pytest.mark.parametrize("parts, p, q", [((2, 1), 1, 1), ((2, 1), 2, 1), ((2, 1, 1), 2, 1),
-                                          ((3, 1), 1, 2), ((2, 2), 2, 0)])
-def test_every_single_sign_flip_in_a_block_raises(monkeypatch, parts, p, q):
-    # off the diagonal a flip breaks the symmetry of its block or an
-    # adjacent slot swap; on it, the rank f^lam hs_lam.  Lambda and S build
-    # no blocks: their faults are the survivor mutations below
-    from finmot import karoubi
-
-    lam = Partition(parts)
-    table, _ = karoubi._young_blocks(SuperSpace.standard(p, q).parities, lam)
-    entries = [(kind, i, j) for kind, (_, block, _) in table.items()
-               for i, row in block.items() for j in row]
-    for kind, i, j in entries:
-        def flip(table, kind=kind, i=i, j=j):
-            table[kind][1][i][j] *= -1
-
-        _mutated_blocks(monkeypatch, flip)
-        with pytest.raises(InvariantError, match=rf"S_{re.escape(str(parts))}"):
-            schur_apply(lam, full(p, q))
-    assert len(entries) >= 4
-    monkeypatch.undo()
-    _clear_young_caches()
-
-
 @pytest.mark.parametrize("parts, p, q", [((2, 1), 1, 1), ((1, 1, 1), 2, 1), ((3,), 0, 2)])
 def test_every_orbit_count_off_by_one_raises(monkeypatch, parts, p, q):
-    # the counts of _orbit_types, which the blocks of (2, 1) and the
-    # survivors of Lambda and S both carry, must add up to C(d + n - 1, n),
-    # whether or not the type survives
+    # the counts of _orbit_types, which every partition reads, must add up
+    # to C(d + n - 1, n), whether or not the type's strip count is zero
     from finmot import karoubi
 
     lam = Partition(parts)
@@ -398,70 +352,47 @@ def test_every_orbit_count_off_by_one_raises(monkeypatch, parts, p, q):
                 return counts
 
             monkeypatch.setattr(karoubi, "_orbit_types", shifted)
-            _clear_young_caches()
+            _clear_schur_images()
             with pytest.raises(InvariantError, match=r"orbits, not C\("):
                 schur_apply(lam, full(p, q))
     assert len(kinds) >= 2
     monkeypatch.undo()
-    _clear_young_caches()
+    _clear_schur_images()
 
 
-def test_orbit_rows_equal_the_permutation_sum():
-    # the type blocks relabelled onto every orbit, for every partition, in
-    # lowest terms
-    cases = general = 0
+def test_orbit_type_traces_equal_the_permutation_sum():
+    # for every partition, the diagonal of the n!-term sum over the tensors
+    # of one orbit type adds up to den . count . f^lam . K_lam: e_lam has
+    # trace f^lam times the type's strip count on each of its orbits.  Types
+    # and their orbit counts are read off the tensors themselves
+    from finmot import karoubi
+
+    cases = general = triples = 0
     for d in range(1, 7):
         for p in range(d + 1):
             parities = (0,) * p + (1,) * (d - p)
             for n in range(1, 8):
                 if math.factorial(n) * d**n > 20_000:
                     continue
+                kinds, diagonal = {}, []
+                for t in itertools.product(range(d), repeat=n):
+                    kind = tuple(sorted(((t.count(i), parities[i]) for i in set(t)),
+                                        key=lambda label: (label[1], -label[0])))
+                    diagonal.append(kind)
+                    kinds[kind] = kinds.get(kind, 0) + (list(t) == sorted(t))
+                assert kinds == karoubi._orbit_types(p, d - p, n), (p, d - p, n)
                 for lam in partitions(n):
-                    assert young_rows(parities, lam) == \
-                        permutation_sum_rows(parities, lam), (p, d - p, lam)
+                    rows, den = permutation_sum_rows(parities, lam)
+                    traces = dict.fromkeys(kinds, 0)
+                    for i, kind in enumerate(diagonal):
+                        traces[kind] += rows.get(i, {}).get(i, 0)
+                    f = hook_dimension(lam)
+                    assert traces == {kind: den * count * f * karoubi._strip_count(lam, kind)
+                                      for kind, count in kinds.items()}, (p, d - p, lam)
                     cases += 1
                     general += len(lam) not in (1, n)
-    assert (cases, general) == (349, 156)
-
-
-def test_general_rows_sum_one_column_per_orbit_type(monkeypatch):
-    # (2,1,1) on (6|2): the 8**4 = 4096 columns fall into 330 orbits of 17
-    # types, the multiplicities 4, 3+1, 2+2, 2+1+1 and 1+1+1+1 with 2, 4,
-    # 3, 5 and 3 parity patterns that need at most two distinct odd
-    # indices; the n!-term sum runs once per type
-    from finmot import karoubi
-
-    sums = []
-    original = karoubi._young_column
-
-    def counting(elem, rep, odd):
-        sums.append((rep, tuple(odd)))
-        return original(elem, rep, odd)
-
-    monkeypatch.setattr(karoubi, "_young_column", counting)
-    parities, lam = (0,) * 6 + (1,) * 2, Partition((2, 1, 1))
-    young_blocks.cache_clear()
-    rows, den = young_rows(parities, lam)
-    assert len(sums) == len(set(sums)) == 17
-    assert (rows, den) == permutation_sum_rows(parities, lam)
-
-
-def test_young_rows_are_symmetric():
-    # _type_block carries column m of the operator as its row m: chi(sigma) =
-    # chi(sigma^-1), and the signed slot map of sigma^-1 is the transpose
-    # of that of sigma
-    cases = 0
-    for d in range(1, 5):
-        for p in range(d + 1):
-            parities = (0,) * p + (1,) * (d - p)
-            for n in range(1, 6):
-                for lam in partitions(n):
-                    rows, _ = young_rows(parities, lam)
-                    assert all(rows.get(j, {}).get(i) == c
-                               for i, row in rows.items() for j, c in row.items()), \
-                        (parities, lam)
-                    cases += 1
-    assert cases == 14 * 18
+                    triples += len(kinds)
+    assert (cases, general, triples) == (349, 156, 1547)
 
 
 def _large_unit(space):
@@ -488,7 +419,7 @@ def test_schur_apply_equals_the_tensor_power_oracle(k):
     # parity parts and one conjugate by a unit with wide fractional entries,
     # against op . e^(n) for every partition of n <= 4: the image lives on
     # the free image W, and a^(n) . S_lam(W) . b^(n), its idempotent built
-    # from the type blocks, carries it back onto the ambient
+    # by the permutation sum on W, carries it back onto the ambient
     objects = []
     for (p, q), diag in {(1, 1): [1, 0], (2, 1): [1, 0, 1], (1, 2): [0, 1, 0],
                          (2, 2): [1, 0, 0, 1], (3, 1): [1, 1, 0, 1]}.items():
@@ -561,27 +492,35 @@ def test_negative_degree_is_rejected(power):
         power(-1, full(1, 1))
 
 
-def _mutant_schur_image(monkeypatch, old, new):
-    """``karoubi._schur_image`` compiled from its own source with the one
-    occurrence of ``old`` replaced by ``new``, in place of the original and
-    with an empty cache."""
+@pytest.fixture
+def mutant(monkeypatch):
+    """``mutant(name, old, new)`` puts in place of ``karoubi.<name>`` the
+    function compiled from its own source with the one occurrence of ``old``
+    replaced by ``new``; the Schur images are cleared on the way in and out."""
     from finmot import karoubi
 
-    source = inspect.getsource(karoubi._schur_image)
-    assert source.count(old) == 1, old
-    namespace = dict(vars(karoubi))
-    exec(compile(source.replace(old, new), karoubi.__file__, "exec"), namespace)
-    monkeypatch.setattr(karoubi, "_schur_image", namespace["_schur_image"])
+    def install(name, old, new):
+        source = inspect.getsource(getattr(karoubi, name))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(karoubi))
+        exec(compile(source.replace(old, new), karoubi.__file__, "exec"), namespace)
+        monkeypatch.setattr(karoubi, name, namespace[name])
+        _clear_schur_images()
+
+    yield install
+    monkeypatch.undo()
+    _clear_schur_images()
 
 
-_CANCELLING = "cancelling = EVEN if len(lam) == n else ODD"
+# the step of _strip_count that grows a label's strip: vertical for odd labels
+_VERTICAL = "parity == ODD"
 
 
 @pytest.fixture
-def swapped_orbit_rows(monkeypatch):
-    """Exterior and symmetric survivors counted with the cancelling parity
-    swapped: odd labels may not repeat under Lambda, even ones under S."""
-    _mutant_schur_image(monkeypatch, _CANCELLING, "cancelling = ODD if len(lam) == n else EVEN")
+def swapped_orbit_rows(mutant):
+    """Strip counts with the strips swapped: even labels grow vertical
+    strips and odd labels horizontal ones."""
+    mutant("_strip_count", _VERTICAL, "parity == EVEN")
 
 
 def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
@@ -593,29 +532,55 @@ def test_hook_cross_check_catches_swapped_orbit_rows(swapped_orbit_rows):
         sym(2, full(0, 1))
 
 
-def test_rank_check_catches_a_repeated_even_label_under_lambda(monkeypatch):
-    # a survivor count that lets an even label repeat under Lambda keeps the
-    # orbit count and, inside the hook, the zero test: only f^lam hs_lam
-    # sees it.  S, and Lambda of a space with no even label, are unchanged
-    _mutant_schur_image(monkeypatch, _CANCELLING, "cancelling = None if len(lam) == n else ODD")
+def test_rank_check_catches_a_repeated_even_label_under_lambda(mutant):
+    # even labels grown as vertical strips let an even label repeat under
+    # Lambda and forbid it under S.  Inside the hook that keeps the orbit
+    # count and the zero test: only f^lam hs_lam sees it.  Lambda^2 of (1|0)
+    # turns nonzero against the hook rule; a space with no even label is
+    # unchanged
+    mutant("_strip_count", _VERTICAL, "True")
     for p, q, n in ((2, 0, 2), (1, 1, 2), (3, 2, 3), (2, 2, 4)):
         with pytest.raises(InvariantError, match=rf"S_\({', '.join(['1'] * n)}\) of the full "
                                                  rf"\({p}\|{q}\) object has rank \d+ .* "
                                                  r"against f\^lam hs_lam"):
             wedge(n, full(p, q))
-    assert sym(2, full(2, 1)) == SchurImage(5, 1)
+    with pytest.raises(InvariantError, match=r"S_\(2,\) of the full \(2\|1\) object has rank"):
+        sym(2, full(2, 1))
+    with pytest.raises(InvariantError, match=r"\(1, 1\) of the full \(1\|0\) object "
+                                             r"is nonzero, against the hook rule"):
+        wedge(2, full(1, 0))
     assert wedge(2, full(0, 2)) == SchurImage(3, 3)
+    assert sym(2, full(0, 2)) == SchurImage(1, 1)
 
 
-def test_dropped_odd_slot_sign_turns_the_dimension_checks_red(monkeypatch, capsys):
+def test_rank_check_catches_a_repeated_odd_label_under_s(mutant):
+    # odd labels grown as horizontal strips let an odd label repeat under S
+    # and forbid it under Lambda, and change the counts of types with a
+    # repeated odd label under (3, 1) and (2, 1, 1): inside the hook only
+    # f^lam hs_lam sees it.  S^2 of (0|1) turns nonzero against the hook
+    # rule; a space with no odd label is unchanged
+    mutant("_strip_count", _VERTICAL, "False")
+    for lam, p, q in (((2,), 1, 1), ((3,), 2, 3), ((1, 1), 1, 1), ((1, 1, 1), 2, 2),
+                      ((3, 1), 1, 2), ((2, 1, 1), 2, 1)):
+        with pytest.raises(InvariantError, match=rf"S_{re.escape(str(lam))} of the full "
+                                                 rf"\({p}\|{q}\) object has rank \d+ .* "
+                                                 r"against f\^lam hs_lam"):
+            schur_apply(Partition(lam), full(p, q))
+    with pytest.raises(InvariantError, match=r"\(2,\) of the full \(0\|1\) object "
+                                             r"is nonzero, against the hook rule"):
+        sym(2, full(0, 1))
+    assert schur_apply(Partition((2, 1)), full(3, 0)) == SchurImage(16, 16)
+
+
+def test_dropped_odd_slot_sign_turns_the_dimension_checks_red(mutant, capsys):
     # with every orbit type counted +1 in the super dimension, the odd
     # kimura-dim checks and the two-way dimension check fail in the report,
     # with no traceback; the even checks, which have no odd slot, pass
     from finmot.cli import main
 
-    _mutant_schur_image(monkeypatch,
-                        "dimension += -t if sum(mult for mult, parity in kind if parity) & 1 else t",
-                        "dimension += t")
+    mutant("_schur_image",
+           "dimension += -t if sum(mult for mult, parity in kind if parity) & 1 else t",
+           "dimension += t")
     assert main(["--out", "json", "verify", "kimura-dim"]) == 1
     out, err = capsys.readouterr()
     checks = {c["id"]: c["passed"] for c in json.loads(out)["checks"]}
@@ -633,20 +598,23 @@ def test_dropped_odd_slot_sign_turns_the_dimension_checks_red(monkeypatch, capsy
 
 
 def test_lambda_and_s_verdicts_build_no_block(monkeypatch):
-    # every wedge, sym, s_wedge and classify of a full (p|q), p, q <= 7,
-    # counts survivors: no type block is built and no n!-term idempotent
-    # summed, and the verdicts are binomials
-    from finmot import karoubi
+    # every wedge, sym, s_wedge and classify of a full (p|q), p, q <= 7, and
+    # every other partition of n <= 8 on it within the orbit cap, reads
+    # strip counts: no n!-term idempotent is built or multiplied.  Lambda
+    # and S verdicts are binomials, and every rank is f^lam hs_lam
+    from finmot import symgroup
+    from finmot.symgroup import GroupAlgebraElement
 
     def refused(name):
         def raising(*args):
             raise AssertionError(f"{name} called")
         return raising
 
-    for name in ("_central_blocks", "young_idempotent"):
-        monkeypatch.setattr(karoubi, name, refused(name))
-    _clear_young_caches()
+    monkeypatch.setattr(symgroup, "young_idempotent", refused("young_idempotent"))
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", refused("GroupAlgebraElement.__mul__"))
+    _clear_schur_images()
     cap = 10**5
+    general = 0
     for p in range(8):
         for q in range(8):
             x = full(p, q)
@@ -656,10 +624,10 @@ def test_lambda_and_s_verdicts_build_no_block(monkeypatch):
                 assert wedge(n, plus, cap).classical_rank() == math.comb(p, n)
                 assert sym(n, minus, cap).classical_rank() == math.comb(q, n)
                 if p + q and math.comb(p + q + n - 1, n) <= cap:
-                    rank = hook_schur(Partition((1,) * n), p, q)
-                    assert wedge(n, x, cap).classical_rank() == rank
-                    assert sym(n, x, cap).classical_rank() == \
-                        hook_schur(Partition((n,) if n else ()), p, q)
+                    for lam in partitions(n):
+                        rank = hook_dimension(lam) * hook_schur(lam, p, q)
+                        assert schur_apply(lam, x, cap).classical_rank() == rank, (p, q, lam)
+                        general += len(lam) not in (1, n)
                 # SLambda^n X = sum_i Lambda^i X+ (x) S^(n-i) X-
                 assert s_wedge(n, x, split, cap) == SchurImage(
                     math.comb(p + q, n),
@@ -667,72 +635,19 @@ def test_lambda_and_s_verdicts_build_no_block(monkeypatch):
                         for i in range(n + 1)))
             kind = "mixed" if p and q else "odd" if q else "even"
             assert classify(x) == FiniteDimReport(kind, p, q, p - q)
-    _clear_young_caches()
-
-
-@pytest.fixture
-def resigned_rows(monkeypatch):
-    """Blocks conjugated by the diagonal that negates, in each orbit type
-    with more than one tensor, its sorted representative I0: the signs of
-    the column every other column is carried from, and of its row, flipped.
-    Yields the resigned and the original ``_central_blocks``."""
-    from finmot import karoubi
-
-    original = karoubi._central_blocks
-
-    def resigned(parities, lam):
-        table, den = original(parities, lam)
-        out = {}
-        for kind, (orbit, block, count) in table.items():
-            flip = 0 if len(orbit) > 1 else None
-
-            def sign(i):
-                return -1 if i == flip else 1
-
-            out[kind] = (orbit, {i: {j: sign(i) * sign(j) * c for j, c in row.items()}
-                                 for i, row in block.items()}, count)
-        return out, den
-
-    monkeypatch.setattr(karoubi, "_central_blocks", resigned)
-    _clear_young_caches()
-    yield resigned, original
-    _clear_young_caches()
-
-
-@pytest.mark.parametrize("p, q", [(2, 0), (1, 1)])
-def test_centrality_check_catches_resigned_central_rows(resigned_rows, p, q):
-    # the resigned blocks of (2, 1) stay symmetric idempotents with the
-    # traces and zero pattern of the original ones, at least one of them
-    # changed, so only the slot-swap check can see the sign error
-    lam = Partition((2, 1))
-    resigned, original = resigned_rows
-    parities = SuperSpace.standard(p, q).parities
-    table, den = resigned(parities, lam)
-    want, _ = original(parities, lam)
-    assert table.keys() == want.keys() and table != want
-    for kind, (_, block, _) in table.items():
-        _, other, _ = want[kind]
-        assert block.keys() == other.keys()
-        for i, row in block.items():
-            assert row.get(i) == other[i].get(i)
-            assert all(block[j][i] == c for j, c in row.items())
-            square = {}
-            for m, c in row.items():
-                for j, b in block[m].items():
-                    square[j] = square.get(j, 0) + c * b
-            assert {j: c for j, c in square.items() if c} == {j: den * c for j, c in row.items()}
-    with pytest.raises(InvariantError, match=rf"\(2, 1\) rows on parities "
-                                             rf"{re.escape(str(parities))} break "
-                                             rf"P_tau \. e = e \. P_tau at tau = \(0, 1\)"):
-        schur_apply(lam, full(p, q))
+    # two general partitions of the goldens (tests/golden)
+    assert schur_apply(Partition((2, 2, 1, 1)), full(2, 2)) == SchurImage(432, 0)
+    assert schur_apply(Partition((3, 2, 1)), full(3, 3)) == SchurImage(14336, 0)
+    assert general == 3153
+    _clear_schur_images()
 
 
 def test_report_verdicts_build_no_tensor_power_idempotent(monkeypatch, capsys):
     # every zero test, rank and super dimension in a Schur report, s_wedge's
     # among them, is read off the orbit types: no idempotent is tensored or
-    # block-summed, and the Lambda/S verdicts sum no n!-term group-algebra
-    # idempotent
-    from finmot import karoubi
+    # block-summed, and no n!-term group-algebra idempotent is built, for
+    # Lambda and S or any other partition
+    from finmot import karoubi, symgroup
     from finmot.cli import main
 
     def refused(name):
@@ -740,13 +655,12 @@ def test_report_verdicts_build_no_tensor_power_idempotent(monkeypatch, capsys):
             raise AssertionError(f"{name} called")
         return raising
 
-    for name in ("_block_diagonal", "young_idempotent"):
-        monkeypatch.setattr(karoubi, name, refused(name))
+    monkeypatch.setattr(karoubi, "_block_diagonal", refused("_block_diagonal"))
+    monkeypatch.setattr(symgroup, "young_idempotent", refused("young_idempotent"))
     monkeypatch.setattr(SuperMorphism, "tensor", refused("SuperMorphism.tensor"))
     assert main(["--out", "json", "verify", "vanishing"]) == 0
     assert main(["--out", "json", "verify", "kimura-dim"]) == 0
     assert main(["--out", "json", "verify", "vanishing", "--grid", "p=6,q=0,k=1"]) == 0
-    monkeypatch.setattr(karoubi, "young_idempotent", young_idempotent)
     assert main(["--out", "json", "--k", "3", "schur", "--lam", "3,1", "--p", "2",
                  "--q", "6"]) == 0
     capsys.readouterr()
@@ -1123,7 +1037,7 @@ def test_s_wedge_examples_on_1_1():
 @pytest.mark.parametrize("k", [1, 3])
 def test_s_wedge_idempotent_is_the_block_sum_of_its_terms(k):
     # the block sum of wedge (x) sym over the terms whose two factors are
-    # nonzero, each factor's idempotent built from its type blocks, has the
+    # nonzero, each factor's idempotent built by the permutation sum, has the
     # rank and super dimension that s_wedge reads off those terms as its
     # trace and supertrace
     from finmot.karoubi import _block_diagonal
