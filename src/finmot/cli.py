@@ -21,14 +21,12 @@ and exits 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError, ModelFileError, SizeCapError
@@ -95,37 +93,45 @@ K_RANGE = range(1, 7)
 SEED_RANGE = range(2**64)
 
 
-@dataclass
 class Check:
-    id: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("id", "passed", "detail")
+
+    def __init__(self, id: str, passed: bool, detail: str = ""):
+        self.id = id
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class RunConfig:
-    command: str
-    out_format: str = "pretty"
-    seed: int = 0
-    cap: int = TENSOR_DIM_CAP
-    k: int = 2
-    grid: dict = field(default_factory=dict)
-    file: str | None = None
-    params: dict = field(default_factory=dict)
+    """One command's settings; ``grid`` and ``params`` default to fresh dicts."""
 
-    def __post_init__(self):
-        if self.cap <= 0:
+    __slots__ = ("command", "out_format", "seed", "cap", "k", "grid", "file", "params")
+
+    def __init__(self, command: str, out_format: str = "pretty", seed: int = 0,
+                 cap: int = TENSOR_DIM_CAP, k: int = 2, grid: dict | None = None,
+                 file: str | None = None, params: dict | None = None):
+        if cap <= 0:
             raise ValueError("--cap must be positive")
-        if self.seed not in SEED_RANGE:
+        if seed not in SEED_RANGE:
             raise ValueError("--seed must be an unsigned 64-bit integer")
+        self.command = command
+        self.out_format = out_format
+        self.seed = seed
+        self.cap = cap
+        self.k = k
+        self.grid = {} if grid is None else grid
+        self.file = file
+        self.params = {} if params is None else params
 
 
-@dataclass
 class Report:
-    command: str
-    config: dict
-    results: dict
-    checks: list[Check]
+    __slots__ = ("command", "config", "results", "checks")
+
+    def __init__(self, command: str, config: dict, results: dict, checks: list[Check]):
+        self.command = command
+        self.config = config
+        self.results = results
+        self.checks = checks
 
     @property
     def all_passed(self) -> bool:
@@ -148,6 +154,8 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv  # only CSV output reads it; JSON and pretty runs skip the import
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["check_id", "passed", "detail"])
@@ -536,17 +544,25 @@ def _random_summand_instance(rng, k: int):
     return karoubi.assemble_summand(maps_in, maps_out)
 
 
-@dataclass
 class _SurfaceRun:
-    """What the surface pipeline found on one spec."""
+    """What the surface pipeline found on one spec: ``family_error`` is
+    validate's message, "" when the family is valid, and ``wedge`` the
+    wedge of d + 1 seeded cycles, None when t > d."""
 
-    family: ProjectorFamily
-    family_error: str  # validate's message, "" when the family is valid
-    relations: motives.SurfaceRelationsReport
-    model: motives.ChowModel
-    splitting: motives.MiddleSplit
-    kernel: karoubi.FiniteDimReport
-    wedge: dict | None  # the wedge of d + 1 seeded cycles; None when t > d
+    __slots__ = ("family", "family_error", "relations", "model", "splitting", "kernel",
+                 "wedge")
+
+    def __init__(self, family: ProjectorFamily, family_error: str,
+                 relations: motives.SurfaceRelationsReport, model: motives.ChowModel,
+                 splitting: motives.MiddleSplit, kernel: karoubi.FiniteDimReport,
+                 wedge: dict | None):
+        self.family = family
+        self.family_error = family_error
+        self.relations = relations
+        self.model = model
+        self.splitting = splitting
+        self.kernel = kernel
+        self.wedge = wedge
 
 
 def _run_surface(spec: MotiveSpec, cap: int) -> _SurfaceRun:

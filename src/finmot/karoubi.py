@@ -60,11 +60,11 @@ ambient weight by -2r; the weights are the only record of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb, factorial, perm, prod
+from typing import NamedTuple
 
 from .errors import InvariantError, SizeCapError
 from .symgroup import (
@@ -209,8 +209,7 @@ class KaroubiObject:
         return f"KaroubiObject(rank={self.classical_rank()}, dim={self.dimension()})"
 
 
-@dataclass(frozen=True)
-class FiniteDimReport:
+class FiniteDimReport(NamedTuple):
     """Outcome of the finite-dimensionality search.
 
     ``kim_plus`` is the largest n with a nonvanishing n-th exterior power
@@ -348,8 +347,7 @@ def _multiplicities(n: int) -> list[list[tuple[int, ...]]]:
     return [[mu.parts for mu in partitions(a)] for a in range(n + 1)]
 
 
-@dataclass(frozen=True)
-class SchurImage:
+class SchurImage(NamedTuple):
     """A Schur image as its verdicts: the rank and super dimension read off
     the orbit types.  It carries no idempotent."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .supercat import SuperMorphism, SuperSpace, geometric_series
@@ -125,13 +125,23 @@ def lift_idempotent(start: SuperMorphism) -> SuperMorphism:
 # --- complete orthogonal families --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ProjectorFamily:
-    """An ordered complete family of pairwise orthogonal idempotents."""
+    """An ordered complete family of pairwise orthogonal idempotents.
 
-    ambient: SuperSpace
-    members: tuple[SuperMorphism, ...]
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    Two families are equal when their ambients and members are; whether
+    either has been validated does not enter."""
+
+    __slots__ = ("ambient", "members", "_valid")
+
+    def __init__(self, ambient: SuperSpace, members: tuple[SuperMorphism, ...]):
+        self.ambient = ambient
+        self.members = members
+        self._valid = False
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjectorFamily:
+            return NotImplemented
+        return self.ambient == other.ambient and self.members == other.members
 
     def __len__(self):
         return len(self.members)
@@ -169,7 +179,7 @@ class ProjectorFamily:
             total = total + m
         if total != SuperMorphism.identity(self.ambient):
             raise ValueError("members do not sum to the identity")
-        object.__setattr__(self, "_valid", True)
+        self._valid = True
 
 
 def lift_family(residues: ProjectorFamily, k: int, seed: int = 0) -> ProjectorFamily:
@@ -227,7 +237,6 @@ def conjugating_unit(fam: ProjectorFamily, fam2: ProjectorFamily) -> SuperMorphi
 # --- corner calculus ------------------------------------------------------------------
 
 
-@dataclass
 class CornerReport:
     """Result of comparing matching members of two projector families.
 
@@ -237,12 +246,17 @@ class CornerReport:
     iso_from . iso_to = pi and iso_to . iso_from = pi~ exactly.
     """
 
-    e: SuperMorphism
-    defect: SuperMorphism
-    exact_equality: bool
-    corner_inverse: SuperMorphism | None
-    iso_to: SuperMorphism
-    iso_from: SuperMorphism
+    __slots__ = ("e", "defect", "exact_equality", "corner_inverse", "iso_to", "iso_from")
+
+    def __init__(self, e: SuperMorphism, defect: SuperMorphism, exact_equality: bool,
+                 corner_inverse: SuperMorphism | None, iso_to: SuperMorphism,
+                 iso_from: SuperMorphism):
+        self.e = e
+        self.defect = defect
+        self.exact_equality = exact_equality
+        self.corner_inverse = corner_inverse
+        self.iso_to = iso_to
+        self.iso_from = iso_from
 
 
 def corner_unit_check(pi: SuperMorphism, pi2: SuperMorphism) -> CornerReport:
@@ -304,15 +318,13 @@ def nilpotency_index(f: SuperMorphism) -> int:
 # --- rigidity -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityBlock:
+class RigidityBlock(NamedTuple):
     s: int
     t: int
     is_zero: bool
 
 
-@dataclass(frozen=True)
-class MurreRigidityReport:
+class MurreRigidityReport(NamedTuple):
     within_hypotheses: bool
     hom_trivial: bool
     certified_zero: bool

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantError, SizeCapError
 from .supercat import (
@@ -55,46 +54,58 @@ from .symgroup import Permutation
 KINDS = ("point", "lefschetz", "curve", "surface", "abelian")
 
 
-@dataclass(frozen=True)
 class MotiveSpec:
     """Betti-data description of a motive model.
 
     Fields not used by a kind are ignored for it.  For surfaces the model
     identifies "geometric genus zero" with b2 = rho, so ``pg`` must be 0
-    exactly when every weight-2 class is algebraic.
+    exactly when every weight-2 class is algebraic.  Specs with equal
+    fields are equal and hash alike.
     """
 
-    kind: str
-    g: int = 0
-    q: int = 0
-    pg: int = 0
-    b2: int = 0
-    rho: int = 0
-    r: int = 0
-    k: int = 1
-    seed: int = 0
-    t: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.k < 1:
+    def __init__(self, kind: str, g: int = 0, q: int = 0, pg: int = 0, b2: int = 0,
+                 rho: int = 0, r: int = 0, k: int = 1, seed: int = 0, t: int = 0):
+        self.kind = kind
+        self.g = g
+        self.q = q
+        self.pg = pg
+        self.b2 = b2
+        self.rho = rho
+        self.r = r
+        self.k = k
+        self.seed = seed
+        self.t = t
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        if k < 1:
             raise ValueError("truncation order k must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.t < 0:
+        if t < 0:
             raise ValueError("kernel dimension t must be nonnegative")
-        if self.kind in ("curve", "abelian") and self.g < 0:
+        if kind in ("curve", "abelian") and g < 0:
             raise ValueError("genus must be nonnegative")
-        if self.kind == "surface":
-            if self.q < 0:
+        if kind == "surface":
+            if q < 0:
                 raise ValueError("irregularity q must be nonnegative")
-            if not 1 <= self.rho <= self.b2:
+            if not 1 <= rho <= b2:
                 raise ValueError("need 1 <= rho <= b2 for a surface model")
-            if (self.pg == 0) != (self.b2 == self.rho):
+            if (pg == 0) != (b2 == rho):
                 raise ValueError("pg = 0 exactly when b2 = rho in this model")
-            if self.pg < 0:
+            if pg < 0:
                 raise ValueError("pg must be nonnegative")
+
+    def __eq__(self, other):
+        if other.__class__ is not MotiveSpec:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={val!r}" for key, val in self.__dict__.items())
+        return f"MotiveSpec({fields})"
 
     @property
     def motive_dimension(self) -> int:
@@ -188,15 +199,13 @@ def chow_kunneth(spec: MotiveSpec) -> ProjectorFamily:
 # --- surface projector relations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     passed: bool
     defect: SuperMorphism | None
 
 
-@dataclass(frozen=True)
-class SurfaceRelationsReport:
+class SurfaceRelationsReport(NamedTuple):
     spec: MotiveSpec
     checks: tuple[RelationCheck, ...]
 
@@ -248,8 +257,7 @@ def surface_projector_relations(spec: MotiveSpec,
 # --- the zero-cycle model and its filtration ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChowModel:
+class ChowModel(NamedTuple):
     """Model of the surface's zero-cycle group: Q^(1 + q + t).
 
     Coordinates are blocked as [degree | albanese | kernel].  The top
@@ -335,8 +343,7 @@ def acts_as_zero_on_gradeds(spec: MotiveSpec, f: SuperMorphism) -> bool:
 # --- the middle motive splitting -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MiddleSplit:
+class MiddleSplit(NamedTuple):
     """The middle motive split as rho weight-2 lines plus a remainder.
 
     ``kernel_in_ambient`` is the remainder as a summand of the full
@@ -434,8 +441,7 @@ def albanese_wedge(cycles: Sequence[Sequence],
 # --- conclusions for surfaces with all of weight 2 algebraic ----------------------------
 
 
-@dataclass(frozen=True)
-class KernelVanishingVerdict:
+class KernelVanishingVerdict(NamedTuple):
     consistent: bool
     t: int
     motive_shape: str | None
@@ -474,8 +480,7 @@ def pg_zero_conclusion(spec: MotiveSpec) -> KernelVanishingVerdict:
 # --- abelian eigenrelations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianActionReport:
+class AbelianActionReport(NamedTuple):
     g: int
     n: int
     eigenvalues: tuple[int, ...]

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -208,17 +207,25 @@ class TruncatedScalar:
         return f"TruncatedScalar({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class SuperSpace:
     """A graded space: the parities and weights of its basis, in order.
 
     Equality compares the three fields and returns at once for the same
-    object; the hash is the one the dataclass would generate, so spaces key
-    caches as before."""
+    object; the hash is that of the field tuple, so spaces key caches."""
 
-    parities: tuple[int, ...]
-    weights: tuple[int, ...]
-    k: int = 1
+    __slots__ = ("parities", "weights", "k")
+
+    def __init__(self, parities: Iterable[int], weights: Iterable[int], k: int = 1):
+        # lists would compare unequal to tuples and could not key a cache
+        self.parities = parities = tuple(parities)
+        self.weights = weights = tuple(weights)
+        self.k = k
+        if k < 1:
+            raise ValueError("truncation order k must be >= 1")
+        if len(parities) != len(weights):
+            raise ValueError("parities and weights differ in length")
+        if not set(parities) <= {EVEN, ODD}:
+            raise ValueError(f"parity must be 0 or 1, got {set(parities) - {EVEN, ODD}}")
 
     def __eq__(self, other):
         if self is other:
@@ -231,16 +238,8 @@ class SuperSpace:
     def __hash__(self):
         return hash((self.parities, self.weights, self.k))
 
-    def __post_init__(self):
-        # lists would compare unequal to tuples and could not key a cache
-        object.__setattr__(self, "parities", tuple(self.parities))
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if self.k < 1:
-            raise ValueError("truncation order k must be >= 1")
-        if len(self.parities) != len(self.weights):
-            raise ValueError("parities and weights differ in length")
-        if not set(self.parities) <= {EVEN, ODD}:
-            raise ValueError(f"parity must be 0 or 1, got {set(self.parities) - {EVEN, ODD}}")
+    def __repr__(self):
+        return f"SuperSpace(parities={self.parities!r}, weights={self.weights!r}, k={self.k!r})"
 
     @classmethod
     def _of(cls, parities: tuple[int, ...], weights: tuple[int, ...],
@@ -248,7 +247,7 @@ class SuperSpace:
         """Trusted constructor from tuples built from valid spaces: equal
         lengths, parities in {0, 1} and k >= 1 hold, so nothing is checked."""
         self = object.__new__(cls)
-        self.__dict__.update(parities=parities, weights=weights, k=k)
+        self.parities, self.weights, self.k = parities, weights, k
         return self
 
     @staticmethod

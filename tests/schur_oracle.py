@@ -23,9 +23,10 @@ cached_young_idempotent = functools.cache(young_idempotent)
 
 @functools.lru_cache(maxsize=2)
 def class_sums(parities, n):
-    """``(images, sums)``: the images of one permutation of each conjugacy
-    class of S_n, and at each (row, col) of the n-th tensor power the signed
-    count of each class's slot maps there, in the same class order."""
+    """``(images, groups)``: the images of one permutation of each conjugacy
+    class of S_n, and the entries (row, col) of the n-th tensor power grouped
+    by the signed count of each class's slot maps there, in the same class
+    order: each count vector maps to the columns of its entries, row by row."""
     order = {ct: i for i, ct in enumerate(partitions(n))}
     images = [None] * len(order)
     sums = {}
@@ -37,22 +38,28 @@ def class_sums(parities, n):
             if counts is None:
                 counts = sums[row, col] = [0] * len(order)
             counts[i] += sign
-    return images, sums
+    groups = {}
+    for (row, col), counts in sums.items():
+        groups.setdefault(tuple(counts), {}).setdefault(row, []).append(col)
+    return images, groups
 
 
 def permutation_sum_rows(parities, lam):
     """``(rows, den)``: e_lam on the tensor power as the sum of its n!
     signed slot maps, whose coefficients are constant on each class
-    (``class_sums``), as integer rows over one denominator in lowest terms."""
+    (``class_sums``), as integer rows over one denominator in lowest terms.
+    Entries with equal class counts are equal, so each count vector is
+    weighed once."""
     elem = cached_young_idempotent(lam)
-    images, sums = class_sums(parities, lam.n)
+    images, groups = class_sums(parities, lam.n)
     coeffs = [elem.numerators.get(img, 0) for img in images]
-    acc = {key: sum(map(mul, counts, coeffs)) for key, counts in sums.items()}
+    acc = {counts: sum(map(mul, counts, coeffs)) for counts in groups}
     g = math.gcd(elem.den, *acc.values())
     rows = {}
-    for (row, col), c in acc.items():
-        if c:
-            rows.setdefault(row, {})[col] = c // g
+    for counts, cols_by_row in groups.items():
+        if c := acc[counts] // g:
+            for row, cols in cols_by_row.items():
+                rows.setdefault(row, {}).update(dict.fromkeys(cols, c))
     return rows, elem.den // g
 
 

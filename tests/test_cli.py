@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import time
@@ -18,6 +17,7 @@ from finmot.cli import (
     parse_model_text,
 )
 from finmot.errors import ModelFileError
+from finmot.lifting import CornerReport
 from finmot.motives import KINDS
 
 
@@ -692,8 +692,7 @@ def _abelian_fails_at_n2(original):
         report = original(g, n, k=k)
         if n != 2:
             return report
-        return dataclasses.replace(report, holds=False,
-                                   failures=("nstar . pi_1 != n^1 pi_1",))
+        return report._replace(holds=False, failures=("nstar . pi_1 != n^1 pi_1",))
     return wrapped
 
 
@@ -701,8 +700,8 @@ def _rigidity_claims_the_hypotheses(monkeypatch):
     # seed 1 draws the zero map, which no report has to flag; every report
     # then claims the hypotheses, so seed 2 is the first violation
     _patch("random_hom_trivial", _spoil_call(1, lambda f: f - f))(monkeypatch)
-    _patch("murre_rigidity", lambda original: lambda family, q: dataclasses.replace(
-        original(family, q), within_hypotheses=True))(monkeypatch)
+    _patch("murre_rigidity", lambda original: lambda family, q: original(
+        family, q)._replace(within_hypotheses=True))(monkeypatch)
 
 
 #: per folded suite: a grid, a monkeypatch that breaks one case, the check
@@ -720,7 +719,8 @@ FOLDED_FAILURES = {
     "lifting": ("k=1,seeds=3", _patch("lift_idempotent", _spoil_call(2, _identity_like)),
                 "lifting/newton-k1", "seed 2: lift realization differs from the base"),
     "uniqueness": ("k=2,seeds=2", _patch("corner_unit_check", _spoil_call(
-                       6, lambda rep: dataclasses.replace(rep, exact_equality=False))),
+                       6, lambda rep: CornerReport(rep.e, rep.defect, False, rep.corner_inverse,
+                                                   rep.iso_to, rep.iso_from))),
                    "uniqueness/k2", "seed 2, member 1: nonzero corner defect at k=2"),
     "nilpotency": ("k=2,seeds=3", _patch("random_hom_trivial", _spoil_call(2, _identity_like)),
                    "nilpotency/k2", "seed 2: f is not nilpotent of index <= 2"),

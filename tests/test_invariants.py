@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import finmot
 
@@ -92,3 +94,16 @@ def test_karoubi_imports_no_group_algebra_idempotent():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"young_idempotent", "CONVOLUTION_BOUND"}
+
+
+def test_cli_import_loads_no_record_machinery():
+    # every finmot command runs in a fresh interpreter, so its imports are
+    # paid on each call: records are plain classes and NamedTuples, not
+    # dataclasses (which pull in inspect, ast, dis and tokenize), and csv
+    # loads only when a report is written as CSV
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, finmot.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

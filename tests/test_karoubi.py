@@ -312,7 +312,11 @@ def test_block_read_verdicts_equal_the_materialized_image_and_hook_schur():
     # every partition of n <= 5 on every (p|q), p, q <= 4, with (p+q)**n <=
     # 4096: the zero test, rank and super dimension read off the orbit types
     # equal those of the idempotent on the tensor power and
-    # f^lam hs_lam(1^p | 1^q), and the character sum for the super dimension
+    # f^lam hs_lam(1^p | 1^q), and the character sum for the super dimension.
+    # The idempotent's verdicts are read off its permutation-sum entries
+    # (those of image_idempotent, which packs them into a morphism): it is
+    # zero when no entry is, its trace is the diagonal sum over den, and its
+    # supertrace that sum signed by the parities of the tensor basis
     cases = zero = 0
     for p in range(5):
         for q in range(5):
@@ -320,13 +324,16 @@ def test_block_read_verdicts_equal_the_materialized_image_and_hook_schur():
                 if p + q == 0 or (p + q) ** n > 4096:
                     continue
                 x = full(p, q, 2)
+                space = x.free_image()[0].ambient
+                signs = [(-1) ** parity for parity in tensor_power(space, n).parities]
                 for lam in partitions(n):
                     image = schur_apply(lam, x)
                     verdicts = image.is_zero(), image.classical_rank(), image.dimension()
                     rank = hook_dimension(lam) * hook_schur(lam, p, q)
-                    e = image_idempotent(lam, x)
-                    materialized = (e.is_zero(), e.trace().realization(),
-                                    e.supertrace().realization())
+                    rows, den = permutation_sum_rows(space.parities, lam)
+                    diagonal = [(i, row[i]) for i, row in rows.items() if i in row]
+                    materialized = (not rows, Fraction(sum(c for _, c in diagonal), den),
+                                    Fraction(sum(signs[i] * c for i, c in diagonal), den))
                     assert verdicts == materialized, (p, q, lam)
                     assert verdicts[:2] == (rank == 0, rank), (p, q, lam)
                     assert verdicts[2] == schur_super_dimension(lam, x), (p, q, lam)
