@@ -14,6 +14,7 @@ Modules:
 * ``motives``: concrete curve / surface / abelian models with projector
   families, the zero-cycle filtration, and the wedge calculus
 * ``cli``: the ``finmot`` command-line harness
+* ``cmdline``: the table-driven parser of its command line
 """
 
 from .errors import InvariantError, ModelFileError, SizeCapError

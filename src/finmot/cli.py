@@ -20,7 +20,6 @@ and exits 1.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
@@ -29,6 +28,7 @@ import time
 from collections.abc import Iterable
 from fractions import Fraction
 
+from .cmdline import Arg, CommandLine, choice, integer
 from .errors import InvariantError, ModelFileError, SizeCapError
 from .symgroup import (
     GroupAlgebraElement,
@@ -801,21 +801,20 @@ def _parse_grid(text: str) -> dict:
         key, _, value = item.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise argparse.ArgumentTypeError(f"bad grid item {item!r}")
+            raise ValueError(f"bad grid item {item!r}")
         if key in grid:
-            raise argparse.ArgumentTypeError(f"grid key {key!r} is repeated")
+            raise ValueError(f"grid key {key!r} is repeated")
         try:
             grid[key] = int(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"grid value for {key!r} must be an int")
+            raise ValueError(f"grid value for {key!r} must be an int") from None
         # a seed count of 0 or a negative bound would run nothing and pass
         least = 1 if key == "seeds" else 0
         if grid[key] < least:
-            raise argparse.ArgumentTypeError(
-                f"grid value {key}={grid[key]} must be >= {least}")
+            raise ValueError(f"grid value {key}={grid[key]} must be >= {least}")
         # k = 0 stays a grid that selects no checks
         if key == "k" and grid[key] >= K_RANGE.stop:
-            raise argparse.ArgumentTypeError(
+            raise ValueError(
                 f"grid value k={grid[key]} is outside the truncation orders "
                 f"{K_RANGE.start}..{K_RANGE.stop - 1}")
     return grid
@@ -825,9 +824,9 @@ def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, got {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise ValueError(f"must be nonnegative, got {value}")
     return value
 
 
@@ -835,83 +834,65 @@ def _parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text or text == "0":
         return Partition()
+    return Partition(int(p) for p in text.split(","))
+
+
+#: the one table of the command line: the global options, then each
+#: command's summary and arguments
+COMMAND_LINE = CommandLine(
+    "finmot", "exact verification harness for the graded motive model", (
+    Arg("--out", choice(("json", "csv", "pretty")), "pretty", "{json,csv,pretty}",
+        "report format"),
+    Arg("--seed", integer, 0, "SEED", "base seed (u64)"),
+    Arg("--cap", integer, TENSOR_DIM_CAP, "CAP",
+        "size cap: orbits of a Schur image on its free image, the dimension p + q of a "
+        "schur object, the realization and Chow model dimensions of a surface model "
+        "file, else the tensor-power dimension"),
+    Arg("--k", choice(K_RANGE, integer), 2, "1..6", "truncation order of the scalar ring"),
+    Arg("--file", str, None, "FILE", "write the report here"),
+), {
+    "chars": ("character table of S_n", (
+        Arg("n", _nonnegative_int, metavar="n"),)),
+    "schur": ("Schur image of a (p|q) object", (
+        Arg("--lam", _parse_partition, None, "LAM", "partition, e.g. 2,1", required=True),
+        Arg("--p", _nonnegative_int, 0, "P"),
+        Arg("--q", _nonnegative_int, 0, "Q"))),
+    "verify": ("run an invariant suite", (
+        Arg("suite", choice((*sorted(SUITES), "all")), metavar="SUITE",
+            help=f"one of {', '.join(sorted(SUITES))}, or all"),
+        Arg("--grid", _parse_grid, None, "GRID",
+            "bounds, e.g. p=2,q=2,k=3 or k=4,seeds=25 (seeds >= 1, others >= 0; "
+            "not with 'all')"))),
+    "surface": ("surface pipeline from a model file", (
+        Arg("path", str, metavar="path"),)),
+})
+
+
+def parse_args(argv=None) -> RunConfig:
+    """The settings of one call, read from ``argv`` by :data:`COMMAND_LINE`;
+    a usage error exits 2."""
+    command, given, params = COMMAND_LINE.parse(sys.argv[1:] if argv is None else argv)
     try:
-        return Partition(int(p) for p in text.split(","))
+        cfg = RunConfig(command=command, out_format=given["out"], seed=given["seed"],
+                        cap=given["cap"], k=given["k"], grid=params.pop("grid", None),
+                        file=given["file"], params=params)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="finmot",
-        description="exact verification harness for the graded motive model")
-    parser.add_argument("--out", choices=("json", "csv", "pretty"),
-                        default="pretty", help="report format")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (u64)")
-    parser.add_argument("--cap", type=int, default=TENSOR_DIM_CAP,
-                        help="size cap: orbits of a Schur image on its free image, "
-                             "the dimension p + q of a schur object, the realization "
-                             "and Chow model dimensions of a surface model file, else "
-                             "the tensor-power dimension")
-    parser.add_argument("--k", type=int, default=2, choices=K_RANGE,
-                        metavar="1..6", help="truncation order of the scalar ring")
-    parser.add_argument("--file", default=None, help="write the report here")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chars = sub.add_parser("chars", help="character table of S_n")
-    p_chars.add_argument("n", type=_nonnegative_int)
-
-    p_schur = sub.add_parser("schur", help="Schur image of a (p|q) object")
-    p_schur.add_argument("--lam", type=_parse_partition, required=True,
-                         help="partition, e.g. 2,1")
-    p_schur.add_argument("--p", type=_nonnegative_int, default=0)
-    p_schur.add_argument("--q", type=_nonnegative_int, default=0)
-
-    p_verify = sub.add_parser("verify", help="run an invariant suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_verify.add_argument("--grid", type=_parse_grid, default={},
-                          help="bounds, e.g. p=2,q=2,k=3 or k=4,seeds=25 (seeds >= "
-                               "1, others >= 0; not with 'all')")
-
-    p_surface = sub.add_parser("surface", help="surface pipeline from a model file")
-    p_surface.add_argument("path")
-    return parser
+        COMMAND_LINE.fail(None, str(exc))
+    if command == "verify":
+        # 'all' runs the default grids and reads no grid key
+        suite = params["suite"]
+        keys = SUITES[suite][1] if suite in SUITES else {}
+        unknown = sorted(set(cfg.grid) - set(keys))
+        if unknown:
+            COMMAND_LINE.fail(command, f"unknown grid key(s) {', '.join(unknown)} for "
+                                       f"suite {suite}; it reads {', '.join(keys) or 'none'}")
+    return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = RunConfig(
-            command=args.command,
-            out_format=args.out,
-            seed=args.seed,
-            cap=args.cap,
-            k=args.k,
-            grid=getattr(args, "grid", {}) or {},
-            file=args.file,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))  # exits with code 2
-    if args.command == "verify":
-        # 'all' runs the default grids and reads no grid key
-        keys = SUITES[args.suite][1] if args.suite in SUITES else {}
-        unknown = sorted(set(cfg.grid) - set(keys))
-        if unknown:
-            parser.error(f"unknown grid key(s) {', '.join(unknown)} for suite "
-                         f"{args.suite}; it reads {', '.join(keys) or 'none'}")
-    if args.command == "chars":
-        cfg.params = {"n": args.n}
-        runner = cmd_chars
-    elif args.command == "schur":
-        cfg.params = {"lam": args.lam, "p": args.p, "q": args.q}
-        runner = cmd_schur
-    elif args.command == "verify":
-        cfg.params = {"suite": args.suite}
-        runner = cmd_verify
-    else:
-        cfg.params = {"path": args.path}
-        runner = cmd_surface
+    cfg = parse_args(argv)
+    runner = {"chars": cmd_chars, "schur": cmd_schur, "verify": cmd_verify,
+              "surface": cmd_surface}[cfg.command]
     started = time.monotonic()
     try:
         report = runner(cfg)
@@ -925,11 +906,10 @@ def main(argv=None) -> int:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started
-    if args.command == "verify" and not report.checks:
+    if cfg.command == "verify" and not report.checks:
         grid = ",".join(f"{key}={val}" for key, val in sorted(cfg.grid.items()))
-        print(f"usage error: grid {grid or '(default)'} selects no checks for "
-              f"suite {args.suite}", file=sys.stderr)
-        return 2
+        COMMAND_LINE.fail("verify", f"grid {grid or '(default)'} selects no checks for "
+                                    f"suite {cfg.params['suite']}")
     rendered = report.render(cfg.out_format)
     if cfg.file:
         try:

@@ -619,7 +619,10 @@ class SuperMorphism:
 
     def _combine(self, other: "SuperMorphism", sign: int) -> "SuperMorphism":
         """``self + sign * other``."""
-        if other.source != self.source or other.target != self.target:
+        # `is` first: the spaces are nearly always the same objects, and
+        # SuperSpace.__eq__ is a Python-level call
+        if ((other.source is not self.source and other.source != self.source)
+                or (other.target is not self.target and other.target != self.target)):
             raise ValueError("morphisms are not parallel")
         (a, b), den, width = _aligned((self, other))
         rows = {i: dict(row) for i, row in a.items()}
@@ -657,7 +660,7 @@ class SuperMorphism:
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
         """``self`` after ``other`` (matrix product self . other)."""
         source = self.source
-        if other.target != source:
+        if other.target is not source and other.target != source:
             raise ValueError("composition mismatch")
         width = self.width if self.width >= other.width else other.width
         # the headroom 2 * _bound(width) + bitlen(dim k), as width - 16 + ...
@@ -740,7 +743,7 @@ class SuperMorphism:
                 and all(row == {i: 1} for i, row in self.rows.items()))
 
     def is_endomorphism(self) -> bool:
-        return self.source == self.target
+        return self.source is self.target or self.source == self.target
 
     def is_idempotent(self) -> bool:
         """self . self == self; a True verdict is kept, a False one is not."""
@@ -801,8 +804,8 @@ class SuperMorphism:
     def __eq__(self, other):
         return (
             isinstance(other, SuperMorphism)
-            and self.source == other.source
-            and self.target == other.target
+            and (self.source is other.source or self.source == other.source)
+            and (self.target is other.target or self.target == other.target)
             and self.den == other.den
             and self.width == other.width
             and self.rows == other.rows

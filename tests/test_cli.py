@@ -12,8 +12,8 @@ from finmot.cli import (
     _MODEL_KEYS,
     SUITES,
     RunConfig,
-    build_parser,
     main,
+    parse_args,
     parse_model_text,
 )
 from finmot.errors import ModelFileError
@@ -324,10 +324,60 @@ def test_unwritable_report_file_is_usage_error(where, tmp_path, capsys):
 
 
 def test_parser_exists_for_all_documented_flags():
-    parser = build_parser()
-    ns = parser.parse_args(["--out", "csv", "--seed", "9", "--cap", "100",
-                            "--k", "3", "--file", "x", "chars", "4"])
-    assert ns.out == "csv" and ns.seed == 9 and ns.cap == 100 and ns.k == 3
+    cfg = parse_args(["--out", "csv", "--seed", "9", "--cap", "100",
+                      "--k", "3", "--file", "x", "chars", "4"])
+    assert cfg.out_format == "csv" and cfg.seed == 9 and cfg.cap == 100 and cfg.k == 3
+
+
+_USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["bogus"],
+    "unknown option": ["--bogus", "chars", "2"],
+    "missing value": ["--seed"],
+    "seed not an int": ["--seed", "x", "chars", "2"],
+    "k outside 1..6": ["--k", "7", "chars", "2"],
+    "unknown format": ["--out", "xml", "chars", "2"],
+    "unknown suite": ["verify", "no-such-suite"],
+    "extra positional": ["chars", "2", "3"],
+    "global option after the command": ["verify", "lifting", "--seed", "3"],
+    "grid on schur": ["schur", "--lam", "1", "--grid", "k=1"],
+}
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
+def test_usage_errors_print_usage_and_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: finmot")
+    assert lines[-1].startswith("finmot: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([command, "-h"] for command in (
+    "chars", "schur", "verify", "surface"))], ids=" ".join)
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith(f"usage: finmot {argv[0] if len(argv) > 1 else ''}")
+    assert "-h, --help" in captured.out and captured.err == ""
+
+
+def test_options_take_the_equals_form_and_unique_prefixes():
+    # as --seed 5: a unique prefix of a long option, and --opt=value
+    for argv in (["--seed", "5", "--out", "json", "schur", "--lam", "2,1", "--p", "1"],
+                 ["--seed=5", "--out=json", "schur", "--lam=2,1", "--p=1"],
+                 ["--se", "5", "--o", "json", "schur", "--p", "1", "--l", "2,1"]):
+        cfg = parse_args(argv)
+        assert (cfg.seed, cfg.out_format, cfg.params["lam"].parts, cfg.params["p"],
+                cfg.params["q"]) == (5, "json", (2, 1), 1, 0)
+    # after "--" a token that starts with "-" is the positional
+    assert parse_args(["surface", "--", "-model.spec"]).params == {"path": "-model.spec"}
 
 
 # --- input validation: bad values exit 2 without a traceback ----------------------

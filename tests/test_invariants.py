@@ -107,3 +107,22 @@ def test_cli_import_loads_no_record_machinery():
          "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_calls_load_no_argument_parser_machinery():
+    # the command line is parsed from finmot's own table: argparse and gettext
+    # cost about 2 ms per call, and gettext's first lookup imports locale
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    script = (
+        "import contextlib, io, sys\n"
+        "import finmot.cli\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [finmot.cli.main(['--out', 'json', 'schur', '--lam', '2,1',\n"
+        "                              '--p', '1', '--q', '1']),\n"
+        "             finmot.cli.main(['verify', 'supertrace', '--grid', 'n=2,p=1,q=1'])]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n[0, 0] []\n"
