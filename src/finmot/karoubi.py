@@ -1,8 +1,8 @@
 """Idempotent completion of the graded model category.
 
-Objects are pairs (ambient space, idempotent endomorphism).  Schur
-functors act by the central group-algebra idempotents e_lam, realized as
-signed permutation operators on a tensor power.  Classification reads
+Objects are pairs (ambient space, idempotent endomorphism).  The Schur
+functor S_lam is defined by the central idempotent e_lam of Q[S_n], and
+its verdicts are read off orbit types (below).  Classification reads
 kim_+ and kim_- as the ranks r of the even and odd parts and checks the
 witnesses Lambda^(r+1) X+ = 0 != Lambda^r X+ and S^(r+1) X- = 0 != S^r X-.
 
@@ -120,9 +120,7 @@ class KaroubiObject:
 
     @classmethod
     def full(cls, space: SuperSpace) -> "KaroubiObject":
-        obj = cls._of(SuperMorphism.identity(space))
-        obj._free = (obj, obj.idem, obj.idem)
-        return obj
+        return cls._of(SuperMorphism.identity(space))
 
     @classmethod
     def unit(cls, k: int = 1) -> "KaroubiObject":

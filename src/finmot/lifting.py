@@ -24,7 +24,6 @@ reproducible from the seed alone.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import NamedTuple
 
@@ -96,6 +95,11 @@ def random_endomorphism(space: SuperSpace, rng: random.Random) -> SuperMorphism:
 # --- Newton lifting --------------------------------------------------------------
 
 
+def _newton_rounds(k: int) -> int:
+    """ceil(log2 k), and at least 1, in integers."""
+    return max(1, (k - 1).bit_length())
+
+
 def lift_idempotent(start: SuperMorphism) -> SuperMorphism:
     """An exact idempotent congruent to ``start`` mod eps.
 
@@ -110,7 +114,7 @@ def lift_idempotent(start: SuperMorphism) -> SuperMorphism:
         raise ValueError("realization is not idempotent")
     e = start
     k = start.k
-    rounds = max(1, math.ceil(math.log2(k))) if k > 1 else 1
+    rounds = _newton_rounds(k)
     for _ in range(rounds + 1):
         e2 = e.compose(e)
         if e2 == e:

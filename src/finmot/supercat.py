@@ -58,7 +58,6 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SizeCapError
-from .symgroup import Permutation
 
 #: dimension guard for tensor powers
 TENSOR_DIM_CAP = 4096
@@ -697,8 +696,8 @@ class SuperMorphism:
             raise ValueError("power of a non-endomorphism")
         if m < 0:
             raise ValueError("negative power")
-        out = SuperMorphism.identity(self.source)
-        for _ in range(m):
+        out = self if m else SuperMorphism.identity(self.source)
+        for _ in range(m - 1):
             out = out.compose(self)
         return out
 
@@ -790,8 +789,7 @@ class SuperMorphism:
 
     def is_hom_trivial(self) -> bool:
         """Whether the realization vanishes."""
-        mask = (1 << self.width) - 1
-        return all(not v & mask for row in self.rows.values() for v in row.values())
+        return self.realization().is_zero()
 
     def promoted(self, k: int) -> "SuperMorphism":
         """The same numerators at truncation order ``k``: the packed
@@ -860,10 +858,10 @@ def signed_slot_map(images: tuple[int, ...], parities: tuple[int, ...]
     return [(row, sign) for row, _, sign in level]
 
 
-def permutation_action(sigma: Permutation, x: SuperSpace, n: int,
+def permutation_action(sigma, x: SuperSpace, n: int,
                        cap: int = TENSOR_DIM_CAP) -> SuperMorphism:
-    """The signed action of ``sigma`` on the n-fold tensor power of ``x``
-    (see ``signed_slot_map``)."""
+    """The signed action of the degree-n permutation ``sigma`` on the n-fold
+    tensor power of ``x`` (see ``signed_slot_map``)."""
     if sigma.degree != n:
         raise ValueError(f"permutation degree {sigma.degree} != {n}")
     if x.dim**n > cap:
@@ -966,28 +964,6 @@ def geometric_series(one: SuperMorphism, r: SuperMorphism) -> SuperMorphism:
     return acc
 
 
-def _realizes_identity(f: SuperMorphism) -> bool:
-    """Whether the eps^0 layer of the endomorphism ``f`` is the identity,
-    read off the low fields of its packed entries in place.
-
-    The low field of an entry is its eps^0 numerator c_0 modulo 2^W, and
-    c_0 lies within the bound B of the rung; so for den < 2^B, the entry is
-    den / den on the diagonal exactly when v - den is 0 modulo 2^W, and
-    0 off it exactly when v is.
-    """
-    rows, den = f.rows, f.den
-    mask = (1 << f.width) - 1
-    if len(rows) != f.source.dim or den >> _bound(f.width):
-        return False
-    for i, row in rows.items():
-        v = row.get(i)
-        if v is None or (v - den) & mask:
-            return False
-        if any(x & mask for j, x in row.items() if j != i):
-            return False
-    return True
-
-
 def invert_unit(f: SuperMorphism) -> SuperMorphism:
     """Exact inverse of an endomorphism whose realization is invertible.
 
@@ -1004,19 +980,21 @@ def invert_unit(f: SuperMorphism) -> SuperMorphism:
     if f.is_identity():
         return f
     ident = SuperMorphism.identity(f.source)
-    if _realizes_identity(f):
+    real = f.realization()
+    if real.is_identity():
         return geometric_series(ident, ident - f)
     n = f.source.dim
-    # the realization is R / den for the integer matrix R of eps^0 numerators
+    # the realization is R / den for the integer matrix R of its entries,
+    # each a single field that packs to itself
     aug = [[0] * n + [int(i == r) for i in range(n)] for r in range(n)]
-    for i, row in f.rows.items():
+    for i, row in real.rows.items():
         for j, v in row.items():
-            aug[i][j] = _fields(v, f.width, f.k)[0]
+            aug[i][j] = v
     pivots, det = fraction_free_reduce(aug, n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
     # (R / den)^-1 = den * (det * R^-1) / det
-    scale = f.den if det > 0 else -f.den
+    scale = real.den if det > 0 else -real.den
     # a constant packs to itself at every width
     rows = {i: {j: scale * v for j, v in enumerate(aug[i][n:]) if v} for i in range(n)}
     g0 = SuperMorphism._from_packed(

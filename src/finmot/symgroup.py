@@ -6,10 +6,10 @@ and the central idempotents of the rational group algebra Q[S_n].
 All arithmetic is exact.  A group-algebra element stores integer
 numerators, keyed by permutation images, over one positive common
 denominator in lowest terms (for the central idempotents it divides n!).
-Products run over permutation ranks through a multiplication table that
-is built on first use and kept for n <= ``TABLE_BOUND``; degree 7
-composes the permutations on the fly.  ``fractions.Fraction`` is the
-value type at the API boundary: the constructor accepts it and
+Products run over permutation ranks: row rank(a) of the multiplication
+table, the ranks of a * b for every b, is built on first use and kept,
+at every degree up to ``CONVOLUTION_BOUND``.  ``fractions.Fraction`` is
+the value type at the API boundary: the constructor accepts it and
 ``coefficient`` and ``terms`` return it.
 """
 
@@ -22,13 +22,12 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InvariantError, SizeCapError
+from .supercat import fraction_free_reduce
 
 #: degree guard for partition / character enumeration
 PARTITION_BOUND = 12
 #: degree guard for group-algebra work (elements carry up to n! terms)
 CONVOLUTION_BOUND = 7
-#: largest degree whose rank multiplication table is kept (720 x 720 at n = 6)
-TABLE_BOUND = 6
 
 
 class Partition:
@@ -131,24 +130,12 @@ def hook_schur(lam: Partition, p: int, q: int) -> int:
         return sum(math.comb(q, i) * (math.comb(p + m - i - 1, m - i) if m > i else 1)
                    for i in range(min(q, m) + 1))
 
-    # fraction-free (Bareiss) elimination: each step divides exactly by the
-    # previous pivot, and the last pivot is the determinant
+    # the last pivot is the determinant up to the sign of the row swaps,
+    # and hs_lam is a rank, never negative
     size = len(lam)
-    mat = [[h(lam[i] - i + j) for j in range(size)] for i in range(size)]
-    sign, prev = 1, 1
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if mat[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        top = mat[c]
-        for r in range(c + 1, size):
-            row = mat[r]
-            mat[r] = [(top[c] * row[j] - row[c] * top[j]) // prev for j in range(size)]
-        prev = top[c]
-    return sign * prev
+    pivots, last = fraction_free_reduce(
+        [[h(lam[i] - i + j) for j in range(size)] for i in range(size)])
+    return abs(last) if len(pivots) == size else 0
 
 
 class Permutation:
@@ -318,18 +305,18 @@ def _rank_of(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _mult_table(n: int) -> tuple:
-    """Row ``rank(a)`` is an ``array('H')`` of ``rank(a * b)`` for every rank b.
+def _row(n: int, rank: int):
+    """Row ``rank`` of the multiplication table: an ``array('H')`` of
+    ``rank(a * b)`` for every rank b, where a has rank ``rank``.
 
     ``itertools.permutations(a)`` lists a * b = (a[b[0]], a[b[1]], ...) for
     b in lexicographic order, so no product is formed pair by pair.  Built
-    on first use and only for n <= ``TABLE_BOUND``; ``array`` is an
-    extension module, so it is imported here rather than with the package.
+    on first use; ``array`` is an extension module, so it is imported here
+    rather than with the package.
     """
     from array import array
 
-    rank = _rank_of(n).__getitem__
-    return tuple(array("H", map(rank, itertools.permutations(a))) for a in _ranked(n))
+    return array("H", map(_rank_of(n).__getitem__, itertools.permutations(_ranked(n)[rank])))
 
 
 class GroupAlgebraElement:
@@ -427,22 +414,14 @@ class GroupAlgebraElement:
                 f"convolution degree {self.n} exceeds bound {CONVOLUTION_BOUND}"
             )
         n = self.n
-        if n <= TABLE_BOUND:
-            ranked, rank_of, table = _ranked(n), _rank_of(n), _mult_table(n)
-            acc = [0] * len(ranked)
-            right = [(rank_of[p], c) for p, c in other.numerators.items()]
-            for pa, ca in self.numerators.items():
-                row = table[rank_of[pa]]
-                for b, cb in right:
-                    acc[row[b]] += ca * cb
-            out = {ranked[r]: c for r, c in enumerate(acc) if c}
-        else:
-            sums: dict[tuple[int, ...], int] = {}
-            for pa, ca in self.numerators.items():
-                for pb, cb in other.numerators.items():
-                    key = tuple(map(pa.__getitem__, pb))
-                    sums[key] = sums.get(key, 0) + ca * cb
-            out = {p: c for p, c in sums.items() if c}
+        ranked, rank_of = _ranked(n), _rank_of(n)
+        acc = [0] * len(ranked)
+        right = [(rank_of[p], c) for p, c in other.numerators.items()]
+        for pa, ca in self.numerators.items():
+            row = _row(n, rank_of[pa])
+            for b, cb in right:
+                acc[row[b]] += ca * cb
+        out = {ranked[r]: c for r, c in enumerate(acc) if c}
         return GroupAlgebraElement._from_numerators(n, out, self.den * other.den)
 
     def __eq__(self, other):

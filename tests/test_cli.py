@@ -691,12 +691,9 @@ def test_lifting_family_error_is_a_failed_check(capsys, monkeypatch):
 def test_newton_non_convergence_is_a_failed_check(capsys, monkeypatch):
     # with the round bound cut to one, a k=5 Newton lift stops at a defect
     # of order eps^4, which is nonzero below eps^5 = 0
-    from types import SimpleNamespace
-
     from finmot import lifting
 
-    monkeypatch.setattr(lifting, "math", SimpleNamespace(ceil=lambda x: 1,
-                                                         log2=lifting.math.log2))
+    monkeypatch.setattr(lifting, "_newton_rounds", lambda k: 1)
     code, out, err = run(capsys, "--out", "json", "verify", "lifting",
                          "--grid", "k=5,seeds=1")
     assert code == 1

@@ -24,6 +24,7 @@ from finmot.lifting import (
     random_hom_trivial,
     seeded_rng,
     seeded_unit,
+    _newton_rounds,
 )
 
 
@@ -119,6 +120,14 @@ def test_newton_step_count_is_logarithmic(k):
             steps += 1
             assert steps <= bound
         assert e.is_idempotent()
+
+
+def test_newton_round_bound_is_ceil_log2_in_integers():
+    import math as _math
+
+    assert [_newton_rounds(k) for k in range(1, 7)] == [1, 1, 2, 2, 3, 3]
+    for k in range(2, 300):
+        assert _newton_rounds(k) == _math.ceil(_math.log2(k)), k
 
 
 def test_lift_rejects_non_idempotent_residue():

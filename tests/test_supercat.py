@@ -387,7 +387,7 @@ def test_a_unit_that_realizes_the_identity_is_inverted_without_elimination(k, mo
         assert f.compose(g) == SuperMorphism.identity(f.source) == g.compose(f)
 
 
-def test_the_identity_test_reads_the_low_field_against_the_bound():
+def test_inverting_a_unit_whose_den_exceeds_its_rungs_bound():
     # (1 + eps) / (2**64 + 1) on the 64-bit rung: the eps^0 numerator 1 agrees
     # with the den modulo 2**64, but the den lies past the bound of the rung
     x = SuperSpace.standard(1, 0, 2)
@@ -711,6 +711,21 @@ def _counting_composes(monkeypatch):
     monkeypatch.setattr(SuperMorphism, "compose",
                         lambda a, b: pairs.append((a, b)) or compose(a, b))
     return pairs
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_power_m_makes_m_minus_1_composes_and_none_with_the_identity(m, monkeypatch):
+    space = SuperSpace.standard(2, 1, 3)
+    f = seeded_unit(space, seeded_rng(2))
+    pairs = _counting_composes(monkeypatch)
+    got = f.power(m)
+    assert len(pairs) == max(m - 1, 0)
+    assert not any(a.is_identity() or b.is_identity() for a, b in pairs)
+    monkeypatch.undo()
+    want = SuperMorphism.identity(space)
+    for _ in range(m):
+        want = want.compose(f)
+    assert got == want
 
 
 def test_an_idempotent_is_squared_once(monkeypatch):
