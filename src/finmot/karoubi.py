@@ -11,8 +11,8 @@ its realization (Lam, A First Course in Noncommutative Rings, 21), and
 Schur images are invariants up to isomorphism (Kimura 2005, 3), so
 S_lam X is isomorphic to S_lam W.  ``schur_apply`` therefore takes every
 summand to its verified free image (``KaroubiObject.free_image``, split
-by one elimination of the realization per direction) and returns the
-verdicts of the Schur image of that full object, a summand of W^(n).
+by one elimination of the realization) and returns the verdicts of the
+Schur image of that full object, a summand of W^(n).
 The split preserves parity, so ``split_parity`` returns the even and odd
 blocks of W as full objects, and the powers that ``s_wedge`` and
 ``classify`` read are those of the blocks: each summand is eliminated
@@ -162,12 +162,13 @@ class KaroubiObject:
         idempotent e on V, with b . a = id_W and a . b = e checked; kept on
         the object, and a full object is its own free image.
 
-        J and K are the pivot columns and pivot rows of the realization,
-        found by one fraction-free elimination per direction and listed by
-        (parity, weight, index), so V on J and V on K are the same space W;
-        a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e.  The realization
-        preserves parity and weight, so a column is a pivot exactly when it
-        is one inside its (parity, weight) block.
+        One Gauss-Jordan elimination of the realization E gives the pivot
+        columns J, listed by (parity, weight, index), and for each a reduced
+        row with the last pivot at it and 0 at the rest of J.  The rows lie
+        in the row space of E = E^2, so ``left``, the rows over the last
+        pivot, has left e iota_J = 1 mod eps: a = e iota_J and
+        b = (left a)^-1 left e, inverted by the Neumann series.  Each
+        reduced row stays in the (parity, weight) block of its pivot.
         """
         if self._free is not None:
             return self._free
@@ -176,23 +177,20 @@ class KaroubiObject:
             self._free = (self, e, e)
             return self._free
         space = e.source
-        span = range(space.dim)
-        real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
-
-        def order(i):
-            return space.parities[i], space.weights[i], i
-
-        # elimination works in place: one fresh matrix per direction
-        cols = sorted(fraction_free_reduce(
-            [[real.get((i, j), 0) for j in span] for i in span])[0], key=order)
-        rows = sorted(fraction_free_reduce(
-            [[real.get((i, j), 0) for i in span] for j in span])[0], key=order)
-        w = SuperSpace._of(tuple(space.parities[j] for j in cols),
-                           tuple(space.weights[j] for j in cols), space.k)
-        proj = SuperMorphism.from_entries(space, w, {(r, i): 1 for r, i in enumerate(rows)})
-        incl = SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)})
+        mat = [[0] * space.dim for _ in range(space.dim)]
+        for i, j, t in e.numerators():
+            mat[i][j] = t[0]
+        pivots, last = fraction_free_reduce(mat)
+        split = sorted((space.parities[j], space.weights[j], j, row)
+                       for j, row in zip(pivots, mat))
+        w = SuperSpace._of(tuple(s[0] for s in split), tuple(s[1] for s in split), space.k)
+        incl = SuperMorphism.from_entries(
+            w, space, {(j, c): 1 for c, (_, _, j, _) in enumerate(split)})
+        left = SuperMorphism.from_entries(space, w, {
+            (c, i): Fraction(v, last)
+            for c, (*_, row) in enumerate(split) for i, v in enumerate(row) if v})
         a = e.compose(incl)
-        b = invert_unit(proj.compose(a)).compose(proj.compose(e))
+        b = invert_unit(left.compose(a)).compose(left.compose(e))
         if b.compose(a) != SuperMorphism.identity(w):
             raise InvariantError(f"free image of rank {w.dim}: b . a != id_W")
         if a.compose(b) != e:

@@ -306,10 +306,10 @@ def murre_filtration(spec: MotiveSpec) -> ChowModel:
     t = spec.t
     model = ChowModel(q=spec.q, t=t)
     want = (1 + spec.q + t, spec.q + t, t, 0)
-    if model.filtration_dims() != want:
-        raise InvariantError(f"filtration dims {model.filtration_dims()} != {want}")
-    if model.graded_dims() != (1, spec.q, t):
-        raise InvariantError(f"graded dims {model.graded_dims()} != {(1, spec.q, t)}")
+    if (dims := model.filtration_dims()) != want:
+        raise InvariantError(f"filtration dims {dims} != {want}")
+    if (graded := tuple(a - b for a, b in zip(dims, dims[1:]))) != (1, spec.q, t):
+        raise InvariantError(f"graded dims {graded} != {(1, spec.q, t)}")
     return model
 
 

@@ -739,7 +739,7 @@ class SuperMorphism:
     def is_identity(self) -> bool:
         return (self.source == self.target and self.den == 1
                 and len(self.rows) == self.source.dim
-                and all(row == {i: 1} for i, row in self.rows.items()))
+                and all(len(row) == 1 and row.get(i) == 1 for i, row in self.rows.items()))
 
     def is_endomorphism(self) -> bool:
         return self.source is self.target or self.source == self.target
@@ -783,8 +783,9 @@ class SuperMorphism:
             acc = {j: c for j, v in row.items() if (c := ((v + half) & mask) - half)}
             if acc:
                 rows[i] = acc
-        self._real = SuperMorphism._from_packed(self.source.with_k(1), self.target.with_k(1),
-                                                rows, self.den, width, fits=True)
+        source = self.source.with_k(1)
+        target = source if self.is_endomorphism() else self.target.with_k(1)
+        self._real = SuperMorphism._from_packed(source, target, rows, self.den, width, fits=True)
         return self._real
 
     def is_hom_trivial(self) -> bool:

@@ -888,12 +888,16 @@ def _sheared_summand(p, q, diag, c, k=3):
         SuperMorphism.diagonal(space, diag)).compose(u))
 
 
+# (p, q, diag, c) of seeded mixed-parity summands with den > 1
+_SHEARS = [(2, 1, [1, 0, 1], 2), (2, 2, [0, 1, 0, 1], 3),
+           (3, 1, [1, 0, 1, 1], 5), (2, 3, [1, 0, 1, 1, 0], 4)]
+
+
 def test_classical_rank_is_the_rank_of_the_realization():
     # seeded mixed-parity summands with den > 1, and their ambient parity
     # parts, against fraction-free elimination of the eps^0 layer
     checked = 0
-    for p, q, diag, c in [(2, 1, [1, 0, 1], 2), (2, 2, [0, 1, 0, 1], 3),
-                          (3, 1, [1, 0, 1, 1], 5), (2, 3, [1, 0, 1, 1, 0], 4)]:
+    for p, q, diag, c in _SHEARS:
         x = _sheared_summand(p, q, diag, c)
         assert x.idem.den > 1
         for part in (x, *_ambient_parity_parts(x)):
@@ -1128,14 +1132,22 @@ def test_free_image_round_trips_on_seeded_summands(k):
     assert sheared >= 2
 
 
-def test_free_image_needs_pivot_rows():
-    # e0 = [[0, 0], [1, 1]]: the pivot column 0 has principal entry 0, so
-    # the minor on the column pivots alone is singular; the pivot row 1
-    # makes it invertible
+def _pivot_row_summands():
+    """e0 = [[0, 0], [1, 1]] at k = 1 and 3."""
+    out = []
     for k in (1, 3):
         space = SuperSpace.standard(2, 0, k)
-        e0 = SuperMorphism.from_entries(space, space, {(1, 0): 1, (1, 1): 1})
-        x = KaroubiObject(space, e0)
+        out.append(KaroubiObject(space, SuperMorphism.from_entries(
+            space, space, {(1, 0): 1, (1, 1): 1})))
+    return out
+
+
+def test_free_image_needs_pivot_rows():
+    # e0 = [[0, 0], [1, 1]]: the pivot column 0 has principal entry 0, so
+    # the minor on the column pivots alone is singular; the reduced row
+    # (1, 1) of the pivot column gives left . e0 . iota_J = 1
+    for x in _pivot_row_summands():
+        e0 = x.idem
         w, a, b = x.free_image()
         assert e0.entry(0, 0).is_zero() and w.ambient.dim == 1
         assert b.compose(a) == SuperMorphism.identity(w.ambient)
@@ -1152,8 +1164,9 @@ def _coordinate_projectors():
 
 
 def test_free_image_of_a_coordinate_projector_is_its_support():
-    # J = K = the support, listed block by block, and the split is
-    # (full(W), iota_J, pi_J): the identity minor inverts to itself
+    # J is the support, listed block by block, and its reduced rows are
+    # unit rows, so the split is (full(W), iota_J, pi_J): left . a is the
+    # identity, which inverts to itself
     supports = [[0, 1], [2, 3], [2, 4, 1, 0]]
     for x, cols in zip(_coordinate_projectors(), supports):
         space = x.ambient
@@ -1167,27 +1180,25 @@ def test_free_image_of_a_coordinate_projector_is_its_support():
 
 
 def _block_pivots(e):
-    """Pivot columns and pivot rows of the realization of e, found by one
-    elimination per (parity, weight) block and listed block by block."""
+    """Pivot columns of the realization of e, found by one elimination per
+    (parity, weight) block and listed block by block."""
     space = e.source
     blocks = {}
     for i, key in enumerate(zip(space.parities, space.weights)):
         blocks.setdefault(key, []).append(i)
     real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
-    cols, rows = [], []
+    cols = []
     for key in sorted(blocks):
         idx = blocks[key]
         cols += [idx[c] for c in fraction_free_reduce(
             [[real.get((i, j), 0) for j in idx] for i in idx])[0]]
-        rows += [idx[r] for r in fraction_free_reduce(
-            [[real.get((i, j), 0) for i in idx] for j in idx])[0]]
-    return cols, rows
+    return cols
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_free_image_pivots_equal_the_per_block_pivots(k, monkeypatch):
-    # one elimination of the whole realization per direction finds the
-    # pivots that one elimination per (parity, weight) block finds, and
+    # one elimination of the whole realization finds the pivot columns
+    # that one elimination per (parity, weight) block finds, and
     # a = e iota_J lists the columns J block by block
     from finmot import karoubi
 
@@ -1204,10 +1215,10 @@ def test_free_image_pivots_equal_the_per_block_pivots(k, monkeypatch):
         for part in (x, *_ambient_parity_parts(x)):
             if part.idem.is_identity():
                 continue
-            cols, rows = _block_pivots(part.idem)
+            cols = _block_pivots(part.idem)
             found.clear()
             _, a, _ = part.free_image()
-            assert [sorted(p) for p in found] == [sorted(cols), sorted(rows)]
+            assert [sorted(p) for p in found] == [sorted(cols)]
             space = part.ambient
             w = SuperSpace(tuple(space.parities[j] for j in cols),
                            tuple(space.weights[j] for j in cols), k)
@@ -1218,7 +1229,74 @@ def test_free_image_pivots_equal_the_per_block_pivots(k, monkeypatch):
     for x in _coordinate_projectors():
         found.clear()
         x.free_image()
-        assert [sorted(p) for p in found] == [sorted(c) for c in _block_pivots(x.idem)]
+        assert [sorted(p) for p in found] == [sorted(_block_pivots(x.idem))]
+
+
+def _two_sided_split(e):
+    """The split of e by pivot columns J and pivot rows K of its
+    realization, one elimination per direction, each listed by (parity,
+    weight, index): a = e iota_J and b = (pi_K e iota_J)^-1 pi_K e, the
+    inverse by ``invert_unit``.  An oracle for ``free_image``, which reads
+    the split off one elimination."""
+    space = e.source
+    span = range(space.dim)
+    real = {(i, j): t[0] for i, j, t in e.numerators() if t[0]}
+
+    def order(i):
+        return space.parities[i], space.weights[i], i
+
+    cols = sorted(fraction_free_reduce(
+        [[real.get((i, j), 0) for j in span] for i in span])[0], key=order)
+    rows = sorted(fraction_free_reduce(
+        [[real.get((i, j), 0) for i in span] for j in span])[0], key=order)
+    w = SuperSpace(tuple(space.parities[j] for j in cols),
+                   tuple(space.weights[j] for j in cols), space.k)
+    proj = SuperMorphism.from_entries(space, w, {(r, i): 1 for r, i in enumerate(rows)})
+    incl = SuperMorphism.from_entries(w, space, {(j, c): 1 for c, j in enumerate(cols)})
+    a = e.compose(incl)
+    return w, a, invert_unit(proj.compose(a)).compose(proj.compose(e))
+
+
+def _split_cases(k):
+    """The seeded and the sheared summands at k, each with its ambient
+    parity parts."""
+    summands = [*_seeded_summands(k), *(_sheared_summand(*s, k) for s in _SHEARS)]
+    return [part for x in summands for part in (x, *_ambient_parity_parts(x))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_free_image_equals_the_two_sided_split(k):
+    # b is fixed by a (b1 = b1 . a . b2 = b2), so the split read off one
+    # elimination is the two-sided one, morphism for morphism
+    cases = _split_cases(k)
+    for x in cases:
+        w, a, b = x.free_image()
+        assert (w.ambient, a, b) == _two_sided_split(x.idem)
+    assert sum(x.idem.den > 1 for x in cases) >= 6
+
+
+def test_free_image_of_projectors_equals_the_two_sided_split():
+    for x in (*_coordinate_projectors(), *_pivot_row_summands()):
+        w, a, b = x.free_image()
+        assert (w.ambient, a, b) == _two_sided_split(x.idem)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_free_image_inverts_without_elimination(k, monkeypatch):
+    # left . a has realization 1, so invert_unit takes the Neumann series:
+    # the sheared summands split with supercat's elimination refused, the
+    # (2|2) one too, whose pivot-row minor pi_K e iota_J is not 1 mod eps
+    from finmot import supercat
+
+    cases = _split_cases(k)
+
+    def refused(mat, ncols=None):
+        raise AssertionError("invert_unit eliminated")
+
+    monkeypatch.setattr(supercat, "fraction_free_reduce", refused)
+    for x in cases:
+        assert x.free_image()[0].ambient.dim == x.classical_rank()
+    assert sum(x.idem.den > 1 for x in cases) >= 6
 
 
 def test_free_image_round_trip_checks_name_the_failing_trip(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from finmot.errors import SizeCapError
+from finmot.errors import InvariantError, SizeCapError
 from finmot.karoubi import KaroubiObject, classify, direct_sum, tensor_k
 from finmot.lifting import (
     ProjectorFamily,
@@ -32,7 +32,13 @@ from finmot.motives import (
     weight_projector,
     weight_transpose,
 )
-from finmot.supercat import SuperMorphism, SuperSpace, exp_nilpotent, invert_unit
+from finmot.supercat import (
+    SuperMorphism,
+    SuperSpace,
+    exp_nilpotent,
+    fraction_free_reduce,
+    invert_unit,
+)
 from finmot.symgroup import Partition
 from schur_oracle import permutation_sum_rows
 
@@ -225,6 +231,25 @@ def test_filtration_dims_and_gradeds():
     model = murre_filtration(MotiveSpec(kind="surface", q=2, pg=1, b2=9, rho=7, t=5))
     assert model.filtration_dims() == (8, 7, 5, 0)
     assert model.graded_dims() == (1, 2, 5)
+
+
+def test_murre_filtration_eliminates_the_kernel_chain_once(monkeypatch):
+    # one elimination per kernel in the chain, shared by both checks
+    from finmot import motives
+
+    calls = []
+
+    def counted(mat, ncols=None):
+        calls.append(len(mat))
+        return fraction_free_reduce(mat, ncols)
+
+    monkeypatch.setattr(motives, "fraction_free_reduce", counted)
+    spec = MotiveSpec(kind="surface", q=2, pg=1, b2=9, rho=7, t=5)
+    murre_filtration(spec)
+    assert calls == [8, 16, 24]
+    monkeypatch.setattr(motives.ChowModel, "filtration_dims", lambda self: (8, 7, 4, 0))
+    with pytest.raises(InvariantError, match=r"filtration dims \(8, 7, 4, 0\) != \(8, 7, 5, 0\)"):
+        murre_filtration(spec)
 
 
 def test_filtration_always_ends_at_zero():

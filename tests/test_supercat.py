@@ -766,6 +766,13 @@ def test_a_realization_is_built_once_and_equality_ignores_it():
     assert f.fingerprint() == fresh.fingerprint()
     # a k = 1 morphism is its own realization
     assert real.realization() is real
+    # an endomorphism realizes on one k = 1 space, even between two equal
+    # space objects; a morphism between two spaces on two
+    assert real.source is real.target == space.with_k(1)
+    g = SuperMorphism.from_entries(space, space.with_k(1).with_k(3), {(0, 0): 1})
+    assert g.source is not g.target and g.realization().source is g.realization().target
+    h = SuperMorphism.zero(space, SuperSpace.standard(1, 1, 3)).realization()
+    assert (h.source, h.target) == (space.with_k(1), SuperSpace.standard(1, 1))
 
 
 def test_space_equality_is_field_equality_and_the_hash_is_unchanged():
