@@ -27,6 +27,7 @@ import sys
 import time
 from collections.abc import Iterable
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cmdline import Arg, CommandLine, choice, integer
 from .errors import InvariantError, ModelFileError, SizeCapError
@@ -78,7 +79,6 @@ from .motives import (
     abelian_multiplication_action,
     acts_as_zero_on_gradeds,
     albanese_wedge,
-    build_realization,
     chow_kunneth,
     murre_filtration,
     pg_zero_conclusion,
@@ -544,25 +544,18 @@ def _random_summand_instance(rng, k: int):
     return karoubi.assemble_summand(maps_in, maps_out)
 
 
-class _SurfaceRun:
+class _SurfaceRun(NamedTuple):
     """What the surface pipeline found on one spec: ``family_error`` is
     validate's message, "" when the family is valid, and ``wedge`` the
     wedge of d + 1 seeded cycles, None when t > d."""
 
-    __slots__ = ("family", "family_error", "relations", "model", "splitting", "kernel",
-                 "wedge")
-
-    def __init__(self, family: ProjectorFamily, family_error: str,
-                 relations: motives.SurfaceRelationsReport, model: motives.ChowModel,
-                 splitting: motives.MiddleSplit, kernel: karoubi.FiniteDimReport,
-                 wedge: dict | None):
-        self.family = family
-        self.family_error = family_error
-        self.relations = relations
-        self.model = model
-        self.splitting = splitting
-        self.kernel = kernel
-        self.wedge = wedge
+    family: ProjectorFamily
+    family_error: str
+    relations: motives.SurfaceRelationsReport
+    model: motives.ChowModel
+    splitting: motives.MiddleSplit
+    kernel: karoubi.FiniteDimReport
+    wedge: dict | None
 
 
 def _run_surface(spec: MotiveSpec, cap: int) -> _SurfaceRun:
@@ -593,8 +586,9 @@ def _suite_surface(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
                           seed=cfg.seed, t=0)
     irregular = MotiveSpec(kind="surface", q=2, pg=1, b2=10, rho=8, k=cfg.k,
                            seed=cfg.seed, t=2)
+    runs = {}
     for name, spec in (("all-algebraic", rational), ("irregular", irregular)):
-        run = _run_surface(spec, cfg.cap)
+        run = runs[name] = _run_surface(spec, cfg.cap)
         checks.append(Check(f"surface/{name}/family-valid", not run.family_error,
                             run.family_error))
         failed = [c.name for c in run.relations.checks if not c.passed]
@@ -602,10 +596,10 @@ def _suite_surface(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
                             f"failed: {', '.join(failed)}" if failed else ""))
         checks.append(Check(
             f"surface/{name}/graded-dims",
-            run.model.graded_dims() == (1, spec.q, spec.t)))
+            run.model.graded_dims == (1, spec.q, spec.t)))
         checks.append(Check(
             f"surface/{name}/filtration-ends-at-zero",
-            run.model.filtration_dims()[3] == 0))
+            run.model.filtration_dims[3] == 0))
         checks.append(Check(
             f"surface/{name}/kernel-classification",
             run.kernel.kind == "even" and run.kernel.kim_plus == spec.d_param
@@ -616,8 +610,7 @@ def _suite_surface(cfg: RunConfig, grid: dict) -> tuple[dict, list[Check]]:
     checks.append(Check("surface/all-algebraic/kernel-forced-zero", verdict.consistent))
     checks.append(Check("surface/all-algebraic/split-shape",
                         verdict.motive_shape == "1 + 9L + L^2"))
-    space = build_realization(irregular)
-    f = random_hom_trivial(space, seeded_rng(cfg.seed + 2))
+    f = random_hom_trivial(runs["irregular"].family.ambient, seeded_rng(cfg.seed + 2))
     checks.append(Check("surface/irregular/hom-trivial-acts-zero-on-gradeds",
                         acts_as_zero_on_gradeds(irregular, f)))
     return {"shape": verdict.motive_shape or ""}, checks
@@ -739,8 +732,8 @@ def cmd_surface(cfg: RunConfig) -> Report:
         detail = "" if c.passed else _defect_string(c.defect)
         checks.append(Check(f"surface/relation/{c.name}", c.passed, detail))
     checks.append(Check("surface/graded-dims",
-                        run.model.graded_dims() == (1, spec.q, spec.t),
-                        detail=str(run.model.graded_dims())))
+                        run.model.graded_dims == (1, spec.q, spec.t),
+                        detail=str(run.model.graded_dims)))
     checks.append(Check(
         "surface/kernel-evenly-finite-dimensional",
         run.kernel.kind == "even" and run.kernel.dim == spec.d_param))
@@ -756,8 +749,8 @@ def cmd_surface(cfg: RunConfig) -> Report:
     results = {
         "spec": {key: getattr(spec, key) for key in _MODEL_KEYS},
         "family_members": len(run.family),
-        "filtration_dims": list(run.model.filtration_dims()),
-        "graded_dims": list(run.model.graded_dims()),
+        "filtration_dims": list(run.model.filtration_dims),
+        "graded_dims": list(run.model.graded_dims),
         "kernel_dimension": run.kernel.dim,
         "line_summands": len(run.splitting.line_summands),
     }

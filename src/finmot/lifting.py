@@ -384,7 +384,7 @@ def murre_rigidity(blocks: ProjectorFamily, q: SuperMorphism) -> MurreRigidityRe
 def _check_weight_homogeneous(fam: ProjectorFamily) -> None:
     weights = fam.ambient.weights
     for i, m in enumerate(fam.members):
-        support = {weights[r] for r, _, t in m.numerators() if t[0]}
+        support = {weights[r] for r, _, _ in m.realization().numerators()}
         if len(support) > 1:
             raise ValueError(
                 f"member {i} is not weight-homogeneous (weights {sorted(support)})"

@@ -13,7 +13,8 @@ On top of the realization the module builds:
 * the surface projector relations (the transpose formula for the
   Albanese projector and the subtraction formula for the middle one);
 * the three-step filtration on the zero-cycle model with graded pieces
-  (Q, albanese part, kernel part);
+  (Q, albanese part, kernel part), its kernel chain eliminated once per
+  run and kept on the model;
 * the splitting of the middle motive into rho weight-2 lines plus an
   evenly finite dimensional remainder;
 * the wedge of zero-cycle classes in the kernel part, computed as a
@@ -258,86 +259,70 @@ def surface_projector_relations(spec: MotiveSpec,
 
 
 class ChowModel(NamedTuple):
-    """Model of the surface's zero-cycle group: Q^(1 + q + t).
+    """Model of the surface's zero-cycle group Q^(1 + q + t) with its filtration.
 
     Coordinates are blocked as [degree | albanese | kernel].  The top
     projector acts as the degree block, the Albanese projector as the
     albanese block, the middle projector as the kernel block; the
     filtration is literally the chain of kernels of those actions.
+    ``filtration_dims`` are the dims of the full group, ker(top),
+    ker(top) ^ ker(alb) and then 0; ``graded_dims`` are their successive
+    differences.  `murre_filtration` eliminates the chain once and stores both.
     """
 
     q: int
     t: int
-
-    @property
-    def total_dim(self) -> int:
-        return 1 + self.q + self.t
+    filtration_dims: tuple[int, ...]
+    graded_dims: tuple[int, ...]
 
     def action_of_member(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Block projector matrix (of 0s and 1s) by which family member
         ``i`` acts."""
-        blocks = {4: (0, 1), 3: (1, 1 + self.q), 2: (1 + self.q, self.total_dim)}
+        n = 1 + self.q + self.t
+        blocks = {4: (0, 1), 3: (1, 1 + self.q), 2: (1 + self.q, n)}
         lo, hi = blocks.get(i, (0, 0))
-        n = self.total_dim
         return tuple(
             tuple(int(r == c and lo <= r < hi) for c in range(n))
             for r in range(n)
         )
 
-    def filtration_dims(self) -> tuple[int, int, int, int]:
-        """Dims of the kernel chain: full, ker(top), ker(top) ^ ker(alb), then 0."""
-        dims = [self.total_dim]
-        stacked: list[tuple[int, ...]] = []
-        for member in (4, 3, 2):
-            stacked.extend(self.action_of_member(member))
-            pivots, _ = fraction_free_reduce(list(stacked))
-            dims.append(self.total_dim - len(pivots))
-        return tuple(dims)
-
-    def graded_dims(self) -> tuple[int, int, int]:
-        f0, f1, f2, f3 = self.filtration_dims()
-        return (f0 - f1, f1 - f2, f2 - f3)
-
 
 def murre_filtration(spec: MotiveSpec) -> ChowModel:
-    """The zero-cycle model with its three-step filtration."""
+    """The zero-cycle model with its three-step filtration: one elimination
+    per kernel in the chain, the member actions stacked top, Albanese,
+    middle."""
     if spec.kind != "surface":
         raise ValueError("the filtration model is a surface operation")
-    t = spec.t
-    model = ChowModel(q=spec.q, t=t)
-    want = (1 + spec.q + t, spec.q + t, t, 0)
-    if (dims := model.filtration_dims()) != want:
+    q, t = spec.q, spec.t
+    n = 1 + q + t
+    blocks = ChowModel(q, t, (), ())
+    dims = [n]
+    stacked: list[tuple[int, ...]] = []
+    for member in (4, 3, 2):
+        stacked.extend(blocks.action_of_member(member))
+        pivots, _ = fraction_free_reduce(list(stacked))
+        dims.append(n - len(pivots))
+    dims = tuple(dims)
+    if dims != (want := (n, q + t, t, 0)):
         raise InvariantError(f"filtration dims {dims} != {want}")
-    if (graded := tuple(a - b for a, b in zip(dims, dims[1:]))) != (1, spec.q, t):
-        raise InvariantError(f"graded dims {graded} != {(1, spec.q, t)}")
-    return model
+    return blocks._replace(filtration_dims=dims,
+                           graded_dims=tuple(a - b for a, b in zip(dims, dims[1:])))
 
 
-def graded_action(spec: MotiveSpec, f: SuperMorphism) -> tuple:
-    """Realization blocks of ``f`` in weights 4, 3, 2.
+def acts_as_zero_on_gradeds(spec: MotiveSpec, f: SuperMorphism) -> bool:
+    """Whether ``f`` acts as zero on the graded pieces of the zero-cycle model.
 
-    The graded pieces of the zero-cycle model see a correspondence only
-    through these blocks, so a homologically trivial correspondence acts
-    as zero on every graded piece.
+    The graded pieces see a correspondence only through its realization
+    blocks in weights 4, 3 and 2.  The eps^0 layer keeps weight, so every
+    realization entry lies in one block, and ``f`` acts as zero exactly
+    when its realization has no entry on a row of weight 2, 3 or 4.  A
+    homologically trivial correspondence therefore acts as zero.
     """
     space = build_realization(spec)
     if f.source != space or f.target != space:
         raise ValueError("f must be an endomorphism of the surface realization")
-    r = f.realization()
-    out = []
-    for w in (4, 3, 2):
-        idxs = [i for i, wi in enumerate(space.weights) if wi == w]
-        block = tuple(
-            tuple(r.entry(i, j).realization() for j in idxs) for i in idxs
-        )
-        out.append(block)
-    return tuple(out)
-
-
-def acts_as_zero_on_gradeds(spec: MotiveSpec, f: SuperMorphism) -> bool:
-    return all(
-        all(not v for row in block for v in row) for block in graded_action(spec, f)
-    )
+    weights = space.weights
+    return not any(2 <= weights[i] <= 4 for i, _, _ in f.realization().numerators())
 
 
 # --- the middle motive splitting -------------------------------------------------------

@@ -65,9 +65,6 @@ TENSOR_DIM_CAP = 4096
 EVEN = 0
 ODD = 1
 
-_ZERO_SCALARS: dict[int, "TruncatedScalar"] = {}
-_ONE_SCALARS: dict[int, "TruncatedScalar"] = {}
-
 
 class TruncatedScalar:
     """An element of Q[eps]/(eps^k) as its tuple of eps-coefficients."""
@@ -90,17 +87,11 @@ class TruncatedScalar:
 
     @classmethod
     def zero(cls, k: int) -> "TruncatedScalar":
-        cached = _ZERO_SCALARS.get(k)
-        if cached is None:
-            cached = _ZERO_SCALARS[k] = cls((Fraction(0),) * k)
-        return cached
+        return cls((Fraction(0),) * k)
 
     @classmethod
     def one(cls, k: int) -> "TruncatedScalar":
-        cached = _ONE_SCALARS.get(k)
-        if cached is None:
-            cached = _ONE_SCALARS[k] = cls.of(1, k)
-        return cached
+        return cls.of(1, k)
 
     @classmethod
     def eps(cls, k: int, power: int = 1, coeff=1) -> "TruncatedScalar":

@@ -203,8 +203,8 @@ def test_criterion_08_surface_calculus():
             rel = surface_projector_relations(spec)
             assert rel.all_passed, [c.name for c in rel.checks if not c.passed]
             model = murre_filtration(spec)
-            assert model.graded_dims() == (1, spec.q, spec.t)
-            assert model.filtration_dims()[3] == 0
+            assert model.graded_dims == (1, spec.q, spec.t)
+            assert model.filtration_dims[3] == 0
         # wedge of d+1 kernel classes vanishes for every d <= 3
         for d in range(4):
             rng = seeded_rng(d + 1)

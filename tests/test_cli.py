@@ -820,6 +820,29 @@ def test_surface_suite_reads_the_family_under_test(capsys, monkeypatch):
     assert checks["surface/irregular/kernel-classification"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv, eliminations", [
+    *((("surface", str(path)), 3)
+      for path in sorted((Path(__file__).parents[1] / "scripts").glob("*.spec"))),
+    (("verify", "surface"), 6),
+], ids=lambda v: Path(v[-1]).stem if isinstance(v, tuple) else None)
+def test_surface_runs_eliminate_each_kernel_chain_once(capsys, monkeypatch, argv,
+                                                       eliminations):
+    # three eliminations per surface model, read by every check and result
+    from finmot import motives
+
+    calls = []
+    original = motives.fraction_free_reduce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(motives, "fraction_free_reduce", counted)
+    code, _, _ = run(capsys, "--out", "json", *argv)
+    assert code == 0
+    assert len(calls) == eliminations
+
+
 # --- fuzzing ----------------------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from finmot.motives import (
     albanese_wedge,
     build_realization,
     chow_kunneth,
-    graded_action,
     murre_filtration,
     pg_zero_conclusion,
     split_middle,
@@ -229,12 +228,12 @@ def test_surface_relations_reject_non_surface():
 
 def test_filtration_dims_and_gradeds():
     model = murre_filtration(MotiveSpec(kind="surface", q=2, pg=1, b2=9, rho=7, t=5))
-    assert model.filtration_dims() == (8, 7, 5, 0)
-    assert model.graded_dims() == (1, 2, 5)
+    assert model.filtration_dims == (8, 7, 5, 0)
+    assert model.graded_dims == (1, 2, 5)
 
 
 def test_murre_filtration_eliminates_the_kernel_chain_once(monkeypatch):
-    # one elimination per kernel in the chain, shared by both checks
+    # one elimination per kernel in the chain, and the model keeps its dims
     from finmot import motives
 
     calls = []
@@ -247,16 +246,25 @@ def test_murre_filtration_eliminates_the_kernel_chain_once(monkeypatch):
     spec = MotiveSpec(kind="surface", q=2, pg=1, b2=9, rho=7, t=5)
     murre_filtration(spec)
     assert calls == [8, 16, 24]
-    monkeypatch.setattr(motives.ChowModel, "filtration_dims", lambda self: (8, 7, 4, 0))
+    # an Albanese block one coordinate too wide leaves a kernel of dim 4
+    action = motives.ChowModel.action_of_member
+
+    def wide_albanese(self, i):
+        rows = action(self, i)
+        return rows[:3] + (tuple(int(c == 3) for c in range(8)),) + rows[4:] if i == 3 else rows
+
+    monkeypatch.setattr(motives.ChowModel, "action_of_member", wide_albanese)
+    calls.clear()
     with pytest.raises(InvariantError, match=r"filtration dims \(8, 7, 4, 0\) != \(8, 7, 5, 0\)"):
         murre_filtration(spec)
+    assert calls == [8, 16, 24]
 
 
 def test_filtration_always_ends_at_zero():
     for t in (0, 1, 4):
         for q in (0, 1, 3):
             spec = MotiveSpec(kind="surface", q=q, pg=1, b2=5, rho=3, t=t)
-            assert murre_filtration(spec).filtration_dims()[3] == 0
+            assert murre_filtration(spec).filtration_dims[3] == 0
 
 
 def test_hom_trivial_correspondence_acts_zero_on_gradeds():
@@ -271,9 +279,21 @@ def test_non_hom_trivial_correspondence_can_act_nonzero():
     spec = SURFACE
     space = build_realization(spec)
     f = SuperMorphism.identity(space)
-    blocks = graded_action(spec, f)
-    assert any(any(any(v for v in row) for row in block) for block in blocks)
     assert not acts_as_zero_on_gradeds(spec, f)
+    # the graded pieces see the realization in weights 2, 3 and 4 only
+    low = weight_projector(space, 0) + weight_projector(space, 1)
+    assert acts_as_zero_on_gradeds(spec, low)
+    assert not acts_as_zero_on_gradeds(spec, low + weight_projector(space, 4))
+
+
+def test_acts_as_zero_on_gradeds_needs_an_endomorphism_of_the_realization():
+    # another truncation order, another space, and a map out of the surface
+    space = build_realization(SURFACE)
+    curve = build_realization(MotiveSpec(kind="curve", g=1, k=SURFACE.k))
+    for f in (SuperMorphism.zero(space.with_k(3)), SuperMorphism.zero(curve),
+              SuperMorphism.zero(space, curve)):
+        with pytest.raises(ValueError, match="endomorphism of the surface realization"):
+            acts_as_zero_on_gradeds(SURFACE, f)
 
 
 # --- middle splitting --------------------------------------------------------------------
